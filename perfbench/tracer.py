@@ -74,8 +74,7 @@ class Span:
 class Tracer:
     """Installs wrappers, records spans and counts, and restores the originals."""
 
-    def __init__(self, package: str = "etclosure"):
-        self.package = package
+    def __init__(self):
         self.spans = []
         self._ids = itertools.count(1)
         self._local = threading.local()
@@ -141,9 +140,8 @@ class Tracer:
     # -- installation ----------------------------------------------------
 
     def _modules(self):
-        prefix = self.package + "."
         return [m for name, m in sorted(sys.modules.items())
-                if (name == self.package or name.startswith(prefix)) and m is not None]
+                if (name == "etclosure" or name.startswith("etclosure.")) and m is not None]
 
     def _set(self, owner, attr: str, value) -> None:
         self._patches.append((owner, attr, owner.__dict__[attr]))
