@@ -8,6 +8,8 @@ One run: set up (package import, inputs from the seed, one untimed warm-up
 pass) three times, each in a fresh interpreter, and report the median; then
 run whole rounds of the workload's operations, one at a time from this
 process, while another round still fits in S seconds; then check every output.
+The end-to-end times are scaled to a reference machine speed by a probe loop
+run every PROBE_EVERY_S while they are measured (see `probe`).
 With --trace 0 the last line of stdout is a JSON object with the end-to-end
 metrics; with --trace 1 half the time goes to untraced rounds and half to
 traced rounds, and the line carries the per-layer metrics, while the spans go to
@@ -19,14 +21,19 @@ import time
 T_START = time.perf_counter()
 
 import argparse  # noqa: E402
+import bisect  # noqa: E402
+import gc  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import os  # noqa: E402
 import resource  # noqa: E402
+import signal  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import threading  # noqa: E402
 import traceback  # noqa: E402
+from fractions import Fraction  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -34,6 +41,11 @@ SRC = os.path.join(ROOT, "src")
 WORKLOAD_NAMES = ("exact-closure", "series-symmetry", "thermo-kinetic")
 SETUP_SAMPLES = 3
 CHILD_TIMEOUT_S = 150
+# A shared machine's speed moves by a fifth within a second and between runs, so
+# each time is scaled by PROBE_REF_S over the median of the probes taken in and
+# right around it.
+PROBE_REF_S = 0.005
+PROBE_EVERY_S = 0.1  # gap between probes during set-up and untraced rounds
 
 END_TO_END = (
     ("setup_s", "s"),
@@ -96,29 +108,121 @@ def per_layer_names():
 
 
 # ---------------------------------------------------------------------------
+# machine speed
+
+
+def probe() -> float:
+    """Seconds a fixed mix of Fraction, float, tuple and dict work takes now.
+
+    It runs only benchmark code with the garbage collector off, so neither a
+    change to etclosure nor the size of its heap moves it; its time follows
+    the machine's speed, which moves the workloads' times with it.
+    """
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    t = time.perf_counter()
+    for _ in range(4):
+        acc = Fraction(0)
+        for i in range(1, 160):
+            acc += Fraction(i % 5 + 1, i)
+    x, table = 0.0, {}
+    for i in range(5000):
+        key = (i % 31, i % 7)
+        x = table.get(key, 0.5) * 0.999 + i * 1e-6
+        table[key] = x
+    seconds = time.perf_counter() - t
+    if gc_was_on:
+        gc.enable()
+    return seconds
+
+
+class SpeedSampler:
+    """Runs `probe` every PROBE_EVERY_S while started, in the middle of whatever runs.
+
+    A SIGALRM handler runs the probe on the main thread between two bytecodes,
+    so it times the CPU the measured code runs on, at the time it runs.
+    """
+
+    def __init__(self):
+        self.probes = []  # (perf_counter at its end, seconds), in order
+        self.clock = 0.0  # seconds spent in probes so far
+
+    def _probe(self) -> None:
+        seconds = probe()
+        self.probes.append((time.perf_counter(), seconds))
+        self.clock += seconds
+
+    def _on_timer(self, signum, frame) -> None:
+        # a probe next to the program's own threads would time their contention
+        # for the interpreter lock, not the machine
+        if threading.active_count() == 1:
+            self._probe()
+        signal.setitimer(signal.ITIMER_REAL, PROBE_EVERY_S)  # re-armed here, so never nested
+
+    def start(self) -> None:
+        self._probe()  # so that even a short stretch has one
+        signal.signal(signal.SIGALRM, self._on_timer)
+        signal.setitimer(signal.ITIMER_REAL, PROBE_EVERY_S)
+
+    def stop(self) -> None:
+        signal.signal(signal.SIGALRM, signal.SIG_IGN)  # first: a late handler re-arms
+        signal.setitimer(signal.ITIMER_REAL, 0)
+
+
+def speed(probes) -> float:
+    """Reference-speed seconds per measured second, from `probes`."""
+    return PROBE_REF_S / statistics.median(seconds for _, seconds in probes)
+
+
+def at_reference(rounds, probes):
+    """[(wall, latencies)] of untraced rounds at reference speed.
+
+    Each latency is scaled by the probes that ran inside the operation and the
+    last one before it and the first one after it; the wall is their sum.
+    """
+    ends = [end for end, _ in probes]
+    out = []
+    for _, records in rounds:
+        latencies = []
+        for latency, ok, _, t0, t1 in records:
+            first, last = bisect.bisect_left(ends, t0), bisect.bisect_right(ends, t1)
+            latencies.append((latency * speed(probes[max(0, first - 1):last + 1]), ok))
+        out.append((sum(lat for lat, _ in latencies), latencies))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # set-up
 
 
-def import_package() -> float:
-    """Import etclosure from this checkout's src/ and return the time it took (ms)."""
+def import_package(sampler: SpeedSampler) -> float:
+    """Import etclosure from this checkout's src/; return the time it took (ms), probes left out."""
     sys.path.insert(0, SRC)
+    probed = sampler.clock
     t = time.perf_counter()
     import etclosure.cli
 
-    import_ms = 1e3 * (time.perf_counter() - t)
+    import_ms = 1e3 * (time.perf_counter() - t - (sampler.clock - probed))
     if not os.path.abspath(etclosure.cli.__file__).startswith(SRC + os.sep):
         raise ImportError(f"etclosure imported from {etclosure.cli.__file__}, not from {SRC}")
     return import_ms
 
 
 def set_up(workload: str, seed: int):
-    import_ms = import_package()
-    import workloads
+    """(ops, setup_s at reference speed, import_ms as measured), probes left out."""
+    sampler = SpeedSampler()
+    sampler.start()
+    try:
+        import_ms = import_package(sampler)
+        import workloads
 
-    ops, warm = workloads.WORKLOADS[workload](seed)
-    for call in warm:
-        call()
-    return ops, time.perf_counter() - T_START, import_ms
+        ops, warm = workloads.WORKLOADS[workload](seed)
+        for call in warm:
+            call()
+        setup_s = time.perf_counter() - T_START - sampler.clock
+    finally:
+        sampler.stop()
+    return ops, setup_s * speed(sampler.probes), import_ms
 
 
 def child_setup(workload: str, seed: int):
@@ -137,36 +241,39 @@ def child_setup(workload: str, seed: int):
 # rounds
 
 
-def run_round(ops, first=None, tracer=None):
-    """Run every op once; return (wall seconds, [(latency s, ok, output)]).
+def run_round(ops, sampler, first=None, tracer=None):
+    """Run every op once; return (wall s, [(latency s, ok, output, start, end)]).
 
-    After the first round an output is kept only as whether it equals the
-    first round's, so memory does not grow with the number of rounds.
+    A latency leaves out the probes that ran inside it, and the wall is the
+    sum of the latencies. After the first round an output is kept only as
+    whether it equals the first round's, so memory does not grow with the
+    number of rounds.
     """
     records = []
-    t_round = time.perf_counter()
     for i, op in enumerate(ops):
         span = tracer.open(f"op.{op.kind}") if tracer else None
+        probed = sampler.clock
         t = time.perf_counter()
         try:
             out, ok = op.call(), True
         except Exception:  # a failed operation is counted, and the run goes on
             out, ok = traceback.format_exc(), False
-        latency = time.perf_counter() - t
+        end = time.perf_counter()
+        latency = end - t - (sampler.clock - probed)
         if span:
             tracer.close(span)
         if first is not None and ok:
             out = first[i][1] and out == first[i][2]
-        records.append((latency, ok, out))
-    return time.perf_counter() - t_round, records
+        records.append((latency, ok, out, t, end))
+    return sum(rec[0] for rec in records), records
 
 
-def run_rounds(ops, seconds: float, tracer=None, first=None):
+def run_rounds(ops, seconds: float, sampler, tracer=None, first=None):
     """Whole rounds, at least one, while another round still fits in `seconds`."""
     rounds = []
     t0 = time.perf_counter()
     while True:
-        rounds.append(run_round(ops, first, tracer))
+        rounds.append(run_round(ops, sampler, first, tracer))
         first = first or rounds[0][1]
         if time.perf_counter() - t0 + rounds[-1][0] > seconds:
             return rounds
@@ -204,7 +311,8 @@ def digits(rel) -> float:
 
 
 def end_to_end(setup_s, rounds, peak_rss_mb, accuracy):
-    latencies = [1e3 * rec[0] for _, recs in rounds for rec in recs if rec[1]]
+    """`rounds` at reference speed, as at_reference gives them."""
+    latencies = [1e3 * lat for _, lats in rounds for lat, ok in lats if ok]
     return {
         "setup_s": setup_s,
         "wall_s": statistics.median(wall for wall, _ in rounds),
@@ -278,23 +386,32 @@ def run_one(args) -> int:
     setup_s = statistics.median(s for s, _ in samples)
     import_ms = statistics.median(i for _, i in samples)
 
+    sampler = SpeedSampler()
+    sampler.start()
+    try:
+        untraced = run_rounds(ops, args.seconds / 2 if args.trace else args.seconds, sampler)
+    finally:
+        sampler.stop()
+    first = untraced[0][1]
     if not args.trace:
-        rounds = run_rounds(ops, args.seconds)
-        first = rounds[0][1]
+        rounds = untraced
     else:
         from tracer import Tracer
 
-        untraced = run_rounds(ops, args.seconds / 2)
-        first = untraced[0][1]
         tracer = Tracer()
         tracer.install()
         try:
-            rounds = run_rounds(ops, args.seconds / 2, tracer, first)
+            rounds = run_rounds(ops, args.seconds / 2, sampler, tracer, first)
         finally:
             tracer.uninstall()
         rounds = untraced + rounds
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print("round walls (s): " + " ".join(f"{wall:.3f}" for wall, _ in rounds), file=sys.stderr)
+    print("set-ups (s, at reference speed): " + " ".join(f"{s:.3f}" for s, _ in samples),
+          file=sys.stderr)
+    print("round walls (s, as measured): " + " ".join(f"{wall:.3f}" for wall, _ in rounds),
+          file=sys.stderr)
+    print(f"untraced rounds: {len(sampler.probes)} probes, "
+          f"median speed factor {speed(sampler.probes):.4f}", file=sys.stderr)
 
     later = [recs for _, recs in rounds[1:]]
     errors, rels, failed = check(ops, first, later)
@@ -310,7 +427,8 @@ def run_one(args) -> int:
         tracer.write_jsonl(os.path.join(HERE, "out", f"{args.workload}-seed{args.seed}.spans.jsonl"))
     else:
         aggregate = statistics.median if args.workload in MEDIAN_ACCURACY else max
-        metrics = end_to_end(setup_s, rounds, peak_rss_mb, digits(aggregate(rels)) if rels else 16.0)
+        metrics = end_to_end(setup_s, at_reference(rounds, sampler.probes), peak_rss_mb,
+                             digits(aggregate(rels)) if rels else 16.0)
         units = END_TO_END
     emit(result_doc(not errors, attempted, failed, metrics, units))
     return 0
