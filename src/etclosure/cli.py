@@ -8,8 +8,10 @@ Output is deterministic: floats are rendered as 17-significant-digit strings,
 rationals as "p/q" strings, keys are sorted, and files are written atomically
 (temp file then rename).  CSV is a projection of the same rows as the JSON.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap.
-ETCLOSURE_THREADS caps suite parallelism.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap
+(a requested order past the rank cap, for closure and moments alike),
+4 numerical failure at this state (a quadrature that does not converge, or an
+entropy that is undefined because dH/dlambda underflows to 0).
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .closure import RANK_CAP, ClosureSpec, RankCapError, _max_workers, closure_table
+from .closure import ClosureSpec, RankCapError, closure_table
 from .equilibrium import (
+    ConvergenceError,
+    EntropyUndefinedError,
     ThermoState,
     gibbs_residual,
     thermo_functions,
@@ -201,10 +204,10 @@ def _state_from_args(args) -> ThermoState:
     return ThermoState(args.lam, mu, args.m, statistics=STATS_ALIASES[args.stats])
 
 
-def _spec_from_args(args, registry: Optional[FunctionRegistry] = None) -> ClosureSpec:
+def _spec_from_args(args) -> ClosureSpec:
     return ClosureSpec(
         args.M, args.N, h_max=args.hmax, k_max=args.kmax,
-        registry=registry or FunctionRegistry.polynomials(args.seed), m=1,
+        registry=FunctionRegistry.polynomials(args.seed), m=1,
     )
 
 
@@ -214,15 +217,7 @@ def _spec_from_args(args, registry: Optional[FunctionRegistry] = None) -> Closur
 
 def cmd_closure(args) -> int:
     spec = _spec_from_args(args)
-    # the table must cover every requested order; a truncation reaching past
-    # the rank cap is a resource error, not a silently smaller table
-    top_h = spec.h_max if spec.M >= 2 else 0
-    top_k = spec.k_max if spec.N >= 3 else 0
-    if spec.rank(top_h, top_k) > RANK_CAP:
-        raise RankCapError(
-            f"rank {spec.rank(top_h, top_k)} at (h,k)=({top_h},{top_k}) "
-            f"exceeds cap {RANK_CAP}; lower --hmax/--kmax"
-        )
+    spec.check_top_order()
     rows = closure_table(spec)
     if args.format == "csv":
         _write_out(_to_csv(rows), args.out)
@@ -243,12 +238,7 @@ def cmd_verify(args) -> int:
         M=args.M, N=args.N, h_max=args.hmax, k_max=args.kmax,
         seed=args.seed, mutate=args.mutate, tol=args.tol,
     )
-    chosen = list(SUITES) if not names else names
-    for name in chosen:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}")
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(lambda name: SUITES[name](cfg), chosen))
+    results = run_suites(names, cfg)
     doc = {
         "passed": all(r.passed for r in results),
         "seed": args.seed,
@@ -292,6 +282,7 @@ def cmd_equilibrium(args) -> int:
 def cmd_moments(args) -> int:
     state = _state_from_args(args)
     spec = _spec_from_args(args)
+    spec.check_top_order()
     mset, report = equilibrium_moments_with_traces(state, spec)
     mstate = MultiplierState.at_equilibrium(state, spec)
     delta = delta_hprime(mstate)
@@ -338,6 +329,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RankCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (EntropyUndefinedError, ConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,8 +21,6 @@ is what makes coefficient tables for different (h, k) coherent.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -77,6 +75,21 @@ class ClosureSpec:
         if self.rank(h, k) > RANK_CAP:
             raise RankCapError(
                 f"rank {self.rank(h, k)} exceeds cap {RANK_CAP} for (h,k)=({h},{k})"
+            )
+
+    def check_top_order(self) -> None:
+        """Raise RankCapError when the highest requested order passes the rank cap.
+
+        :func:`iter_orders` keeps only the orders within the cap, so a command
+        that reports the requested truncation must call this first rather
+        than silently cover less.
+        """
+        top_h = self.h_max if self.M >= 2 else 0
+        top_k = self.k_max if self.N >= 3 else 0
+        if self.rank(top_h, top_k) > RANK_CAP:
+            raise RankCapError(
+                f"rank {self.rank(top_h, top_k)} at (h,k)=({top_h},{top_k}) "
+                f"exceeds cap {RANK_CAP}; lower --hmax/--kmax"
             )
 
 
@@ -278,16 +291,6 @@ def verify_compatibility(
     return report
 
 
-def _max_workers() -> int:
-    env = os.environ.get("ETCLOSURE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
-
-
 @dataclass
 class ClosureTensorSet:
     """All closure tensors of one spec up to its truncation orders."""
@@ -297,12 +300,9 @@ class ClosureTensorSet:
 
     @classmethod
     def build(cls, spec: ClosureSpec) -> "ClosureTensorSet":
-        orders = list(iter_orders(spec))
         out = cls(spec)
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            results = pool.map(lambda hk: (hk, build_closure_tensor(spec, *hk)), orders)
-            for hk, elem in results:
-                out.tensors[hk] = elem
+        for h, k in iter_orders(spec):
+            out.tensors[(h, k)] = build_closure_tensor(spec, h, k)
         return out
 
     def get(self, h: int, k: int) -> FFamilyElement:

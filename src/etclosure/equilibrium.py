@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Tuple, Union
+from typing import Callable, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -65,22 +65,27 @@ def equilibrium_multipliers(
 
     Exact when lambda, the components of mu and m are rational.
     """
+    return lambda_multiplier(lam, M, m), mu_multiplier(mu, N, m)
+
+
+def lambda_multiplier(lam, M: int, m=1) -> DenseSymTensor:
+    """The even-rank block lambda_{b1..bM} of :func:`equilibrium_multipliers`."""
     if M < 0 or M % 2 != 0:
         raise ValueError(f"M must be even and non-negative, got {M}")
+    if M == 0:
+        return DenseSymTensor.scalar(lam)
+    scale = lam * Fraction(1, 1) / ((-(m * m)) ** (M // 2))
+    return metric_flip(gmu_basis(M, M // 2)).scale(scale)
+
+
+def mu_multiplier(mu: FourVector, N: int, m=1) -> DenseSymTensor:
+    """The odd-rank block mu_{b1..bN} of :func:`equilibrium_multipliers`."""
     if N < 1 or N % 2 != 1:
         raise ValueError(f"N must be odd and positive, got {N}")
-    msq = _msq(m)
-    if M == 0:
-        lam_t = DenseSymTensor.scalar(lam)
-    else:
-        scale = lam * Fraction(1, 1) / ((-msq) ** (M // 2))
-        lam_t = metric_flip(gmu_basis(M, M // 2)).scale(scale)
     if N == 1:
-        mu_t = DenseSymTensor(1, {(i,): c for i, c in enumerate(mu.lowered().components)})
-    else:
-        scale = Fraction(1, 1) / ((-msq) ** ((N - 1) // 2))
-        mu_t = metric_flip(gmu_basis(N, (N - 1) // 2, mu)).scale(scale)
-    return lam_t, mu_t
+        return DenseSymTensor(1, {(i,): c for i, c in enumerate(mu.lowered().components)})
+    scale = Fraction(1, 1) / ((-(m * m)) ** ((N - 1) // 2))
+    return metric_flip(gmu_basis(N, (N - 1) // 2, mu)).scale(scale)
 
 
 def project_equilibrium(lam_tensor: DenseSymTensor, mu_tensor: DenseSymTensor, m=1):
@@ -97,7 +102,7 @@ def project_equilibrium(lam_tensor: DenseSymTensor, mu_tensor: DenseSymTensor, m
         raise ValueError(f"lambda tensor must have even rank, got {M}")
     if N % 2 != 1:
         raise ValueError(f"mu tensor must have odd rank, got {N}")
-    msq = _msq(m)
+    msq = m * m
     t = lam_tensor
     for _ in range(M // 2):
         t = trace_pair(t)
@@ -113,12 +118,6 @@ def project_equilibrium(lam_tensor: DenseSymTensor, mu_tensor: DenseSymTensor, m
     pref = 8 * Fraction(double_factorial(N), double_factorial(N + 3)) * ((-msq) ** ((N - 1) // 2))
     mu = FourVector(tuple(pref * t.get((i,)) for i in range(4)), "lower")
     return lam, mu
-
-
-def _msq(m):
-    if isinstance(m, (int, Fraction)):
-        return m * m
-    return m * m  # float fallback; exactness only matters for rational inputs
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +323,11 @@ def thermo_functions(state: ThermoState) -> EquilibriumFunctions:
 _STENCIL = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))  # f' ~ sum c_i f(x+ih) / 12h
 
 
-def _fd(values_fn, x0: float, h: float) -> float:
+def _fd(values, h: float) -> float:
+    """Five-point derivative from the values at the _STENCIL offsets, in order."""
     total = 0.0
-    for off, c in _STENCIL:
-        total += c * values_fn(x0 + off * h)
+    for (_, c), value in zip(_STENCIL, values):
+        total += c * value
     return total / (12.0 * h)
 
 
@@ -337,6 +337,24 @@ def _steps(state: ThermoState, rel: float) -> Tuple[float, float]:
     return h_lam, h_gam
 
 
+def _stencil_functions(state: ThermoState, rel_step: float):
+    """State functions at the centre and at each _STENCIL offset of both directions.
+
+    Returns (centre, (points along lambda, h_lambda), (points along gamma,
+    h_gamma)); each of the nine points costs one :func:`H_derivatives` call.
+    """
+    dist, m = state.dist, state.m
+
+    def funcs(lam, gamma):
+        return state_functions(*H_derivatives(dist, lam, gamma, m), lam, gamma)
+
+    h_lam, h_gam = _steps(state, rel_step)
+    centre = funcs(state.lam, state.gamma)
+    along_lam = [funcs(state.lam + off * h_lam, state.gamma) for off, _ in _STENCIL]
+    along_gam = [funcs(state.lam, state.gamma + off * h_gam) for off, _ in _STENCIL]
+    return centre, (along_lam, h_lam), (along_gam, h_gam)
+
+
 def gibbs_residual(state: ThermoState, rel_step: float = 1e-2) -> float:
     """Normalized residual of T ds - d(e/n) - p d(1/n) along both directions.
 
@@ -344,27 +362,13 @@ def gibbs_residual(state: ThermoState, rel_step: float = 1e-2) -> float:
     differences of the quadrature state functions; the relation is an exact
     identity, so the residual is a numerical-error meter.
     """
-    dist = state.dist
-    m = state.m
-
-    def funcs(lam, gamma):
-        return state_functions(*H_derivatives(dist, lam, gamma, m), lam, gamma)
-
-    center = funcs(state.lam, state.gamma)
-    t_val = center.T
-    h_lam, h_gam = _steps(state, rel_step)
+    centre, *directions = _stencil_functions(state, rel_step)
     worst = 0.0
-    for direction in ("lam", "gamma"):
-        if direction == "lam":
-            at = lambda x: funcs(x, state.gamma)
-            x0, h = state.lam, h_lam
-        else:
-            at = lambda x: funcs(state.lam, x)
-            x0, h = state.gamma, h_gam
-        ds = _fd(lambda x: at(x).s, x0, h)
-        de_n = _fd(lambda x: at(x).e / at(x).n, x0, h)
-        dinv_n = _fd(lambda x: 1.0 / at(x).n, x0, h)
-        terms = (t_val * ds, de_n, center.p * dinv_n)
+    for points, h in directions:
+        ds = _fd([f.s for f in points], h)
+        de_n = _fd([f.e / f.n for f in points], h)
+        dinv_n = _fd([1.0 / f.n for f in points], h)
+        terms = (centre.T * ds, de_n, centre.p * dinv_n)
         res = terms[0] - terms[1] - terms[2]
         scale = max(max(abs(t) for t in terms), 1e-300)
         worst = max(worst, abs(res) / scale)
@@ -378,17 +382,10 @@ def integrability_residual(state: ThermoState, rel_step: float = 1e-2) -> float:
     (gamma, p) with p = H: n_p = n_lambda / H_lambda and
     n_gamma|_p = n_gamma|_lambda - n_lambda H_gamma / H_lambda.
     """
-    dist = state.dist
-    m = state.m
-
-    def funcs(lam, gamma):
-        return state_functions(*H_derivatives(dist, lam, gamma, m), lam, gamma)
-
-    c = funcs(state.lam, state.gamma)
-    h_lam, h_gam = _steps(state, rel_step)
-    n_lam = _fd(lambda x: funcs(x, state.gamma).n, state.lam, h_lam)
-    e_lam = _fd(lambda x: funcs(x, state.gamma).e, state.lam, h_lam)
-    n_gam = _fd(lambda x: funcs(state.lam, x).n, state.gamma, h_gam)
+    c, (along_lam, h_lam), (along_gam, h_gam) = _stencil_functions(state, rel_step)
+    n_lam = _fd([f.n for f in along_lam], h_lam)
+    e_lam = _fd([f.e for f in along_lam], h_lam)
+    n_gam = _fd([f.n for f in along_gam], h_gam)
     n_p = n_lam / c.H_lambda
     e_p = e_lam / c.H_lambda
     n_gamma_at_p = n_gam - n_lam * c.H_gamma / c.H_lambda

@@ -26,7 +26,6 @@ from typing import List, Optional, Sequence, Tuple
 from .scalar import (
     FunctionRegistry,
     ScalarExpr,
-    SingularRatioError,
     double_factorial,
     double_factorial_ratio,
     eta,
@@ -301,6 +300,20 @@ def basis_mu_contraction(n: int, r: int) -> List[ScalarExpr]:
     return out
 
 
+def timelike_gamma(mu: FourVector):
+    """gamma = sqrt(-mu.mu), exact (a Fraction) whenever mu.mu is a rational square."""
+    gsq = mu.gamma_sq()
+    if gsq <= 0:
+        raise ValueError("mu must be timelike")
+    if isinstance(gsq, (int, Fraction)):
+        q = Fraction(gsq)
+        rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+        if rn * rn == q.numerator and rd * rd == q.denominator:
+            return Fraction(rn, rd)
+        return float(gsq) ** 0.5
+    return gsq**0.5
+
+
 def realize(
     f: FFamilyElement,
     lam,
@@ -312,18 +325,7 @@ def realize(
 
     Exact when fed Fraction state values whose gamma is rational.
     """
-    gsq = mu.gamma_sq()
-    if gsq <= 0:
-        raise ValueError("mu must be timelike")
-    if isinstance(gsq, (int, Fraction)):
-        num, den = Fraction(gsq).numerator, Fraction(gsq).denominator
-        rn, rd = isqrt(num), isqrt(den)
-        if rn * rn == num and rd * rd == den:
-            gamma = Fraction(rn, rd)
-        else:
-            gamma = float(gsq) ** 0.5
-    else:
-        gamma = gsq**0.5
+    gamma = timelike_gamma(mu)
     out = DenseSymTensor.zeros(f.rank)
     for s, phi in enumerate(f.coeffs):
         if phi.is_zero():

@@ -41,6 +41,8 @@ from .equilibrium import (
     ThermoState,
     equilibrium_hprime,
     equilibrium_multipliers,
+    lambda_multiplier,
+    mu_multiplier,
     project_equilibrium,
 )
 from .family import realize
@@ -111,16 +113,11 @@ def make_deviation(raw: DenseSymTensor, M_or_N: int, m=1) -> DenseSymTensor:
         if raw.rank == 0:
             return DenseSymTensor.zeros(0)
         lam_p, _ = project_equilibrium(raw, DenseSymTensor.zeros(1), m)
-        eq_part, _ = equilibrium_multipliers(lam_p, _ZERO_MU, raw.rank, 1, m)
-        return raw - eq_part
+        return raw - lambda_multiplier(lam_p, raw.rank, m)
     if raw.rank == 1:
         return DenseSymTensor.zeros(1)
     _, mu_p = project_equilibrium(DenseSymTensor.zeros(0), raw, m)
-    _, eq_part = equilibrium_multipliers(0, mu_p, 0, raw.rank, m)
-    return raw - eq_part
-
-
-_ZERO_MU = FourVector((1, 0, 0, 0), "upper")  # placeholder direction, never used
+    return raw - mu_multiplier(mu_p, raw.rank, m)
 
 
 # ---------------------------------------------------------------------------

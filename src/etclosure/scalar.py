@@ -19,10 +19,9 @@ even-product function eta.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 SymKey = Optional[Tuple[int, int]]
@@ -303,9 +302,6 @@ class ScalarExpr:
                 )
             )
         return cls(terms)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
 
 class PolynomialFunction:

@@ -386,17 +386,6 @@ def contract_mu(t: DenseSymTensor, mu: Union[FourVector, Sequence]) -> DenseSymT
     return out
 
 
-def contract_full(t: DenseSymTensor, s: DenseSymTensor):
-    """Full contraction of two equal-rank symmetric tensors (no metric)."""
-    if t.rank != s.rank:
-        raise ValueError("rank mismatch")
-    total = None
-    for idx, v in t.items():
-        contrib = v * s.get(idx) * arrangements(idx)
-        total = contrib if total is None else total + contrib
-    return total if total is not None else 0
-
-
 def transform(t: DenseSymTensor, matrix: Sequence[Sequence]) -> DenseSymTensor:
     """Apply a linear map L to every slot: T'^{j1..jn} = L^{j1}_{i1}...T^{i1..in}.
 

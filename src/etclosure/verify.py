@@ -19,7 +19,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .closure import (
@@ -49,6 +48,7 @@ from .family import (
     mu_derivative,
     basis_mu_contraction,
     realize,
+    timelike_gamma,
     trace,
 )
 from .moments import (
@@ -70,7 +70,6 @@ from .oracle import (
 from .scalar import FunctionRegistry, ScalarExpr, SingularRatioError
 from .tensors import (
     DenseSymTensor,
-    canonical_indices,
     contract_mu,
     gmu_basis,
     symmetrize,
@@ -90,17 +89,13 @@ class VerifyConfig:
     mutate: int = 0
     tol: Optional[float] = None
     states: int = 3
-    registry: Optional[FunctionRegistry] = None
-    m: object = 1
 
     def reg(self) -> FunctionRegistry:
-        return self.registry if self.registry is not None else FunctionRegistry.polynomials(self.seed)
+        return FunctionRegistry.polynomials(self.seed)
 
-    def spec(self, **overrides) -> ClosureSpec:
-        kw = dict(M=self.M, N=self.N, h_max=self.h_max, k_max=self.k_max,
-                  registry=self.reg(), m=self.m)
-        kw.update(overrides)
-        return ClosureSpec(**kw)
+    def spec(self) -> ClosureSpec:
+        return ClosureSpec(self.M, self.N, h_max=self.h_max, k_max=self.k_max,
+                           registry=self.reg(), m=1)
 
     def tolerance(self, default: float) -> float:
         return self.tol if self.tol is not None else default
@@ -185,14 +180,6 @@ def _orders_up_to_rank(spec: ClosureSpec, rank_cap: int) -> List[tuple]:
             if spec.rank(h, k) <= rank_cap:
                 out.append((h, k))
     return out
-
-
-def _exact_gamma(mu) -> Fraction:
-    gsq = Fraction(mu.gamma_sq())
-    rn, rd = isqrt(gsq.numerator), isqrt(gsq.denominator)
-    if rn * rn != gsq.numerator or rd * rd != gsq.denominator:
-        raise ValueError("state was expected to have rational gamma")
-    return Fraction(rn, rd)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +311,7 @@ def suite_oracle(cfg: VerifyConfig) -> SuiteResult:
     # contraction table of the maximal-metric element
     for n in (2, 4, 6):
         mu = random_rational_timelike(rng)
-        gamma = _exact_gamma(mu)
+        gamma = timelike_gamma(mu)
         for r in range(1, n + 1):
             lhs = gmu_basis(n, n // 2)
             for _ in range(r):
@@ -457,7 +444,7 @@ def suite_symmetry(cfg: VerifyConfig) -> SuiteResult:
     for case in range(cfg.states):
         mu = random_float_timelike(rng)
         lam = rng.uniform(0.2, 1.0)
-        base = ThermoState(lam, mu, float(cfg.m))
+        base = ThermoState(lam, mu, 1.0)
         lam_dev = make_deviation(
             random_sym_tensor(spec.M, rng, rational=False), spec.M, spec.m
         ).scale(devscale)
@@ -528,11 +515,13 @@ SUITES: Dict[str, Callable[[VerifyConfig], SuiteResult]] = {
 
 
 def run_suites(names: Optional[Sequence[str]] = None, cfg: Optional[VerifyConfig] = None):
+    """Run the named suites (all when none are named) in order.
+
+    Every name is checked before any suite runs, so a typo costs no work.
+    """
     cfg = cfg or VerifyConfig()
     chosen = list(SUITES) if not names else list(names)
-    results = []
     for name in chosen:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
-        results.append(SUITES[name](cfg))
-    return results
+    return [SUITES[name](cfg) for name in chosen]

@@ -9,7 +9,6 @@ reported together rather than aborting at the first bad case.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import time
 from fractions import Fraction
@@ -42,6 +41,7 @@ from etclosure.family import (
     lift,
     mu_derivative,
     realize,
+    timelike_gamma,
     trace,
 )
 from etclosure.moments import (
@@ -76,11 +76,6 @@ def _report(label: str, failures: list, elapsed: float, budget: float | None = N
         line += f" -- {len(failures)} failure(s): {failures[:4]}"
     print(line)
     assert ok, line
-
-
-def _exact_gamma(mu: FourVector) -> Fraction:
-    g2 = mu.gamma_sq()
-    return Fraction(math.isqrt(g2.numerator), math.isqrt(g2.denominator))
 
 
 def _rel(a: float, b: float, floor: float = 1e-10) -> float:
@@ -200,7 +195,7 @@ def test_05_component_oracle_equivalence_rank_6(registry):
 
     for n in (2, 4, 6):
         mu = random_rational_timelike(rng)
-        gamma = _exact_gamma(mu)
+        gamma = timelike_gamma(mu)
         for r in range(1, n + 1):
             lhs = gmu_basis(n, n // 2)
             for _ in range(r):

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from etclosure import verify
 from etclosure.cli import main
 
 
@@ -87,6 +88,14 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert code == 2
 
 
+def test_verify_rejects_unknown_suite_before_running_any(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setitem(verify.SUITES, "equilibrium", lambda cfg: ran.append(cfg))
+    code, _ = run(capsys, "verify", "--suite", "equilibrium", "--suite", "bogus")
+    assert code == 2
+    assert ran == []
+
+
 def test_equilibrium_values(capsys):
     code, out = run(capsys, "equilibrium", "--lambda", "1", "--gamma", "1", "--m", "1", "--stats", "mb")
     assert code == 0
@@ -113,6 +122,15 @@ def test_equilibrium_spacelike_rejected(capsys):
     assert code == 2
 
 
+def test_equilibrium_numerical_failure_exit_code(capsys):
+    # dH/dlambda underflows to 0 at gamma = 800, so the entropy is undefined
+    code = main(["equilibrium", "--gamma", "800"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_moments_equilibrium_delta_is_zero(capsys):
     code, out = run(capsys, "moments", "--M", "2", "--N", "1", "--lambda", "0.8", "--gamma", "1.2", "--m", "1")
     assert code == 0
@@ -123,6 +141,13 @@ def test_moments_equilibrium_delta_is_zero(capsys):
     assert float(doc["kinetic"]["e"]) == pytest.approx(14.312132613424396, rel=1e-12)
     for value in doc["residuals"]["traces"].values():
         assert abs(float(value)) <= 1e-8
+
+
+def test_moments_past_rank_cap_is_resource_error(capsys):
+    # rank 2*9 + 3*9 + 1 = 46 at the top order, far past the cap of 16
+    code, out = run(capsys, "moments", "--M", "2", "--N", "3", "--hmax", "9", "--kmax", "9")
+    assert code == 3
+    assert out == ""
 
 
 def test_config_file_merged_under_flags(tmp_path, capsys):
@@ -154,10 +179,3 @@ def test_deterministic_output(capsys):
     _, eq1 = run(capsys, "equilibrium", "--lambda", "0.5", "--gamma", "2", "--m", "1")
     _, eq2 = run(capsys, "equilibrium", "--lambda", "0.5", "--gamma", "2", "--m", "1")
     assert eq1 == eq2
-
-
-def test_thread_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("ETCLOSURE_THREADS", "1")
-    code, out = run(capsys, "verify", "--suite", "oracle")
-    assert code == 0
-    assert json.loads(out)["passed"] is True

@@ -19,12 +19,8 @@ from etclosure.closure import (
     recursive_E,
     verify_compatibility,
 )
-from etclosure.family import FFamilyElement, check_characteristic, trace
+from etclosure.family import check_characteristic, trace
 from etclosure.scalar import ScalarExpr
-
-
-def dress_msq(f: FFamilyElement, power: int = 1) -> FFamilyElement:
-    return FFamilyElement(f.rank, tuple(c.scale(1, msq_pow=power) for c in f.coeffs))
 
 
 def test_spec_validation():
@@ -128,7 +124,7 @@ def test_E_trace_identity():
     for h in (0, 1):
         e_hi = recursive_E(spec, h, 2)
         e_lo = recursive_E(spec, h, 1)
-        assert trace(e_hi) == dress_msq(e_lo)
+        assert trace(e_hi) == e_lo.scale(1, msq_pow=1)
 
 
 def test_derive_C_from_E_is_identity_at_k0():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import scipy.special
 
+from etclosure import equilibrium
 from etclosure.equilibrium import (
     EntropyUndefinedError,
     JuttnerFamily,
@@ -150,6 +151,21 @@ def test_gibbs_relation_holds(z):
 def test_integrability_condition_holds(z):
     st = ThermoState(0.3, FourVector([z, 0, 0, 0]), 1.0)
     assert abs(integrability_residual(st)) <= 1e-8
+
+
+@pytest.mark.parametrize("residual", [gibbs_residual, integrability_residual])
+def test_residuals_evaluate_each_stencil_point_once(residual, monkeypatch):
+    # centre plus four offsets along lambda and four along gamma
+    points = []
+
+    def counted(dist, lam, gamma, m):
+        points.append((lam, gamma))
+        return H_derivatives(dist, lam, gamma, m)
+
+    monkeypatch.setattr(equilibrium, "H_derivatives", counted)
+    residual(ThermoState(0.3, BOOSTED, 1.0))
+    assert len(points) == 9
+    assert len(set(points)) == 9
 
 
 @pytest.mark.parametrize("stats", STATISTICS)
