@@ -11,8 +11,8 @@ Layers, bottom up:
 
 - :mod:`etclosure.scalar`: exact scalar expressions f(lambda) gamma^a (-m^2)^b
   and the combinatorial helpers (double factorials, ratio ladders).
-- :mod:`etclosure.tensors`: dense symmetric tensors on canonical
-  multi-indices, the metric, the g-mu basis.
+- :mod:`etclosure.tensors`: symmetric tensors as homogeneous polynomials,
+  the metric, the g-mu basis.
 - :mod:`etclosure.family`: elements symmetric together with their
   mu-derivative; descent, trace, lift, derivative, realization.
 - :mod:`etclosure.closure`: the closure coefficient tensors by closed form

@@ -9,7 +9,7 @@ rationals as "p/q" strings, keys are sorted, and files are written atomically
 (temp file then rename).  CSV is a projection of the same rows as the JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap
-(a requested order past the rank cap, for closure and moments alike),
+(a requested order past the rank cap, for every command that sums over orders),
 4 numerical failure at this state (a quadrature that does not converge, or an
 entropy that is undefined because dH/dlambda underflows to 0).
 """
@@ -31,8 +31,7 @@ from .equilibrium import (
     ConvergenceError,
     EntropyUndefinedError,
     ThermoState,
-    gibbs_residual,
-    thermo_functions,
+    thermo_with_gibbs,
 )
 from .moments import (
     MultiplierState,
@@ -217,7 +216,6 @@ def _spec_from_args(args) -> ClosureSpec:
 
 def cmd_closure(args) -> int:
     spec = _spec_from_args(args)
-    spec.check_top_order()
     rows = closure_table(spec)
     if args.format == "csv":
         _write_out(_to_csv(rows), args.out)
@@ -259,7 +257,7 @@ def cmd_verify(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     state = _state_from_args(args)
-    funcs = thermo_functions(state)
+    funcs, gibbs = thermo_with_gibbs(state)
     doc = {
         "lambda": state.lam,
         "gamma": state.gamma,
@@ -270,7 +268,7 @@ def cmd_equilibrium(args) -> int:
         "e": funcs.e,
         "s": funcs.s,
         "T": funcs.T,
-        "gibbs_residual": gibbs_residual(state),
+        "gibbs_residual": gibbs,
     }
     if args.format == "csv":
         _write_out(_to_csv([doc]), args.out)
@@ -282,7 +280,6 @@ def cmd_equilibrium(args) -> int:
 def cmd_moments(args) -> int:
     state = _state_from_args(args)
     spec = _spec_from_args(args)
-    spec.check_top_order()
     mset, report = equilibrium_moments_with_traces(state, spec)
     mstate = MultiplierState.at_equilibrium(state, spec)
     delta = delta_hprime(mstate)

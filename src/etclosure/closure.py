@@ -80,9 +80,9 @@ class ClosureSpec:
     def check_top_order(self) -> None:
         """Raise RankCapError when the highest requested order passes the rank cap.
 
-        :func:`iter_orders` keeps only the orders within the cap, so a command
-        that reports the requested truncation must call this first rather
-        than silently cover less.
+        The rank grows with h and k, so once the top order fits every order
+        does; :func:`iter_orders` calls this, so nothing that sums over the
+        truncation silently covers less than was requested.
         """
         top_h = self.h_max if self.M >= 2 else 0
         top_k = self.k_max if self.N >= 3 else 0
@@ -310,13 +310,13 @@ class ClosureTensorSet:
 
 
 def iter_orders(spec: ClosureSpec):
-    """All (h, k) within the truncation orders and the rank cap."""
+    """All (h, k) within the truncation orders; RankCapError past the rank cap."""
+    spec.check_top_order()
     hmax = spec.h_max if spec.M >= 2 else 0
     kmax = spec.k_max if spec.N >= 3 else 0
     for h in range(hmax + 1):
         for k in range(kmax + 1):
-            if spec.rank(h, k) <= RANK_CAP:
-                yield (h, k)
+            yield (h, k)
 
 
 def closure_table(spec: ClosureSpec) -> List[dict]:

@@ -34,6 +34,7 @@ from .tensors import (
     DenseSymTensor,
     FourVector,
     gmu_basis,
+    gmu_combination,
     metric_flip,
     trace_pair,
 )
@@ -321,6 +322,7 @@ def thermo_functions(state: ThermoState) -> EquilibriumFunctions:
 
 
 _STENCIL = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))  # f' ~ sum c_i f(x+ih) / 12h
+_REL_STEP = 1e-2
 
 
 def _fd(values, h: float) -> float:
@@ -355,14 +357,27 @@ def _stencil_functions(state: ThermoState, rel_step: float):
     return centre, (along_lam, h_lam), (along_gam, h_gam)
 
 
-def gibbs_residual(state: ThermoState, rel_step: float = 1e-2) -> float:
+def gibbs_residual(state: ThermoState, rel_step: float = _REL_STEP) -> float:
     """Normalized residual of T ds - d(e/n) - p d(1/n) along both directions.
 
     Derivatives with respect to lambda and gamma come from five-point central
     differences of the quadrature state functions; the relation is an exact
     identity, so the residual is a numerical-error meter.
     """
-    centre, *directions = _stencil_functions(state, rel_step)
+    return _gibbs(*_stencil_functions(state, rel_step))
+
+
+def thermo_with_gibbs(state: ThermoState) -> Tuple[EquilibriumFunctions, float]:
+    """(thermo_functions(state), gibbs_residual(state)) from one stencil pass.
+
+    The state functions are those of the stencil's centre point, so the
+    centre is evaluated once instead of twice.
+    """
+    stencil = _stencil_functions(state, _REL_STEP)
+    return stencil[0], _gibbs(*stencil)
+
+
+def _gibbs(centre: EquilibriumFunctions, *directions) -> float:
     worst = 0.0
     for points, h in directions:
         ds = _fd([f.s for f in points], h)
@@ -375,7 +390,7 @@ def gibbs_residual(state: ThermoState, rel_step: float = 1e-2) -> float:
     return worst
 
 
-def integrability_residual(state: ThermoState, rel_step: float = 1e-2) -> float:
+def integrability_residual(state: ThermoState, rel_step: float = _REL_STEP) -> float:
     """Normalized residual of (e+p) n_p - gamma n_gamma|_p = n e_p.
 
     The pressure derivatives use the change of variables (lambda, gamma) ->
@@ -410,13 +425,8 @@ def equilibrium_hprime(state: ThermoState):
     mu_up = [float(ci) for ci in state.mu.raised().components]
     hprime = FourVector(tuple(f.H * ci for ci in mu_up), "upper")
     a_vec = FourVector(tuple(f.H_lambda * ci for ci in mu_up), "upper")
-    coeff = -f.H_gamma / state.gamma
-    b_vals = {}
-    for i in range(4):
-        for j in range(i, 4):
-            g_ij = (-1.0 if i == 0 else 1.0) if i == j else 0.0
-            b_vals[(i, j)] = coeff * mu_up[i] * mu_up[j] + f.H * g_ij
-    return hprime, a_vec, DenseSymTensor(2, b_vals)
+    b_tensor = gmu_combination(2, {0: -f.H_gamma / state.gamma, 1: f.H}, mu_up)
+    return hprime, a_vec, b_tensor
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .scalar import (
     double_factorial_ratio,
     eta,
 )
-from .tensors import DenseSymTensor, FourVector, gmu_basis
+from .tensors import DenseSymTensor, FourVector, gmu_combination
 
 
 class CharacteristicError(ValueError):
@@ -326,12 +326,11 @@ def realize(
     Exact when fed Fraction state values whose gamma is rational.
     """
     gamma = timelike_gamma(mu)
-    out = DenseSymTensor.zeros(f.rank)
+    values = {}
     for s, phi in enumerate(f.coeffs):
         if phi.is_zero():
             continue
         value = phi.evaluate(lam, gamma, m, registry)
-        if value == 0:
-            continue
-        out = out + gmu_basis(f.rank, s, mu).scale(value)
-    return out
+        if value != 0:
+            values[s] = value
+    return gmu_combination(f.rank, values, mu)

@@ -27,7 +27,7 @@ Two numeric checks live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 from typing import Dict, Optional, Tuple
@@ -52,12 +52,13 @@ from .tensors import (
     FourVector,
     arrangements,
     canonical_indices,
+    contract_mu,
+    contract_tail,
     index_counts,
+    sym_product,
     trace_pair,
     transform,
 )
-
-Counts = Tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -92,12 +93,6 @@ class MomentSet:
     truncation: Tuple[int, int]
 
 
-def deviation_projection_residual(state: MultiplierState) -> float:
-    """Largest projection of the deviations; zero for honest deviations."""
-    lam_p, mu_p = project_equilibrium(state.lam_dev, state.mu_dev, state.spec.m)
-    return max(abs(float(lam_p)), max(abs(float(c)) for c in mu_p.components))
-
-
 def make_deviation(raw: DenseSymTensor, M_or_N: int, m=1) -> DenseSymTensor:
     """Trace-free deviation: raw minus its equilibrium-shaped projection.
 
@@ -124,69 +119,38 @@ def make_deviation(raw: DenseSymTensor, M_or_N: int, m=1) -> DenseSymTensor:
 # the Delta h' series
 
 
-def _count_poly(dev: DenseSymTensor) -> Dict[Counts, object]:
-    """Multiplicity-weighted values of a symmetric tensor, keyed by counts."""
-    poly: Dict[Counts, object] = {}
-    for idx, val in dev.items():
-        if val == 0:
-            continue
-        poly[index_counts(idx)] = val * arrangements(idx)
-    return poly
-
-
-def _convolve(p: Dict[Counts, object], q: Dict[Counts, object]) -> Dict[Counts, object]:
-    out: Dict[Counts, object] = {}
-    for c1, v1 in p.items():
-        for c2, v2 in q.items():
-            key = (c1[0] + c2[0], c1[1] + c2[1], c1[2] + c2[2], c1[3] + c2[3])
-            acc = out.get(key)
-            term = v1 * v2
-            out[key] = term if acc is None else acc + term
-    return out
-
-
-def _canonical_from_counts(c: Counts) -> Tuple[int, ...]:
-    return (0,) * c[0] + (1,) * c[1] + (2,) * c[2] + (3,) * c[3]
-
-
-_UNIT_POLY: Dict[Counts, object] = {(0, 0, 0, 0): 1}
-
-
 def delta_hprime(
     state: MultiplierState, tensors: Optional[ClosureTensorSet] = None
 ) -> FourVector:
     """Truncated series sum_{h,k} (1/h!k!) C_{h,k} . lam_dev^h . mu_dev^k.
 
     The closure tensor of each order is realized at the base state and
-    contracted with h copies of the lambda deviation and k copies of the mu
-    deviation over its trailing slots; the free slot is the output index.
-    Exact when the state and deviations are rational and gamma is rational.
+    contracted with the symmetric product of h copies of the lambda deviation
+    and k copies of the mu deviation over its trailing slots; the free slot is
+    the output index.  Orders whose deviation product vanishes are skipped
+    without realizing their tensor.  Exact when the state and deviations are
+    rational and gamma is rational.
     """
     spec = state.spec
-    lam_poly = _count_poly(state.lam_dev)
-    mu_poly = _count_poly(state.mu_dev)
-    lam_pows = [_UNIT_POLY]
-    mu_pows = [_UNIT_POLY]
+    lam_pows = [DenseSymTensor.scalar(1)]
+    mu_pows = [DenseSymTensor.scalar(1)]
     comps = [0, 0, 0, 0]
     for h, k in iter_orders(spec):
         if h == 0 and k == 0:
             continue
         while len(lam_pows) <= h:
-            lam_pows.append(_convolve(lam_pows[-1], lam_poly))
+            lam_pows.append(sym_product(lam_pows[-1], state.lam_dev))
         while len(mu_pows) <= k:
-            mu_pows.append(_convolve(mu_pows[-1], mu_poly))
-        poly = _convolve(lam_pows[h], mu_pows[k])
-        if not poly:
+            mu_pows.append(sym_product(mu_pows[-1], state.mu_dev))
+        dev = sym_product(lam_pows[h], mu_pows[k])
+        if dev.max_abs() == 0:
             continue
         elem = tensors.get(h, k) if tensors is not None else build_closure_tensor(spec, h, k)
         realized = realize(elem, state.base.lam, state.base.mu, spec.m, spec.registry)
+        tail = contract_tail(realized, dev)
         w = Fraction(1, factorial(h) * factorial(k))
-        for counts, pv in poly.items():
-            if pv == 0:
-                continue
-            tail = _canonical_from_counts(counts)
-            for a in range(4):
-                comps[a] = comps[a] + w * pv * realized.get((a,) + tail)
+        for a in range(4):
+            comps[a] = comps[a] + w * tail.get((a,))
     return FourVector(tuple(comps), "upper")
 
 
@@ -203,8 +167,10 @@ def symmetry_residual(
 
     Each canonical component of the full rank-M and rank-N multiplier tensors
     is perturbed coherently (all index arrangements together); the
-    equilibrium projection and the deviation split are recomputed at every
-    perturbed point, so this differentiates the genuine composite map.  The
+    equilibrium projection and the deviation split of the perturbed block are
+    recomputed at every perturbed point, so this differentiates the genuine
+    composite map.  The other block keeps the state's own projection and
+    deviation, which are what its split returns in exact arithmetic.  The
     central-difference derivative divided by the arrangement count is the
     slot-wise derivative, and the assembled (rank+1) arrays must be totally
     symmetric.  Returns the worst relative mismatch over both blocks.
@@ -223,20 +189,18 @@ def symmetry_residual(
     full_lam = (eq_lam + state.lam_dev).map_values(float)
     full_mu = (eq_mu + state.mu_dev).map_values(float)
 
-    def series_at(fl: DenseSymTensor, fm: DenseSymTensor) -> FourVector:
-        lam_p, mu_p = project_equilibrium(fl, fm, m)
-        el, em = equilibrium_multipliers(lam_p, mu_p, spec.M, spec.N, m)
-        base = ThermoState(
-            float(lam_p),
-            FourVector(tuple(float(c) for c in mu_p.components), "lower"),
-            float(m),
-            statistics=state.base.statistics,
-            k_B=state.base.k_B,
-            h_planck=state.base.h_planck,
-            w=state.base.w,
-        )
-        inner = MultiplierState(base, fl - el, fm - em, spec)
-        return delta_hprime(inner, tensors)
+    def series_at(block: str, full: DenseSymTensor) -> FourVector:
+        lam, mu = state.base.lam, state.base.mu.lowered()
+        lam_dev, mu_dev = state.lam_dev, state.mu_dev
+        if block == "lam":
+            lam, _ = project_equilibrium(full, DenseSymTensor.zeros(1), m)
+            lam_dev = full - lambda_multiplier(lam, spec.M, m)
+        else:
+            _, mu = project_equilibrium(DenseSymTensor.zeros(0), full, m)
+            mu_dev = full - mu_multiplier(mu, spec.N, m)
+        mu = FourVector(tuple(float(c) for c in mu.components), "lower")
+        base = replace(state.base, lam=float(lam), mu=mu, m=float(m))
+        return delta_hprime(MultiplierState(base, lam_dev, mu_dev, spec), tensors)
 
     worst = 0.0
     for block in ("lam", "mu"):
@@ -247,12 +211,8 @@ def symmetry_residual(
         for bidx in canonical_indices(tensor.rank):
             center = float(tensor.get(bidx))
             h = step * max(1.0, abs(center))
-            plus = tensor.with_entry(bidx, center + h)
-            minus = tensor.with_entry(bidx, center - h)
-            if block == "lam":
-                gp, gm = series_at(plus, full_mu), series_at(minus, full_mu)
-            else:
-                gp, gm = series_at(full_lam, plus), series_at(full_lam, minus)
+            gp = series_at(block, tensor.with_entry(bidx, center + h))
+            gm = series_at(block, tensor.with_entry(bidx, center - h))
             mult = arrangements(bidx)
             derivs[bidx] = [
                 (float(gp[a]) - float(gm[a])) / (2.0 * h * mult) for a in range(4)
@@ -355,6 +315,7 @@ def equilibrium_moments_with_traces(state: ThermoState, spec: ClosureSpec):
     -m^2 times the rank r moment) for both moment tensors, and the kinetic
     densities n, p, e extracted from the low-rank moments.
     """
+    spec.check_top_order()
     cache: dict = {}
     a_mom = kinetic_moment(state, spec.M + 1, cache)
     b_mom = kinetic_moment(state, spec.N + 1, cache)
@@ -378,12 +339,8 @@ def equilibrium_moments_with_traces(state: ThermoState, spec: ClosureSpec):
 
     t1 = kinetic_moment(state, 1, cache)
     t2 = kinetic_moment(state, 2, cache)
-    u_low = state.u.lowered().components
-    n_kin = -sum(float(u_low[a]) * t1.get((a,)) for a in range(4))
-    e_kin = sum(
-        float(u_low[a]) * float(u_low[b]) * t2.get((a, b)) for a in range(4) for b in range(4)
-    )
-    g_trace = -t2.get((0, 0)) + sum(t2.get((i, i)) for i in (1, 2, 3))
-    p_kin = (g_trace + e_kin) / 3.0
+    n_kin = -contract_mu(t1, state.u).get(())
+    e_kin = contract_mu(contract_mu(t2, state.u), state.u).get(())
+    p_kin = (trace_pair(t2).get(()) + e_kin) / 3.0
     report["kinetic"] = {"n": n_kin, "p": p_kin, "e": e_kin}
     return mset, report

@@ -16,7 +16,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 from typing import Optional, Sequence, Tuple
 
@@ -105,7 +105,9 @@ def brute_realize_basis(
     """sym(g x ... x g x mu x ... x mu) by literal permutation average.
 
     s metric blocks occupy the first 2s slots pairwise, the remaining n - 2s
-    slots each carry a contravariant mu component.
+    slots each carry a contravariant mu component.  The raw product is written
+    out at all 4^n index tuples; the n! slot permutations of a multi-index hit
+    each of its distinct orderings equally often, so they average alike.
     """
     _guard(n, config)
     if not 0 <= 2 * s <= n:
@@ -117,21 +119,21 @@ def brute_realize_basis(
         c = mu.components
         mu_up = (-c[0], c[1], c[2], c[3]) if mu.variance == "lower" else c
 
-    fact = factorial(n)
-    vals = {}
-    for idx in canonical_indices(n):
-        total = None
-        for perm in permutations(idx):
-            term = 1
-            for j in range(s):
-                term = term * _G[perm[2 * j]][perm[2 * j + 1]]
-                if term == 0:
-                    break
-            if term != 0:
-                for j in range(2 * s, n):
-                    term = term * mu_up[perm[j]]
-            total = term if total is None else total + term
-        vals[idx] = _mean(total, fact) if n else 1
+    totals = {}
+    orderings = {}
+    for idx in product(range(4), repeat=n):
+        key = tuple(sorted(idx))
+        orderings[key] = orderings.get(key, 0) + 1
+        term = 1
+        for j in range(s):
+            term = term * _G[idx[2 * j]][idx[2 * j + 1]]
+            if term == 0:
+                break
+        if term != 0:
+            for j in range(2 * s, n):
+                term = term * mu_up[idx[j]]
+        totals[key] = term if key not in totals else totals[key] + term
+    vals = {key: _mean(total, orderings[key]) if n else 1 for key, total in totals.items()}
     return DenseSymTensor(n, vals)
 
 
@@ -171,6 +173,24 @@ def brute_mu_contract(
             total = term if total is None else total + term
         vals[idx] = total
     return DenseSymTensor(t.rank - 1, vals)
+
+
+def brute_transform(
+    t: DenseSymTensor, matrix: Sequence[Sequence], config: Optional[OracleConfig] = None
+) -> DenseSymTensor:
+    """T'^{j1..jn} = L^{j1}_{i1}...L^{jn}_{in} T^{i1..in}, summed over all 4^n tuples (i1..in)."""
+    _guard(t.rank, config)
+    vals = {}
+    for jdx in canonical_indices(t.rank):
+        total = 0
+        for idx in product(range(4), repeat=t.rank):
+            w = 1
+            for j, i in zip(jdx, idx):
+                w = w * matrix[j][i]
+            if w != 0:
+                total = total + w * t.get(idx)
+        vals[jdx] = total
+    return DenseSymTensor(t.rank, vals)
 
 
 def fd_mu_derivative(

@@ -240,19 +240,6 @@ class ScalarExpr:
             (c, g, mp, (s[0], s[1] + 1)) for c, g, mp, s in self._terms if s is not None
         )
 
-    def antiderivative_gamma(self) -> "ScalarExpr":
-        """Termwise gamma-antiderivative gamma^p -> gamma^(p+1)/(p+1).
-
-        The p = -1 (logarithmic) case is rejected; it never occurs in closure
-        use and coincides with the excluded singular-ratio configuration.
-        """
-        out = []
-        for c, g, mp, s in self._terms:
-            if g == -1:
-                raise SingularRatioError("gamma^(-1) has no power-law antiderivative")
-            out.append((c / (g + 1), g + 1, mp, s))
-        return ScalarExpr(out)
-
     # -- evaluation ---------------------------------------------------
 
     def evaluate(self, lam, gamma, m, registry: Optional["FunctionRegistry"] = None):
@@ -322,17 +309,6 @@ class PolynomialFunction:
         return acc
 
 
-class ExpFunction:
-    """scale * exp(rate * lambda); every derivative is the same shape."""
-
-    def __init__(self, scale: float = 1.0, rate: float = -1.0):
-        self.scale = float(scale)
-        self.rate = float(rate)
-
-    def derivative_value(self, order: int, lam):
-        return self.scale * self.rate**order * math.exp(self.rate * lam)
-
-
 class FunctionRegistry:
     """Map q -> smooth function of lambda, queried by derivative order.
 
@@ -376,8 +352,3 @@ class FunctionRegistry:
                 coeffs[-1] = Fraction(1, 2)
             funcs[q] = PolynomialFunction(coeffs)
         return cls(funcs)
-
-    @classmethod
-    def exponentials(cls, count: int = 8) -> "FunctionRegistry":
-        """Registry of damped exponentials, handy for float-mode runs."""
-        return cls({q: ExpFunction(scale=1.0 / (1 + q), rate=-1.0) for q in range(count)})

@@ -1,13 +1,24 @@
-"""Component-level symmetric spacetime tensors over the fixed metric.
+"""Totally symmetric spacetime tensors, stored and operated on as polynomials.
 
 The metric is diag(-1, +1, +1, +1); timelike squared norms are negative, which
 is the convention forced by the mass shell p.p = -m^2 and by
 gamma = sqrt(-mu.mu) > 0.
 
-A rank-n totally symmetric tensor stores one value per canonical sorted
-multi-index (i1 <= ... <= in, each in 0..3), C(n+3, 3) entries in all; lookups
-with permuted indices return the canonical entry.  Values may be floats or
-exact ``fractions.Fraction``; every operation is generic over the two.
+A rank-n totally symmetric tensor T is the degree-n homogeneous polynomial
+p_T(x) = T_{i1..in} x^{i1} ... x^{in} in four variables (Comon, Golub, Lim &
+Mourrain, *Symmetric tensors and symmetric tensor rank*, SIAM J. Matrix Anal.
+Appl. 30, 2008).  A monomial x^c is named by its exponent counts
+c = (c0, c1, c2, c3), which are also the counts of each index value in a
+multi-index, and its coefficient in p_T is the multinomial n!/c! times the
+component T_c.  :class:`DenseSymTensor` stores the components T_c keyed by c,
+C(n+3, 3) of them, one per canonical sorted multi-index; sorted multi-indices
+are the I/O format.  Values may be floats or exact ``fractions.Fraction``;
+every operation is generic over the two.
+
+Each operation is the polynomial operation it is (see its docstring).  On
+components a derivative is an index shift with no weight, so traces and
+contractions read the stored values directly; products and substitutions act
+on the multinomial-weighted coefficients.
 
 Note on overall signs: the storage layer is variance-agnostic (the fixed
 diagonal metric has identical co- and contravariant components), so covariant
@@ -27,6 +38,11 @@ METRIC_DIAG: Tuple[int, int, int, int] = (-1, 1, 1, 1)
 DIM = 4
 
 Index = Tuple[int, ...]
+Counts = Tuple[int, int, int, int]
+Poly = Dict[Counts, object]
+
+_ONE: Counts = (0, 0, 0, 0)
+_UNITS: Tuple[Counts, ...] = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 class Metric:
@@ -95,43 +111,35 @@ def canonical_indices(rank: int) -> Iterable[Index]:
     return itertools.combinations_with_replacement(range(DIM), rank)
 
 
-def index_counts(idx: Index) -> Tuple[int, int, int, int]:
+def index_counts(idx: Index) -> Counts:
     return (idx.count(0), idx.count(1), idx.count(2), idx.count(3))
+
+
+def _multinomial(c: Counts) -> int:
+    return factorial(sum(c)) // (
+        factorial(c[0]) * factorial(c[1]) * factorial(c[2]) * factorial(c[3])
+    )
 
 
 def arrangements(idx: Index) -> int:
     """Number of distinct orderings of a multi-index."""
-    n0, n1, n2, n3 = index_counts(idx)
-    return factorial(len(idx)) // (
-        factorial(n0) * factorial(n1) * factorial(n2) * factorial(n3)
-    )
+    return _multinomial(index_counts(idx))
 
 
-def distinct_permutations(idx: Index) -> Iterable[Index]:
-    """All distinct orderings of a multi-index, without repetition."""
-    pool = sorted(idx)
-    n = len(pool)
-    if n == 0:
-        yield ()
-        return
-    seq = list(pool)
-    while True:
-        yield tuple(seq)
-        # next multiset permutation, lexicographic
-        i = n - 2
-        while i >= 0 and seq[i] >= seq[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while seq[j] <= seq[i]:
-            j -= 1
-        seq[i], seq[j] = seq[j], seq[i]
-        seq[i + 1 :] = reversed(seq[i + 1 :])
+def _index(c: Counts) -> Index:
+    """The sorted multi-index with counts c."""
+    return (0,) * c[0] + (1,) * c[1] + (2,) * c[2] + (3,) * c[3]
+
+
+@lru_cache(maxsize=None)
+def _layout(rank: int) -> Tuple[Tuple[Counts, ...], Tuple[int, ...]]:
+    """The counts of every component in canonical order, and their multinomials."""
+    counts = tuple(index_counts(idx) for idx in canonical_indices(rank))
+    return counts, tuple(_multinomial(c) for c in counts)
 
 
 class DenseSymTensor:
-    """Totally symmetric rank-n tensor on canonical sorted multi-indices."""
+    """Totally symmetric rank-n tensor: one component per monomial x^c of degree n."""
 
     __slots__ = ("rank", "_values")
 
@@ -139,14 +147,22 @@ class DenseSymTensor:
         if rank < 0:
             raise ValueError("rank must be non-negative")
         self.rank = rank
-        vals: Dict[Index, object] = {idx: 0 for idx in canonical_indices(rank)}
+        vals: Dict[Counts, object] = dict.fromkeys(_layout(rank)[0], 0)
         if values:
             for idx, v in values.items():
-                key = tuple(sorted(idx))
-                if len(key) != rank:
-                    raise ValueError(f"index {idx} has wrong rank (expected {rank})")
+                key = index_counts(idx)
+                if len(idx) != rank or key not in vals:
+                    raise ValueError(f"index {idx} is not a rank-{rank} multi-index over 0..3")
                 vals[key] = v
         self._values = vals
+
+    @classmethod
+    def _from_counts(cls, rank: int, values: Mapping[Counts, object]) -> "DenseSymTensor":
+        """Tensor whose component at counts c is values[c], 0 where absent."""
+        out = cls.__new__(cls)
+        out.rank = rank
+        out._values = {c: values.get(c, 0) for c in _layout(rank)[0]}
+        return out
 
     @classmethod
     def zeros(cls, rank: int) -> "DenseSymTensor":
@@ -154,41 +170,45 @@ class DenseSymTensor:
 
     @classmethod
     def scalar(cls, value) -> "DenseSymTensor":
-        t = cls(0)
-        t._values[()] = value
-        return t
+        return cls._from_counts(0, {_ONE: value})
 
     def get(self, idx: Sequence[int]):
         """Component at any index order; permuted lookups hit the canonical entry."""
-        return self._values[tuple(sorted(idx))]
+        return self._values[index_counts(idx)]
 
     def items(self):
-        return self._values.items()
+        """(sorted multi-index, component) for every canonical entry, zeros included."""
+        return [(_index(c), self._values[c]) for c in _layout(self.rank)[0]]
 
     def with_entry(self, idx: Sequence[int], value) -> "DenseSymTensor":
         """Copy with one canonical entry replaced."""
-        out = DenseSymTensor(self.rank, self._values)
-        out._values[tuple(sorted(idx))] = value
+        key = index_counts(idx)
+        if len(idx) != self.rank or key not in self._values:
+            raise ValueError(f"index {tuple(idx)} is not a rank-{self.rank} multi-index over 0..3")
+        out = DenseSymTensor._from_counts(self.rank, self._values)
+        out._values[key] = value
         return out
 
     def map_values(self, fn) -> "DenseSymTensor":
-        out = DenseSymTensor(self.rank)
-        out._values = {k: fn(v) for k, v in self._values.items()}
-        return out
+        return DenseSymTensor._from_counts(
+            self.rank, {k: fn(v) for k, v in self._values.items()}
+        )
 
     def __add__(self, other: "DenseSymTensor") -> "DenseSymTensor":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        out = DenseSymTensor(self.rank)
-        out._values = {k: self._values[k] + other._values[k] for k in self._values}
-        return out
+        b = other._values
+        return DenseSymTensor._from_counts(
+            self.rank, {k: v + b[k] for k, v in self._values.items()}
+        )
 
     def __sub__(self, other: "DenseSymTensor") -> "DenseSymTensor":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        out = DenseSymTensor(self.rank)
-        out._values = {k: self._values[k] - other._values[k] for k in self._values}
-        return out
+        b = other._values
+        return DenseSymTensor._from_counts(
+            self.rank, {k: v - b[k] for k, v in self._values.items()}
+        )
 
     def scale(self, factor) -> "DenseSymTensor":
         return self.map_values(lambda v: v * factor)
@@ -202,8 +222,8 @@ class DenseSymTensor:
         return self.rank == other.rank and self._values == other._values
 
     def __repr__(self) -> str:
-        nonzero = {k: v for k, v in self._values.items() if v != 0}
-        return f"DenseSymTensor(rank={self.rank}, nonzero={len(nonzero)})"
+        nonzero = sum(1 for v in self._values.values() if v != 0)
+        return f"DenseSymTensor(rank={self.rank}, nonzero={nonzero})"
 
     def to_json_obj(self) -> dict:
         def enc(v):
@@ -213,9 +233,7 @@ class DenseSymTensor:
 
         return {
             "rank": self.rank,
-            "components": [
-                {"idx": list(idx), "value": enc(v)} for idx, v in sorted(self._values.items())
-            ],
+            "components": [{"idx": list(idx), "value": enc(v)} for idx, v in self.items()],
         }
 
     @classmethod
@@ -229,181 +247,207 @@ class DenseSymTensor:
         return cls(int(obj["rank"]), values)
 
 
-def symmetrize(raw: Union[Mapping[Index, object], Sequence], rank: Optional[int] = None) -> DenseSymTensor:
-    """Weight-one (idempotent) symmetrization of a raw component array.
+def symmetrize(raw: Mapping[Index, object], rank: Optional[int] = None) -> DenseSymTensor:
+    """Weight-one (idempotent) symmetrization of raw components keyed by index tuples.
 
-    ``raw`` is either a map from full index tuples to values or a nested
-    sequence indexable as raw[i1][i2]...[in].  The canonical entry is the
-    average of raw over the distinct orderings of the multi-index, which
-    equals the average over all n! slot permutations.
+    Symmetrization keeps the polynomial: sum over tuples of raw[idx] x^idx is
+    already the polynomial of the result, so each coefficient collects the raw
+    values at the orderings of one multi-index, and its component is their
+    average over all of them, absent tuples counting as 0.  That equals the
+    average over all n! slot permutations.
     """
-    if isinstance(raw, Mapping):
-        if rank is None:
-            rank = len(next(iter(raw))) if raw else 0
+    if rank is None:
+        rank = len(next(iter(raw))) if raw else 0
+    poly: Poly = {}
+    for idx, v in raw.items():
+        c = index_counts(idx)
+        poly[c] = poly[c] + v if c in poly else v
+    return _from_coefficients(rank, poly)
 
-        def fetch(idx: Index):
-            return raw.get(idx, 0)
 
-    else:
-        if rank is None:
-            rank = 0
-            probe = raw
-            while isinstance(probe, (list, tuple)) or (
-                hasattr(probe, "__len__") and hasattr(probe, "__getitem__") and not isinstance(probe, str)
-            ):
-                if len(probe) != DIM:
-                    break
-                rank += 1
-                probe = probe[0]
+# ---------------------------------------------------------------------------
+# polynomial arithmetic on {counts: coefficient} maps
 
-        def fetch(idx: Index):
-            v = raw
-            for i in idx:
-                v = v[i]
-            return v
 
-    out = DenseSymTensor(rank)
-    for idx in canonical_indices(rank):
-        vals = [fetch(p) for p in distinct_permutations(idx)]
-        total = vals[0]
-        for v in vals[1:]:
-            total = total + v
-        if isinstance(total, (int, Fraction)):
-            out._values[idx] = Fraction(total, len(vals)) if isinstance(total, int) else total / len(vals)
-        else:
-            out._values[idx] = total / len(vals)
+def _coefficients(t: DenseSymTensor) -> Poly:
+    """The coefficients of p_T: each component times its multinomial."""
+    return {c: t._values[c] * w for c, w in zip(*_layout(t.rank))}
+
+
+def _from_coefficients(rank: int, poly: Poly) -> DenseSymTensor:
+    """The tensor whose polynomial is ``poly`` (homogeneous of degree ``rank``)."""
+    values = {}
+    for c, w in zip(*_layout(rank)):
+        v = poly.get(c, 0)
+        if w != 1 and v != 0:
+            v = Fraction(v, w) if isinstance(v, int) else v / w
+        values[c] = v
+    return DenseSymTensor._from_counts(rank, values)
+
+
+def _linear(vector: Sequence) -> Poly:
+    """The linear form sum_t vector[t] x_t, zero terms dropped."""
+    return {unit: a for unit, a in zip(_UNITS, vector) if a != 0}
+
+
+def _product(p: Poly, q: Poly) -> Poly:
+    """p * q; zero coefficients of q are skipped, so a zero q gives {}."""
+    q_terms = [(b, y) for b, y in q.items() if y != 0]
+    out: Poly = {}
+    for a, x in p.items():
+        for b, y in q_terms:
+            key = (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+            out[key] = out.get(key, 0) + x * y
     return out
 
 
-@lru_cache(maxsize=None)
-def _gmu_structure(n: int, s: int):
-    """Per canonical index: ((exact weight, float weight, mu exponents), ...).
+def _substitute(poly: Poly, forms: Sequence[Poly], t: int = 0) -> Poly:
+    """``poly`` with x_t, ..., x_3 replaced by the linear forms forms[t:].
 
-    The weight distributes the s metric pairs over the four index values and
-    already includes the symmetrization prefactor and the metric signs, so
-    evaluating an entry is just sum(weight * prod(mu_t ** p_t)).
+    Horner's rule in x_t: poly = sum_a x_t^a q_a becomes
+    (...(q_top l_t + q_{top-1}) l_t + ...) + q_0 with l_t = forms[t], each q_a
+    substituted in the remaining variables first.
     """
-    nfree = n - 2 * s
-    pref = Fraction(2**s * factorial(s) * factorial(nfree), factorial(n)) if n else Fraction(1)
-    rows = []
-    for idx in canonical_indices(n):
-        counts = index_counts(idx)
-        terms = []
-        for k0 in range(0, min(s, counts[0] // 2) + 1):
-            for k1 in range(0, min(s - k0, counts[1] // 2) + 1):
-                for k2 in range(0, min(s - k0 - k1, counts[2] // 2) + 1):
-                    k3 = s - k0 - k1 - k2
-                    if 2 * k3 > counts[3]:
-                        continue
-                    weight = pref
-                    for t in range(4):
-                        nt, kt = counts[t], (k0, k1, k2, k3)[t]
-                        weight *= Fraction(
-                            factorial(nt), (2**kt) * factorial(kt) * factorial(nt - 2 * kt)
-                        )
-                        weight *= METRIC_DIAG[t] ** kt
-                    powers = tuple(counts[t] - 2 * (k0, k1, k2, k3)[t] for t in range(4))
-                    terms.append((weight, float(weight), powers))
-        rows.append((idx, tuple(terms)))
-    return tuple(rows)
+    if t == DIM:
+        # every key agrees in all four counts, so only one term is left
+        return {_ONE: next(iter(poly.values()))}
+    by_power: Dict[int, Poly] = {}
+    for c, v in poly.items():
+        by_power.setdefault(c[t], {})[c] = v
+    acc: Poly = {}
+    for a in range(max(by_power), -1, -1):
+        acc = _product(acc, forms[t])
+        if a in by_power:
+            for c, v in _substitute(by_power[a], forms, t + 1).items():
+                acc[c] = acc.get(c, 0) + v
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _gmu_structure(s: int) -> Tuple[Tuple[Counts, int], ...]:
+    """The terms of (x.x)^s = (-x0^2 + x1^2 + x2^2 + x3^2)^s, the mu-free part of the basis."""
+    if s == 0:
+        return ((_ONE, 1),)
+    squares = {(2 * u[0], 2 * u[1], 2 * u[2], 2 * u[3]): g for u, g in zip(_UNITS, METRIC_DIAG)}
+    return tuple(_product(dict(_gmu_structure(s - 1)), squares).items())
+
+
+# ---------------------------------------------------------------------------
+# operations
+
+
+def gmu_combination(
+    n: int, coeffs: Mapping[int, object], mu: Union[FourVector, Sequence, None] = None
+) -> DenseSymTensor:
+    """sum_s coeffs[s] * gmu_basis(n, s, mu), built as one polynomial.
+
+    The polynomial sum_s phi_s (x.x)^s (mu.x)^(n-2s) is evaluated by Horner's
+    rule in (mu.x)^2 from the smallest s up, so the only powers expanded on
+    their own are the cached metric powers (x.x)^s.  An empty ``coeffs`` gives
+    zeros at once.  mu may be omitted when every s has n = 2s.
+    """
+    for s in coeffs:
+        if not 0 <= 2 * s <= n:
+            raise ValueError(f"need 0 <= s <= n/2, got n={n}, s={s}")
+    if not coeffs:
+        return DenseSymTensor.zeros(n)
+    low, top = min(coeffs), max(coeffs)
+    if n > 2 * low and mu is None:
+        raise ValueError("mu required when n > 2s")
+    mu_up = mu.raised().components if isinstance(mu, FourVector) else mu
+    ell = _linear(mu_up) if n > 2 * low else {}
+    ell_sq = _product(ell, ell)
+    acc: Poly = {}
+    for s in range(low, top + 1):
+        if s > low:
+            acc = _product(acc, ell_sq)
+        if s in coeffs:
+            phi = coeffs[s]
+            for c, v in _gmu_structure(s):
+                acc[c] = acc.get(c, 0) + phi * v
+    for _ in range(n - 2 * top):
+        acc = _product(acc, ell)
+    return _from_coefficients(n, acc)
 
 
 def gmu_basis(n: int, s: int, mu: Union[FourVector, Sequence, None] = None) -> DenseSymTensor:
     """Symmetrized product of s metrics and n-2s copies of mu (contravariant).
 
-    The weight-one symmetrization makes the family idempotent: the rank-2,
-    s=1 element is exactly g^{ab}, and the rank-1, s=0 element is mu itself.
-    mu may be omitted when n = 2s.
+    Its polynomial is (x.x)^s (mu.x)^(n-2s).  The weight-one symmetrization
+    makes the family idempotent: the rank-2, s=1 element is exactly g^{ab},
+    and the rank-1, s=0 element is mu itself.  mu may be omitted when n = 2s.
     """
-    if not 0 <= 2 * s <= n:
-        raise ValueError(f"need 0 <= s <= n/2, got n={n}, s={s}")
-    if n > 2 * s:
-        if mu is None:
-            raise ValueError("mu required when n > 2s")
-        mu_up = mu.raised().components if isinstance(mu, FourVector) else tuple(mu)
-    else:
-        mu_up = (0, 0, 0, 0)
+    return gmu_combination(n, {s: 1}, mu)
 
-    floats = any(isinstance(c, float) for c in mu_up)
-    # mu powers up to the largest exponent, one table per index value
-    pows = [[1] * (n + 1) for _ in range(4)]
-    for t in range(4):
-        for p in range(1, n - 2 * s + 1):
-            pows[t][p] = pows[t][p - 1] * mu_up[t]
-    out = DenseSymTensor(n)
-    for idx, terms in _gmu_structure(n, s):
-        if not terms:
-            out._values[idx] = 0
-            continue
-        total = 0.0 if floats else Fraction(0)
-        for w_exact, w_float, powers in terms:
-            term = w_float if floats else w_exact
-            for t in range(4):
-                p = powers[t]
-                if p:
-                    term = term * pows[t][p]
-            total = total + term
-        out._values[idx] = total
-    return out
+
+def _derivative(t: DenseSymTensor, weights: Sequence, order: int) -> DenseSymTensor:
+    """sum_a weights[a] d_a^order p_T, rescaled to components: R_c = sum_a w_a T_{c + order e_a}."""
+    v = t._values
+    out = {}
+    for c in _layout(t.rank - order)[0]:
+        total = None
+        for (u0, u1, u2, u3), w in zip(_UNITS, weights):
+            term = w * v[(c[0] + order * u0, c[1] + order * u1, c[2] + order * u2, c[3] + order * u3)]
+            total = term if total is None else total + term
+        out[c] = total
+    return DenseSymTensor._from_counts(t.rank - order, out)
 
 
 def trace_pair(t: DenseSymTensor) -> DenseSymTensor:
-    """Contract the last two slots with the metric: T^{...ab} g_{ab}."""
+    """Contract the last two slots with the metric: T^{...ab} g_{ab}.
+
+    On the polynomial this is the wave operator -d0^2 + d1^2 + d2^2 + d3^2
+    divided by n(n-1).
+    """
     if t.rank < 2:
         raise ValueError("trace_pair needs rank >= 2")
-    out = DenseSymTensor(t.rank - 2)
-    for idx in canonical_indices(t.rank - 2):
-        total = -t.get(idx + (0, 0))
-        for i in (1, 2, 3):
-            total = total + t.get(idx + (i, i))
-        out._values[idx] = total
-    return out
+    return _derivative(t, METRIC_DIAG, 2)
 
 
 def metric_flip(t: DenseSymTensor) -> DenseSymTensor:
-    """Raise or lower every slot with the diagonal metric (an involution)."""
-    out = DenseSymTensor(t.rank)
-    for idx, v in t.items():
-        sign = 1
-        for i in idx:
-            sign *= METRIC_DIAG[i]
-        out._values[idx] = v if sign == 1 else -v
-    return out
+    """Raise or lower every slot with the diagonal metric (an involution).
+
+    The sign of the monomial x^c is (-1)^c0.
+    """
+    return DenseSymTensor._from_counts(
+        t.rank, {c: -v if c[0] % 2 else v for c, v in t._values.items()}
+    )
 
 
 def contract_mu(t: DenseSymTensor, mu: Union[FourVector, Sequence]) -> DenseSymTensor:
-    """Contract the last slot with a covariant four-vector."""
+    """Contract the last slot with a covariant four-vector.
+
+    On the polynomial this is the directional derivative (mu.d)/n.
+    """
     if t.rank < 1:
         raise ValueError("contract_mu needs rank >= 1")
-    mu_low = mu.lowered().components if isinstance(mu, FourVector) else tuple(mu)
-    out = DenseSymTensor(t.rank - 1)
-    for idx in canonical_indices(t.rank - 1):
-        total = None
-        for a in range(DIM):
-            contrib = mu_low[a] * t.get(idx + (a,))
-            total = contrib if total is None else total + contrib
-        out._values[idx] = total
-    return out
+    return _derivative(t, mu.lowered().components if isinstance(mu, FourVector) else mu, 1)
 
 
 def transform(t: DenseSymTensor, matrix: Sequence[Sequence]) -> DenseSymTensor:
     """Apply a linear map L to every slot: T'^{j1..jn} = L^{j1}_{i1}...T^{i1..in}.
 
-    Cost grows as 4^rank; intended for the small ranks of moment tensors.
+    On the polynomial this is the substitution x_i -> sum_j L^j_i y_j.
     """
-    out = DenseSymTensor(t.rank)
-    if t.rank == 0:
-        out._values[()] = t.get(())
-        return out
-    for jdx in canonical_indices(t.rank):
-        total = None
-        for idx in itertools.product(range(DIM), repeat=t.rank):
-            w = None
-            for j, i in zip(jdx, idx):
-                w = matrix[j][i] if w is None else w * matrix[j][i]
-            if w == 0:
-                continue
-            contrib = w * t.get(idx)
-            total = contrib if total is None else total + contrib
-        out._values[jdx] = total if total is not None else 0
-    return out
+    forms = [_linear([matrix[j][i] for j in range(DIM)]) for i in range(DIM)]
+    return _from_coefficients(t.rank, _substitute(_coefficients(t), forms))
+
+
+def sym_product(a: DenseSymTensor, b: DenseSymTensor) -> DenseSymTensor:
+    """Symmetrized tensor product sym(a x b), the product of the two polynomials."""
+    return _from_coefficients(a.rank + b.rank, _product(_coefficients(a), _coefficients(b)))
+
+
+def contract_tail(c: DenseSymTensor, p: DenseSymTensor) -> DenseSymTensor:
+    """The vector C^{a i2..in} P_{i2..in}: every slot of C but the first paired with P."""
+    if c.rank != p.rank + 1:
+        raise ValueError(f"contract_tail needs rank {p.rank + 1}, got {c.rank}")
+    weighted = [(k, v) for k, v in _coefficients(p).items() if v != 0]
+    v = c._values
+    out = {}
+    for unit in _UNITS:
+        total = 0
+        for (k0, k1, k2, k3), w in weighted:
+            total = total + w * v[(k0 + unit[0], k1 + unit[1], k2 + unit[2], k3 + unit[3])]
+        out[unit] = total
+    return DenseSymTensor._from_counts(1, out)

@@ -69,9 +69,9 @@ from .oracle import (
 )
 from .scalar import FunctionRegistry, ScalarExpr, SingularRatioError
 from .tensors import (
-    DenseSymTensor,
     contract_mu,
     gmu_basis,
+    gmu_combination,
     symmetrize,
     trace_pair,
 )
@@ -317,11 +317,8 @@ def suite_oracle(cfg: VerifyConfig) -> SuiteResult:
             for _ in range(r):
                 lhs = brute_mu_contract(lhs, mu)
             coeffs = basis_mu_contraction(n, r)
-            rhs = DenseSymTensor.zeros(n - r)
-            for s, phi in enumerate(coeffs):
-                if phi.is_zero():
-                    continue
-                rhs = rhs + gmu_basis(n - r, s, mu).scale(phi.evaluate(0, gamma, 1))
+            rhs = gmu_combination(n - r, {s: phi.evaluate(0, gamma, 1)
+                                          for s, phi in enumerate(coeffs) if not phi.is_zero()}, mu)
             ok = lhs == rhs
             res.record(ok, 0.0 if ok else 1.0, {"op": "mu_contraction_table", "n": n, "r": r})
 

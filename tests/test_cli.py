@@ -150,6 +150,13 @@ def test_moments_past_rank_cap_is_resource_error(capsys):
     assert out == ""
 
 
+def test_verify_symmetry_past_rank_cap_is_resource_error(capsys):
+    code, out = run(capsys, "verify", "--M", "2", "--N", "3", "--hmax", "9", "--kmax", "9",
+                    "--suite", "symmetry")
+    assert code == 3
+    assert out == ""
+
+
 def test_config_file_merged_under_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("M = 2\nN = 1\nhmax = 2\n")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 import scipy.special
 
-from etclosure import equilibrium
+from etclosure import cli, equilibrium
 from etclosure.equilibrium import (
     EntropyUndefinedError,
     JuttnerFamily,
@@ -153,7 +153,14 @@ def test_integrability_condition_holds(z):
     assert abs(integrability_residual(st)) <= 1e-8
 
 
-@pytest.mark.parametrize("residual", [gibbs_residual, integrability_residual])
+def equilibrium_command(state: ThermoState) -> None:
+    argv = ["equilibrium", "--lambda", repr(state.lam), "--m", repr(state.m)]
+    for i, c in enumerate(state.mu.components):
+        argv += [f"--mu{i}", repr(c)]
+    assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("residual", [gibbs_residual, integrability_residual, equilibrium_command])
 def test_residuals_evaluate_each_stencil_point_once(residual, monkeypatch):
     # centre plus four offsets along lambda and four along gamma
     points = []

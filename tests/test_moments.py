@@ -1,17 +1,18 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from etclosure.closure import ClosureSpec, ClosureTensorSet
+from etclosure import moments as moments_module
+from etclosure.closure import ClosureSpec, ClosureTensorSet, RankCapError, build_closure_tensor
 from etclosure.equilibrium import ThermoState, equilibrium_multipliers, thermo_functions
 from etclosure.moments import (
     MultiplierState,
     delta_hprime,
-    deviation_projection_residual,
     equilibrium_moments_with_traces,
     kinetic_moment,
     make_deviation,
@@ -72,8 +73,6 @@ def test_multiplier_state_validation(rng):
         MultiplierState(base, DenseSymTensor.zeros(3), DenseSymTensor.zeros(1), spec)
     with pytest.raises(ValueError):
         MultiplierState(base, DenseSymTensor.zeros(2), DenseSymTensor.zeros(3), spec)
-    st = n1_state(spec, make_deviation(random_sym_tensor(2, rng), 2))
-    assert deviation_projection_residual(st) == 0
 
 
 def test_delta_hprime_zero_at_equilibrium():
@@ -100,6 +99,33 @@ def test_delta_hprime_linear_order_is_explicit_contraction(rng):
         assert got.components[a] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
+def test_delta_hprime_exact_against_component_contraction(rng):
+    from etclosure.family import realize
+
+    reg = poly_registry()
+    spec = ClosureSpec(2, 3, h_max=1, k_max=1, registry=reg)
+    mu = random_rational_timelike(rng)
+    base = ThermoState(Fraction(1, 2), mu, 1)
+    lam_dev = make_deviation(random_sym_tensor(2, rng), 2)
+    mu_dev = make_deviation(random_sym_tensor(3, rng), 3)
+    got = delta_hprime(MultiplierState(base, lam_dev, mu_dev, spec))
+    # C^{a i1..} lam_{i1 i2} mu_{i3 i4 i5} / (h! k!) summed over every index tuple
+    want = [Fraction(0)] * 4
+    for h, k in ((1, 0), (0, 1), (1, 1)):
+        c = realize(build_closure_tensor(spec, h, k), base.lam, mu, 1, reg)
+        devs = [lam_dev] * h + [mu_dev] * k
+        for a in range(4):
+            for tail in itertools.product(range(4), repeat=c.rank - 1):
+                term = c.get((a,) + tail)
+                start = 0
+                for dev in devs:
+                    term *= dev.get(tail[start:start + dev.rank])
+                    start += dev.rank
+                want[a] += term / (math.factorial(h) * math.factorial(k))
+    assert any(want)
+    assert list(got.components) == want
+
+
 def test_delta_hprime_scales_by_order(rng):
     spec = ClosureSpec(2, 1, h_max=2, k_max=0, registry=poly_registry())
     lam_dev = make_deviation(random_sym_tensor(2, rng, rational=False), 2)
@@ -120,6 +146,43 @@ def test_symmetry_residual_at_equilibrium_is_noise_floor():
     spec = ClosureSpec(2, 1, h_max=2, k_max=0, registry=poly_registry())
     st = n1_state(spec, DenseSymTensor.zeros(2))
     assert symmetry_residual(st, step=1e-6) <= 1e-10
+
+
+def test_symmetry_residual_keeps_the_other_block_exact(monkeypatch):
+    # at a boosted equilibrium only the perturbed block may carry a deviation
+    spec = ClosureSpec(2, 3, h_max=1, k_max=1, registry=poly_registry())
+    st = MultiplierState.at_equilibrium(
+        ThermoState(0.8, FourVector([1.3, 0.35, -0.2, 0.25]), 1.0), spec
+    )
+    seen = []
+
+    def recording(state, tensors=None):
+        seen.append((state.lam_dev.max_abs(), state.mu_dev.max_abs()))
+        return delta_hprime(state, tensors)
+
+    monkeypatch.setattr(moments_module, "delta_hprime", recording)
+    symmetry_residual(st, step=1e-6)
+    # two points for each of the 10 lambda and 20 mu components, lambda first
+    assert len(seen) == 60
+    assert all(mu_dev == 0 for _, mu_dev in seen[:20])
+    assert all(lam_dev == 0 for lam_dev, _ in seen[20:])
+    assert all(lam_dev != 0 for lam_dev, _ in seen[:20])
+
+
+def test_library_refuses_orders_past_the_rank_cap():
+    # the top order (9, 9) has rank 46; no call may quietly sum fewer orders
+    spec = ClosureSpec(2, 3, h_max=9, k_max=9, registry=poly_registry())
+    base = ThermoState(0.8, FourVector([1.2, 0.3, 0, -0.1]), 1.0)
+    st = MultiplierState.at_equilibrium(base, spec)
+    calls = (
+        lambda: delta_hprime(st),
+        lambda: symmetry_residual(st),
+        lambda: equilibrium_moments_with_traces(base, spec),
+        lambda: ClosureTensorSet.build(spec),
+    )
+    for call in calls:
+        with pytest.raises(RankCapError):
+            call()
 
 
 def test_symmetry_residual_small_on_intact_series(rng):

@@ -62,20 +62,20 @@ def test_brute_symmetrize_fixed_point_and_rank0(rng):
 
 
 def test_brute_trace_agrees(rng):
-    for rank in (2, 3, 4):
+    for rank in range(2, 9):
         t = random_sym_tensor(rank, rng)
         assert brute_trace(t) == trace_pair(t)
 
 
 def test_brute_mu_contract_agrees(rng):
-    for rank in (1, 2, 3, 4):
+    for rank in range(1, 9):
         t = random_sym_tensor(rank, rng)
         mu = random_rational_timelike(rng)
         assert brute_mu_contract(t, mu) == contract_mu(t, mu)
 
 
 def test_brute_realize_basis_agrees(rng):
-    for n in range(0, 6):
+    for n in range(0, 9):
         for s in range(0, n // 2 + 1):
             mu = random_rational_timelike(rng)
             assert brute_realize_basis(n, s, mu) == gmu_basis(n, s, mu)

@@ -6,8 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from etclosure.family import FFamilyElement, realize, trace
-from etclosure.oracle import brute_realize_basis, random_rational_timelike, random_sym_tensor
+from etclosure.family import FFamilyElement, realize, timelike_gamma, trace
+from etclosure.oracle import (
+    brute_realize_basis,
+    brute_transform,
+    random_rational_timelike,
+    random_sym_tensor,
+)
 from etclosure.scalar import ScalarExpr
 from etclosure.tensors import (
     METRIC_DIAG,
@@ -84,7 +89,7 @@ def test_gmu_basis_range_check():
 
 
 def test_gmu_basis_matches_brute_force(rng):
-    for n in range(0, 6):
+    for n in range(0, 9):
         for s in range(0, n // 2 + 1):
             mu = random_rational_timelike(rng)
             assert gmu_basis(n, s, mu) == brute_realize_basis(n, s, mu)
@@ -189,6 +194,31 @@ def test_transform_preserves_contractions():
     assert trace_pair(tb).get(()) == trace_pair(t).get(())
     # metric is invariant under the boost
     assert transform(gmu_basis(2, 1), boost) == gmu_basis(2, 1)
+
+
+def rational_lorentz(rng) -> list:
+    """A boost to a rational four-velocity after a rotation about z by (3/5, 4/5)."""
+    mu = random_rational_timelike(rng)
+    u = [c / timelike_gamma(mu) for c in mu.components]
+    boost = [[u[0], u[1], u[2], u[3]]] + [
+        [u[i]] + [(1 if i == j else 0) + u[i] * u[j] / (1 + u[0]) for j in (1, 2, 3)]
+        for i in (1, 2, 3)
+    ]
+    rot = [[1, 0, 0, 0], [0, Fraction(3, 5), Fraction(-4, 5), 0],
+           [0, Fraction(4, 5), Fraction(3, 5), 0], [0, 0, 0, 1]]
+    return [[sum(boost[i][k] * rot[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+
+
+def test_transform_matches_brute_force(rng):
+    for rank in range(0, 7):
+        matrix = rational_lorentz(rng)
+        # L^T g L = g
+        for a, b in itertools.product(range(4), repeat=2):
+            assert sum(METRIC_DIAG[j] * matrix[j][a] * matrix[j][b] for j in range(4)) == (
+                METRIC_DIAG[a] if a == b else 0
+            )
+        t = random_sym_tensor(rank, rng)
+        assert transform(t, matrix) == brute_transform(t, matrix)
 
 
 def test_tensor_json_round_trip(rng):
