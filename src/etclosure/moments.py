@@ -63,7 +63,7 @@ from .tensors import (
 
 @dataclass(frozen=True)
 class MultiplierState:
-    """Equilibrium base plus trace-free multiplier deviations."""
+    """Equilibrium base plus trace-free deviations, as :func:`make_deviation` returns them."""
 
     base: ThermoState
     lam_dev: DenseSymTensor
@@ -170,7 +170,8 @@ def symmetry_residual(
     equilibrium projection and the deviation split of the perturbed block are
     recomputed at every perturbed point, so this differentiates the genuine
     composite map.  The other block keeps the state's own projection and
-    deviation, which are what its split returns in exact arithmetic.  The
+    deviation, which its split returns exactly when the deviations project
+    to zero (:func:`make_deviation`); else the blocks' base points differ.  The
     central-difference derivative divided by the arrangement count is the
     slot-wise derivative, and the assembled (rank+1) arrays must be totally
     symmetric.  Returns the worst relative mismatch over both blocks.

@@ -174,6 +174,8 @@ class DenseSymTensor:
 
     def get(self, idx: Sequence[int]):
         """Component at any index order; permuted lookups hit the canonical entry."""
+        if len(idx) != self.rank:
+            raise KeyError(tuple(idx))
         return self._values[index_counts(idx)]
 
     def items(self):

@@ -483,7 +483,7 @@ def suite_kinetic(cfg: VerifyConfig) -> SuiteResult:
     if (cfg.M, cfg.N) != (0, 1):
         pairs.append((cfg.M, cfg.N))
     for M, N in pairs:
-        spec = ClosureSpec(M, N, registry=cfg.reg(), m=1)
+        spec = ClosureSpec(M, N, h_max=cfg.h_max, k_max=cfg.k_max, registry=cfg.reg(), m=1)
         for boosted in (False, True):
             if boosted:
                 mu = random_float_timelike(rng)

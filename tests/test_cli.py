@@ -157,6 +157,15 @@ def test_verify_symmetry_past_rank_cap_is_resource_error(capsys):
     assert out == ""
 
 
+def test_verify_kinetic_runs_every_order_that_fits_the_cap(capsys):
+    # top ranks 9 and 5: the kinetic suite sums no orders and must not refuse these
+    for argv in (("--M", "8", "--N", "1", "--hmax", "1"),
+                 ("--M", "4", "--N", "5", "--hmax", "1", "--kmax", "0")):
+        code, out = run(capsys, "verify", *argv, "--suite", "kinetic")
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
+
 def test_config_file_merged_under_flags(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("M = 2\nN = 1\nhmax = 2\n")

@@ -235,3 +235,10 @@ def test_with_entry_and_scale():
     assert t.get((0, 1)) == Fraction(2, 3)
     assert t.scale(3).get((0, 1)) == 2
     assert t.max_abs() == Fraction(2, 3)
+
+
+def test_get_rejects_indices_that_are_not_rank_n_over_0_to_3():
+    t = DenseSymTensor.zeros(2).with_entry((1, 0), Fraction(2, 3))
+    for bad in ((0, 1, 4), (0, 4), (1, -1), (1,), (0, 1, 1)):
+        with pytest.raises(KeyError):
+            t.get(bad)
