@@ -33,6 +33,7 @@ from .scalar import double_factorial
 from .tensors import (
     DenseSymTensor,
     FourVector,
+    batch_safe,
     gmu_basis,
     gmu_combination,
     metric_flip,
@@ -75,7 +76,9 @@ def lambda_multiplier(lam, M: int, m=1) -> DenseSymTensor:
         raise ValueError(f"M must be even and non-negative, got {M}")
     if M == 0:
         return DenseSymTensor.scalar(lam)
-    scale = lam * Fraction(1, 1) / ((-(m * m)) ** (M // 2))
+    den = (-(m * m)) ** (M // 2)
+    # an integer lam becomes an exact Fraction; a float or a batch stays float
+    scale = lam * batch_safe(Fraction(1, 1), lam) / batch_safe(den, lam)
     return metric_flip(gmu_basis(M, M // 2)).scale(scale)
 
 
@@ -95,7 +98,8 @@ def project_equilibrium(lam_tensor: DenseSymTensor, mu_tensor: DenseSymTensor, m
     lambda = 2 ((M-1)!!/(M+2)!!) (-m^2)^(M/2) [full metric contraction]
     mu_a   = 8 (N!!/(N+3)!!)   (-m^2)^((N-1)/2) [metric contraction to rank 1]
 
-    For M = 0 and N = 1 both maps reduce to the identity.
+    For M = 0 and N = 1 both maps reduce to the identity.  Batched (float64
+    array) components give batched results.
     """
     M = lam_tensor.rank
     N = mu_tensor.rank
@@ -107,17 +111,15 @@ def project_equilibrium(lam_tensor: DenseSymTensor, mu_tensor: DenseSymTensor, m
     t = lam_tensor
     for _ in range(M // 2):
         t = trace_pair(t)
-    lam = (
-        2
-        * Fraction(double_factorial(M - 1), double_factorial(M + 2))
-        * ((-msq) ** (M // 2))
-        * t.get(())
-    )
+    full = t.get(())
+    pref = 2 * Fraction(double_factorial(M - 1), double_factorial(M + 2)) * ((-msq) ** (M // 2))
+    lam = batch_safe(pref, full) * full
     t = mu_tensor
     for _ in range((N - 1) // 2):
         t = trace_pair(t)
     pref = 8 * Fraction(double_factorial(N), double_factorial(N + 3)) * ((-msq) ** ((N - 1) // 2))
-    mu = FourVector(tuple(pref * t.get((i,)) for i in range(4)), "lower")
+    comps = [t.get((i,)) for i in range(4)]
+    mu = FourVector(tuple(batch_safe(pref, v) * v for v in comps), "lower")
     return lam, mu
 
 

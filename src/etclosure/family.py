@@ -23,14 +23,17 @@ from fractions import Fraction
 from math import factorial, isqrt
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .scalar import (
     FunctionRegistry,
     ScalarExpr,
     double_factorial,
     double_factorial_ratio,
     eta,
+    power,
 )
-from .tensors import DenseSymTensor, FourVector, gmu_combination
+from .tensors import DenseSymTensor, FourVector, gmu_combination, is_zero
 
 
 class CharacteristicError(ValueError):
@@ -301,8 +304,15 @@ def basis_mu_contraction(n: int, r: int) -> List[ScalarExpr]:
 
 
 def timelike_gamma(mu: FourVector):
-    """gamma = sqrt(-mu.mu), exact (a Fraction) whenever mu.mu is a rational square."""
+    """gamma = sqrt(-mu.mu), exact (a Fraction) whenever mu.mu is a rational square.
+
+    Batched (float64 array) components give the array of gamma at each point.
+    """
     gsq = mu.gamma_sq()
+    if isinstance(gsq, np.ndarray):
+        if (gsq <= 0).any():
+            raise ValueError("mu must be timelike at every point")
+        return power(gsq, 0.5)
     if gsq <= 0:
         raise ValueError("mu must be timelike")
     if isinstance(gsq, (int, Fraction)):
@@ -323,7 +333,9 @@ def realize(
 ) -> DenseSymTensor:
     """Evaluate an element to components: sum_s phi^n_s(lam, gamma, m) Y^n_s(mu).
 
-    Exact when fed Fraction state values whose gamma is rational.
+    Exact when fed Fraction state values whose gamma is rational.  A float64
+    array for lam or for the components of mu realizes a batch of states at
+    once (see :mod:`etclosure.tensors`).
     """
     gamma = timelike_gamma(mu)
     values = {}
@@ -331,6 +343,6 @@ def realize(
         if phi.is_zero():
             continue
         value = phi.evaluate(lam, gamma, m, registry)
-        if value != 0:
+        if not is_zero(value):
             values[s] = value
     return gmu_combination(f.rank, values, mu)

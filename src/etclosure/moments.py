@@ -11,9 +11,10 @@ Two numeric checks live here:
 
 * :func:`symmetry_residual` differentiates Delta h'^a with respect to the
   full multiplier components (projection and deviation split recomputed at
-  every perturbed point) and measures how far the resulting moment tensors
-  are from total symmetry.  The closure construction guarantees symmetry, so
-  the residual is finite-difference noise unless a coefficient is corrupted.
+  every perturbed point, all points of a block evaluated as one batch) and
+  measures how far the resulting moment tensors are from total symmetry.  The
+  closure construction guarantees symmetry, so the residual is
+  finite-difference noise unless a coefficient is corrupted.
 
 * :func:`equilibrium_moments_with_traces` computes the kinetic moments of the
   equilibrium distribution by one-dimensional quadrature in the local rest
@@ -51,6 +52,7 @@ from .tensors import (
     DenseSymTensor,
     FourVector,
     arrangements,
+    batch_safe,
     canonical_indices,
     contract_mu,
     contract_tail,
@@ -129,7 +131,9 @@ def delta_hprime(
     and k copies of the mu deviation over its trailing slots; the free slot is
     the output index.  Orders whose deviation product vanishes are skipped
     without realizing their tensor.  Exact when the state and deviations are
-    rational and gamma is rational.
+    rational and gamma is rational.  Float64 arrays as the base lam, the
+    components of the base mu or the deviation components evaluate a batch of
+    states at once, returning arrays (see :mod:`etclosure.tensors`).
     """
     spec = state.spec
     lam_pows = [DenseSymTensor.scalar(1)]
@@ -143,19 +147,49 @@ def delta_hprime(
         while len(mu_pows) <= k:
             mu_pows.append(sym_product(mu_pows[-1], state.mu_dev))
         dev = sym_product(lam_pows[h], mu_pows[k])
-        if dev.max_abs() == 0:
+        if dev.is_zero():
             continue
         elem = tensors.get(h, k) if tensors is not None else build_closure_tensor(spec, h, k)
         realized = realize(elem, state.base.lam, state.base.mu, spec.m, spec.registry)
         tail = contract_tail(realized, dev)
         w = Fraction(1, factorial(h) * factorial(k))
         for a in range(4):
-            comps[a] = comps[a] + w * tail.get((a,))
+            v = tail.get((a,))
+            comps[a] = comps[a] + batch_safe(w, v) * v
     return FourVector(tuple(comps), "upper")
 
 
 # ---------------------------------------------------------------------------
 # symmetry of the derived moments
+
+
+def _as_float(v):
+    return v if isinstance(v, np.ndarray) else float(v)
+
+
+def series_at(
+    state: MultiplierState, block: str, full: DenseSymTensor, tensors: ClosureTensorSet
+) -> FourVector:
+    """Delta h'^a with the ``block`` ("lam" or "mu") multiplier tensor replaced by ``full``.
+
+    The equilibrium projection and the deviation split of that block are
+    recomputed from ``full``; the other block keeps the state's own.  ``full``
+    may be one tensor or a float64 batch, whose entries then come back as the
+    entries of each component.
+    """
+    spec = state.spec
+    m = spec.m
+    lam, mu = state.base.lam, state.base.mu.lowered()
+    lam_dev, mu_dev = state.lam_dev, state.mu_dev
+    if block == "lam":
+        lam, _ = project_equilibrium(full, DenseSymTensor.zeros(1), m)
+        lam_dev = full - lambda_multiplier(lam, spec.M, m)
+    else:
+        _, mu = project_equilibrium(DenseSymTensor.zeros(0), full, m)
+        mu_dev = full - mu_multiplier(mu, spec.N, m)
+    mu = FourVector(tuple(_as_float(c) for c in mu.components), "lower")
+    base = replace(state.base, lam=_as_float(lam), mu=mu, m=float(m))
+    return delta_hprime(MultiplierState(base, lam_dev, mu_dev, spec), tensors)
 
 
 def symmetry_residual(
@@ -176,6 +210,19 @@ def symmetry_residual(
     slot-wise derivative, and the assembled (rank+1) arrays must be totally
     symmetric.  Returns the worst relative mismatch over both blocks.
 
+    The stencil of a block with P canonical components has 2P points, and
+    they go through :func:`series_at` together: one tensor whose components
+    are float64 arrays of length 2P, entry 2i holding component i moved by +h
+    and entry 2i+1 by -h.  So a residual makes one :func:`delta_hprime` call
+    per non-scalar block, not one per point.  Every float operation is the one
+    the point would get on its own, in the same order: rational constants meet
+    the arrays as floats and powers of arrays use Python's ``pow`` per entry
+    (:func:`etclosure.tensors.batch_safe`, :func:`etclosure.scalar.power`), so
+    the residual is bit-identical to evaluating the points one by one.  With
+    float deviations, as :func:`make_deviation` returns for float input, every
+    array stays float64; exact deviations give the same residual through
+    ``object`` arrays, more slowly.
+
     The trace and derivative descent between adjacent coefficient tensors
     makes every order below the truncation cancel exactly, so the residual
     of an intact series scales as the square of the deviation size (the
@@ -183,41 +230,33 @@ def symmetry_residual(
     multipliers when interpreting the absolute number.
     """
     spec = state.spec
-    m = spec.m
     if tensors is None:
         tensors = ClosureTensorSet.build(spec)
-    eq_lam, eq_mu = equilibrium_multipliers(state.base.lam, state.base.mu, spec.M, spec.N, m)
+    eq_lam, eq_mu = equilibrium_multipliers(
+        state.base.lam, state.base.mu, spec.M, spec.N, spec.m
+    )
     full_lam = (eq_lam + state.lam_dev).map_values(float)
     full_mu = (eq_mu + state.mu_dev).map_values(float)
 
-    def series_at(block: str, full: DenseSymTensor) -> FourVector:
-        lam, mu = state.base.lam, state.base.mu.lowered()
-        lam_dev, mu_dev = state.lam_dev, state.mu_dev
-        if block == "lam":
-            lam, _ = project_equilibrium(full, DenseSymTensor.zeros(1), m)
-            lam_dev = full - lambda_multiplier(lam, spec.M, m)
-        else:
-            _, mu = project_equilibrium(DenseSymTensor.zeros(0), full, m)
-            mu_dev = full - mu_multiplier(mu, spec.N, m)
-        mu = FourVector(tuple(float(c) for c in mu.components), "lower")
-        base = replace(state.base, lam=float(lam), mu=mu, m=float(m))
-        return delta_hprime(MultiplierState(base, lam_dev, mu_dev, spec), tensors)
-
     worst = 0.0
-    for block in ("lam", "mu"):
-        tensor = full_lam if block == "lam" else full_mu
+    for block, tensor in (("lam", full_lam), ("mu", full_mu)):
         if tensor.rank == 0:
             continue
+        entries = tensor.items()
+        width = 2 * len(entries)
+        steps = [step * max(1.0, abs(center)) for _, center in entries]
+        stencil = {}
+        for i, (bidx, center) in enumerate(entries):
+            col = np.full(width, center)
+            col[2 * i] = center + steps[i]
+            col[2 * i + 1] = center - steps[i]
+            stencil[bidx] = col
+        g = series_at(state, block, DenseSymTensor(tensor.rank, stencil), tensors)
+        rows = [np.broadcast_to(c, (width,)).tolist() for c in g.components]
         derivs = {}
-        for bidx in canonical_indices(tensor.rank):
-            center = float(tensor.get(bidx))
-            h = step * max(1.0, abs(center))
-            gp = series_at(block, tensor.with_entry(bidx, center + h))
-            gm = series_at(block, tensor.with_entry(bidx, center - h))
-            mult = arrangements(bidx)
-            derivs[bidx] = [
-                (float(gp[a]) - float(gm[a])) / (2.0 * h * mult) for a in range(4)
-            ]
+        for i, (bidx, _) in enumerate(entries):
+            denom = 2.0 * steps[i] * arrangements(bidx)
+            derivs[bidx] = [(row[2 * i] - row[2 * i + 1]) / denom for row in rows]
         scale = max(abs(v) for row in derivs.values() for v in row)
         grouped: Dict[Tuple[int, ...], list] = {}
         for bidx, row in derivs.items():

@@ -201,31 +201,32 @@ def fd_mu_derivative(
     registry=None,
     step: float = 1e-5,
 ) -> DenseSymTensor:
-    """d(realize(f))/d(mu_beta) by central differences, rank n+1 components.
+    """d(realize(f))/d(mu_beta) by fourth-order central differences, rank n+1 components.
 
-    The derivative slot is placed first; for elements of the family the
-    result is totally symmetric, so any slot assignment must agree with the
-    coefficient-space derivative.
+    Each derivative is (8 (f(+h) - f(-h)) - (f(+2h) - f(-2h))) / (12 h), whose
+    truncation error is O(h^4).  The derivative slot is placed first; for
+    elements of the family the result is totally symmetric, so any slot
+    assignment must agree with the coefficient-space derivative.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     mu_low = [float(c) for c in mu.lowered().components]
-    plus_minus = []
+    shifted = []
     for beta in range(4):
-        shifted = []
-        for sgn in (+1.0, -1.0):
+        at = {}
+        for off in (1, -1, 2, -2):
             comps = list(mu_low)
-            comps[beta] += sgn * step
+            comps[beta] += off * step
             vec = FourVector(tuple(comps), "lower")
             if float(vec.gamma_sq()) <= 0:
                 raise ValueError("perturbed mu left the timelike cone; reduce step")
-            shifted.append(realize(f, lam, vec, m, registry))
-        plus_minus.append(shifted)
+            at[off] = realize(f, lam, vec, m, registry)
+        shifted.append(at)
     vals = {}
     for idx in canonical_indices(f.rank + 1):
         beta, rest = idx[0], idx[1:]
-        plus, minus = plus_minus[beta]
-        vals[idx] = (float(plus.get(rest)) - float(minus.get(rest))) / (2.0 * step)
+        p1, m1, p2, m2 = (float(shifted[beta][off].get(rest)) for off in (1, -1, 2, -2))
+        vals[idx] = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * step)
     return DenseSymTensor(f.rank + 1, vals)
 
 

@@ -23,6 +23,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 RationalLike = Union[int, Fraction]
 SymKey = Optional[Tuple[int, int]]
 
@@ -89,6 +91,18 @@ def eta(a: int, b: int) -> int:
     for e in range(first, b + 1, 2):
         prod *= e
     return prod
+
+
+def power(x, e):
+    """x ** e; for a float64 array, Python's float pow applied entry by entry.
+
+    numpy's vectorised ``**`` can differ from Python's ``pow`` in the last bit
+    (at integer exponents from 3 up, and at some inputs for 0.5, 2 and -1), so
+    a batch of points would not reproduce the same points evaluated one by one.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array([v**e for v in x.tolist()])
+    return x**e
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
@@ -246,14 +260,22 @@ class ScalarExpr:
         """Sum of coeff * gamma^p * (-m^2)^j * (D^h c_q)(lambda).
 
         Generic over the numeric type: Fraction inputs with an exact registry
-        give an exact Fraction, floats give floats.  gamma must be positive.
+        give an exact Fraction, floats give floats, and float64 arrays of
+        lambda or gamma values (one entry per point) give the float64 array of
+        the values at each point.  gamma must be positive.
         """
-        if gamma <= 0:
+        if isinstance(gamma, np.ndarray):
+            if (gamma <= 0).any():
+                raise ValueError("gamma must be positive at every point")
+        elif gamma <= 0:
             raise ValueError(f"gamma must be positive, got {gamma}")
+        # against a float gamma a rational coefficient acts as its float, and
+        # it must not meet an array as a Fraction (that gives an object array)
+        exact = isinstance(gamma, (int, Fraction))
         msq = -(m * m)
         total = None
         for c, g, mp, s in self._terms:
-            val = c * gamma**g * msq**mp
+            val = (c if exact else float(c)) * power(gamma, g) * msq**mp
             if s is not None:
                 if registry is None or not registry.has(s[0]):
                     raise MissingFunctionError(f"no registry entry for c_{s[0]}")
@@ -302,10 +324,12 @@ class PolynomialFunction:
         self.coeffs = tuple(_as_fraction(c) for c in coeffs)
 
     def derivative_value(self, order: int, lam):
-        acc = 0 * lam if not isinstance(lam, (int, Fraction)) else Fraction(0)
+        """The order-th derivative at lam: exact at a rational lam, else float (or a float64 array)."""
+        exact = isinstance(lam, (int, Fraction))
+        acc = Fraction(0) if exact else 0 * lam
         for k in range(order, len(self.coeffs)):
-            fall = math.perm(k, order)
-            acc = acc + self.coeffs[k] * fall * lam ** (k - order)
+            c = self.coeffs[k] * math.perm(k, order)
+            acc = acc + (c if exact else float(c)) * power(lam, k - order)
         return acc
 
 

@@ -15,6 +15,15 @@ C(n+3, 3) of them, one per canonical sorted multi-index; sorted multi-indices
 are the I/O format.  Values may be floats or exact ``fractions.Fraction``;
 every operation is generic over the two.
 
+A value may also be a float64 numpy array: a batch of same-rank tensors, entry
+j of every component belonging to the j-th tensor.  Every operation then does
+for each entry the float operations it does on one float tensor, in the same
+order, so a batch reproduces its tensors bit for bit.  Two rules keep it so: a
+rational constant meets an array as its float (:func:`batch_safe`), as it does
+a float, and zero-skipping (:func:`is_zero`) skips an array only when every
+entry is zero, since skipping an exact 0.0 term changes a sum at most in the
+sign of a zero.
+
 Each operation is the polynomial operation it is (see its docstring).  On
 components a derivative is an index shift with no weight, so traces and
 contractions read the stored values directly; products and substitutions act
@@ -29,10 +38,13 @@ Which variance a given tensor carries is part of its meaning at the call site.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 METRIC_DIAG: Tuple[int, int, int, int] = (-1, 1, 1, 1)
 DIM = 4
@@ -43,6 +55,25 @@ Poly = Dict[Counts, object]
 
 _ONE: Counts = (0, 0, 0, 0)
 _UNITS: Tuple[Counts, ...] = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def is_zero(v) -> bool:
+    """v == 0 for a number; for a batch (a numpy array), whether every entry is 0."""
+    if isinstance(v, np.ndarray):
+        return not v.any()
+    return v == 0
+
+
+def batch_safe(c, other):
+    """c ready to combine with ``other``: float(c) when c is exact and other is a batch.
+
+    An exact rational against a float acts as its float; against a numpy
+    array it would make an ``object`` array instead, slow and no longer
+    float64.  Otherwise c is returned unchanged.
+    """
+    if isinstance(other, np.ndarray) and isinstance(c, (int, Fraction)):
+        return float(c)
+    return c
 
 
 class Metric:
@@ -94,7 +125,8 @@ class FourVector:
         return -self.norm_sq()
 
     def is_timelike_future(self) -> bool:
-        return self.gamma_sq() > 0 and self.raised().components[0] > 0
+        """Timelike and future-directed; for batched components, at every entry."""
+        return bool(np.all(self.gamma_sq() > 0)) and bool(np.all(self.raised().components[0] > 0))
 
     def __getitem__(self, i: int):
         return self.components[i]
@@ -197,26 +229,29 @@ class DenseSymTensor:
         )
 
     def __add__(self, other: "DenseSymTensor") -> "DenseSymTensor":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        b = other._values
-        return DenseSymTensor._from_counts(
-            self.rank, {k: v + b[k] for k, v in self._values.items()}
-        )
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other: "DenseSymTensor") -> "DenseSymTensor":
+        return self._entrywise(other, operator.sub)
+
+    def _entrywise(self, other: "DenseSymTensor", op) -> "DenseSymTensor":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
         b = other._values
         return DenseSymTensor._from_counts(
-            self.rank, {k: v - b[k] for k, v in self._values.items()}
+            self.rank,
+            {k: op(batch_safe(v, b[k]), batch_safe(b[k], v)) for k, v in self._values.items()},
         )
 
     def scale(self, factor) -> "DenseSymTensor":
-        return self.map_values(lambda v: v * factor)
+        return self.map_values(lambda v: batch_safe(v, factor) * batch_safe(factor, v))
 
     def max_abs(self) -> float:
         return max((abs(v) for v in self._values.values()), default=0)
+
+    def is_zero(self) -> bool:
+        """Whether every component is zero (:func:`is_zero` on each)."""
+        return all(is_zero(v) for v in self._values.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DenseSymTensor):
@@ -224,7 +259,7 @@ class DenseSymTensor:
         return self.rank == other.rank and self._values == other._values
 
     def __repr__(self) -> str:
-        nonzero = sum(1 for v in self._values.values() if v != 0)
+        nonzero = sum(1 for v in self._values.values() if not is_zero(v))
         return f"DenseSymTensor(rank={self.rank}, nonzero={nonzero})"
 
     def to_json_obj(self) -> dict:
@@ -281,7 +316,8 @@ def _from_coefficients(rank: int, poly: Poly) -> DenseSymTensor:
     values = {}
     for c, w in zip(*_layout(rank)):
         v = poly.get(c, 0)
-        if w != 1 and v != 0:
+        # a batch is divided whole: its zero entries stay zero
+        if w != 1 and (isinstance(v, np.ndarray) or v != 0):
             v = Fraction(v, w) if isinstance(v, int) else v / w
         values[c] = v
     return DenseSymTensor._from_counts(rank, values)
@@ -289,12 +325,12 @@ def _from_coefficients(rank: int, poly: Poly) -> DenseSymTensor:
 
 def _linear(vector: Sequence) -> Poly:
     """The linear form sum_t vector[t] x_t, zero terms dropped."""
-    return {unit: a for unit, a in zip(_UNITS, vector) if a != 0}
+    return {unit: a for unit, a in zip(_UNITS, vector) if not is_zero(a)}
 
 
 def _product(p: Poly, q: Poly) -> Poly:
     """p * q; zero coefficients of q are skipped, so a zero q gives {}."""
-    q_terms = [(b, y) for b, y in q.items() if y != 0]
+    q_terms = [(b, y) for b, y in q.items() if not is_zero(y)]
     out: Poly = {}
     for a, x in p.items():
         for b, y in q_terms:
@@ -444,7 +480,7 @@ def contract_tail(c: DenseSymTensor, p: DenseSymTensor) -> DenseSymTensor:
     """The vector C^{a i2..in} P_{i2..in}: every slot of C but the first paired with P."""
     if c.rank != p.rank + 1:
         raise ValueError(f"contract_tail needs rank {p.rank + 1}, got {c.rank}")
-    weighted = [(k, v) for k, v in _coefficients(p).items() if v != 0]
+    weighted = [(k, v) for k, v in _coefficients(p).items() if not is_zero(v)]
     v = c._values
     out = {}
     for unit in _UNITS:

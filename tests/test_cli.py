@@ -83,6 +83,14 @@ def test_verify_mutation_negative_control(capsys):
     assert any(r["failures"] > 0 for r in doc["results"])
 
 
+def test_verify_derivative_suite_passes_at_seed_3(capsys):
+    # the second-order stencil read 1.88e-6 against the 1e-6 tolerance here
+    code, out = run(capsys, "verify", "--M", "2", "--N", "3", "--suite", "derivative", "--seed", "3")
+    assert code == 0
+    (suite,) = json.loads(out)["results"]
+    assert suite["failures"] == 0 and float(suite["max_residual"]) < 1e-9
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     code, _ = run(capsys, "verify", "--suite", "bogus")
     assert code == 2

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from etclosure import moments as moments_module
@@ -16,11 +17,12 @@ from etclosure.moments import (
     equilibrium_moments_with_traces,
     kinetic_moment,
     make_deviation,
+    series_at,
     symmetry_residual,
 )
-from etclosure.oracle import random_rational_timelike, random_sym_tensor
+from etclosure.oracle import random_float_timelike, random_rational_timelike, random_sym_tensor
 from etclosure.tensors import DenseSymTensor, FourVector, arrangements, canonical_indices
-from etclosure.verify import mutate_tensor_set
+from etclosure.verify import VerifyConfig, mutate_tensor_set
 
 
 def poly_registry():
@@ -148,25 +150,112 @@ def test_symmetry_residual_at_equilibrium_is_noise_floor():
     assert symmetry_residual(st, step=1e-6) <= 1e-10
 
 
+def _recording_delta_hprime(monkeypatch):
+    seen = []
+
+    def recording(state, tensors=None):
+        seen.append(state)
+        return delta_hprime(state, tensors)
+
+    monkeypatch.setattr(moments_module, "delta_hprime", recording)
+    return seen
+
+
+def _points_nonzero(dev: DenseSymTensor, width: int):
+    """Whether the batched deviation is nonzero at each of its `width` points."""
+    rows = np.array([np.broadcast_to(v, (width,)) for _, v in dev.items()])
+    return [bool(col.any()) for col in rows.T]
+
+
+def _exact_zero(dev: DenseSymTensor) -> bool:
+    return all(not isinstance(v, np.ndarray) and v == 0 for _, v in dev.items())
+
+
 def test_symmetry_residual_keeps_the_other_block_exact(monkeypatch):
-    # at a boosted equilibrium only the perturbed block may carry a deviation
+    # at a boosted equilibrium only the perturbed block may carry a deviation,
+    # at every point of its stencil
     spec = ClosureSpec(2, 3, h_max=1, k_max=1, registry=poly_registry())
     st = MultiplierState.at_equilibrium(
         ThermoState(0.8, FourVector([1.3, 0.35, -0.2, 0.25]), 1.0), spec
     )
-    seen = []
-
-    def recording(state, tensors=None):
-        seen.append((state.lam_dev.max_abs(), state.mu_dev.max_abs()))
-        return delta_hprime(state, tensors)
-
-    monkeypatch.setattr(moments_module, "delta_hprime", recording)
+    seen = _recording_delta_hprime(monkeypatch)
     symmetry_residual(st, step=1e-6)
-    # two points for each of the 10 lambda and 20 mu components, lambda first
-    assert len(seen) == 60
-    assert all(mu_dev == 0 for _, mu_dev in seen[:20])
-    assert all(lam_dev == 0 for lam_dev, _ in seen[20:])
-    assert all(lam_dev != 0 for lam_dev, _ in seen[:20])
+    # one batched call per block, lambda first: 2 points for each of the 10
+    # lambda and 20 mu components
+    assert len(seen) == 2
+    lam_call, mu_call = seen
+    assert _exact_zero(lam_call.mu_dev)
+    assert _points_nonzero(lam_call.lam_dev, 20) == [True] * 20
+    assert _exact_zero(mu_call.lam_dev)
+    assert _points_nonzero(mu_call.mu_dev, 40) == [True] * 40
+
+
+@pytest.mark.parametrize("M, N", [(2, 1), (2, 3), (0, 3), (4, 3)])
+def test_symmetry_residual_batches_each_block_in_float64(monkeypatch, M, N):
+    spec = ClosureSpec(M, N, h_max=1, k_max=1, registry=poly_registry())
+    rng = random.Random(5)
+    base = ThermoState(0.7, random_float_timelike(rng), 1.0)
+    lam_dev = make_deviation(random_sym_tensor(M, rng, rational=False), M).scale(1e-6)
+    mu_dev = make_deviation(random_sym_tensor(N, rng, rational=False), N).scale(1e-6)
+    seen = _recording_delta_hprime(monkeypatch)
+    symmetry_residual(MultiplierState(base, lam_dev, mu_dev, spec), step=1e-6)
+    assert len(seen) == (1 if M == 0 else 2)
+    for state in seen:
+        values = [state.base.lam, *state.base.mu.components]
+        values += [v for _, v in state.lam_dev.items()] + [v for _, v in state.mu_dev.items()]
+        arrays = [v for v in values if isinstance(v, np.ndarray)]
+        assert arrays
+        assert all(v.dtype == np.float64 for v in arrays)
+
+
+def _per_point_residual(state: MultiplierState, step: float, tensors) -> float:
+    """symmetry_residual as one series_at call per stencil point (the reference)."""
+    spec = state.spec
+    eq_lam, eq_mu = equilibrium_multipliers(
+        state.base.lam, state.base.mu, spec.M, spec.N, spec.m
+    )
+    worst = 0.0
+    for block, eq, dev in (("lam", eq_lam, state.lam_dev), ("mu", eq_mu, state.mu_dev)):
+        tensor = (eq + dev).map_values(float)
+        if tensor.rank == 0:
+            continue
+        derivs = {}
+        for bidx in canonical_indices(tensor.rank):
+            center = tensor.get(bidx)
+            h = step * max(1.0, abs(center))
+            gp = series_at(state, block, tensor.with_entry(bidx, center + h), tensors)
+            gm = series_at(state, block, tensor.with_entry(bidx, center - h), tensors)
+            mult = arrangements(bidx)
+            derivs[bidx] = [
+                (float(gp[a]) - float(gm[a])) / (2.0 * h * mult) for a in range(4)
+            ]
+        scale = max(abs(v) for row in derivs.values() for v in row)
+        grouped = {}
+        for bidx, row in derivs.items():
+            for a in range(4):
+                grouped.setdefault(tuple(sorted((a,) + bidx)), []).append(row[a])
+        spread = max(max(vals) - min(vals) for vals in grouped.values())
+        worst = max(worst, spread / max(scale, 1e-300))
+    return worst
+
+
+@pytest.mark.parametrize("M, N", [(2, 1), (2, 3), (4, 3)])
+def test_batched_symmetry_residual_is_bit_identical_to_per_point(M, N):
+    spec = VerifyConfig(M=M, N=N).spec()
+    tensors = ClosureTensorSet.build(spec)
+    rng = random.Random(11)
+    base = ThermoState(rng.uniform(0.2, 1.0), random_float_timelike(rng), 1.0)
+    lam_dev = make_deviation(random_sym_tensor(M, rng, rational=False), M).scale(1e-6)
+    mu_dev = make_deviation(random_sym_tensor(N, rng, rational=False), N).scale(1e-6)
+    for st in (
+        MultiplierState.at_equilibrium(base, spec),
+        MultiplierState(base, lam_dev, mu_dev, spec),
+    ):
+        batched = symmetry_residual(st, step=1e-6, tensors=tensors)
+        assert batched == _per_point_residual(st, 1e-6, tensors)
+        assert batched <= 1e-6
+    bad = mutate_tensor_set(tensors, random.Random(3), count=1, orders=[(1, 0)])
+    assert symmetry_residual(st, step=1e-6, tensors=bad) > 1e-6
 
 
 def test_library_refuses_orders_past_the_rank_cap():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,6 +117,28 @@ def test_eval_empty_is_zero():
 def test_eval_gamma_power():
     expr = ScalarExpr.monomial(1, gamma_pow=-2)
     assert expr.evaluate(0, 2, 1, None) == Fraction(1, 4)
+
+
+def test_batched_evaluation_matches_points_bit_for_bit(registry):
+    # numpy's vectorised ** rounds some of these powers differently from
+    # Python's pow; a batch of points must give what each point gives alone
+    rng = random.Random(4)
+    gammas = np.array([rng.uniform(0.3, 3.0) for _ in range(200)])
+    lams = np.array([rng.uniform(-1.0, 1.0) for _ in range(200)])
+    expr = ScalarExpr(
+        [
+            (Fraction(3, 7), -7, 1, (0, 2)),
+            (Fraction(-5, 3), 3, 0, None),
+            (Fraction(1, 9), -4, -1, (3, 0)),
+        ]
+    )
+    by_gamma = expr.evaluate(0.4, gammas, 1.0, registry)
+    by_lam = expr.evaluate(lams, 1.7, 1.0, registry)
+    assert by_gamma.dtype == by_lam.dtype == np.float64
+    assert by_gamma.tolist() == [expr.evaluate(0.4, g, 1.0, registry) for g in gammas.tolist()]
+    assert by_lam.tolist() == [expr.evaluate(x, 1.7, 1.0, registry) for x in lams.tolist()]
+    with pytest.raises(ValueError):
+        expr.evaluate(0.4, np.array([1.0, -1.0]), 1.0, registry)
 
 
 def test_eval_requires_registry_entry():

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from etclosure.family import FFamilyElement, realize, timelike_gamma, trace
@@ -23,6 +24,7 @@ from etclosure.tensors import (
     canonical_indices,
     contract_mu,
     gmu_basis,
+    is_zero,
     metric_flip,
     symmetrize,
     trace_pair,
@@ -242,3 +244,29 @@ def test_get_rejects_indices_that_are_not_rank_n_over_0_to_3():
     for bad in ((0, 1, 4), (0, 4), (1, -1), (1,), (0, 1, 1)):
         with pytest.raises(KeyError):
             t.get(bad)
+
+
+def test_batched_components_stay_float64_and_match_each_entry():
+    # exact components meeting a batch act as their floats, as against one float
+    batch = np.array([0.5, -1.25, 3.0])
+    exact = metric_flip(gmu_basis(4, 2)).scale(Fraction(1, 3))
+    scaled = exact.scale(batch)
+    moved = scaled - exact
+    for t, point in ((scaled, lambda x: exact.scale(x)), (moved, lambda x: exact.scale(x) - exact)):
+        for j, x in enumerate(batch.tolist()):
+            want = point(x)
+            for idx, v in t.items():
+                assert v.dtype == np.float64
+                assert v[j] == want.get(idx)
+    assert is_zero(np.zeros(3)) and not is_zero(np.array([0.0, 1e-300]))
+
+
+def test_batched_four_vector_checks_every_entry():
+    mu = FourVector((np.array([2.0, 1.5]), np.array([0.5, 0.2]), 0.0, 0.0))
+    gammas = timelike_gamma(mu)
+    assert gammas.tolist() == [(2.0 * 2.0 - 0.5 * 0.5) ** 0.5, (1.5 * 1.5 - 0.2 * 0.2) ** 0.5]
+    assert mu.is_timelike_future()
+    spacelike_at_one = FourVector((np.array([2.0, 0.1]), np.array([0.5, 0.2]), 0.0, 0.0))
+    assert not spacelike_at_one.is_timelike_future()
+    with pytest.raises(ValueError):
+        timelike_gamma(spacelike_at_one)
