@@ -39,6 +39,7 @@ from .moments import (
     equilibrium_moments_with_traces,
     symmetry_residual,
 )
+from .oracle import write_failure_artifact
 from .scalar import FunctionRegistry
 from .tensors import DenseSymTensor, FourVector
 from .verify import SUITES, VerifyConfig, run_suites
@@ -146,6 +147,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           help=f"suite name (repeatable); one of: {', '.join(SUITES)}")
     p_verify.add_argument("--mutate", type=int, default=0,
                           help="corrupt K coefficients first (negative control)")
+    p_verify.add_argument("--artifacts", default=None, metavar="DIR",
+                          help="write each failing suite's failed cases to "
+                          "DIR/etclosure-<suite>-seed<seed>.json for replay")
 
     p_eq = sub.add_parser("equilibrium", help="state functions of one state")
     common(p_eq)
@@ -237,6 +241,15 @@ def cmd_verify(args) -> int:
         seed=args.seed, mutate=args.mutate, tol=args.tol,
     )
     results = run_suites(names, cfg)
+    if args.artifacts:
+        os.makedirs(args.artifacts, exist_ok=True)
+        for r in results:
+            if not r.passed:
+                payload = _render({"suite": r.name, "seed": cfg.seed, "M": cfg.M, "N": cfg.N,
+                                   "h_max": cfg.h_max, "k_max": cfg.k_max, "mutate": cfg.mutate,
+                                   "failed_cases": r.failed_cases})
+                path = write_failure_artifact(f"{r.name}-seed{cfg.seed}", payload, args.artifacts)
+                print(f"wrote {path}", file=sys.stderr)
     doc = {
         "passed": all(r.passed for r in results),
         "seed": args.seed,

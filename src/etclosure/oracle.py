@@ -13,7 +13,6 @@ import json
 import os
 import random
 import tempfile
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
@@ -274,9 +273,13 @@ def random_float_timelike(rng: random.Random) -> FourVector:
 
 
 def write_failure_artifact(tag: str, payload: dict, directory: Optional[str] = None) -> str:
-    """Dump a JSON replay artifact (inputs, seed, mismatch) and return its path."""
+    """Dump a JSON replay artifact (inputs, seed, mismatch) and return its path.
+
+    The file is ``etclosure-<tag>.json``: the same tag names the same file,
+    so a tag that carries the inputs (suite and seed) replaces a stale copy.
+    """
     directory = directory or tempfile.gettempdir()
-    path = os.path.join(directory, f"etclosure-{tag}-{int(time.time())}.json")
+    path = os.path.join(directory, f"etclosure-{tag}.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, default=str)
     return path

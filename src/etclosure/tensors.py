@@ -24,6 +24,17 @@ a float, and zero-skipping (:func:`is_zero`) skips an array only when every
 entry is zero, since skipping an exact 0.0 term changes a sum at most in the
 sign of a zero.
 
+Exact values are computed over integers (the representation of FLINT's
+``fmpq_poly``): where every term of an exact result is a Fraction, the
+operation writes each exact input as integer numerators over one common
+denominator (:func:`_integral`), runs its loops over Python ints, and divides
+once per output component.  The component is then the Fraction a loop over
+Fractions gives, and of the same type: a sum that cancels is Fraction(0), and
+a slot no term reaches stays the int 0.  Where some terms would stay ints
+(int-only inputs, or ints and Fractions meeting so that some components come
+out as ints), the loops run on the values as given.  Floats and batches never
+take the integer path.
+
 Each operation is the polynomial operation it is (see its docstring).  On
 components a derivative is an index shift with no weight, so traces and
 contractions read the stored values directly; products and substitutions act
@@ -41,8 +52,8 @@ import itertools
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from math import factorial, lcm
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -311,8 +322,16 @@ def _coefficients(t: DenseSymTensor) -> Poly:
     return {c: t._values[c] * w for c, w in zip(*_layout(t.rank))}
 
 
-def _from_coefficients(rank: int, poly: Poly) -> DenseSymTensor:
-    """The tensor whose polynomial is ``poly`` (homogeneous of degree ``rank``)."""
+def _from_coefficients(rank: int, poly: Poly, den: Optional[int] = None) -> DenseSymTensor:
+    """The tensor whose polynomial is ``poly`` (homogeneous of degree ``rank``).
+
+    With ``den``, ``poly`` holds integer numerators over ``den`` and every
+    present coefficient becomes the Fraction it stands for, divided once.
+    """
+    if den is not None:
+        return DenseSymTensor._from_counts(
+            rank, {c: Fraction(poly[c], w * den) for c, w in zip(*_layout(rank)) if c in poly}
+        )
     values = {}
     for c, w in zip(*_layout(rank)):
         v = poly.get(c, 0)
@@ -321,6 +340,34 @@ def _from_coefficients(rank: int, poly: Poly) -> DenseSymTensor:
             v = Fraction(v, w) if isinstance(v, int) else v / w
         values[c] = v
     return DenseSymTensor._from_counts(rank, values)
+
+
+def _fractions(values: Iterable) -> bool:
+    """Whether every value is a Fraction, so that every term it enters is one."""
+    return all(type(v) is Fraction for v in values)
+
+
+def _integral(*polys: Mapping) -> Optional[List[Tuple[dict, int]]]:
+    """Each poly over integers: (numerators, den) with poly = numerators / den.
+
+    den is the lcm of that poly's denominators.  None unless every value is an
+    int or a Fraction: floats, float64 batches and object arrays keep their
+    own path.
+    """
+    dens = []
+    for poly in polys:
+        den = 1
+        for v in poly.values():
+            if type(v) is Fraction:
+                den = lcm(den, v.denominator)
+            elif type(v) is not int:
+                return None
+        dens.append(den)
+    return [
+        ({k: v * den if type(v) is int else v.numerator * (den // v.denominator)
+          for k, v in poly.items()}, den)
+        for poly, den in zip(polys, dens)
+    ]
 
 
 def _linear(vector: Sequence) -> Poly:
@@ -394,6 +441,15 @@ def gmu_combination(
         raise ValueError("mu required when n > 2s")
     mu_up = mu.raised().components if isinstance(mu, FourVector) else mu
     ell = _linear(mu_up) if n > 2 * low else {}
+    den = None
+    # every term has a phi factor, and n - 2 top >= 1 factors from ell
+    typed = _fractions(coeffs.values()) or (n > 2 * top and _fractions(ell.values()))
+    exact = _integral(coeffs, ell) if typed else None
+    if exact:
+        # mu over l: the acc of step s carries l^(2(s-low)), so phi_s does too
+        (coeffs, d), (ell, l) = exact
+        coeffs = {s: phi * l ** (2 * (s - low)) for s, phi in coeffs.items()}
+        den = d * l ** (n - 2 * low)
     ell_sq = _product(ell, ell)
     acc: Poly = {}
     for s in range(low, top + 1):
@@ -405,7 +461,7 @@ def gmu_combination(
                 acc[c] = acc.get(c, 0) + phi * v
     for _ in range(n - 2 * top):
         acc = _product(acc, ell)
-    return _from_coefficients(n, acc)
+    return _from_coefficients(n, acc, den)
 
 
 def gmu_basis(n: int, s: int, mu: Union[FourVector, Sequence, None] = None) -> DenseSymTensor:
@@ -468,12 +524,30 @@ def transform(t: DenseSymTensor, matrix: Sequence[Sequence]) -> DenseSymTensor:
     On the polynomial this is the substitution x_i -> sum_j L^j_i y_j.
     """
     forms = [_linear([matrix[j][i] for j in range(DIM)]) for i in range(DIM)]
-    return _from_coefficients(t.rank, _substitute(_coefficients(t), forms))
+    poly = _coefficients(t)
+    den = None
+    entries = {(i, u): a for i, form in enumerate(forms) for u, a in form.items()}
+    # every term of a rank >= 1 result has rank matrix entries as factors
+    typed = (t.rank and _fractions(entries.values())) or _fractions(poly.values())
+    exact = _integral(poly, entries) if typed else None
+    if exact:
+        (poly, d), (entries, l) = exact
+        forms = [{u: entries[i, u] for u in form} for i, form in enumerate(forms)]
+        den = d * l**t.rank
+    return _from_coefficients(t.rank, _substitute(poly, forms), den)
 
 
 def sym_product(a: DenseSymTensor, b: DenseSymTensor) -> DenseSymTensor:
     """Symmetrized tensor product sym(a x b), the product of the two polynomials."""
-    return _from_coefficients(a.rank + b.rank, _product(_coefficients(a), _coefficients(b)))
+    p, q = _coefficients(a), _coefficients(b)
+    den = None
+    # the terms of the product pair every coefficient of a with the nonzero ones of b
+    typed = _fractions(p.values()) or _fractions(y for y in q.values() if not is_zero(y))
+    exact = _integral(p, q) if typed else None
+    if exact:
+        (p, dp), (q, dq) = exact
+        den = dp * dq
+    return _from_coefficients(a.rank + b.rank, _product(p, q), den)
 
 
 def contract_tail(c: DenseSymTensor, p: DenseSymTensor) -> DenseSymTensor:
@@ -482,10 +556,18 @@ def contract_tail(c: DenseSymTensor, p: DenseSymTensor) -> DenseSymTensor:
         raise ValueError(f"contract_tail needs rank {p.rank + 1}, got {c.rank}")
     weighted = [(k, v) for k, v in _coefficients(p).items() if not is_zero(v)]
     v = c._values
+    den = None
+    # each term pairs a nonzero weight with a component of c; no weights leave int 0s
+    typed = weighted and (_fractions(w for _, w in weighted) or _fractions(v.values()))
+    exact = _integral(dict(weighted), v) if typed else None
+    if exact:
+        (ws, dp), (v, dc) = exact
+        weighted = list(ws.items())
+        den = dp * dc
     out = {}
     for unit in _UNITS:
         total = 0
         for (k0, k1, k2, k3), w in weighted:
             total = total + w * v[(k0 + unit[0], k1 + unit[1], k2 + unit[2], k3 + unit[3])]
-        out[unit] = total
+        out[unit] = total if den is None else Fraction(total, den)
     return DenseSymTensor._from_counts(1, out)

@@ -83,6 +83,25 @@ def test_verify_mutation_negative_control(capsys):
     assert any(r["failures"] > 0 for r in doc["results"])
 
 
+def test_verify_artifacts_hold_each_failing_suite_for_replay(tmp_path, capsys):
+    argv = ["verify", "--M", "2", "--N", "3", "--suite", "characteristic,roundtrip",
+            "--seed", "4", "--mutate", "1"]
+    code, plain = run(capsys, *argv)
+    directory = tmp_path / "artifacts"
+    for _ in range(2):  # a rerun replaces the same files
+        code_a, out = run(capsys, *argv, "--artifacts", str(directory))
+        assert code == code_a == 1 and out == plain
+    failing = {r["suite"]: r for r in json.loads(out)["results"] if r["failures"]}
+    assert list(failing) == ["characteristic"]
+    assert os.listdir(directory) == ["etclosure-characteristic-seed4.json"]
+    with open(directory / "etclosure-characteristic-seed4.json") as fh:
+        payload = json.load(fh)
+    assert payload == {"suite": "characteristic", "seed": 4, "M": 2, "N": 3, "h_max": 2,
+                       "k_max": 2, "mutate": 1,
+                       "failed_cases": failing["characteristic"]["failed_cases"]}
+    assert payload["failed_cases"]
+
+
 def test_verify_derivative_suite_passes_at_seed_3(capsys):
     # the second-order stencil read 1.88e-6 against the 1e-6 tolerance here
     code, out = run(capsys, "verify", "--M", "2", "--N", "3", "--suite", "derivative", "--seed", "3")

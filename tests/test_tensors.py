@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import etclosure.tensors as tensors
 from etclosure.family import FFamilyElement, realize, timelike_gamma, trace
 from etclosure.oracle import (
     brute_realize_basis,
@@ -23,9 +26,13 @@ from etclosure.tensors import (
     arrangements,
     canonical_indices,
     contract_mu,
+    contract_tail,
     gmu_basis,
+    gmu_combination,
+    index_counts,
     is_zero,
     metric_flip,
+    sym_product,
     symmetrize,
     trace_pair,
     transform,
@@ -270,3 +277,228 @@ def test_batched_four_vector_checks_every_entry():
     assert not spacelike_at_one.is_timelike_future()
     with pytest.raises(ValueError):
         timelike_gamma(spacelike_at_one)
+
+
+# ---------------------------------------------------------------------------
+# exact paths over integer numerators against the plain Fraction loops
+#
+# The reference runs the same loops directly on the input values, one Fraction
+# (or float) operation per term.  The integer path must give the same component
+# values and the same component types (a cancelled sum is Fraction(0), a slot
+# no term reaches is int 0, int-only inputs leave ints where the multinomial
+# is 1), since JSON encodes the types differently.
+
+
+def _ref_coefficients(t):
+    return {index_counts(idx): v * arrangements(idx) for idx, v in t.items()}
+
+
+def _ref_from_coefficients(rank, poly):
+    values = {}
+    for idx in canonical_indices(rank):
+        w, v = arrangements(idx), poly.get(index_counts(idx), 0)
+        if w != 1 and (isinstance(v, np.ndarray) or v != 0):
+            v = Fraction(v, w) if isinstance(v, int) else v / w
+        values[idx] = v
+    return DenseSymTensor(rank, values)
+
+
+def _ref_linear(vector):
+    units = [tuple(int(i == t) for i in range(4)) for t in range(4)]
+    return {u: a for u, a in zip(units, vector) if not is_zero(a)}
+
+
+def _ref_product(p, q):
+    q_terms = [(b, y) for b, y in q.items() if not is_zero(y)]
+    out = {}
+    for a, x in p.items():
+        for b, y in q_terms:
+            key = tuple(i + j for i, j in zip(a, b))
+            out[key] = out.get(key, 0) + x * y
+    return out
+
+
+def _ref_substitute(poly, forms, t=0):
+    if t == 4:
+        return {(0, 0, 0, 0): next(iter(poly.values()))}
+    by_power = {}
+    for c, v in poly.items():
+        by_power.setdefault(c[t], {})[c] = v
+    acc = {}
+    for a in range(max(by_power), -1, -1):
+        acc = _ref_product(acc, forms[t])
+        if a in by_power:
+            for c, v in _ref_substitute(by_power[a], forms, t + 1).items():
+                acc[c] = acc.get(c, 0) + v
+    return acc
+
+
+def ref_gmu_combination(n, coeffs, mu=None):
+    low, top = min(coeffs), max(coeffs)
+    ell = _ref_linear(mu) if n > 2 * low else {}
+    ell_sq = _ref_product(ell, ell)
+    squares = {tuple(2 * int(i == t) for i in range(4)): g for t, g in enumerate(METRIC_DIAG)}
+    acc = {}
+    for s in range(low, top + 1):
+        if s > low:
+            acc = _ref_product(acc, ell_sq)
+        if s in coeffs:
+            metric_power = {(0, 0, 0, 0): 1}
+            for _ in range(s):
+                metric_power = _ref_product(metric_power, squares)
+            for c, v in metric_power.items():
+                acc[c] = acc.get(c, 0) + coeffs[s] * v
+    for _ in range(n - 2 * top):
+        acc = _ref_product(acc, ell)
+    return _ref_from_coefficients(n, acc)
+
+
+def ref_sym_product(a, b):
+    return _ref_from_coefficients(a.rank + b.rank, _ref_product(_ref_coefficients(a), _ref_coefficients(b)))
+
+
+def ref_transform(t, matrix):
+    forms = [_ref_linear([matrix[j][i] for j in range(4)]) for i in range(4)]
+    return _ref_from_coefficients(t.rank, _ref_substitute(_ref_coefficients(t), forms))
+
+
+def ref_contract_tail(c, p):
+    weighted = [(idx, v * arrangements(idx)) for idx, v in p.items()]
+    weighted = [(idx, w) for idx, w in weighted if not is_zero(w)]
+    out = {}
+    for a in range(4):
+        total = 0
+        for idx, w in weighted:
+            total = total + w * c.get(idx + (a,))
+        out[(a,)] = total
+    return DenseSymTensor(1, out)
+
+
+def assert_same_components(got, want):
+    """Equal component by component, in value and in type (or bit for bit, for batches)."""
+    assert got.rank == want.rank
+    for (idx, g), (jdx, w) in zip(got.items(), want.items()):
+        assert idx == jdx and type(g) is type(w), (idx, g, w)
+        if isinstance(g, np.ndarray):
+            assert g.dtype == w.dtype and g.tolist() == w.tolist(), (idx, g, w)
+        else:
+            assert g == w, (idx, g, w)
+    if not any(isinstance(v, np.ndarray) for _, v in want.items()):
+        assert got.to_json_obj() == want.to_json_obj()
+
+
+_INTS = st.integers(-4, 4)
+_FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 6, 9)))
+EXACT_KINDS = {
+    "int": _INTS,
+    "whole": _INTS.map(Fraction),  # Fractions with denominator 1
+    "fraction": _FRACTIONS,  # mixed denominators and signs
+    "sparse": st.one_of(_FRACTIONS, st.just(0)),  # Fractions beside untouched int 0 slots
+    "mixed": st.one_of(_INTS, _FRACTIONS),
+}
+exact_kind = st.sampled_from(sorted(EXACT_KINDS))
+
+
+@st.composite
+def exact_tensor(draw, rank, kind):
+    values = EXACT_KINDS[kind]
+    return DenseSymTensor(rank, {idx: draw(values) for idx in canonical_indices(rank)})
+
+
+@st.composite
+def exact_vector(draw, kind):
+    # a zero component is a separate draw, so mu often has one
+    return [draw(st.one_of(EXACT_KINDS[kind], st.sampled_from((0, Fraction(0))))) for _ in range(4)]
+
+
+@given(data=st.data(), n=st.integers(0, 7), phi_kind=exact_kind, mu_kind=exact_kind)
+@settings(max_examples=150, deadline=None)
+def test_exact_gmu_combination_matches_fraction_loop(data, n, phi_kind, mu_kind):
+    orders = data.draw(st.sets(st.integers(0, n // 2), min_size=1))
+    coeffs = {s: data.draw(EXACT_KINDS[phi_kind]) for s in orders}
+    if orders == {n // 2} and n % 2 == 0 and data.draw(st.booleans()):
+        mu = None  # n == 2s needs no mu
+    else:
+        mu = data.draw(exact_vector(mu_kind))
+    assert_same_components(gmu_combination(n, coeffs, mu), ref_gmu_combination(n, coeffs, mu))
+
+
+@given(data=st.data(), ranks=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       kinds=st.tuples(exact_kind, exact_kind))
+@settings(max_examples=100, deadline=None)
+def test_exact_sym_product_matches_fraction_loop(data, ranks, kinds):
+    a = data.draw(exact_tensor(ranks[0], kinds[0]))
+    b = data.draw(exact_tensor(ranks[1], kinds[1]))
+    assert_same_components(sym_product(a, b), ref_sym_product(a, b))
+
+
+@given(data=st.data(), rank=st.integers(0, 3), kinds=st.tuples(exact_kind, exact_kind))
+@settings(max_examples=100, deadline=None)
+def test_exact_contract_tail_matches_fraction_loop(data, rank, kinds):
+    c = data.draw(exact_tensor(rank + 1, kinds[0]))
+    p = data.draw(exact_tensor(rank, kinds[1]))
+    assert_same_components(contract_tail(c, p), ref_contract_tail(c, p))
+
+
+@given(data=st.data(), rank=st.integers(0, 4), kinds=st.tuples(exact_kind, exact_kind))
+@settings(max_examples=100, deadline=None)
+def test_exact_transform_matches_fraction_loop(data, rank, kinds):
+    t = data.draw(exact_tensor(rank, kinds[0]))
+    matrix = [data.draw(exact_vector(kinds[1])) for _ in range(4)]
+    assert_same_components(transform(t, matrix), ref_transform(t, matrix))
+
+
+def test_exact_sums_that_cancel_stay_fraction_zero():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    # phi_0 (mu.x)^2 + phi_1 (x.x) with phi_1 = phi_0 mu0^2: the x0^2 term cancels
+    mu = [Fraction(3, 2), third, 0, Fraction(1, 4)]
+    gmu = gmu_combination(2, {0: half, 1: half * mu[0] ** 2}, mu)
+    # (x0 + x1)(x0 - x1): the x0 x1 term cancels
+    product = sym_product(DenseSymTensor(1, {(0,): third, (1,): third}),
+                          DenseSymTensor(1, {(0,): half, (1,): -half}))
+    # (x0 + x1)^2 under x0 -> y0 + y1, x1 -> y0 - y1: the y0 y1 term cancels
+    square = DenseSymTensor(2, {(0, 0): third, (0, 1): third, (1, 1): third})
+    moved = transform(square, [[half, half, 0, 0], [half, -half, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    for got, idx in ((gmu, (0, 0)), (product, (0, 1)), (moved, (0, 1))):
+        assert type(got.get(idx)) is Fraction and got.get(idx) == 0
+        # a slot no term reaches stays the int 0
+        assert type(got.get((2, 3))) is int and got.get((2, 3)) == 0
+    tail = contract_tail(DenseSymTensor(2, {(0, 0): half, (0, 1): half}),
+                         DenseSymTensor(1, {(0,): third, (1,): -third}))
+    assert type(tail.get((0,))) is Fraction and tail.get((0,)) == 0
+    assert type(tail.get((2,))) is Fraction and tail.get((2,)) == 0
+
+
+def test_non_exact_inputs_never_take_the_integer_path(monkeypatch):
+    integral = tensors._integral
+    taken = []
+
+    def spy(*polys):
+        out = integral(*polys)
+        if out is not None:
+            taken.append(polys)
+        return out
+
+    monkeypatch.setattr(tensors, "_integral", spy)
+    rng = random.Random(5)
+    batch = np.array([0.5, -1.25, 3.0])
+    objects = np.array([Fraction(1, 2), Fraction(-3, 4), Fraction(2)], dtype=object)
+    lorentz = rational_lorentz(rng)
+    exact = {rank: random_sym_tensor(rank, rng) for rank in (1, 2, 3, 4)}
+    mu = exact[1].items()
+    # one float, one float64 batch and one object array of each exact input
+    for lift in (float, lambda v: v * batch, lambda v: v * objects):
+        floats = [lift(v) for _, v in mu]
+        for coeffs, vector in (({0: lift(Fraction(5, 4)), 2: lift(Fraction(-1, 3))}, [v for _, v in mu]),
+                               ({0: Fraction(5, 4), 2: Fraction(-1, 3)}, floats)):
+            assert_same_components(gmu_combination(5, coeffs, vector),
+                                   ref_gmu_combination(5, coeffs, vector))
+        t = exact[3].map_values(lift)
+        for a, b in ((t, exact[1]), (exact[1], t)):
+            assert_same_components(sym_product(a, b), ref_sym_product(a, b))
+        for c, p in ((t, exact[2]), (exact[4], t)):
+            assert_same_components(contract_tail(c, p), ref_contract_tail(c, p))
+        matrix = [[lift(x) for x in row] for row in lorentz]
+        for u, m in ((t, lorentz), (exact[3], matrix)):
+            assert_same_components(transform(u, m), ref_transform(u, m))
+    assert taken == []
