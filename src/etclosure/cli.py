@@ -10,8 +10,9 @@ rationals as "p/q" strings, keys are sorted, and files are written atomically
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap
 (a requested order past the rank cap, for every command that sums over orders),
-4 numerical failure at this state (a quadrature that does not converge, or an
-entropy that is undefined because dH/dlambda underflows to 0).
+4 numerical failure at this state (a quadrature that does not converge, a float
+that overflows, or an entropy that is undefined because dH/dlambda underflows
+to 0).  Every state flag (--lambda, --gamma, --mu0..3, --m) must be finite.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -197,6 +199,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: Sequence[str]) -> 
 
 def _state_from_args(args) -> ThermoState:
     mu_given = [getattr(args, f"mu{i}") for i in range(4)]
+    given = [("lambda", args.lam), ("gamma", args.gamma), ("m", args.m)]
+    for flag, value in given + [(f"mu{i}", c) for i, c in enumerate(mu_given)]:
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{flag} must be finite, got {value}")
     if any(c is not None for c in mu_given):
         comps = tuple(0.0 if c is None else float(c) for c in mu_given)
         mu = FourVector(comps, "upper")
@@ -341,6 +347,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except (EntropyUndefinedError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except OverflowError as exc:
+        print(f"error: float overflow at this state: {exc}", file=sys.stderr)
         return 4
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

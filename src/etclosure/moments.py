@@ -321,7 +321,14 @@ def kinetic_moment(state: ThermoState, rank: int, _cache: Optional[dict] = None)
                 if f == 0.0:
                     # decay has underflowed; avoid 0 * inf from the sinh powers
                     return 0.0
-                return f * c**a * s ** (b + 2)
+                try:
+                    return f * c**a * s ** (b + 2)
+                except OverflowError:
+                    # the powers overflow before f has decayed to 0
+                    raise ConvergenceError(
+                        f"moment integrand overflows at x = {x:.6g} before the "
+                        f"distribution decays (f = {f:.3e})"
+                    ) from None
 
             val, err = quad(integrand, 0.0, np.inf, epsabs=1e-300, epsrel=1e-13, limit=400)
             if not math.isfinite(val) or err > 1e-8 * max(abs(val), 1e-300):

@@ -24,6 +24,16 @@ a float, and zero-skipping (:func:`is_zero`) skips an array only when every
 entry is zero, since skipping an exact 0.0 term changes a sum at most in the
 sign of a zero.
 
+Products of batches run as stacked-array updates (:func:`_batch_product`)
+instead of one dict update and one numpy multiply per pair of terms.  A plan
+cached per key structure (:func:`_product_plan`) lists every output's terms in
+the dict loop's (a, b) order; each output starts from 0 and adds them in that
+order, one numpy update per layer of terms, so every entry and the key order
+are the dict loop's bit for bit.  The kernel runs where every term has an
+array factor and every value is a 1-D float64 array, a float, or an int a
+float holds exactly; exact values, object arrays, numpy scalars and anything
+else keep the loop.
+
 Exact values are computed over integers (the representation of FLINT's
 ``fmpq_poly``): where every term of an exact result is a Fraction, the
 operation writes each exact input as integer numerators over one common
@@ -338,6 +348,8 @@ def _from_coefficients(rank: int, poly: Poly, den: Optional[int] = None) -> Dens
         # a batch is divided whole: its zero entries stay zero
         if w != 1 and (isinstance(v, np.ndarray) or v != 0):
             v = Fraction(v, w) if isinstance(v, int) else v / w
+        elif isinstance(v, np.ndarray) and v.base is not None:
+            v = v.copy()  # a row of a batch product would keep its whole block alive
         values[c] = v
     return DenseSymTensor._from_counts(rank, values)
 
@@ -375,9 +387,149 @@ def _linear(vector: Sequence) -> Poly:
     return {unit: a for unit, a in zip(_UNITS, vector) if not is_zero(a)}
 
 
+_F64 = np.dtype(np.float64)
+_BLOCK = 64  # p terms stacked at a time
+_STEP = 128  # most pairs in one update
+
+
+def _batch_side(values: List) -> Optional[Tuple[int, bool]]:
+    """(width, every value an array) for one factor of a batch product, else None.
+
+    Every value must be a 1-D float64 array, a float, or an int that a float
+    holds exactly; the arrays must share one length (width 0 when there are
+    none).  Anything else (Fractions, object arrays, numpy scalars, huge ints)
+    returns None.
+    """
+    width, arrays = None, 0
+    for v in values:
+        t = type(v)
+        if t is np.ndarray:
+            if v.dtype is not _F64 or v.ndim != 1 or (width is not None and len(v) != width):
+                return None
+            width, arrays = len(v), arrays + 1
+        elif not (t is float or (t is int and -(2**53) <= v <= 2**53)):
+            return None
+    return (width or 0), arrays == len(values)
+
+
+def _rows(values: List, arrays: bool, width: int) -> np.ndarray:
+    """values stacked as float64 rows; an all-scalar factor is one column that broadcasts."""
+    if arrays:
+        return np.array(values)
+    if not any(type(v) is np.ndarray for v in values):
+        return np.array(values, dtype=_F64)[:, None]
+    rows = np.empty((len(values), width))
+    for r, v in enumerate(values):
+        rows[r] = v
+    return rows
+
+
+def _runs(ordered: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(where each run of equal values starts, the run of every entry) in a sorted array."""
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(ordered)) + 1))
+    run = np.zeros(len(ordered), dtype=np.intp)
+    run[starts[1:]] = 1
+    return starts, np.cumsum(run, out=run)
+
+
+@lru_cache(maxsize=64)
+def _product_plan(p_keys: Tuple[Counts, ...], q_keys: Tuple[Counts, ...]):
+    """How the product loop over p_keys x q_keys sums its terms, as index arrays.
+
+    Returns (keys, updates, o, i, j).  ``keys`` are the output keys in the
+    loop's first-encounter order, which is also the order of the result's
+    rows.  p's terms are stacked _BLOCK at a time; the update (a0, s, t) adds
+    p term a0 + i[n] times q term j[n] to row o[n] for every n in s..t-1.  No
+    row appears twice in one update, and each row's terms come in the loop's
+    (a, b) order: blocks of p terms go in order, and within a block an
+    output's L-th term comes in a later update than its (L-1)-th.
+    """
+    base = 1 + max(map(sum, p_keys)) + max(map(sum, q_keys))  # above every output degree
+
+    def code(c: Counts) -> int:
+        return ((c[0] * base + c[1]) * base + c[2]) * base + c[3]
+
+    n_p, n_q = len(p_keys), len(q_keys)
+    lookup = {}
+    for d in {dp + dq for dp in set(map(sum, p_keys)) for dq in set(map(sum, q_keys))}:
+        lookup.update((code(c), c) for c in _layout(d)[0])  # the canonical count tuples
+    # number the outputs in the loop's first-encounter order; pair n is (n // n_q, n % n_q)
+    codes = (np.array([code(c) for c in p_keys])[:, None] + np.array([code(c) for c in q_keys])).ravel()
+    by_code = np.argsort(codes, kind="stable")
+    starts, run = _runs(codes[by_code])
+    first = by_code[starts]
+    encounter = np.argsort(first, kind="stable")
+    keys = tuple(map(lookup.__getitem__, codes[first[encounter]].tolist()))
+    index = np.int16 if max(len(keys), n_q) <= np.iinfo(np.int16).max else np.int32
+    number = np.empty(len(keys), dtype=index)
+    number[encounter] = np.arange(len(keys))
+    out = np.empty(len(codes), dtype=index)
+    out[by_code] = number[run]
+    del codes, by_code, starts, run, first, encounter, number  # before the layer pass
+    # a pair's layer: how many pairs of its output come before it in its block of p terms
+    layer = np.empty_like(out)
+    seen = np.zeros(len(keys), dtype=index)
+    for a in range(n_p):
+        if a % _BLOCK == 0:
+            seen[:] = 0
+        row = out[a * n_q:(a + 1) * n_q]  # distinct outputs: b -> a + b is one-to-one
+        layer[a * n_q:(a + 1) * n_q] = seen[row]
+        seen[row] += 1
+    # updates, one per (block, layer), of at most _STEP pairs each
+    block = np.repeat(np.arange(-(-n_p // _BLOCK)), _BLOCK * n_q)[: len(out)]
+    update = block * (int(layer.max()) + 1) + layer
+    order = np.argsort(update, kind="stable")
+    starts, _ = _runs(update[order])
+    ends = starts.tolist() + [len(out)]
+    updates = tuple(
+        (t * _BLOCK, s, min(s + _STEP, hi))
+        for lo, hi, t in zip(ends, ends[1:], block[order[starts]].tolist())
+        for s in range(lo, hi, _STEP)
+    )
+    a, b = np.divmod(order, n_q)
+    return keys, updates, out[order], (a % _BLOCK).astype(index), b.astype(index)
+
+
+def _batch_product(p: Poly, q_terms: List[Tuple[Counts, object]]) -> Optional[Poly]:
+    """p * q over stacked float64 rows, or None where the product loop must run.
+
+    It runs when every value is a batch-ready number (:func:`_batch_side`) and
+    one factor is all arrays, so that every term has an array factor and
+    every output is an array, as in the loop.  Each output adds its terms in
+    the loop's order, starting from 0, so it is the loop's array bit for bit.
+    """
+    if type(next(iter(p.values()))) is not np.ndarray and type(q_terms[0][1]) is not np.ndarray:
+        return None  # neither factor is all arrays
+    xs, ys = list(p.values()), [y for _, y in q_terms]
+    sides = _batch_side(xs), _batch_side(ys)
+    if None in sides or not (sides[0][1] or sides[1][1]):
+        return None
+    (wx, x_arrays), (wy, y_arrays) = sides
+    if wx and wy and wx != wy:
+        return None
+    width = wx or wy
+    keys, updates, o, i, j = _product_plan(tuple(p), tuple(b for b, _ in q_terms))
+    y = _rows(ys, y_arrays, width)
+    out = np.zeros((len(keys), width))
+    a0 = x = None
+    for start, s, t in updates:
+        if start != a0:
+            a0, x = start, _rows(xs[start:start + _BLOCK], x_arrays, width)
+        out[o[s:t]] += x[i[s:t]] * y[j[s:t]]
+    return dict(zip(keys, out))
+
+
 def _product(p: Poly, q: Poly) -> Poly:
-    """p * q; zero coefficients of q are skipped, so a zero q gives {}."""
+    """p * q; zero coefficients of q are skipped, so a zero q gives {}.
+
+    Float64 batches go through :func:`_batch_product`, which sums the same
+    terms in the same order.
+    """
     q_terms = [(b, y) for b, y in q.items() if not is_zero(y)]
+    if p and q_terms:
+        batch = _batch_product(p, q_terms)
+        if batch is not None:
+            return batch
     out: Poly = {}
     for a, x in p.items():
         for b, y in q_terms:

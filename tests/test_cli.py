@@ -158,6 +158,45 @@ def test_equilibrium_numerical_failure_exit_code(capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("moments", "--lambda", "nan"),
+    ("equilibrium", "--lambda", "nan"),
+    ("equilibrium", "--gamma", "inf"),
+    ("moments", "--mu0", "nan"),
+    ("equilibrium", "--mu3=-inf"),
+    ("moments", "--m", "inf"),
+])
+def test_non_finite_state_flags_are_usage_errors(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --") and "must be finite" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("moments", "--mu0", "1e-30"),  # gamma**(-k) overflows in the closure coefficients
+    ("moments", "--gamma", "1e-30"),
+])
+def test_overflow_at_a_state_is_a_numerical_failure(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_kinetic_integrand_overflow_is_a_convergence_error():
+    # with f = nan the integrand never reads 0, so cosh(x)**a overflows first
+    from etclosure.equilibrium import ConvergenceError, ThermoState
+    from etclosure.moments import kinetic_moment
+    from etclosure.tensors import FourVector
+
+    with pytest.raises(ConvergenceError, match="overflows"):
+        kinetic_moment(ThermoState(float("nan"), FourVector((1.0, 0.0, 0.0, 0.0)), 1.0), 2)
+
+
 def test_moments_equilibrium_delta_is_zero(capsys):
     code, out = run(capsys, "moments", "--M", "2", "--N", "1", "--lambda", "0.8", "--gamma", "1.2", "--m", "1")
     assert code == 0

@@ -502,3 +502,127 @@ def test_non_exact_inputs_never_take_the_integer_path(monkeypatch):
         for u, m in ((t, lorentz), (exact[3], matrix)):
             assert_same_components(transform(u, m), ref_transform(u, m))
     assert taken == []
+
+
+# ---------------------------------------------------------------------------
+# the float64 batch kernel of the polynomial product against the dict loop
+#
+# _product multiplies float64 batches through index plans (_batch_product).
+# Each output must be the dict loop's array bit for bit, sign of zero
+# included, in the loop's key order; inputs the kernel cannot reproduce keep
+# the loop itself.
+
+_ENTRIES = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, -2.0)),
+                     st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False))
+_SCALARS = st.one_of(_ENTRIES, st.sampled_from((0, 1, -2, 3)))
+
+
+@st.composite
+def sparse_keys(draw):
+    """Keys as the callers make them: metric powers, linear forms, or a subset of a layout."""
+    kind = draw(st.sampled_from(("metric", "linear", "layout", "mixed degrees")))
+    if kind == "metric":
+        return [c for c, _ in tensors._gmu_structure(draw(st.integers(0, 3)))]
+    if kind == "linear":
+        units = [tuple(int(i == t) for i in range(4)) for t in range(4)]
+        return draw(st.lists(st.sampled_from(units), min_size=1, max_size=4, unique=True))
+    degrees = [draw(st.integers(0, 5))]
+    if kind == "mixed degrees":
+        degrees.append(draw(st.integers(0, 5)))
+    pool = sorted({c for d in degrees for c in tensors._layout(d)[0]})
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
+
+
+@st.composite
+def batch_values(draw, keys, width, arrays):
+    """A value per key: float64 arrays (some all zero) if ``arrays``, else arrays and scalars."""
+    def array():
+        if draw(st.integers(0, 5)) == 0:
+            return np.full(width, draw(st.sampled_from((0.0, -0.0))))
+        return np.array([draw(_ENTRIES) for _ in range(width)])
+
+    return {k: array() if arrays or draw(st.booleans()) else draw(_SCALARS) for k in keys}
+
+
+def _entry(v, k):
+    return float(v[k]) if isinstance(v, np.ndarray) else v
+
+
+def per_entry_product(p, q, k):
+    """Entry k of every output: the dict loop over the batch's terms, one float at a time."""
+    q_terms = [(b, y) for b, y in q.items() if not is_zero(y)]
+    out = {}
+    for a, x in p.items():
+        for b, y in q_terms:
+            key = tuple(i + j for i, j in zip(a, b))
+            out[key] = out.get(key, 0) + _entry(x, k) * _entry(y, k)
+    return out
+
+
+@given(data=st.data(), width=st.integers(1, 4), all_arrays=st.sampled_from(("p", "q", "both")))
+@settings(max_examples=300, deadline=None)
+def test_batch_product_matches_the_loop_bit_for_bit(data, width, all_arrays):
+    p = data.draw(batch_values(data.draw(sparse_keys()), width, all_arrays in ("p", "both")))
+    q = data.draw(batch_values(data.draw(sparse_keys()), width, all_arrays in ("q", "both")))
+    q_terms = [(b, y) for b, y in q.items() if not is_zero(y)]
+    if q_terms:
+        assert tensors._batch_product(p, q_terms) is not None
+    got, want = tensors._product(p, q), _ref_product(p, q)
+    assert list(got) == list(want)
+    for key, v in got.items():
+        assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (width,)
+        assert v.tobytes() == want[key].tobytes(), key
+    for k in range(width):
+        entry = per_entry_product(p, q, k)
+        assert list(entry) == list(got)
+        assert [float(v[k]).hex() for v in got.values()] == [float(v).hex() for v in entry.values()]
+
+
+def test_batch_product_sums_start_from_zero():
+    # the loop starts every sum at 0, so a lone -0.0 term reads 0.0, as for one float
+    p = {(1, 0, 0, 0): np.array([-0.0, 2.0]), (0, 1, 0, 0): np.array([-0.0, 3.0])}
+    q = {(0, 1, 0, 0): 1.0, (1, 0, 0, 0): -1.0}
+    got = tensors._product(p, q)
+    assert list(got) == [(1, 1, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0)]
+    assert [v.tolist() for v in got.values()] == [[0.0, -1.0], [0.0, -2.0], [0.0, 3.0]]
+    assert not any(np.signbit(v[0]) for v in got.values())
+
+
+def test_inputs_the_kernel_cannot_reproduce_keep_the_loop():
+    batch = np.array([0.5, -1.25, 3.0])
+    objects = np.array([Fraction(1, 2), Fraction(-3, 4), Fraction(2)], dtype=object)
+    keys = [c for c, _ in tensors._gmu_structure(1)]
+    cases = [
+        ({k: Fraction(i + 1, 3) for i, k in enumerate(keys)}, {(0, 1, 0, 0): batch}),  # exact x batch
+        ({k: i + 1 for i, k in enumerate(keys)}, {(0, 1, 0, 0): 2, (1, 0, 0, 0): -1}),  # ints
+        ({k: batch for k in keys}, {(0, 1, 0, 0): objects}),  # an object array
+        ({k: np.float64(i - 1.5) for i, k in enumerate(keys)}, {(0, 0, 1, 0): batch}),  # numpy scalars
+        ({k: batch for k in keys}, {(0, 0, 1, 0): 2**60 + 1}),  # an int a float rounds
+        ({keys[0]: batch, keys[1]: 0.5}, {(0, 0, 1, 0): batch, (0, 1, 0, 0): -1.0}),  # scalar x scalar
+    ]
+    for p, q in cases:
+        q_terms = [(b, y) for b, y in q.items() if not is_zero(y)]
+        assert tensors._batch_product(p, q_terms) is None
+        got, want = tensors._product(p, q), _ref_product(p, q)
+        assert list(got) == list(want)
+        for key, v in got.items():
+            assert type(v) is type(want[key])
+            if isinstance(v, np.ndarray):
+                assert v.dtype == want[key].dtype and v.tolist() == want[key].tolist()
+            else:
+                assert v == want[key]
+    # arrays of two widths do not broadcast, in the loop either
+    p, q_terms = {keys[0]: batch}, [((0, 0, 1, 0), batch[:2])]
+    assert tensors._batch_product(p, q_terms) is None
+    with pytest.raises(ValueError):
+        tensors._product(p, dict(q_terms))
+
+
+def test_batch_tensors_hold_their_own_components():
+    # components are copied out of the product's rows, so no tensor keeps a whole block alive
+    mu = FourVector((np.array([2.0, 1.5]), np.array([0.5, 0.2]), 0.0, -0.25))
+    for t in (gmu_combination(5, {0: 1.5, 2: np.array([0.25, -1.0])}, mu),
+              sym_product(gmu_basis(2, 0, mu), gmu_basis(3, 1, mu))):
+        arrays = [v for _, v in t.items() if isinstance(v, np.ndarray)]
+        assert arrays and all(v.base is None for v in arrays)
+    assert tensors._product_plan.cache_info().maxsize is not None
