@@ -2,7 +2,12 @@
 
 Subcommands: closure (coefficient tables), verify (suite harness),
 equilibrium (state functions of one state), moments (kinetic moments and
-residual blocks).
+residual blocks).  Each takes only the flags it reads: closure the orders
+(--M --N --hmax --kmax) and output (--format --out) groups, verify those plus
+--seed --tol --suite --mutate --artifacts, equilibrium the state (--lambda
+--gamma --mu0..3 --m --stats) and output groups, moments all three plus --seed.
+Any other flag, an abbreviated flag, or a --config key no subcommand takes is a
+usage error.
 
 Output is deterministic: floats are rendered as 17-significant-digit strings,
 rationals as "p/q" strings, keys are sorted, and files are written atomically
@@ -33,7 +38,7 @@ from .equilibrium import (
     ConvergenceError,
     EntropyUndefinedError,
     ThermoState,
-    thermo_with_gibbs,
+    thermo_with_residuals,
 )
 from .moments import (
     MultiplierState,
@@ -114,37 +119,48 @@ def _write_out(text: str, out: Optional[str]) -> None:
 # argument plumbing
 
 
+def _orders(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--M", type=int, default=2, help="even rank of the first multiplier")
+    p.add_argument("--N", type=int, default=1, help="odd rank of the second multiplier")
+    p.add_argument("--hmax", type=int, default=2)
+    p.add_argument("--kmax", type=int, default=2)
+
+
+def _state(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p.add_argument("--gamma", type=float, default=1.0)
+    for i in range(4):
+        p.add_argument(f"--mu{i}", type=float, default=None,
+                       help="contravariant component (overrides --gamma)")
+    p.add_argument("--m", type=float, default=1.0)
+    p.add_argument("--stats", choices=sorted(STATS_ALIASES), default="mb")
+
+
+def _output(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", default=None)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="etclosure",
         description="Moment-closure coefficient tables, verification suites, "
         "and equilibrium thermodynamics.",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", help="key = value file merged under explicit flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--M", type=int, default=2, help="even rank of the first multiplier")
-        p.add_argument("--N", type=int, default=1, help="odd rank of the second multiplier")
-        p.add_argument("--hmax", type=int, default=2)
-        p.add_argument("--kmax", type=int, default=2)
-        p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-        p.add_argument("--gamma", type=float, default=1.0)
-        for i in range(4):
-            p.add_argument(f"--mu{i}", type=float, default=None,
-                           help="contravariant component (overrides --gamma)")
-        p.add_argument("--m", type=float, default=1.0)
-        p.add_argument("--stats", choices=sorted(STATS_ALIASES), default="mb")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None)
+    p_closure = sub.add_parser("closure", help="emit the coefficient table", allow_abbrev=False)
+    _orders(p_closure)
+    _output(p_closure)
 
-    p_closure = sub.add_parser("closure", help="emit the coefficient table")
-    common(p_closure)
-
-    p_verify = sub.add_parser("verify", help="run verification suites")
-    common(p_verify)
+    p_verify = sub.add_parser("verify", help="run verification suites", allow_abbrev=False)
+    _orders(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--tol", type=float, default=None,
+                          help="tolerance of the derivative, symmetry, equilibrium "
+                          "and kinetic suites")
     p_verify.add_argument("--suite", action="append", default=None,
                           help=f"suite name (repeatable); one of: {', '.join(SUITES)}")
     p_verify.add_argument("--mutate", type=int, default=0,
@@ -152,22 +168,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--artifacts", default=None, metavar="DIR",
                           help="write each failing suite's failed cases to "
                           "DIR/etclosure-<suite>-seed<seed>.json for replay")
+    _output(p_verify)
 
-    p_eq = sub.add_parser("equilibrium", help="state functions of one state")
-    common(p_eq)
+    p_eq = sub.add_parser("equilibrium", help="state functions of one state",
+                          allow_abbrev=False)
+    _state(p_eq)
+    _output(p_eq)
 
-    p_mom = sub.add_parser("moments", help="kinetic moments plus residual blocks")
-    common(p_mom)
+    p_mom = sub.add_parser("moments", help="kinetic moments plus residual blocks",
+                           allow_abbrev=False)
+    _orders(p_mom)
+    p_mom.add_argument("--seed", type=int, default=0, help="seed of the free functions c_q")
+    _state(p_mom)
+    _output(p_mom)
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: Sequence[str]) -> Sequence[str]:
-    pre = argparse.ArgumentParser(add_help=False)
+def _apply_config_file(parser: argparse.ArgumentParser, argv: Sequence[str]) -> None:
+    """Merge a --config file's keys into the subcommands' defaults.
+
+    A key sets the default of every subcommand that takes that flag and is
+    skipped by the others, so one file can serve several commands; a key
+    that no subcommand takes is a usage error.
+    """
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     if not known.config:
-        return argv
-    defaults: Dict[str, object] = {}
+        return
+    values: Dict[str, str] = {}
     with open(known.config) as fh:
         for line in fh:
             line = line.strip()
@@ -176,25 +205,21 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: Sequence[str]) -> 
             if "=" not in line:
                 raise ValueError(f"config line is not key = value: {line!r}")
             key, val = (part.strip() for part in line.split("=", 1))
-            key = {"lambda": "lam"}.get(key, key)
-            defaults[key] = val
-    # cast using the types of the existing defaults where known
-    for action in parser._actions:
-        if action.dest in defaults and action.type is not None:
-            defaults[action.dest] = action.type(defaults[action.dest])
-    for sub_action in (a for a in parser._actions if isinstance(a, argparse._SubParsersAction)):
-        for sp in sub_action.choices.values():
-            known_dests = {a.dest for a in sp._actions}
-            cast = {}
-            for key, val in defaults.items():
-                if key not in known_dests:
-                    continue
-                for a in sp._actions:
-                    if a.dest == key and a.type is not None and isinstance(val, str):
-                        val = a.type(val)
-                cast[key] = val
-            sp.set_defaults(**cast)
-    return argv
+            values[{"lambda": "lam"}.get(key, key)] = val
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    taken = set()
+    for sp in subparsers.choices.values():
+        flags = {a.dest: a for a in sp._actions if a.option_strings and a.dest != "help"}
+        defaults = {}
+        for key, val in values.items():
+            if key in flags:
+                action = flags[key]
+                defaults[key] = val if action.type is None else action.type(val)
+                taken.add(key)
+        sp.set_defaults(**defaults)
+    unknown = sorted(set(values) - taken)
+    if unknown:
+        raise ValueError(f"config key(s) no subcommand takes: {', '.join(unknown)}")
 
 
 def _state_from_args(args) -> ThermoState:
@@ -213,11 +238,9 @@ def _state_from_args(args) -> ThermoState:
     return ThermoState(args.lam, mu, args.m, statistics=STATS_ALIASES[args.stats])
 
 
-def _spec_from_args(args) -> ClosureSpec:
-    return ClosureSpec(
-        args.M, args.N, h_max=args.hmax, k_max=args.kmax,
-        registry=FunctionRegistry.polynomials(args.seed), m=1,
-    )
+def _spec_from_args(args, registry: Optional[FunctionRegistry] = None, m=1) -> ClosureSpec:
+    """The (M, N, truncation) spec; commands that evaluate pass a registry and m."""
+    return ClosureSpec(args.M, args.N, h_max=args.hmax, k_max=args.kmax, registry=registry, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +299,7 @@ def cmd_verify(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     state = _state_from_args(args)
-    funcs, gibbs = thermo_with_gibbs(state)
+    funcs, gibbs, _ = thermo_with_residuals(state)
     doc = {
         "lambda": state.lam,
         "gamma": state.gamma,
@@ -298,7 +321,7 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_moments(args) -> int:
     state = _state_from_args(args)
-    spec = _spec_from_args(args)
+    spec = _spec_from_args(args, FunctionRegistry.polynomials(args.seed), state.m)
     mset, report = equilibrium_moments_with_traces(state, spec)
     mstate = MultiplierState.at_equilibrium(state, spec)
     delta = delta_hprime(mstate)

@@ -4,8 +4,8 @@ Two independent constructions of the Taylor coefficients C_{h,k} of the
 potential deviation about equilibrium are provided:
 
 * :func:`build_closure_tensor` evaluates the closed-form coefficients
-  (:func:`closure_coeff` for the general case, :func:`closure_coeff_N1` for
-  the single-vector-multiplier case), and
+  :func:`closure_coeff` (:func:`closure_coeff_N1`, the single-vector-multiplier
+  case written out on its own, is kept as an independent reference), and
 
 * :func:`derive_C_from_E` builds the auxiliary E tensors recursively (base
   leading term, trace descent, lambda derivatives, characteristic descent)
@@ -186,10 +186,7 @@ def build_closure_tensor(spec: ClosureSpec, h: int, k: int) -> FFamilyElement:
     n = spec.rank(h, k)
     if h == 0 and k == 0:
         return FFamilyElement.zero(n)
-    if spec.N == 1:
-        coeffs = [closure_coeff_N1(spec.M, h, s) for s in range(n // 2 + 1)]
-    else:
-        coeffs = [closure_coeff(spec.M, spec.N, h, k, s) for s in range(n // 2 + 1)]
+    coeffs = [closure_coeff(spec.M, spec.N, h, k, s) for s in range(n // 2 + 1)]
     elem = FFamilyElement(n, coeffs)
     ok, residuals = check_characteristic(elem)
     if not ok:

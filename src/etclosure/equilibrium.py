@@ -369,16 +369,6 @@ def gibbs_residual(state: ThermoState, rel_step: float = _REL_STEP) -> float:
     return _gibbs(*_stencil_functions(state, rel_step))
 
 
-def thermo_with_gibbs(state: ThermoState) -> Tuple[EquilibriumFunctions, float]:
-    """(thermo_functions(state), gibbs_residual(state)) from one stencil pass.
-
-    The state functions are those of the stencil's centre point, so the
-    centre is evaluated once instead of twice.
-    """
-    stencil = _stencil_functions(state, _REL_STEP)
-    return stencil[0], _gibbs(*stencil)
-
-
 def _gibbs(centre: EquilibriumFunctions, *directions) -> float:
     worst = 0.0
     for points, h in directions:
@@ -399,17 +389,31 @@ def integrability_residual(state: ThermoState, rel_step: float = _REL_STEP) -> f
     (gamma, p) with p = H: n_p = n_lambda / H_lambda and
     n_gamma|_p = n_gamma|_lambda - n_lambda H_gamma / H_lambda.
     """
-    c, (along_lam, h_lam), (along_gam, h_gam) = _stencil_functions(state, rel_step)
+    return _integrability(state.gamma, *_stencil_functions(state, rel_step))
+
+
+def _integrability(gamma: float, c: EquilibriumFunctions, lam_direction, gam_direction) -> float:
+    (along_lam, h_lam), (along_gam, h_gam) = lam_direction, gam_direction
     n_lam = _fd([f.n for f in along_lam], h_lam)
     e_lam = _fd([f.e for f in along_lam], h_lam)
     n_gam = _fd([f.n for f in along_gam], h_gam)
     n_p = n_lam / c.H_lambda
     e_p = e_lam / c.H_lambda
     n_gamma_at_p = n_gam - n_lam * c.H_gamma / c.H_lambda
-    terms = ((c.e + c.p) * n_p, state.gamma * n_gamma_at_p, c.n * e_p)
+    terms = ((c.e + c.p) * n_p, gamma * n_gamma_at_p, c.n * e_p)
     res = terms[0] - terms[1] - terms[2]
     scale = max(max(abs(t) for t in terms), 1e-300)
     return abs(res) / scale
+
+
+def thermo_with_residuals(state: ThermoState) -> Tuple[EquilibriumFunctions, float, float]:
+    """(thermo_functions, gibbs_residual, integrability_residual) from one stencil pass.
+
+    The state functions are those of the stencil's centre point, so each of
+    the nine points is evaluated once.
+    """
+    stencil = _stencil_functions(state, _REL_STEP)
+    return stencil[0], _gibbs(*stencil), _integrability(state.gamma, *stencil)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -8,7 +9,12 @@ import os
 import pytest
 
 from etclosure import verify
-from etclosure.cli import main
+from etclosure.cli import _build_parser, main
+from etclosure.closure import ClosureSpec
+from etclosure.equilibrium import ThermoState
+from etclosure.moments import MultiplierState, symmetry_residual
+from etclosure.scalar import FunctionRegistry
+from etclosure.tensors import FourVector
 
 
 def run(capsys, *argv):
@@ -209,6 +215,16 @@ def test_moments_equilibrium_delta_is_zero(capsys):
         assert abs(float(value)) <= 1e-8
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_moments_series_runs_at_the_state_mass(capsys, m):
+    code, out = run(capsys, "moments", "--M", "2", "--N", "3", "--m", str(m))
+    assert code == 0
+    state = ThermoState(1.0, FourVector((1.0, 0.0, 0.0, 0.0), "upper"), float(m))
+    spec = ClosureSpec(2, 3, registry=FunctionRegistry.polynomials(0), m=m)
+    want = symmetry_residual(MultiplierState.at_equilibrium(state, spec))
+    assert json.loads(out)["residuals"]["symmetry"] == format(want, ".17g")
+
+
 def test_moments_past_rank_cap_is_resource_error(capsys):
     # rank 2*9 + 3*9 + 1 = 46 at the top order, far past the cap of 16
     code, out = run(capsys, "moments", "--M", "2", "--N", "3", "--hmax", "9", "--kmax", "9")
@@ -241,6 +257,60 @@ def test_config_file_merged_under_flags(tmp_path, capsys):
     # flag wins over the file
     assert doc["h_max"] == 1
     assert doc["M"] == 2
+
+
+def test_config_key_no_subcommand_takes_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("M = 2\nbogus = 1\n")
+    code, out = run(capsys, "--config", str(cfg), "closure")
+    assert code == 2
+    assert out == ""
+
+
+def test_config_key_of_another_subcommand_is_skipped(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("M = 4\nlambda = 0.5\nseed = 3\n")
+    code, out = run(capsys, "--config", str(cfg), "equilibrium")
+    assert code == 0
+    assert json.loads(out)["lambda"] == "0.5"
+    code, out = run(capsys, "--config", str(cfg), "closure", "--N", "1", "--hmax", "1")
+    assert code == 0
+    assert json.loads(out)["M"] == 4
+
+
+ORDERS = ("--M", "--N", "--hmax", "--kmax")
+STATE = ("--lambda", "--gamma", "--mu0", "--mu1", "--mu2", "--mu3", "--m", "--stats")
+REMOVED = ([("closure", flag) for flag in STATE + ("--tol", "--seed")]
+           + [("verify", flag) for flag in STATE]
+           + [("equilibrium", flag) for flag in ORDERS + ("--tol", "--seed")]
+           + [("moments", "--tol")])
+
+
+OUTPUT = ("--format", "--out")
+FLAGS = {
+    "closure": ORDERS + OUTPUT,
+    "verify": ORDERS + ("--seed", "--tol", "--suite", "--mutate", "--artifacts") + OUTPUT,
+    "equilibrium": STATE + OUTPUT,
+    "moments": ORDERS + ("--seed",) + STATE + OUTPUT,
+}
+
+
+def test_each_subcommand_takes_exactly_the_flags_it_reads():
+    (subparsers,) = [a for a in _build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    for name, sp in subparsers.choices.items():
+        taken = {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+        assert taken == set(FLAGS[name]), name
+    assert sum(map(len, FLAGS.values())) + 1 == 43  # plus the top-level --config
+    assert len(set(REMOVED)) == 25
+
+
+@pytest.mark.parametrize("command,flag", REMOVED)
+def test_flag_a_subcommand_does_not_read_is_usage_error(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "be" if flag == "--stats" else "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_output_file_atomic_write(tmp_path, capsys):

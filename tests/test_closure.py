@@ -78,6 +78,13 @@ def test_closure_coeff_reduces_to_N1_at_k0():
     assert closure_coeff(4, 1, 1, 0, 2) == closure_coeff_N1(4, 1, 2)
 
 
+def test_closure_coeff_reduces_to_N1_up_to_the_rank_cap():
+    for M in range(2, RANK_CAP, 2):
+        for h in range((RANK_CAP - 1) // M + 1):
+            for s in range(M * h // 2 + 1):
+                assert closure_coeff(M, 1, h, 0, s) == closure_coeff_N1(M, h, s), (M, h, s)
+
+
 def test_build_closure_tensor_shapes():
     spec = ClosureSpec(2, 1, h_max=2, k_max=0)
     assert build_closure_tensor(spec, 0, 0).is_zero()

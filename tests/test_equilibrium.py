@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 import scipy.special
 
-from etclosure import cli, equilibrium
+from etclosure import cli, equilibrium, verify
 from etclosure.equilibrium import (
     EntropyUndefinedError,
     JuttnerFamily,
@@ -23,6 +23,7 @@ from etclosure.equilibrium import (
     project_equilibrium,
     state_functions,
     thermo_functions,
+    thermo_with_residuals,
 )
 from etclosure.oracle import random_rational_timelike
 from etclosure.tensors import DenseSymTensor, FourVector, gmu_basis
@@ -160,9 +161,18 @@ def equilibrium_command(state: ThermoState) -> None:
     assert cli.main(argv) == 0
 
 
-@pytest.mark.parametrize("residual", [gibbs_residual, integrability_residual, equilibrium_command])
-def test_residuals_evaluate_each_stencil_point_once(residual, monkeypatch):
-    # centre plus four offsets along lambda and four along gamma
+def equilibrium_suite(state: ThermoState) -> None:
+    # the suite draws its own three rest states; the argument is not used
+    assert verify.suite_equilibrium(verify.VerifyConfig()).passed
+
+
+@pytest.mark.parametrize("residual,states", [
+    pytest.param(call, states, id=call.__name__)
+    for call, states in ((gibbs_residual, 1), (integrability_residual, 1),
+                         (equilibrium_command, 1), (equilibrium_suite, 3))
+])
+def test_residuals_evaluate_each_stencil_point_once(residual, states, monkeypatch):
+    # per state: centre plus four offsets along lambda and four along gamma
     points = []
 
     def counted(dist, lam, gamma, m):
@@ -171,8 +181,16 @@ def test_residuals_evaluate_each_stencil_point_once(residual, monkeypatch):
 
     monkeypatch.setattr(equilibrium, "H_derivatives", counted)
     residual(ThermoState(0.3, BOOSTED, 1.0))
-    assert len(points) == 9
-    assert len(set(points)) == 9
+    assert len(points) == 9 * states
+    assert len(set(points)) == 9 * states
+
+
+def test_thermo_with_residuals_matches_the_single_calls():
+    # bit-identical at the equilibrium suite's three states
+    for z in (0.1, 1.0, 10.0):
+        state = ThermoState.rest(1.0, z, 1.0)
+        assert thermo_with_residuals(state) == (
+            thermo_functions(state), gibbs_residual(state), integrability_residual(state))
 
 
 @pytest.mark.parametrize("stats", STATISTICS)
