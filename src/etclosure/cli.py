@@ -141,6 +141,19 @@ def _output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None)
 
 
+class _ReplacingAppend(argparse._AppendAction):
+    """A repeatable flag whose first use replaces the default list instead of extending it.
+
+    A --config file sets that default, so flags on the command line override
+    the file's list, as they override every other key.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest, None) is self.default:
+            setattr(namespace, self.dest, None)
+        super().__call__(parser, namespace, values, option_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="etclosure",
@@ -161,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol", type=float, default=None,
                           help="tolerance of the derivative, symmetry, equilibrium "
                           "and kinetic suites")
-    p_verify.add_argument("--suite", action="append", default=None,
+    p_verify.add_argument("--suite", action=_ReplacingAppend, default=None,
                           help=f"suite name (repeatable); one of: {', '.join(SUITES)}")
     p_verify.add_argument("--mutate", type=int, default=0,
                           help="corrupt K coefficients first (negative control)")
@@ -189,7 +202,8 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: Sequence[str]) -> 
 
     A key sets the default of every subcommand that takes that flag and is
     skipped by the others, so one file can serve several commands; a key
-    that no subcommand takes is a usage error.
+    that no subcommand takes is a usage error.  A repeatable flag's value
+    becomes a one-entry list, read like one use of the flag.
     """
     pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
@@ -214,7 +228,9 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: Sequence[str]) -> 
         for key, val in values.items():
             if key in flags:
                 action = flags[key]
-                defaults[key] = val if action.type is None else action.type(val)
+                if action.type is not None:
+                    val = action.type(val)
+                defaults[key] = [val] if isinstance(action, argparse._AppendAction) else val
                 taken.add(key)
         sp.set_defaults(**defaults)
     unknown = sorted(set(values) - taken)

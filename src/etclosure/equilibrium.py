@@ -21,7 +21,7 @@ moments with their own positive densities live in the moments module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Tuple
@@ -127,48 +127,92 @@ def project_equilibrium(lam_tensor: DenseSymTensor, mu_tensor: DenseSymTensor, m
 # distribution families
 
 
+# exp(-z) is exactly 0.0 in IEEE double for z > 745.14; past this exponent
+# every occupancy and antiderivative below reads 0.0
+_UNDERFLOW_EXPONENT = 746.0
+
+
+def _occupancy(statistics: str, k: float, a: float):
+    """(F, f_eq) of one statistics as closures over k_B and the amplitude a = w/h^3."""
+    exp, log1p = math.exp, math.log1p
+    if statistics == "nondegenerate":
+        neg_ka = -k * a
+
+        def F(x: float, y: float) -> float:
+            return neg_ka * exp(-((x + y) / k))
+
+        def f_eq(x: float, y: float) -> float:
+            return a * exp(-((x + y) / k))
+
+    elif statistics == "fermion":
+        neg_ka = -k * a
+
+        def F(x: float, y: float) -> float:
+            return neg_ka * log1p(exp(-((x + y) / k)))
+
+        def f_eq(x: float, y: float) -> float:
+            ez = exp(-((x + y) / k))
+            return a * ez / (1.0 + ez)
+
+    else:
+        ka = k * a
+
+        def F(x: float, y: float) -> float:
+            z = (x + y) / k
+            if z <= 0:
+                raise ValueError("boson antiderivative needs X + Y > 0")
+            return ka * log1p(-exp(-z))
+
+        def f_eq(x: float, y: float) -> float:
+            z = (x + y) / k
+            if z <= 0:
+                raise ValueError("boson occupancy needs X + Y > 0")
+            ez = exp(-z)
+            return a * ez / (1.0 - ez)
+
+    return F, f_eq
+
+
 @dataclass(frozen=True)
 class JuttnerFamily:
     """F(X, Y) and f_eq = dF/dX for the three equilibrium statistics.
 
     All three depend on X and Y through (X + Y)/k_B only, so dF/dY = dF/dX.
+    ``F`` and ``f_eq`` are plain functions of (X, Y) bound when the family is
+    made: the statistics branch and the amplitude w/h^3 are chosen once, not
+    on every call of a quadrature integrand.
     """
 
     statistics: str = "nondegenerate"
     k_B: float = 1.0
     h_planck: float = 1.0
     w: float = 1.0
+    F: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
+    f_eq: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.statistics not in STATISTICS:
             raise ValueError(f"unknown statistics {self.statistics!r}")
+        if not self.k_B > 0:
+            raise ValueError(f"k_B must be positive, got {self.k_B}")
+        F, f_eq = _occupancy(self.statistics, self.k_B, self.w / self.h_planck**3)
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "f_eq", f_eq)
 
-    @property
-    def _amp(self) -> float:
-        return self.w / self.h_planck**3
+    def window(self, lam: float, gm: float) -> float:
+        """Rapidity R past which F(lam, gm cosh r) and f_eq read exactly 0.0.
 
-    def F(self, x: float, y: float) -> float:
-        z = (x + y) / self.k_B
-        k, a = self.k_B, self._amp
-        if self.statistics == "nondegenerate":
-            return -k * a * math.exp(-z)
-        if self.statistics == "fermion":
-            return -k * a * math.log1p(math.exp(-z))
-        if z <= 0:
-            raise ValueError("boson antiderivative needs X + Y > 0")
-        return k * a * math.log1p(-math.exp(-z))
-
-    def f_eq(self, x: float, y: float) -> float:
-        z = (x + y) / self.k_B
-        a = self._amp
-        ez = math.exp(-z)
-        if self.statistics == "nondegenerate":
-            return a * ez
-        if self.statistics == "fermion":
-            return a * ez / (1.0 + ez)
-        if z <= 0:
-            raise ValueError("boson occupancy needs X + Y > 0")
-        return a * ez / (1.0 - ez)
+        cosh R = (746 k_B - lam)/(gm): there (lam + gm cosh r)/k_B >= 746 and
+        exp of its negative underflows to 0.0 in double precision.  R is 0
+        when the whole range underflows, and infinite when the ratio is not
+        finite (a NaN lam included), so no range is ever dropped by mistake.
+        """
+        ratio = (_UNDERFLOW_EXPONENT * self.k_B - lam) / gm
+        if not math.isfinite(ratio):
+            return math.inf
+        if ratio <= 1.0:
+            return 0.0
+        return math.acosh(ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +236,8 @@ class ThermoState:
             raise ValueError("mass must be positive")
         if self.statistics not in STATISTICS:
             raise ValueError(f"unknown statistics {self.statistics!r}")
+        if not self.k_B > 0:
+            raise ValueError(f"k_B must be positive, got {self.k_B}")
         if not self.mu.is_timelike_future():
             raise ValueError("mu must be timelike and future-directed")
 
@@ -220,27 +266,31 @@ class ThermoState:
 # the potential H and its derivatives
 
 
-def _z10_integral(fn: Callable[[float, float], float], lam, gamma, m, cosh_weight=0):
-    """integral_0^inf fn(lambda, gamma m cosh r) cosh^w r sinh^2 r dr."""
+def _z10_integral(fn: Callable[[float, float], float], lam, gm, upper, cosh_weight=0):
+    """integral_0^upper fn(lambda, gm cosh r) cosh^w r sinh^2 r dr.
 
-    gm = gamma * m
+    `upper` is either infinite or the family's :meth:`JuttnerFamily.window`,
+    past which fn reads exactly 0.0.  fn is called once per point and sinh
+    only where fn is nonzero.
+    """
+    cosh, sinh = math.cosh, math.sinh
 
     def integrand(rho: float) -> float:
         try:
-            c = math.cosh(rho)
-            s = math.sinh(rho)
+            c = cosh(rho)
         except OverflowError:
             return 0.0
         f = fn(lam, gm * c)
         if f == 0.0:
             # decay has underflowed; avoid 0 * inf from the sinh factor
             return 0.0
+        s = sinh(rho)
         val = f * s * s
         if cosh_weight:
             val *= c**cosh_weight
         return val
 
-    val, err = quad(integrand, 0.0, np.inf, epsabs=1e-300, epsrel=1e-13, limit=400)
+    val, err = quad(integrand, 0.0, upper, epsabs=1e-300, epsrel=1e-13, limit=400)
     if not math.isfinite(val) or err > 1e-8 * max(abs(val), 1e-300):
         raise ConvergenceError(
             f"quadrature error estimate {err:.3e} too large for value {val:.6e}"
@@ -249,22 +299,32 @@ def _z10_integral(fn: Callable[[float, float], float], lam, gamma, m, cosh_weigh
 
 
 def H_from_distribution(F: Callable[[float, float], float], lam, gamma, m) -> float:
-    """H(lambda, gamma) = -(4 pi / gamma) m^3 integral F(lambda, gamma m cosh r) sinh^2 r dr."""
+    """H(lambda, gamma) = -(4 pi / gamma) m^3 integral_0^inf F(lambda, gamma m cosh r) sinh^2 r dr.
+
+    F is any callable, so the range is the whole half-line; this makes the
+    function an independent check of :func:`H_derivatives`' windowed range.
+    """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    return -(FOUR_PI / gamma) * m**3 * _z10_integral(F, lam, gamma, m)
+    return -(FOUR_PI / gamma) * m**3 * _z10_integral(F, lam, gamma * m, np.inf)
 
 
 def H_derivatives(dist: JuttnerFamily, lam, gamma, m) -> Tuple[float, float, float]:
     """(H, dH/dlambda, dH/dgamma) by differentiating under the integral.
 
     dF/dX = f_eq gives the lambda derivative; dF/dY = f_eq (the families
-    depend on X + Y) gives the gamma derivative an extra m cosh factor.
+    depend on X + Y) gives the gamma derivative an extra m cosh factor.  The
+    three integrals run over [0, R] with R = ``dist.window(lam, gamma m)``,
+    dropping only the range where F and f_eq are exactly 0.0.
     """
-    h_val = H_from_distribution(dist.F, lam, gamma, m)
-    h_lam = -(FOUR_PI / gamma) * m**3 * _z10_integral(dist.f_eq, lam, gamma, m)
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    gm = gamma * m
+    upper = dist.window(lam, gm)
+    h_val = -(FOUR_PI / gamma) * m**3 * _z10_integral(dist.F, lam, gm, upper)
+    h_lam = -(FOUR_PI / gamma) * m**3 * _z10_integral(dist.f_eq, lam, gm, upper)
     h_gam = -h_val / gamma - (FOUR_PI / gamma) * m**4 * _z10_integral(
-        dist.f_eq, lam, gamma, m, cosh_weight=1
+        dist.f_eq, lam, gm, upper, cosh_weight=1
     )
     return h_val, h_lam, h_gam
 

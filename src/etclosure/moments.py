@@ -301,28 +301,32 @@ def kinetic_moment(state: ThermoState, rank: int, _cache: Optional[dict] = None)
     the invariant measure reduces to m^2 sinh^2 x dx dOmega, so a component
     with a time legs and spatial counts (b1, b2, b3) is
 
-        m^(2+a+b) * integral f_eq(lambda, gamma m cosh x) cosh^a x
-                    sinh^(b+2) x dx * [sphere moment of w^b].
+        m^(2+a+b) * integral_0^R f_eq(lambda, gamma m cosh x) cosh^a x
+                    sinh^(b+2) x dx * [sphere moment of w^b],
+
+    with R = ``dist.window(lambda, gamma m)``, past which f_eq reads exactly
+    0.0 (see :meth:`~etclosure.equilibrium.JuttnerFamily.window`).
     """
     dist = state.dist
     cache = _cache if _cache is not None else {}
-    gm = state.gamma * state.m
+    lam, gm = state.lam, state.gamma * state.m
+    f_eq, upper = dist.f_eq, dist.window(lam, gm)
+    cosh, sinh = math.cosh, math.sinh
 
     def radial(a: int, b: int) -> float:
         key = (a, b)
         if key not in cache:
             def integrand(x: float) -> float:
                 try:
-                    c = math.cosh(x)
-                    s = math.sinh(x)
+                    c = cosh(x)
                 except OverflowError:
                     return 0.0
-                f = dist.f_eq(state.lam, gm * c)
+                f = f_eq(lam, gm * c)
                 if f == 0.0:
                     # decay has underflowed; avoid 0 * inf from the sinh powers
                     return 0.0
                 try:
-                    return f * c**a * s ** (b + 2)
+                    return f * c**a * sinh(x) ** (b + 2)
                 except OverflowError:
                     # the powers overflow before f has decayed to 0
                     raise ConvergenceError(
@@ -330,7 +334,7 @@ def kinetic_moment(state: ThermoState, rank: int, _cache: Optional[dict] = None)
                         f"distribution decays (f = {f:.3e})"
                     ) from None
 
-            val, err = quad(integrand, 0.0, np.inf, epsabs=1e-300, epsrel=1e-13, limit=400)
+            val, err = quad(integrand, 0.0, upper, epsabs=1e-300, epsrel=1e-13, limit=400)
             if not math.isfinite(val) or err > 1e-8 * max(abs(val), 1e-300):
                 raise ConvergenceError(
                     f"moment quadrature error {err:.3e} too large for value {val:.6e}"

@@ -102,12 +102,22 @@ class VerifyConfig:
 
 @dataclass
 class SuiteResult:
+    """Outcome of one suite.
+
+    `route` says how the suite decides: "exact" (canonical forms compared for
+    equality, tolerance 0), "fd" (against finite differences) or
+    "quadrature"; `tolerance` is the bound its residuals were held to, after
+    any ``--tol`` override.
+    """
+
     name: str
     cases: int = 0
     failures: int = 0
     max_residual: float = 0.0
     seed: int = 0
     failed_cases: List[dict] = field(default_factory=list)
+    tolerance: float = 0.0
+    route: str = "exact"
 
     @property
     def passed(self) -> bool:
@@ -129,6 +139,8 @@ class SuiteResult:
             "max_residual": self.max_residual,
             "seed": self.seed,
             "failed_cases": self.failed_cases,
+            "tolerance": self.tolerance,
+            "route": self.route,
         }
 
 
@@ -399,9 +411,9 @@ def suite_roundtrip(cfg: VerifyConfig) -> SuiteResult:
 
 def suite_derivative(cfg: VerifyConfig) -> SuiteResult:
     """Coefficient-space mu derivative matches finite differences of realize."""
-    res = SuiteResult("derivative", seed=cfg.seed)
-    rng = random.Random(cfg.seed)
     tol = cfg.tolerance(1e-6)
+    res = SuiteResult("derivative", seed=cfg.seed, tolerance=tol, route="fd")
+    rng = random.Random(cfg.seed)
     spec = cfg.spec()
     orders = [hk for hk in _orders_up_to_rank(spec, 7) if hk != (0, 0)]
     elems = [(hk, build_closure_tensor(spec, *hk)) for hk in orders]
@@ -428,9 +440,9 @@ def suite_symmetry(cfg: VerifyConfig) -> SuiteResult:
     whose broken trace identity is visible at zeroth order in the deviations
     (a corrupted top-order coefficient only shows at the truncation order).
     """
-    res = SuiteResult("symmetry", seed=cfg.seed)
-    rng = random.Random(cfg.seed)
     tol = cfg.tolerance(1e-6)
+    res = SuiteResult("symmetry", seed=cfg.seed, tolerance=tol, route="fd")
+    rng = random.Random(cfg.seed)
     spec = cfg.spec()
     tensors = ClosureTensorSet.build(spec)
     if cfg.mutate:
@@ -455,8 +467,8 @@ def suite_symmetry(cfg: VerifyConfig) -> SuiteResult:
 
 def suite_equilibrium(cfg: VerifyConfig) -> SuiteResult:
     """Quadrature H vs the Bessel oracle; Gibbs and integrability residuals."""
-    res = SuiteResult("equilibrium", seed=cfg.seed)
     tol = cfg.tolerance(1e-8)
+    res = SuiteResult("equilibrium", seed=cfg.seed, tolerance=tol, route="quadrature")
     lam = 1.0
     for z in (0.1, 1.0, 10.0):
         dist = JuttnerFamily("nondegenerate")
@@ -473,9 +485,9 @@ def suite_equilibrium(cfg: VerifyConfig) -> SuiteResult:
 
 def suite_kinetic(cfg: VerifyConfig) -> SuiteResult:
     """Mass-shell trace chain of the kinetic equilibrium moments."""
-    res = SuiteResult("kinetic", seed=cfg.seed)
-    rng = random.Random(cfg.seed)
     tol = cfg.tolerance(1e-8)
+    res = SuiteResult("kinetic", seed=cfg.seed, tolerance=tol, route="quadrature")
+    rng = random.Random(cfg.seed)
     pairs = [(0, 1)]
     if (cfg.M, cfg.N) != (0, 1):
         pairs.append((cfg.M, cfg.N))

@@ -278,6 +278,45 @@ def test_config_key_of_another_subcommand_is_skipped(tmp_path, capsys):
     assert json.loads(out)["M"] == 4
 
 
+def suites_run(out):
+    return [r["suite"] for r in json.loads(out)["results"]]
+
+
+def test_config_suite_is_a_list_split_on_commas(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite = equilibrium, kinetic\n")
+    code, out = run(capsys, "--config", str(cfg), "verify")
+    assert code == 0
+    assert suites_run(out) == ["equilibrium", "kinetic"]
+
+
+def test_suite_flags_replace_the_config_list(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite = equilibrium\n")
+    code, out = run(capsys, "--config", str(cfg), "verify", "--suite", "kinetic",
+                    "--suite", "roundtrip")
+    assert code == 0
+    assert suites_run(out) == ["kinetic", "roundtrip"]
+
+
+def test_verify_json_states_each_suites_tolerance_and_route(capsys):
+    suites = "roundtrip,symmetry,equilibrium,kinetic"
+    want = {"roundtrip": (0.0, "exact"), "symmetry": (1e-6, "fd"),
+            "equilibrium": (1e-8, "quadrature"), "kinetic": (1e-8, "quadrature")}
+    code, out = run(capsys, "verify", "--suite", suites)
+    assert code == 0
+    got = {r["suite"]: (float(r["tolerance"]), r["route"]) for r in json.loads(out)["results"]}
+    assert got == want
+    code, out = run(capsys, "verify", "--suite", suites, "--tol", "1e-5")
+    assert code == 0
+    got = {r["suite"]: float(r["tolerance"]) for r in json.loads(out)["results"]}
+    assert got == {"roundtrip": 0.0, "symmetry": 1e-5, "equilibrium": 1e-5, "kinetic": 1e-5}
+    # CSV rows keep their columns
+    code, out = run(capsys, "verify", "--suite", "roundtrip", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == "suite,cases,failures,max_residual,seed"
+
+
 ORDERS = ("--M", "--N", "--hmax", "--kmax")
 STATE = ("--lambda", "--gamma", "--mu0", "--mu1", "--mu2", "--mu3", "--m", "--stats")
 REMOVED = ([("closure", flag) for flag in STATE + ("--tol", "--seed")]

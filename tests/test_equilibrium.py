@@ -41,6 +41,8 @@ def test_thermostate_validation():
         ThermoState(1.0, REST, -1.0)
     with pytest.raises(ValueError):
         ThermoState(1.0, REST, 1.0, statistics="maxwellian")
+    with pytest.raises(ValueError):
+        ThermoState(1.0, REST, 1.0, k_B=0.0)
     st = ThermoState(0.5, BOOSTED, 2.0)
     assert st.gamma == pytest.approx(math.sqrt(-BOOSTED.norm_sq()))
 
@@ -261,3 +263,129 @@ def test_extreme_gamma_quadrature_is_finite():
     # complete underflow degenerates the state functions explicitly
     with pytest.raises(EntropyUndefinedError):
         thermo_functions(ThermoState(1.0, FourVector([800.0, 0, 0, 0]), 1.0))
+
+
+# ---------------------------------------------------------------------------
+# degenerate statistics against Bessel-K series
+#
+# f_eq = a e^(-z) / (1 + sigma e^(-z)) with z = (lambda + gamma m cosh r)/k_B
+# expands as a sum_j c_j e^(-j z), c_j = (-sigma)^(j-1): sigma = 1 gives the
+# alternating fermion series, sigma = -1 the plain boson series, sigma = 0
+# the single nondegenerate term.  Each term integrates through
+# integral_0^inf e^(-w cosh r) cosh(n r) dr = K_n(w) at w = j gamma m / k_B.
+
+SIGMA = {"nondegenerate": 0, "fermion": 1, "boson": -1}
+SERIES_STATES = [(lam, gamma, 1.0, 1.0) for lam in (0.2, 2.0) for gamma in (0.1, 30.0)]
+SERIES_STATES.append((0.2, 0.1, 0.5, 2.0))  # (lambda, gamma, m, k_B)
+
+
+def k_series(stats, lam, gamma, m, k_B, term):
+    """sum_j c_j e^(-j lambda/k_B) term(j, w_j), summed until the terms stop mattering."""
+    sigma = SIGMA[stats]
+    total = 0.0
+    for j in range(1, 5000):
+        t = (-sigma) ** (j - 1) * math.exp(-j * lam / k_B) * term(j, j * gamma * m / k_B)
+        total += t
+        if sigma == 0 or abs(t) <= 1e-18 * abs(total):
+            return total
+    raise AssertionError("Bessel series did not converge")
+
+
+def cosh_power_integral(n, w):
+    """integral_0^inf e^(-w cosh r) cosh^n r dr from cosh^n r = 2^-n sum_i C(n,i) cosh((n-2i) r)."""
+    return sum(math.comb(n, i) * scipy.special.kv(abs(n - 2 * i), w) for i in range(n + 1)) / 2**n
+
+
+def radial_integral(a, b, w):
+    """integral_0^inf e^(-w cosh r) cosh^a r sinh^(b+2) r dr for even b, via sinh^2 = cosh^2 - 1."""
+    half = (b + 2) // 2
+    return sum(math.comb(half, i) * (-1) ** (half - i) * cosh_power_integral(a + 2 * i, w)
+               for i in range(half + 1))
+
+
+def sphere_moment(counts):
+    """integral over the unit sphere of w1^b1 w2^b2 w3^b3, by the Gamma-function form."""
+    if any(b % 2 for b in counts):
+        return 0.0
+    num = math.prod(math.gamma((b + 1) / 2) for b in counts)
+    return 2.0 * num / math.gamma((sum(counts) + 3) / 2)
+
+
+def rel(got, want):
+    return abs(got - want) / abs(want)
+
+
+@pytest.mark.parametrize("stats", STATISTICS)
+@pytest.mark.parametrize("lam,gamma,m,k_B", SERIES_STATES)
+def test_state_functions_match_bessel_series(stats, lam, gamma, m, k_B):
+    # multiplier-side convention: n = gamma dH/dlambda < 0, p = H, e = -H - gamma dH/dgamma
+    fn = thermo_functions(ThermoState.rest(lam, gamma, m, statistics=stats, k_B=k_B))
+    four_pi = 4.0 * math.pi
+    n = -four_pi * m**3 * k_series(stats, lam, gamma, m, k_B,
+                                   lambda j, w: scipy.special.kv(1, w) / w)
+    p = four_pi * m**3 * k_B / gamma * k_series(stats, lam, gamma, m, k_B,
+                                                lambda j, w: scipy.special.kv(1, w) / (j * w))
+    e = four_pi * m**4 * k_series(stats, lam, gamma, m, k_B,
+                                  lambda j, w: scipy.special.kv(2, w) / w)
+    assert rel(fn.n, n) <= 1e-10
+    assert rel(fn.p, p) <= 1e-10
+    assert rel(fn.e, e) <= 1e-10
+
+
+@pytest.mark.parametrize("stats", STATISTICS)
+@pytest.mark.parametrize("lam,gamma,m,k_B", SERIES_STATES)
+def test_rank4_kinetic_moment_matches_bessel_series(stats, lam, gamma, m, k_B):
+    from etclosure.moments import kinetic_moment
+
+    state = ThermoState.rest(lam, gamma, m, statistics=stats, k_B=k_B)
+    got = kinetic_moment(state, 4)
+    for idx in ((0, 0, 0, 0), (0, 0, 1, 1), (1, 1, 2, 2), (3, 3, 3, 3), (0, 1, 1, 1)):
+        a = idx.count(0)
+        counts = [idx.count(i) for i in (1, 2, 3)]
+        ang = sphere_moment(counts)
+        if ang == 0.0:
+            assert got.get(idx) == 0.0
+            continue
+        b = sum(counts)
+        want = m ** (2 + a + b) * ang * k_series(
+            stats, lam, gamma, m, k_B, lambda j, w: radial_integral(a, b, w))
+        assert rel(got.get(idx), want) <= 1e-10, idx
+
+
+@pytest.mark.parametrize("stats", STATISTICS)
+def test_windowed_H_derivatives_match_the_half_line(stats):
+    # H_from_distribution integrates any callable over [0, inf); H_derivatives
+    # stops at the family's window, which drops only exact zeros
+    for lam, gamma, m, k_B in SERIES_STATES + [(-3.0, 4.0, 1.0, 1.0), (1.0, 400.0, 1.0, 1.0)]:
+        dist = JuttnerFamily(stats, k_B=k_B)
+        h_val, h_lam, h_gam = H_derivatives(dist, lam, gamma, m)
+        want_val = H_from_distribution(dist.F, lam, gamma, m)
+        want_lam = H_from_distribution(dist.f_eq, lam, gamma, m)
+        # dF/dY = f_eq, and Y = gamma m cosh r, so the cosh-weighted term is f_eq(X, Y) Y / gamma
+        want_gam = -want_val / gamma + H_from_distribution(
+            lambda x, y: dist.f_eq(x, y) * y / gamma, lam, gamma, m)
+        assert rel(h_val, want_val) <= 1e-13
+        assert rel(h_lam, want_lam) <= 1e-13
+        assert rel(h_gam, want_gam) <= 1e-13
+
+
+@pytest.mark.parametrize("stats", STATISTICS)
+def test_occupancy_is_exactly_zero_past_the_window(stats):
+    for lam, gm, k_B in ((0.2, 0.1, 1.0), (2.0, 30.0, 1.0), (-3.0, 4.0, 1.0), (0.2, 0.05, 2.0)):
+        dist = JuttnerFamily(stats, k_B=k_B)
+        R = dist.window(lam, gm)
+        assert 0.0 < R < math.inf
+        for x in (R, math.nextafter(R, math.inf), R * (1 + 1e-9), R + 1.0, 2.0 * R):
+            assert dist.f_eq(lam, gm * math.cosh(x)) == 0.0
+            assert dist.F(lam, gm * math.cosh(x)) == 0.0
+        # the window is tight: one percent inside it the occupancy is still nonzero
+        inside = math.acosh(0.99 * math.cosh(R))
+        assert dist.f_eq(lam, gm * math.cosh(inside)) > 0.0
+    dist = JuttnerFamily(stats)
+    # the whole range underflows: an empty window (equilibrium --gamma 800)
+    assert dist.window(1.0, 800.0) == 0.0
+    assert dist.f_eq(1.0, 800.0) == 0.0
+    # a ratio that is not finite never reads as an empty window
+    assert dist.window(float("nan"), 1.0) == math.inf
+    with pytest.raises(ValueError):
+        JuttnerFamily(stats, k_B=0.0)
