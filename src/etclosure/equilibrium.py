@@ -12,6 +12,10 @@ distribution-family antiderivative F through a one-dimensional quadrature
 integrability condition hold identically, so their finite-difference
 residuals measure only numerical error.
 
+Every radial integral, here and in the kinetic moments, runs over one kernel
+(:func:`radial_integrand`) under one acceptance rule (:func:`converged`); the
+nondegenerate closed form that checks them takes K_1 from ``scipy.special``.
+
 Sign convention: H here multiplies the multiplier covector mu_alpha directly,
 so for the nondegenerate family H = p > 0 while n = gamma dH/dlambda < 0
 (the generating F is negative and decreasing in lambda). The kinetic-side
@@ -26,8 +30,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Tuple
 
-import numpy as np
 from scipy.integrate import quad
+from scipy.special import k1e
 
 from .scalar import double_factorial
 from .tensors import (
@@ -205,8 +209,11 @@ class JuttnerFamily:
         cosh R = (746 k_B - lam)/(gm): there (lam + gm cosh r)/k_B >= 746 and
         exp of its negative underflows to 0.0 in double precision.  R is 0
         when the whole range underflows, and infinite when the ratio is not
-        finite (a NaN lam included), so no range is ever dropped by mistake.
+        finite (a NaN lam or gm included), so no range is ever dropped by
+        mistake.  gm = gamma m must be positive.
         """
+        if gm <= 0:
+            raise ValueError(f"gamma m must be positive, got {gm}")
         ratio = (_UNDERFLOW_EXPONENT * self.k_B - lam) / gm
         if not math.isfinite(ratio):
             return math.inf
@@ -234,10 +241,7 @@ class ThermoState:
     def __post_init__(self):
         if self.m <= 0:
             raise ValueError("mass must be positive")
-        if self.statistics not in STATISTICS:
-            raise ValueError(f"unknown statistics {self.statistics!r}")
-        if not self.k_B > 0:
-            raise ValueError(f"k_B must be positive, got {self.k_B}")
+        self.dist  # the family checks statistics and k_B
         if not self.mu.is_timelike_future():
             raise ValueError("mu must be timelike and future-directed")
 
@@ -257,7 +261,7 @@ class ThermoState:
         g = self.gamma
         return FourVector(tuple(float(c) / g for c in self.mu.raised().components), "upper")
 
-    @property
+    @cached_property
     def dist(self) -> JuttnerFamily:
         return JuttnerFamily(self.statistics, self.k_B, self.h_planck, self.w)
 
@@ -266,36 +270,56 @@ class ThermoState:
 # the potential H and its derivatives
 
 
-def _z10_integral(fn: Callable[[float, float], float], lam, gm, upper, cosh_weight=0):
-    """integral_0^upper fn(lambda, gm cosh r) cosh^w r sinh^2 r dr.
+# the quad options of every radial integral; :func:`converged` is their acceptance rule
+QUAD_OPTIONS = {"epsabs": 1e-300, "epsrel": 1e-13, "limit": 400}
 
-    `upper` is either infinite or the family's :meth:`JuttnerFamily.window`,
-    past which fn reads exactly 0.0.  fn is called once per point and sinh
-    only where fn is nonzero.
+
+def radial_integrand(fn: Callable[[float, float], float], lam, gm, a: int, b: int):
+    """x -> fn(lam, gm cosh x) cosh^a x sinh^(b+2) x, the one radial kernel.
+
+    H and its derivatives take (a, b) = (0, 0) and (1, 0), a kinetic moment
+    its own (a, b).  It reads 0.0 where cosh overflows and where fn has
+    underflowed (without evaluating sinh, so no 0 * inf), and raises
+    :class:`ConvergenceError` where the powers overflow while fn is nonzero.
     """
     cosh, sinh = math.cosh, math.sinh
+    # float exponents: the same powers, without an int-to-float conversion per point
+    a, power = float(a), float(b + 2)
 
-    def integrand(rho: float) -> float:
+    def integrand(x: float) -> float:
         try:
-            c = cosh(rho)
+            c = cosh(x)
         except OverflowError:
             return 0.0
         f = fn(lam, gm * c)
         if f == 0.0:
-            # decay has underflowed; avoid 0 * inf from the sinh factor
             return 0.0
-        s = sinh(rho)
-        val = f * s * s
-        if cosh_weight:
-            val *= c**cosh_weight
-        return val
+        try:
+            return f * c**a * sinh(x) ** power
+        except OverflowError:
+            raise ConvergenceError(
+                f"radial integrand overflows at x = {x:.6g} before the "
+                f"distribution decays (f = {f:.3e})"
+            ) from None
 
-    val, err = quad(integrand, 0.0, upper, epsabs=1e-300, epsrel=1e-13, limit=400)
+    return integrand
+
+
+def converged(val: float, err: float) -> float:
+    """``val`` of a ``quad`` result (val, err), if its error estimate is acceptable."""
     if not math.isfinite(val) or err > 1e-8 * max(abs(val), 1e-300):
         raise ConvergenceError(
             f"quadrature error estimate {err:.3e} too large for value {val:.6e}"
         )
     return val
+
+
+def _radial_integral(fn, lam, gm, upper, a: int = 0) -> float:
+    """integral_0^upper fn(lam, gm cosh r) cosh^a r sinh^2 r dr.
+
+    `upper` is infinite or the family's :meth:`JuttnerFamily.window`.
+    """
+    return converged(*quad(radial_integrand(fn, lam, gm, a, 0), 0.0, upper, **QUAD_OPTIONS))
 
 
 def H_from_distribution(F: Callable[[float, float], float], lam, gamma, m) -> float:
@@ -306,7 +330,7 @@ def H_from_distribution(F: Callable[[float, float], float], lam, gamma, m) -> fl
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    return -(FOUR_PI / gamma) * m**3 * _z10_integral(F, lam, gamma * m, np.inf)
+    return -(FOUR_PI / gamma) * m**3 * _radial_integral(F, lam, gamma * m, math.inf)
 
 
 def H_derivatives(dist: JuttnerFamily, lam, gamma, m) -> Tuple[float, float, float]:
@@ -321,10 +345,10 @@ def H_derivatives(dist: JuttnerFamily, lam, gamma, m) -> Tuple[float, float, flo
         raise ValueError("gamma must be positive")
     gm = gamma * m
     upper = dist.window(lam, gm)
-    h_val = -(FOUR_PI / gamma) * m**3 * _z10_integral(dist.F, lam, gm, upper)
-    h_lam = -(FOUR_PI / gamma) * m**3 * _z10_integral(dist.f_eq, lam, gm, upper)
-    h_gam = -h_val / gamma - (FOUR_PI / gamma) * m**4 * _z10_integral(
-        dist.f_eq, lam, gm, upper, cosh_weight=1
+    h_val = -(FOUR_PI / gamma) * m**3 * _radial_integral(dist.F, lam, gm, upper)
+    h_lam = -(FOUR_PI / gamma) * m**3 * _radial_integral(dist.f_eq, lam, gm, upper)
+    h_gam = -h_val / gamma - (FOUR_PI / gamma) * m**4 * _radial_integral(
+        dist.f_eq, lam, gm, upper, a=1
     )
     return h_val, h_lam, h_gam
 
@@ -395,13 +419,7 @@ def _fd(values, h: float) -> float:
     return total / (12.0 * h)
 
 
-def _steps(state: ThermoState, rel: float) -> Tuple[float, float]:
-    h_lam = rel * state.k_B
-    h_gam = rel / (state.m / state.k_B + 3.0 / state.gamma)
-    return h_lam, h_gam
-
-
-def _stencil_functions(state: ThermoState, rel_step: float):
+def _stencil_functions(state: ThermoState):
     """State functions at the centre and at each _STENCIL offset of both directions.
 
     Returns (centre, (points along lambda, h_lambda), (points along gamma,
@@ -412,21 +430,22 @@ def _stencil_functions(state: ThermoState, rel_step: float):
     def funcs(lam, gamma):
         return state_functions(*H_derivatives(dist, lam, gamma, m), lam, gamma)
 
-    h_lam, h_gam = _steps(state, rel_step)
+    h_lam = _REL_STEP * state.k_B
+    h_gam = _REL_STEP / (state.m / state.k_B + 3.0 / state.gamma)
     centre = funcs(state.lam, state.gamma)
     along_lam = [funcs(state.lam + off * h_lam, state.gamma) for off, _ in _STENCIL]
     along_gam = [funcs(state.lam, state.gamma + off * h_gam) for off, _ in _STENCIL]
     return centre, (along_lam, h_lam), (along_gam, h_gam)
 
 
-def gibbs_residual(state: ThermoState, rel_step: float = _REL_STEP) -> float:
+def gibbs_residual(state: ThermoState) -> float:
     """Normalized residual of T ds - d(e/n) - p d(1/n) along both directions.
 
     Derivatives with respect to lambda and gamma come from five-point central
     differences of the quadrature state functions; the relation is an exact
     identity, so the residual is a numerical-error meter.
     """
-    return _gibbs(*_stencil_functions(state, rel_step))
+    return _gibbs(*_stencil_functions(state))
 
 
 def _gibbs(centre: EquilibriumFunctions, *directions) -> float:
@@ -442,14 +461,14 @@ def _gibbs(centre: EquilibriumFunctions, *directions) -> float:
     return worst
 
 
-def integrability_residual(state: ThermoState, rel_step: float = _REL_STEP) -> float:
+def integrability_residual(state: ThermoState) -> float:
     """Normalized residual of (e+p) n_p - gamma n_gamma|_p = n e_p.
 
     The pressure derivatives use the change of variables (lambda, gamma) ->
     (gamma, p) with p = H: n_p = n_lambda / H_lambda and
     n_gamma|_p = n_gamma|_lambda - n_lambda H_gamma / H_lambda.
     """
-    return _integrability(state.gamma, *_stencil_functions(state, rel_step))
+    return _integrability(state.gamma, *_stencil_functions(state))
 
 
 def _integrability(gamma: float, c: EquilibriumFunctions, lam_direction, gam_direction) -> float:
@@ -472,7 +491,7 @@ def thermo_with_residuals(state: ThermoState) -> Tuple[EquilibriumFunctions, flo
     The state functions are those of the stencil's centre point, so each of
     the nine points is evaluated once.
     """
-    stencil = _stencil_functions(state, _REL_STEP)
+    stencil = _stencil_functions(state)
     return stencil[0], _gibbs(*stencil), _integrability(state.gamma, *stencil)
 
 
@@ -498,36 +517,17 @@ def equilibrium_hprime(state: ThermoState):
 # ---------------------------------------------------------------------------
 # nondegenerate closed form and its independent oracle
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(40)
-
-
-def bessel_k1_quadrature(z: float) -> float:
-    """K_1(z) = integral_0^inf exp(-z cosh t) cosh t dt by composite Gauss-Legendre.
-
-    Panels of width 1/2 up to t = 14 leave a tail below 1e-300 for z >= 0.05.
-    """
-    if z <= 0.05:
-        raise ValueError("quadrature window tuned for z > 0.05")
-    total = 0.0
-    width = 0.5
-    for i in range(28):
-        a = i * width
-        mid = a + 0.5 * width
-        half = 0.5 * width
-        t_vals = mid + half * _GL_NODES
-        total += half * float(
-            np.sum(_GL_WEIGHTS * np.exp(-z * np.cosh(t_vals)) * np.cosh(t_vals))
-        )
-    return total
-
 
 def mj_closed_form_H(lam, gamma, m, k_B=1.0, h_planck=1.0, w=1.0) -> float:
     """Nondegenerate H via the Bessel identity.
 
     integral exp(-z cosh r) sinh^2 r dr = K_1(z)/z at z = gamma m / k_B turns
     the quadrature of (the nondegenerate) F into
-    H = (4 pi / gamma) m^3 k_B (w/h^3) exp(-lambda/k_B) K_1(z)/z.
+    H = (4 pi / gamma) m^3 k_B (w/h^3) exp(-lambda/k_B) K_1(z)/z.  K_1 comes
+    from scipy's exponentially scaled k1e(z) = exp(z) K_1(z), an independent
+    route from the quadrature it checks.
     """
     z = gamma * m / k_B
     amp = w / h_planck**3
-    return (FOUR_PI / gamma) * m**3 * k_B * amp * math.exp(-lam / k_B) * bessel_k1_quadrature(z) / z
+    k1 = math.exp(-(lam / k_B + z)) * float(k1e(z))
+    return (FOUR_PI / gamma) * m**3 * k_B * amp * k1 / z

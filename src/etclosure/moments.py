@@ -18,7 +18,8 @@ Two numeric checks live here:
 
 * :func:`equilibrium_moments_with_traces` computes the kinetic moments of the
   equilibrium distribution by one-dimensional quadrature in the local rest
-  frame, boosts them, and reports the mass-shell trace residuals.  The
+  frame (over the radial kernel and acceptance rule of the equilibrium
+  module), boosts them, and reports the mass-shell trace residuals.  The
   kinetic integrals use the positive occupancy f_eq(lambda, gamma E), so the
   densities extracted here are positive; they are not the multiplier-side
   n = gamma dH/dlambda of the equilibrium module, which carries the opposite
@@ -38,13 +39,15 @@ from scipy.integrate import quad
 
 from .closure import ClosureSpec, ClosureTensorSet, build_closure_tensor, iter_orders
 from .equilibrium import (
-    ConvergenceError,
+    QUAD_OPTIONS,
     ThermoState,
+    converged,
     equilibrium_hprime,
     equilibrium_multipliers,
     lambda_multiplier,
     mu_multiplier,
     project_equilibrium,
+    radial_integrand,
 )
 from .family import realize
 from .scalar import double_factorial
@@ -310,35 +313,13 @@ def kinetic_moment(state: ThermoState, rank: int, _cache: Optional[dict] = None)
     dist = state.dist
     cache = _cache if _cache is not None else {}
     lam, gm = state.lam, state.gamma * state.m
-    f_eq, upper = dist.f_eq, dist.window(lam, gm)
-    cosh, sinh = math.cosh, math.sinh
+    upper = dist.window(lam, gm)
 
     def radial(a: int, b: int) -> float:
         key = (a, b)
         if key not in cache:
-            def integrand(x: float) -> float:
-                try:
-                    c = cosh(x)
-                except OverflowError:
-                    return 0.0
-                f = f_eq(lam, gm * c)
-                if f == 0.0:
-                    # decay has underflowed; avoid 0 * inf from the sinh powers
-                    return 0.0
-                try:
-                    return f * c**a * sinh(x) ** (b + 2)
-                except OverflowError:
-                    # the powers overflow before f has decayed to 0
-                    raise ConvergenceError(
-                        f"moment integrand overflows at x = {x:.6g} before the "
-                        f"distribution decays (f = {f:.3e})"
-                    ) from None
-
-            val, err = quad(integrand, 0.0, upper, epsabs=1e-300, epsrel=1e-13, limit=400)
-            if not math.isfinite(val) or err > 1e-8 * max(abs(val), 1e-300):
-                raise ConvergenceError(
-                    f"moment quadrature error {err:.3e} too large for value {val:.6e}"
-                )
+            integrand = radial_integrand(dist.f_eq, lam, gm, a, b)
+            val = converged(*quad(integrand, 0.0, upper, **QUAD_OPTIONS))
             cache[key] = state.m ** (2 + a + b) * val
         return cache[key]
 

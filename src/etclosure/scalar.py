@@ -223,17 +223,6 @@ class ScalarExpr:
             (c * f, g + gamma_pow, mp + msq_pow, s) for c, g, mp, s in self._terms
         )
 
-    def __mul__(self, other: "ScalarExpr") -> "ScalarExpr":
-        if not isinstance(other, ScalarExpr):
-            return NotImplemented
-        out = []
-        for c1, g1, m1, s1 in self._terms:
-            for c2, g2, m2, s2 in other._terms:
-                if s1 is not None and s2 is not None:
-                    raise ValueError("product of two function symbols is not representable")
-                out.append((c1 * c2, g1 + g2, m1 + m2, s1 if s1 is not None else s2))
-        return ScalarExpr(out)
-
     # -- calculus -----------------------------------------------------
 
     def diff_gamma(self) -> "ScalarExpr":
@@ -356,9 +345,6 @@ class FunctionRegistry:
         except KeyError:
             raise MissingFunctionError(f"no registry entry for c_{q}") from None
         return fn.derivative_value(order, lam)
-
-    def indices(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._functions))
 
     @classmethod
     def polynomials(cls, seed: int, count: int = 8, degree: int = 6) -> "FunctionRegistry":

@@ -193,14 +193,19 @@ def test_overflow_at_a_state_is_a_numerical_failure(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_kinetic_integrand_overflow_is_a_convergence_error():
-    # with f = nan the integrand never reads 0, so cosh(x)**a overflows first
-    from etclosure.equilibrium import ConvergenceError, ThermoState
+@pytest.mark.parametrize("route", ["kinetic_moment", "H_derivatives"])
+def test_kinetic_integrand_overflow_is_a_convergence_error(route):
+    # with f = nan the integrand never reads 0, so its powers of cosh and sinh overflow first
+    from etclosure.equilibrium import ConvergenceError, H_derivatives, ThermoState
     from etclosure.moments import kinetic_moment
     from etclosure.tensors import FourVector
 
+    state = ThermoState(float("nan"), FourVector((1.0, 0.0, 0.0, 0.0)), 1.0)
     with pytest.raises(ConvergenceError, match="overflows"):
-        kinetic_moment(ThermoState(float("nan"), FourVector((1.0, 0.0, 0.0, 0.0)), 1.0), 2)
+        if route == "kinetic_moment":
+            kinetic_moment(state, 2)
+        else:
+            H_derivatives(state.dist, state.lam, state.gamma, state.m)
 
 
 def test_moments_equilibrium_delta_is_zero(capsys):
