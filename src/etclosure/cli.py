@@ -172,12 +172,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _orders(p_verify)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tol", type=float, default=None,
-                          help="tolerance of the derivative, symmetry, equilibrium "
-                          "and kinetic suites")
+                          help="tolerance of the equilibrium and kinetic suites, finite "
+                          "and >= 0; the other seven check exact equality")
     p_verify.add_argument("--suite", action=_ReplacingAppend, default=None,
                           help=f"suite name (repeatable); one of: {', '.join(SUITES)}")
     p_verify.add_argument("--mutate", type=int, default=0,
-                          help="corrupt K coefficients first (negative control)")
+                          help="corrupt K >= 0 coefficients first (negative control)")
     p_verify.add_argument("--artifacts", default=None, metavar="DIR",
                           help="write each failing suite's failed cases to "
                           "DIR/etclosure-<suite>-seed<seed>.json for replay")

@@ -61,6 +61,8 @@ class ClosureSpec:
             raise ValueError(f"N must be odd and positive, got {self.N}")
         if (self.M + self.N) % 2 != 1:
             raise ValueError("M + N must be odd")
+        if self.h_max < 0 or self.k_max < 0:
+            raise ValueError(f"h_max and k_max must be non-negative, got {self.h_max}, {self.k_max}")
 
     def rank(self, h: int, k: int) -> int:
         return self.M * h + self.N * k + 1

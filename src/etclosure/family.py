@@ -115,13 +115,6 @@ class FFamilyElement:
     def diff_lambda(self) -> "FFamilyElement":
         return FFamilyElement(self.rank, [c.diff_lambda() for c in self.coeffs])
 
-    def to_json_obj(self) -> dict:
-        return {"rank": self.rank, "phi": [c.to_json_obj() for c in self.coeffs]}
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "FFamilyElement":
-        return cls(int(obj["rank"]), [ScalarExpr.from_json_obj(p) for p in obj["phi"]])
-
 
 def check_characteristic(f: FFamilyElement) -> Tuple[bool, List[ScalarExpr]]:
     """Exact check of the descent relation; returns (ok, residual per s >= 1)."""

@@ -1,10 +1,11 @@
 """Brute-force reference implementations for property tests.
 
 Everything here recomputes results at the raw component level: literal
-permutation averages, explicit metric sums, central finite differences.  The
-point is independence, so this module deliberately reimplements arithmetic
-that exists elsewhere in coefficient space and shares no code with it beyond
-the container types.
+permutation averages, explicit metric sums, central finite differences, the
+chain rule.  The point is independence, so this module deliberately
+reimplements arithmetic that exists elsewhere in coefficient space and shares
+no code with it beyond the container types and ``gmu_basis`` (checked against
+:func:`brute_realize_basis`, which costs 4^rank terms).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from itertools import permutations, product
 from math import factorial
 from typing import Optional, Sequence, Tuple
 
-from .family import FFamilyElement, realize
-from .tensors import DenseSymTensor, FourVector, canonical_indices
+from .family import FFamilyElement, realize, timelike_gamma
+from .tensors import DenseSymTensor, FourVector, canonical_indices, gmu_basis
 
 # literal metric components, written out rather than imported
 _G = (
@@ -33,21 +34,16 @@ _G = (
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Cost guards and determinism knobs for brute-force comparisons."""
+    """Cost guards for brute-force comparisons."""
 
     max_rank: int = 6
     arithmetic: str = "rational"
-    fd_step: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_rank > 8:
             raise ValueError("max_rank above 8 is unaffordable (4^rank components)")
         if self.arithmetic not in ("rational", "float"):
             raise ValueError(f"unknown arithmetic mode {self.arithmetic!r}")
-
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
 
 
 def _guard(rank: int, config: Optional[OracleConfig]) -> None:
@@ -227,6 +223,32 @@ def fd_mu_derivative(
         p1, m1, p2, m2 = (float(shifted[beta][off].get(rest)) for off in (1, -1, 2, -2))
         vals[idx] = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * step)
     return DenseSymTensor(f.rank + 1, vals)
+
+
+def chain_mu_derivative(f: FFamilyElement, lam, mu: FourVector, m=1, registry=None) -> DenseSymTensor:
+    """d(realize(f))/d(mu_beta) by the chain rule, derivative slot first; exact at rational states.
+
+    realize(f) = sum_s phi_s(gamma) Y^n_s(mu) with gamma^2 = -mu.mu, so component [beta, i] is
+    sum_s phi_s'(gamma) (-mu^beta/gamma) Y^n_s[i]
+          + phi_s (n-2s) g^{beta beta} (count_beta(i)/n) Y^{n-1}_s[i minus one beta].
+    """
+    n, gamma, mu_up = f.rank, timelike_gamma(mu), mu.raised().components
+    terms = [(phi.diff_gamma().evaluate(lam, gamma, m, registry), gmu_basis(n, s, mu),
+              (n - 2 * s) * phi.evaluate(lam, gamma, m, registry),
+              gmu_basis(n - 1, s, mu) if n > 2 * s else None)
+             for s, phi in enumerate(f.coeffs) if not phi.is_zero()]
+    vals = {}
+    for idx in canonical_indices(n + 1):
+        # idx is sorted, so when beta recurs in the rest it leads it
+        beta, rest = idx[0], idx[1:]
+        count = rest.count(beta)
+        total = 0
+        for slope, basis, weight, lower in terms:
+            total = total + slope * (-mu_up[beta] / gamma) * basis.get(rest)
+            if count and lower is not None:
+                total = total + weight * _G[beta][beta] * Fraction(count, n) * lower.get(rest[1:])
+        vals[idx] = total
+    return DenseSymTensor(n + 1, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -274,33 +274,6 @@ class ScalarExpr:
             return 0 * gamma  # zero in the caller's numeric type
         return total
 
-    # -- serialization ------------------------------------------------
-
-    def to_json_obj(self) -> list:
-        return [
-            {
-                "coeff": f"{c.numerator}/{c.denominator}",
-                "gamma_pow": g,
-                "msq_pow": mp,
-                "sym": list(s) if s is not None else None,
-            }
-            for c, g, mp, s in self._terms
-        ]
-
-    @classmethod
-    def from_json_obj(cls, obj: Sequence[Mapping]) -> "ScalarExpr":
-        terms = []
-        for t in obj:
-            terms.append(
-                (
-                    Fraction(t["coeff"]),
-                    int(t["gamma_pow"]),
-                    int(t["msq_pow"]),
-                    tuple(t["sym"]) if t["sym"] is not None else None,
-                )
-            )
-        return cls(terms)
-
 
 class PolynomialFunction:
     """Exact polynomial of lambda with rational coefficients.

@@ -294,16 +294,6 @@ class DenseSymTensor:
             "components": [{"idx": list(idx), "value": enc(v)} for idx, v in self.items()],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "DenseSymTensor":
-        def dec(v):
-            if isinstance(v, str):
-                return Fraction(v)
-            return v
-
-        values = {tuple(c["idx"]): dec(c["value"]) for c in obj["components"]}
-        return cls(int(obj["rank"]), values)
-
 
 def symmetrize(raw: Mapping[Index, object], rank: Optional[int] = None) -> DenseSymTensor:
     """Weight-one (idempotent) symmetrization of raw components keyed by index tuples.

@@ -1,10 +1,10 @@
 """Verification suites: the package's claims, runnable as one harness.
 
 Each suite returns a :class:`SuiteResult` with case and failure counts, the
-worst residual seen, and replayable failure payloads.  Exact suites
-(characteristic, cross-route, compatibility, round-trips) compare canonical
-symbolic forms and record residual 0.0 or 1.0; numeric suites record the
-worst relative residual against their tolerance.
+worst residual seen, and replayable failure payloads.  Exact suites (all
+but equilibrium and kinetic) compare exact values or canonical forms and
+record residual 0.0 or 1.0; the two quadrature suites record the worst
+relative residual against their tolerance.
 
 The mutation harness corrupts coefficients of prebuilt closure tensors
 (scaling one phi_s by 11/10) before the suites that consume them run; a
@@ -50,25 +50,24 @@ from .family import (
     timelike_gamma,
     trace,
 )
-from .moments import (
-    MultiplierState,
-    equilibrium_moments_with_traces,
-    make_deviation,
-    symmetry_residual,
-)
+from .moments import equilibrium_moments_with_traces, make_deviation
 from .oracle import (
     brute_mu_contract,
     brute_realize_basis,
     brute_symmetrize,
     brute_trace,
-    fd_mu_derivative,
+    chain_mu_derivative,
     random_float_timelike,
     random_rational_timelike,
     random_sym_tensor,
 )
 from .scalar import FunctionRegistry, ScalarExpr, SingularRatioError
 from .tensors import (
+    DenseSymTensor,
+    arrangements,
+    canonical_indices,
     contract_mu,
+    contract_tail,
     gmu_basis,
     gmu_combination,
     symmetrize,
@@ -89,6 +88,13 @@ class VerifyConfig:
     tol: Optional[float] = None
     states: int = 3
 
+    def __post_init__(self):
+        ClosureSpec(self.M, self.N, h_max=self.h_max, k_max=self.k_max)
+        if self.mutate < 0:
+            raise ValueError(f"mutate must be non-negative, got {self.mutate}")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
+
     def reg(self) -> FunctionRegistry:
         return FunctionRegistry.polynomials(self.seed)
 
@@ -104,10 +110,11 @@ class VerifyConfig:
 class SuiteResult:
     """Outcome of one suite.
 
-    `route` says how the suite decides: "exact" (canonical forms compared for
-    equality, tolerance 0), "fd" (against finite differences) or
-    "quadrature"; `tolerance` is the bound its residuals were held to, after
-    any ``--tol`` override.
+    `route` says how the suite decides: "exact" (exact values or canonical
+    forms compared for equality, tolerance 0) or "quadrature"; `tolerance` is
+    the bound its residuals were held to, after any ``--tol`` override.
+    `blocks`, set by the symmetry suite alone, says which multiplier blocks it
+    "checked" and which it left "unchecked".
     """
 
     name: str
@@ -118,6 +125,7 @@ class SuiteResult:
     failed_cases: List[dict] = field(default_factory=list)
     tolerance: float = 0.0
     route: str = "exact"
+    blocks: Optional[Dict[str, str]] = None
 
     @property
     def passed(self) -> bool:
@@ -141,6 +149,7 @@ class SuiteResult:
             "failed_cases": self.failed_cases,
             "tolerance": self.tolerance,
             "route": self.route,
+            **({} if self.blocks is None else {"blocks": self.blocks}),
         }
 
 
@@ -149,25 +158,27 @@ def mutate_tensor_set(
     rng: random.Random,
     count: int = 1,
     orders: Optional[Sequence[tuple]] = None,
+    skip_pure_metric: bool = False,
 ) -> ClosureTensorSet:
-    """Copy of the set with one phi_s of `count` chosen tensors scaled by 11/10.
+    """Copy of the set with one nonzero phi_s of `count` chosen tensors scaled by 11/10.
 
     The input set is left untouched.  `orders` restricts the candidate (h, k)
-    keys; the symmetry negative control uses the first-order tensors, whose
-    corruption shows up at zeroth order in the deviations.
+    keys.  `skip_pure_metric` leaves out the pure-metric s = n/2 of an even rank, which
+    in a first-order tensor meets only the full trace of a deviation, and that is 0.
     """
+
+    def choices(el: FFamilyElement) -> List[int]:
+        return [s for s, phi in enumerate(el.coeffs)
+                if not phi.is_zero() and not (skip_pure_metric and 2 * s == el.rank)]
+
     pool = dict(tensors.tensors)
-    keys = sorted(
-        key
-        for key, el in pool.items()
-        if not el.is_zero() and (orders is None or key in orders)
-    )
+    keys = sorted(key for key, el in pool.items() if choices(el) and (orders is None or key in orders))
     if not keys:
         raise ValueError("nothing to mutate: no nonzero tensor among the candidates")
     for _ in range(count):
         key = keys[rng.randrange(len(keys))]
         el = pool[key]
-        s_choices = [s for s, phi in enumerate(el.coeffs) if not phi.is_zero()]
+        s_choices = choices(el)
         s = s_choices[rng.randrange(len(s_choices))]
         coeffs = list(el.coeffs)
         coeffs[s] = coeffs[s].scale(Fraction(11, 10))
@@ -410,58 +421,67 @@ def suite_roundtrip(cfg: VerifyConfig) -> SuiteResult:
 
 
 def suite_derivative(cfg: VerifyConfig) -> SuiteResult:
-    """Coefficient-space mu derivative matches finite differences of realize."""
-    tol = cfg.tolerance(1e-6)
-    res = SuiteResult("derivative", seed=cfg.seed, tolerance=tol, route="fd")
+    """Coefficient-space mu derivative equals the chain rule on realize, exactly.
+
+    Both sides are exact at rational states with rational gamma, and
+    :func:`~etclosure.oracle.chain_mu_derivative` avoids the coefficient recursion.
+    """
+    res = SuiteResult("derivative", seed=cfg.seed)
     rng = random.Random(cfg.seed)
     spec = cfg.spec()
     orders = [hk for hk in _orders_up_to_rank(spec, 7) if hk != (0, 0)]
     elems = [(hk, build_closure_tensor(spec, *hk)) for hk in orders]
     reg = cfg.reg()
     for case in range(cfg.states):
-        mu = random_float_timelike(rng)
-        lam = rng.uniform(-1.0, 1.0)
+        mu = random_rational_timelike(rng)
+        lam = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         for (h, k), elem in elems:
             exact = realize(mu_derivative(elem), lam, mu, 1, reg)
-            approx = fd_mu_derivative(elem, lam, mu, 1, reg, step=1e-4 * math.sqrt(float(mu.gamma_sq())))
-            scale = max(exact.max_abs(), approx.max_abs(), 1e-10)
-            rel = (exact - approx).max_abs() / scale
-            res.record(rel <= tol, rel, {"op": "fd_mu", "h": h, "k": k, "case": case})
+            ok = exact == chain_mu_derivative(elem, lam, mu, 1, reg)
+            res.record(ok, 0.0 if ok else 1.0, {"op": "chain_mu", "h": h, "k": k, "case": case})
     return res
 
 
 def suite_symmetry(cfg: VerifyConfig) -> SuiteResult:
-    """Moment symmetry of the Delta h' series under full-multiplier FD.
+    """Moment symmetry of the Delta h' series, exactly, by linearity at equilibrium.
 
-    Deviations are scaled to 1e-6: the truncated series agrees with the
-    exact potential only up to the first omitted order, so its FD asymmetry
-    grows as the square of the deviation size and would swamp the check at
-    O(1) deviations.  The negative control corrupts a first-order tensor,
-    whose broken trace identity is visible at zeroth order in the deviations
-    (a corrupted top-order coefficient only shows at the truncation order).
+    The deviation split is linear and every deviation is 0 at equilibrium, so
+    d(Delta h'^a)/d(full multiplier component e_i) is the one contraction of
+    the block's first-order tensor (C_{1,0} for lambda, C_{0,1} for mu),
+    realized at a rational state, with make_deviation(e_i).  Divided by the
+    arrangement count of i, every value of one sorted (a,)+i group must be
+    equal.  A block without its first-order tensor is reported unchecked.
     """
-    tol = cfg.tolerance(1e-6)
-    res = SuiteResult("symmetry", seed=cfg.seed, tolerance=tol, route="fd")
+    res = SuiteResult("symmetry", seed=cfg.seed, blocks={})
     rng = random.Random(cfg.seed)
     spec = cfg.spec()
-    tensors = ClosureTensorSet.build(spec)
+    spec.check_top_order()
+    checked = []  # (block, first-order key, unit deviations), built once per block
+    for block, key, rank, inside in (("lambda", (1, 0), spec.M, spec.M >= 2 and spec.h_max >= 1),
+                                     ("mu", (0, 1), spec.N, spec.N >= 3 and spec.k_max >= 1)):
+        res.blocks[block] = "checked" if inside else "unchecked"
+        if inside:
+            units = [(i, make_deviation(DenseSymTensor(rank, {i: 1}), rank, spec.m))
+                     for i in canonical_indices(rank)]
+            checked.append((block, key, units))
+    tensors = _build_set(spec, [key for _, key, _ in checked])
     if cfg.mutate:
-        first_order = [key for key in ((1, 0), (0, 1)) if key in tensors.tensors]
-        tensors = mutate_tensor_set(tensors, rng, cfg.mutate, orders=first_order)
-    devscale = 1e-6
+        tensors = mutate_tensor_set(tensors, rng, cfg.mutate, skip_pure_metric=True)
     for case in range(cfg.states):
-        mu = random_float_timelike(rng)
-        lam = rng.uniform(0.2, 1.0)
-        base = ThermoState(lam, mu, 1.0)
-        lam_dev = make_deviation(
-            random_sym_tensor(spec.M, rng, rational=False), spec.M, spec.m
-        ).scale(devscale)
-        mu_dev = make_deviation(
-            random_sym_tensor(spec.N, rng, rational=False), spec.N, spec.m
-        ).scale(devscale)
-        mstate = MultiplierState(base, lam_dev, mu_dev, spec)
-        rel = symmetry_residual(mstate, step=1e-6, tensors=tensors)
-        res.record(rel <= tol, rel, {"op": "symmetry", "case": case})
+        lam = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        mu = random_rational_timelike(rng)
+        for block, key, units in checked:
+            realized = realize(tensors.get(*key), lam, mu, spec.m, spec.registry)
+            groups: Dict[tuple, set] = {}
+            for idx, dev in units:
+                tail = contract_tail(realized, dev)
+                for a in range(4):
+                    value = Fraction(tail.get((a,)), arrangements(idx))
+                    groups.setdefault(tuple(sorted((a,) + idx)), set()).add(value)
+            bad = [group for group, values in groups.items() if len(values) > 1]
+            res.record(not bad, 1.0 if bad else 0.0,
+                       {"op": "symmetry", "block": block, "case": case, "lambda": lam,
+                        "mu": list(mu.components), "groups": bad[:5]})
     return res
 
 

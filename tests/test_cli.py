@@ -109,11 +109,42 @@ def test_verify_artifacts_hold_each_failing_suite_for_replay(tmp_path, capsys):
 
 
 def test_verify_derivative_suite_passes_at_seed_3(capsys):
-    # the second-order stencil read 1.88e-6 against the 1e-6 tolerance here
+    # a finite-difference stencil once read 1.88e-6 against a 1e-6 tolerance here
     code, out = run(capsys, "verify", "--M", "2", "--N", "3", "--suite", "derivative", "--seed", "3")
     assert code == 0
     (suite,) = json.loads(out)["results"]
-    assert suite["failures"] == 0 and float(suite["max_residual"]) < 1e-9
+    assert suite["failures"] == 0 and float(suite["max_residual"]) == 0
+
+
+@pytest.mark.parametrize("argv, mu_block", [
+    # finite differences in the truncated series once failed these intact runs
+    (("--M", "2", "--N", "5", "--seed", "0"), "checked"),
+    (("--M", "8", "--N", "1", "--hmax", "1"), "unchecked"),
+    (("--M", "4", "--N", "5", "--hmax", "1", "--kmax", "0"), "unchecked"),
+])
+def test_verify_symmetry_passes_where_finite_differences_failed(capsys, argv, mu_block):
+    code, out = run(capsys, "verify", *argv, "--suite", "symmetry")
+    assert code == 0
+    (suite,) = json.loads(out)["results"]
+    assert (suite["route"], suite["tolerance"], suite["max_residual"]) == ("exact", "0", "0")
+    assert suite["blocks"] == {"lambda": "checked", "mu": mu_block}
+
+
+@pytest.mark.parametrize("argv", [
+    ("closure", "--hmax", "-1"),
+    ("closure", "--M", "2", "--N", "3", "--kmax", "-1"),
+    ("verify", "--M", "2", "--N", "3", "--kmax", "-1", "--suite", "cross_route"),
+    ("verify", "--hmax", "-1", "--suite", "roundtrip"),
+    ("verify", "--mutate", "-1", "--suite", "roundtrip"),
+    ("verify", "--tol", "nan", "--suite", "roundtrip"),
+    ("verify", "--tol", "-1", "--suite", "roundtrip"),
+    ("verify", "--tol", "inf", "--suite", "roundtrip"),
+    ("moments", "--hmax", "-1"),
+])
+def test_negative_orders_mutation_and_bad_tolerance_are_usage_errors(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
@@ -305,8 +336,8 @@ def test_suite_flags_replace_the_config_list(tmp_path, capsys):
 
 
 def test_verify_json_states_each_suites_tolerance_and_route(capsys):
-    suites = "roundtrip,symmetry,equilibrium,kinetic"
-    want = {"roundtrip": (0.0, "exact"), "symmetry": (1e-6, "fd"),
+    suites = "roundtrip,symmetry,derivative,equilibrium,kinetic"
+    want = {"roundtrip": (0.0, "exact"), "symmetry": (0.0, "exact"), "derivative": (0.0, "exact"),
             "equilibrium": (1e-8, "quadrature"), "kinetic": (1e-8, "quadrature")}
     code, out = run(capsys, "verify", "--suite", suites)
     assert code == 0
@@ -315,7 +346,8 @@ def test_verify_json_states_each_suites_tolerance_and_route(capsys):
     code, out = run(capsys, "verify", "--suite", suites, "--tol", "1e-5")
     assert code == 0
     got = {r["suite"]: float(r["tolerance"]) for r in json.loads(out)["results"]}
-    assert got == {"roundtrip": 0.0, "symmetry": 1e-5, "equilibrium": 1e-5, "kinetic": 1e-5}
+    assert got == {"roundtrip": 0.0, "symmetry": 0.0, "derivative": 0.0,
+                   "equilibrium": 1e-5, "kinetic": 1e-5}
     # CSV rows keep their columns
     code, out = run(capsys, "verify", "--suite", "roundtrip", "--format", "csv")
     assert code == 0

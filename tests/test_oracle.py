@@ -15,6 +15,7 @@ from etclosure.oracle import (
     brute_realize_basis,
     brute_symmetrize,
     brute_trace,
+    chain_mu_derivative,
     fd_mu_derivative,
     random_float_timelike,
     random_rational_timelike,
@@ -138,6 +139,18 @@ def test_fd_derivative_of_closure_tensor():
     fd = fd_mu_derivative(c10, 0.7, mu, registry=reg)
     exact = realize(mu_derivative(c10), 0.7, mu, 1, reg)
     assert rel_diff(fd, exact) <= 1e-6
+
+
+@pytest.mark.parametrize("M, N, h, k", [(2, 1, 1, 0), (2, 1, 2, 0), (2, 3, 0, 1), (2, 3, 1, 1), (4, 3, 1, 0)])
+def test_chain_rule_derivative_matches_coefficient_space_and_fd(rng, M, N, h, k):
+    reg = FunctionRegistry({q: PolynomialFunction([Fraction(1), Fraction(2), Fraction(1, 3)]) for q in range(4)})
+    elem = build_closure_tensor(ClosureSpec(M, N, registry=reg), h, k)
+    mu = random_rational_timelike(rng)
+    lam = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    assert chain_mu_derivative(elem, lam, mu, 1, reg) == realize(mu_derivative(elem), lam, mu, 1, reg)
+    mu = FourVector([1.4, 0.3, 0.2, -0.1])
+    chain = chain_mu_derivative(elem, 0.7, mu, 1, reg)
+    assert rel_diff(fd_mu_derivative(elem, 0.7, mu, 1, reg), chain) <= 1e-6
 
 
 def test_oracle_config_guards():

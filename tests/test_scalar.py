@@ -232,14 +232,6 @@ def test_diff_gamma_sq_halves_the_power_rule():
     assert expr.diff_gamma_sq().terms == ((Fraction(-6), -6, 0, None),)
 
 
-def test_json_round_trip():
-    expr = ScalarExpr.monomial(Fraction(-3, 4), gamma_pow=-6, msq_pow=1, sym=(0, 2)) + ScalarExpr.monomial(2)
-    again = ScalarExpr.from_json_obj(expr.to_json_obj())
-    assert again == expr
-    obj = expr.to_json_obj()
-    assert {"coeff", "gamma_pow", "msq_pow", "sym"} <= set(obj[0])
-
-
 def test_registry_functions():
     reg = FunctionRegistry({0: PolynomialFunction([1, 2, 3])})
     assert reg.has(0) and not reg.has(5)

@@ -51,8 +51,8 @@ def test_exact_suites_report_zero_residual():
 
 
 def test_suites_cover_vector_valued_block():
-    # second-order truncation: the symmetry suite tolerance assumes the
-    # first omitted order is quadratic in the deviations
+    # second-order truncation, with both first-order tensors inside it, so the
+    # symmetry suite checks the lambda and the mu block
     cfg = VerifyConfig(M=2, N=3, h_max=2, k_max=2, states=2)
     results = run_suites(None, cfg)
     assert all(r.failures == 0 for r in results), [
@@ -102,3 +102,54 @@ def test_seed_reproducibility():
     rb = run_suites(["derivative"], cfg_b)[0]
     assert ra.max_residual == rb.max_residual
     assert ra.seed == rb.seed == 7
+
+
+EXACT_SPECS = [(2, 1), (2, 3), (2, 5), (4, 3)]
+
+
+@pytest.mark.parametrize("M, N", EXACT_SPECS)
+@pytest.mark.parametrize("name, seeds", [("symmetry", (0, 1, 6)), ("derivative", (0,))])
+def test_exact_suites_read_zero_with_tolerance_zero(name, seeds, M, N):
+    # symmetry seeds 1 and 6 each draw a state with gamma < 1 (1/4 and 3/4)
+    for seed in seeds:
+        (res,) = run_suites([name], VerifyConfig(M=M, N=N, seed=seed, tol=1e-3))
+        assert (res.route, res.tolerance, res.max_residual) == ("exact", 0.0, 0.0)
+        assert res.passed and res.cases > 0, (seed, res.failed_cases)
+
+
+@pytest.mark.parametrize("M, N, seeds", [
+    # at (2,3) these seeds once drew the pure-metric coefficient of C_{0,1},
+    # which no first-order check can see
+    (2, 3, (1, 3, 14, 19, 26, 28, 33, 37)),
+    (2, 1, (0, 1)), (2, 5, (0, 1)), (4, 3, (0, 1)),
+])
+def test_symmetry_negative_control_fails(M, N, seeds):
+    for seed in seeds:
+        (res,) = run_suites(["symmetry"], VerifyConfig(M=M, N=N, seed=seed, mutate=1))
+        assert not res.passed and res.max_residual == 1.0, seed
+
+
+def test_symmetry_reports_which_blocks_it_checked():
+    blocks = {}
+    for M, N, h_max, k_max in ((2, 3, 2, 2), (2, 1, 2, 2), (2, 3, 0, 1)):
+        (res,) = run_suites(["symmetry"], VerifyConfig(M=M, N=N, h_max=h_max, k_max=k_max))
+        assert res.passed
+        blocks[M, N, h_max, k_max] = (res.blocks, res.cases)
+    assert blocks == {
+        (2, 3, 2, 2): ({"lambda": "checked", "mu": "checked"}, 6),
+        (2, 1, 2, 2): ({"lambda": "checked", "mu": "unchecked"}, 3),
+        (2, 3, 0, 1): ({"lambda": "unchecked", "mu": "checked"}, 3),
+    }
+    (res,) = run_suites(["roundtrip"])
+    assert "blocks" not in res.to_json_obj()
+
+
+def test_mutation_can_skip_the_pure_metric_coefficient():
+    spec = ClosureSpec(2, 3, h_max=0, k_max=1)
+    tensors = ClosureTensorSet.build(spec)
+    c01 = tensors.get(0, 1)
+    assert c01.rank == 4 and not c01.coeffs[2].is_zero()
+    for seed in range(20):
+        mutated = mutate_tensor_set(tensors, random.Random(seed), skip_pure_metric=True)
+        changed = [s for s, (a, b) in enumerate(zip(mutated.get(0, 1).coeffs, c01.coeffs)) if a != b]
+        assert len(changed) == 1 and changed[0] != 2
