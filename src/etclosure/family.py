@@ -33,7 +33,15 @@ from .scalar import (
     eta,
     power,
 )
-from .tensors import DenseSymTensor, FourVector, gmu_combination, is_zero
+from .tensors import (
+    DenseSymTensor,
+    FourVector,
+    batch_safe,
+    contract_mu,
+    gmu_combination,
+    is_zero,
+    trace_pair,
+)
 
 
 class CharacteristicError(ValueError):
@@ -317,6 +325,19 @@ def timelike_gamma(mu: FourVector):
     return gsq**0.5
 
 
+def _coefficient_values(f: FFamilyElement, lam, mu: FourVector, m, registry) -> dict:
+    """{s: phi^n_s(lam, gamma, m)} for every s whose value is not zero."""
+    gamma = timelike_gamma(mu)
+    values = {}
+    for s, phi in enumerate(f.coeffs):
+        if phi.is_zero():
+            continue
+        value = phi.evaluate(lam, gamma, m, registry)
+        if not is_zero(value):
+            values[s] = value
+    return values
+
+
 def realize(
     f: FFamilyElement,
     lam,
@@ -330,12 +351,60 @@ def realize(
     array for lam or for the components of mu realizes a batch of states at
     once (see :mod:`etclosure.tensors`).
     """
-    gamma = timelike_gamma(mu)
-    values = {}
-    for s, phi in enumerate(f.coeffs):
-        if phi.is_zero():
-            continue
-        value = phi.evaluate(lam, gamma, m, registry)
-        if not is_zero(value):
-            values[s] = value
-    return gmu_combination(f.rank, values, mu)
+    return gmu_combination(f.rank, _coefficient_values(f, lam, mu, m, registry), mu)
+
+
+def realize_tail(
+    f: FFamilyElement,
+    lam,
+    mu: FourVector,
+    m,
+    registry: Optional[FunctionRegistry],
+    p: DenseSymTensor,
+) -> DenseSymTensor:
+    """``contract_tail(realize(f, ...), p)`` without building the rank-n tensor.
+
+    Y^n_s is the weight-one symmetrization of s metrics and n-2s copies of mu,
+    so its first slot is a mu in (n-2s)/n of the arrangements and a metric in
+    2s/n of them.  With the other slots paired with the symmetric p,
+
+        V^a = sum_s phi_s [ ((n-2s)/n) mu^a <tr^s p, mu^(n-1-2s)>
+                            + (2s/n) g^{ab} <tr^(s-1) p, mu^(n-2s)>_b ],
+
+    where tr is :func:`~etclosure.tensors.trace_pair` and <t, mu^r> is r
+    :func:`~etclosure.tensors.contract_mu` steps against mu's raised
+    components, each stored component of p paired directly, as
+    ``contract_tail`` does.  Traces commute with mu-contractions, so p is
+    contracted with mu once, down the whole chain, and the traces are taken
+    only on the low-rank tail of it.  Exact where :func:`realize` is; batches
+    as in :func:`realize`.
+    """
+    n = f.rank
+    if p.rank != n - 1:
+        raise ValueError(f"realize_tail needs a rank-{n - 1} tensor, got rank {p.rank}")
+    phis = _coefficient_values(f, lam, mu, m, registry)
+    mu_up = mu.raised().components
+    # chain[r] is p contracted with r copies of mu
+    deepest = max((n - 2 * s if s else n - 1 for s in phis), default=0)
+    chain = [p]
+    while len(chain) <= deepest:
+        chain.append(contract_mu(chain[-1], mu_up))
+    comps = [0, 0, 0, 0]
+    for s, phi in phis.items():
+        if 2 * s < n:
+            scalar = chain[n - 1 - 2 * s]
+            for _ in range(s):
+                scalar = trace_pair(scalar)
+            x = scalar.get(())
+            coeff = batch_safe(Fraction(n - 2 * s, n), x) * x * phi
+            for a in range(4):
+                comps[a] = comps[a] + coeff * mu_up[a]
+        if s > 0:
+            vector = chain[n - 2 * s]
+            for _ in range(s - 1):
+                vector = trace_pair(vector)
+            coeff = batch_safe(Fraction(2 * s, n), phi) * phi
+            for a in range(4):
+                w = vector.get((a,))
+                comps[a] = comps[a] + coeff * (-w if a == 0 else w)
+    return DenseSymTensor(1, {(a,): comps[a] for a in range(4)})

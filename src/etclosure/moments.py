@@ -5,7 +5,9 @@ equilibrium dressing of a scalar lambda and a covector mu_alpha plus
 trace-free deviations (:func:`make_deviation`).  The potential deviation
 Delta h'^a is the truncated Taylor series whose coefficients are the closure
 tensors, contracted with tensor powers of the deviations
-(:func:`delta_hprime`).
+(:func:`delta_hprime`).  The series never realizes a closure tensor: each
+order pairs the coefficient sequence of C_{h,k} with the deviation product in
+closed form (:func:`etclosure.family.realize_tail`).
 
 Two numeric checks live here:
 
@@ -49,7 +51,7 @@ from .equilibrium import (
     project_equilibrium,
     radial_integrand,
 )
-from .family import realize
+from .family import realize_tail
 from .scalar import double_factorial
 from .tensors import (
     DenseSymTensor,
@@ -58,7 +60,6 @@ from .tensors import (
     batch_safe,
     canonical_indices,
     contract_mu,
-    contract_tail,
     index_counts,
     sym_product,
     trace_pair,
@@ -129,12 +130,13 @@ def delta_hprime(
 ) -> FourVector:
     """Truncated series sum_{h,k} (1/h!k!) C_{h,k} . lam_dev^h . mu_dev^k.
 
-    The closure tensor of each order is realized at the base state and
-    contracted with the symmetric product of h copies of the lambda deviation
-    and k copies of the mu deviation over its trailing slots; the free slot is
-    the output index.  Orders whose deviation product vanishes are skipped
-    without realizing their tensor.  Exact when the state and deviations are
-    rational and gamma is rational.  Float64 arrays as the base lam, the
+    The closure tensor of each order is contracted with the symmetric product
+    of h copies of the lambda deviation and k copies of the mu deviation over
+    its trailing slots; the free slot is the output index.  The contraction
+    is taken in closed form from the tensor's coefficients at the base state
+    (:func:`~etclosure.family.realize_tail`), so no C_{h,k} is realized.
+    Orders whose deviation product vanishes are skipped.  Exact when the
+    state and deviations are rational and gamma is rational.  Float64 arrays as the base lam, the
     components of the base mu or the deviation components evaluate a batch of
     states at once, returning arrays (see :mod:`etclosure.tensors`).
     """
@@ -153,8 +155,7 @@ def delta_hprime(
         if dev.is_zero():
             continue
         elem = tensors.get(h, k) if tensors is not None else build_closure_tensor(spec, h, k)
-        realized = realize(elem, state.base.lam, state.base.mu, spec.m, spec.registry)
-        tail = contract_tail(realized, dev)
+        tail = realize_tail(elem, state.base.lam, state.base.mu, spec.m, spec.registry, dev)
         w = Fraction(1, factorial(h) * factorial(k))
         for a in range(4):
             v = tail.get((a,))

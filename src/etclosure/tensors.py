@@ -34,6 +34,10 @@ array factor and every value is a 1-D float64 array, a float, or an int a
 float holds exactly; exact values, object arrays, numpy scalars and anything
 else keep the loop.
 
+Traces and mu-contractions of batches (:func:`_derivative`) likewise stack the
+components once (:func:`_batch_derivative`) and add the four gathered terms of
+every output in the loop's a = 0..3 order, in place, under the same rules.
+
 Exact values are computed over integers (the representation of FLINT's
 ``fmpq_poly``): where every term of an exact result is a Fraction, the
 operation writes each exact input as integer numerators over one common
@@ -616,8 +620,57 @@ def gmu_basis(n: int, s: int, mu: Union[FourVector, Sequence, None] = None) -> D
     return gmu_combination(n, {s: 1}, mu)
 
 
+@lru_cache(maxsize=None)
+def _derivative_plan(rank: int, order: int) -> Tuple[np.ndarray, ...]:
+    """For each unit e_a, the canonical position of c + order e_a for every c of rank - order."""
+    position = {c: i for i, c in enumerate(_layout(rank)[0])}
+    return tuple(
+        np.array([position[(c[0] + order * u[0], c[1] + order * u[1], c[2] + order * u[2],
+                            c[3] + order * u[3])] for c in _layout(rank - order)[0]], dtype=np.intp)
+        for u in _UNITS
+    )
+
+
+def _batch_derivative(t: DenseSymTensor, weights: Sequence, order: int) -> Optional[Dict]:
+    """:func:`_derivative` over stacked float64 rows, or None where its loop must run.
+
+    It runs when every component is a 1-D float64 array of one width and every
+    weight is a float, an exact-in-float int or an array of that width
+    (:func:`_batch_side`).  The four gathered multiply-adds go in the loop's
+    a = 0..3 order, in place, so each output entry is the loop's bit for bit.
+    """
+    values = list(t._values.values())
+    if type(values[0]) is not np.ndarray:
+        return None  # the cheap test first: exact and scalar tensors keep the loop
+    if any(type(v) is not np.ndarray or v.dtype is not _F64 for v in values):
+        return None
+    try:
+        rows = np.array(values)
+    except ValueError:  # arrays of different lengths
+        return None
+    side = _batch_side(list(weights))
+    if rows.ndim != 2 or side is None or side[0] not in (0, rows.shape[1]):
+        return None
+    plan = _derivative_plan(t.rank, order)
+    out = rows[plan[0]]
+    out *= weights[0]
+    term = np.empty_like(out)
+    for at, w in zip(plan[1:], weights[1:]):
+        np.take(rows, at, axis=0, out=term)
+        term *= w
+        out += term
+    return dict(zip(_layout(t.rank - order)[0], out))
+
+
 def _derivative(t: DenseSymTensor, weights: Sequence, order: int) -> DenseSymTensor:
-    """sum_a weights[a] d_a^order p_T, rescaled to components: R_c = sum_a w_a T_{c + order e_a}."""
+    """sum_a weights[a] d_a^order p_T, rescaled to components: R_c = sum_a w_a T_{c + order e_a}.
+
+    Float64 batches go through :func:`_batch_derivative`, which does the same
+    float operations in the same order.
+    """
+    batch = _batch_derivative(t, weights, order)
+    if batch is not None:
+        return DenseSymTensor._from_counts(t.rank - order, batch)
     v = t._values
     out = {}
     for c in _layout(t.rank - order)[0]:

@@ -114,7 +114,9 @@ class SuiteResult:
     forms compared for equality, tolerance 0) or "quadrature"; `tolerance` is
     the bound its residuals were held to, after any ``--tol`` override.
     `blocks`, set by the symmetry suite alone, says which multiplier blocks it
-    "checked" and which it left "unchecked".
+    "checked" and which it left "unchecked".  `orders`, set by the suites that
+    choose their (h, k) orders by rank (characteristic, compatibility and
+    derivative), lists the orders they checked.
     """
 
     name: str
@@ -126,6 +128,7 @@ class SuiteResult:
     tolerance: float = 0.0
     route: str = "exact"
     blocks: Optional[Dict[str, str]] = None
+    orders: Optional[List[tuple]] = None
 
     @property
     def passed(self) -> bool:
@@ -150,6 +153,7 @@ class SuiteResult:
             "tolerance": self.tolerance,
             "route": self.route,
             **({} if self.blocks is None else {"blocks": self.blocks}),
+            **({} if self.orders is None else {"orders": [list(hk) for hk in self.orders]}),
         }
 
 
@@ -213,7 +217,7 @@ def suite_characteristic(cfg: VerifyConfig) -> SuiteResult:
     res = SuiteResult("characteristic", seed=cfg.seed)
     rng = random.Random(cfg.seed)
     spec = cfg.spec()
-    orders = _orders_up_to_rank(spec, 12)
+    orders = res.orders = _orders_up_to_rank(spec, 12)
     tensors = _build_set(spec, orders)
     if cfg.mutate:
         tensors = mutate_tensor_set(tensors, rng, cfg.mutate)
@@ -251,7 +255,7 @@ def suite_cross_route(cfg: VerifyConfig) -> SuiteResult:
 
 def suite_compatibility(cfg: VerifyConfig) -> SuiteResult:
     """Trace-vs-derivative descent between adjacent orders, exact."""
-    res = SuiteResult("compatibility", seed=cfg.seed)
+    res = SuiteResult("compatibility", seed=cfg.seed, orders=[])
     rng = random.Random(cfg.seed)
     spec = cfg.spec()
     orders = _orders_up_to_rank(spec, 12)
@@ -269,6 +273,7 @@ def suite_compatibility(cfg: VerifyConfig) -> SuiteResult:
         mu_feasible = spec.N >= 3 and (h, k + 1) in tensors.tensors
         if not lam_feasible and not mu_feasible:
             continue
+        res.orders.append((h, k))
         try:
             report = verify_compatibility(spec, h, k, tensors=tensors)
         except CharacteristicError:
@@ -429,7 +434,7 @@ def suite_derivative(cfg: VerifyConfig) -> SuiteResult:
     res = SuiteResult("derivative", seed=cfg.seed)
     rng = random.Random(cfg.seed)
     spec = cfg.spec()
-    orders = [hk for hk in _orders_up_to_rank(spec, 7) if hk != (0, 0)]
+    orders = res.orders = [hk for hk in _orders_up_to_rank(spec, 7) if hk != (0, 0)]
     elems = [(hk, build_closure_tensor(spec, *hk)) for hk in orders]
     reg = cfg.reg()
     for case in range(cfg.states):
@@ -543,11 +548,14 @@ SUITES: Dict[str, Callable[[VerifyConfig], SuiteResult]] = {
 def run_suites(names: Optional[Sequence[str]] = None, cfg: Optional[VerifyConfig] = None):
     """Run the named suites (all when none are named) in order.
 
-    Every name is checked before any suite runs, so a typo costs no work.
+    Every name and the truncation's top order are checked before any suite
+    runs, so a typo costs no work and a truncation past the rank cap raises
+    :class:`~etclosure.closure.RankCapError` whichever suites were named.
     """
     cfg = cfg or VerifyConfig()
     chosen = list(SUITES) if not names else list(names)
     for name in chosen:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
+    ClosureSpec(cfg.M, cfg.N, h_max=cfg.h_max, k_max=cfg.k_max).check_top_order()
     return [SUITES[name](cfg) for name in chosen]

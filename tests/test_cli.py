@@ -275,6 +275,29 @@ def test_verify_symmetry_past_rank_cap_is_resource_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("suite", ["derivative", "characteristic", "compatibility", "equilibrium"])
+def test_verify_refuses_a_truncation_past_the_rank_cap_before_any_suite(capsys, suite):
+    # these suites choose their own orders, but the top order (9, 9) has rank 46
+    code, out = run(capsys, "verify", "--M", "2", "--N", "3", "--hmax", "9", "--kmax", "9",
+                    "--suite", suite)
+    assert code == 3
+    assert out == ""
+
+
+def test_verify_lists_the_orders_of_the_suites_that_choose_them(capsys):
+    code, out = run(capsys, "verify", "--M", "2", "--N", "3",
+                    "--suite", "derivative,characteristic,compatibility,cross_route")
+    assert code == 0
+    results = {r["suite"]: r for r in json.loads(out)["results"]}
+    orders = {name: [tuple(hk) for hk in r["orders"]] for name, r in results.items() if "orders" in r}
+    assert set(orders) == {"derivative", "characteristic", "compatibility"}
+    assert (0, 0) not in orders["derivative"] and (3, 0) in orders["derivative"]
+    assert all(2 * h + 3 * k + 1 <= 12 for h, k in orders["characteristic"])
+    assert len(orders["characteristic"]) == results["characteristic"]["cases"] == 16
+    assert set(orders["compatibility"]) <= set(orders["characteristic"])
+    assert len(orders["derivative"]) * 3 == results["derivative"]["cases"]
+
+
 def test_verify_kinetic_runs_every_order_that_fits_the_cap(capsys):
     # top ranks 9 and 5: the kinetic suite sums no orders and must not refuse these
     for argv in (("--M", "8", "--N", "1", "--hmax", "1"),

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from etclosure.closure import RANK_CAP, ClosureSpec, build_closure_tensor
 from etclosure.family import (
     CharacteristicError,
     FFamilyElement,
@@ -14,11 +16,13 @@ from etclosure.family import (
     lift,
     mu_derivative,
     realize,
+    realize_tail,
+    timelike_gamma,
     trace,
 )
-from etclosure.oracle import random_rational_timelike
-from etclosure.scalar import ScalarExpr, SingularRatioError
-from etclosure.tensors import FourVector, contract_mu, gmu_basis, trace_pair
+from etclosure.oracle import random_float_timelike, random_rational_timelike, random_sym_tensor
+from etclosure.scalar import FunctionRegistry, ScalarExpr, SingularRatioError
+from etclosure.tensors import DenseSymTensor, FourVector, contract_mu, contract_tail, gmu_basis, trace_pair
 
 
 def monomial_element(rank: int, coeff=1, gamma_pow: int = 0, sym=None) -> FFamilyElement:
@@ -275,6 +279,55 @@ def test_realize_vector_and_zero():
     mu = FourVector([Fraction(5, 4), Fraction(3, 4), 0, 0])
     assert realize(monomial_element(1), 0, mu, 1) == gmu_basis(1, 0, mu)
     assert realize(FFamilyElement.zero(2), 0, mu, 1).max_abs() == 0
+
+
+def _orders_to_the_cap(spec):
+    return [(h, k) for h in range(RANK_CAP) for k in range(RANK_CAP)
+            if (h == 0 or spec.M >= 2) and (k == 0 or spec.N >= 3) and spec.rank(h, k) <= RANK_CAP]
+
+
+@pytest.mark.parametrize("M, N", [(2, 1), (2, 3), (4, 3), (2, 5), (4, 5), (8, 1)])
+def test_realize_tail_equals_contracting_the_realized_tensor(M, N):
+    rng = random.Random(M * 10 + N)
+    spec = ClosureSpec(M, N, registry=FunctionRegistry.polynomials(3))
+    for i, (h, k) in enumerate(_orders_to_the_cap(spec)):
+        elem = build_closure_tensor(spec, h, k)
+        mu = random_rational_timelike(rng)
+        if i % 2:  # every other order at gamma = 1/3, in the lowered variance
+            mu = FourVector([c * Fraction(1, 3) / timelike_gamma(mu) for c in mu], "upper").lowered()
+        lam = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        p = random_sym_tensor(elem.rank - 1, rng)
+        got = realize_tail(elem, lam, mu, 1, spec.registry, p)
+        assert got == contract_tail(realize(elem, lam, mu, 1, spec.registry), p), (h, k)
+        assert all(type(v) is not float for _, v in got.items())
+
+
+@pytest.mark.parametrize("M, N", [(2, 1), (2, 3), (4, 3), (2, 5)])
+def test_realize_tail_at_float_states_within_rounding_of_the_realized_route(M, N):
+    # the closed form rounds differently; 1e-13 of the largest component is ~500 ulps
+    rng = random.Random(M * 10 + N)
+    spec = ClosureSpec(M, N, registry=FunctionRegistry.polynomials(3))
+    for h, k in _orders_to_the_cap(spec):
+        elem = build_closure_tensor(spec, h, k)
+        mu, lam = random_float_timelike(rng), rng.uniform(0.2, 1.0)
+        p = random_sym_tensor(elem.rank - 1, rng, rational=False)
+        got = realize_tail(elem, lam, mu, 1.0, spec.registry, p)
+        want = contract_tail(realize(elem, lam, mu, 1.0, spec.registry), p)
+        assert (got - want).max_abs() <= 1e-13 * want.max_abs(), (h, k)
+
+
+def test_realize_tail_of_zero_inputs_and_zero_coefficients(registry, rng):
+    mu = random_rational_timelike(rng)
+    lead = ScalarExpr.monomial(Fraction(2, 3), gamma_pow=-8, sym=(0, 1))
+    sparse = FFamilyElement(6, [ScalarExpr.zero(), lead, ScalarExpr.zero(), lead.scale(-1)])
+    for elem in (sparse, FFamilyElement(5, [ScalarExpr.zero(), ScalarExpr.zero(), lead]),
+                 FFamilyElement.zero(4), monomial_element(1, gamma_pow=-6)):
+        for p in (random_sym_tensor(elem.rank - 1, rng), DenseSymTensor.zeros(elem.rank - 1)):
+            got = realize_tail(elem, Fraction(1, 2), mu, 1, registry, p)
+            assert got == contract_tail(realize(elem, Fraction(1, 2), mu, 1, registry), p)
+            assert got.is_zero() == (p.is_zero() or elem.is_zero())
+    with pytest.raises(ValueError):
+        realize_tail(sparse, 0, mu, 1, registry, DenseSymTensor.zeros(6))
 
 
 def test_element_arithmetic():

@@ -624,3 +624,51 @@ def test_batch_tensors_hold_their_own_components():
         arrays = [v for _, v in t.items() if isinstance(v, np.ndarray)]
         assert arrays and all(v.base is None for v in arrays)
     assert tensors._product_plan.cache_info().maxsize is not None
+
+
+# ---------------------------------------------------------------------------
+# the float64 batch kernel of traces and mu-contractions against each entry
+#
+# _derivative stacks a batch's components once (_batch_derivative) and adds
+# the four gathered terms in the loop's a = 0..3 order, so each entry of a
+# batched trace_pair or contract_mu is the same call on that entry alone.
+
+
+@given(data=st.data(), rank=st.integers(1, 6), width=st.integers(1, 4),
+       weights=st.sampled_from(("scalar", "array", "mixed")))
+@settings(max_examples=100, deadline=None)
+def test_batch_trace_and_contraction_match_each_entry_bit_for_bit(data, rank, width, weights):
+    t = DenseSymTensor._from_counts(
+        rank, {c: np.array([data.draw(_ENTRIES) for _ in range(width)]) for c in tensors._layout(rank)[0]})
+    mu = [data.draw(_SCALARS) if weights == "scalar" or (weights == "mixed" and a % 2)
+          else np.array([data.draw(_ENTRIES) for _ in range(width)]) for a in range(4)]
+    assert tensors._batch_derivative(t, mu, 1) is not None
+    calls = [lambda u, k=None: contract_mu(u, [_entry(w, k) if k is not None else w for w in mu])]
+    if rank >= 2:
+        calls.append(lambda u, k=None: trace_pair(u))
+    for call in calls:
+        got = call(t)
+        for _, v in got.items():
+            assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (width,)
+        for k in range(width):
+            entry = call(t.map_values(lambda v: float(v[k])), k)
+            assert [float(v[k]).hex() for _, v in got.items()] == [float(v).hex() for _, v in entry.items()]
+
+
+def test_derivatives_the_kernel_cannot_reproduce_keep_the_loop():
+    batch = np.array([0.5, -0.0, 3.0])
+    objects = np.array([Fraction(1, 2), Fraction(-3, 4), Fraction(2)], dtype=object)
+    mu = (2.0, 0.5, -1, 0.0)
+    cases = [
+        (random_sym_tensor(3, random.Random(1)), mu),  # exact
+        (random_sym_tensor(3, random.Random(1), rational=False), mu),  # scalar floats
+        (gmu_basis(3, 1, mu).map_values(lambda v: v * batch), (Fraction(1, 2), 1, 0, 0)),  # exact weight
+        (gmu_basis(3, 1, mu).map_values(lambda v: v * batch), (batch[:2], 1, 0, 0)),  # two widths
+        (gmu_basis(3, 1, mu).map_values(lambda v: v * objects), mu),  # object arrays
+        (gmu_basis(3, 1, mu).map_values(lambda v: v * batch).with_entry((3, 3, 3), 1.0), mu),  # mixed
+    ]
+    for t, weights in cases:
+        assert tensors._batch_derivative(t, weights, 1) is None
+    exact = random_sym_tensor(4, random.Random(2))
+    assert trace_pair(exact) == tensors._derivative(exact, METRIC_DIAG, 2)
+    assert all(type(v) is Fraction for _, v in contract_mu(exact, (2, Fraction(1, 2), -1, 3)).items())
