@@ -384,7 +384,8 @@ def realize_tail(
         raise ValueError(f"realize_tail needs a rank-{n - 1} tensor, got rank {p.rank}")
     phis = _coefficient_values(f, lam, mu, m, registry)
     mu_up = mu.raised().components
-    # chain[r] is p contracted with r copies of mu
+    # chain[r] is p contracted with r copies of mu; s = 0 needs it down to rank 0,
+    # and an s > 0 term reaches chain[n - 2s]
     deepest = max((n - 2 * s if s else n - 1 for s in phis), default=0)
     chain = [p]
     while len(chain) <= deepest:
