@@ -33,7 +33,7 @@ import tempfile
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .closure import ClosureSpec, RankCapError, closure_table
+from .closure import ClosureSpec, ClosureTensorSet, RankCapError, closure_table
 from .equilibrium import (
     ConvergenceError,
     EntropyUndefinedError,
@@ -44,7 +44,8 @@ from .moments import (
     MultiplierState,
     delta_hprime,
     equilibrium_moments_with_traces,
-    symmetry_residual,
+    first_order_blocks,
+    first_order_symmetry,
 )
 from .oracle import write_failure_artifact
 from .scalar import FunctionRegistry
@@ -341,6 +342,8 @@ def cmd_moments(args) -> int:
     mset, report = equilibrium_moments_with_traces(state, spec)
     mstate = MultiplierState.at_equilibrium(state, spec)
     delta = delta_hprime(mstate)
+    tensors = ClosureTensorSet.build(spec)
+    spreads = first_order_symmetry(tensors, state.lam, state.mu)
     doc = {
         "A": mset.A,
         "B": mset.B,
@@ -348,7 +351,8 @@ def cmd_moments(args) -> int:
         "truncation": list(mset.truncation),
         "delta_hprime": [float(c) for c in delta.components],
         "residuals": {
-            "symmetry": symmetry_residual(mstate),
+            "symmetry": float(max((max(g.values()) for g in spreads.values()), default=0.0)),
+            "symmetry_blocks": first_order_blocks(tensors),
             "traces": report["traces"],
             "orders": report["orders"],
         },

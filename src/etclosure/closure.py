@@ -259,28 +259,26 @@ def verify_compatibility(
 
     Each residual is a coefficient list that must vanish identically; a block
     is reported as None when the higher order is not constructible (M = 0
-    admits no lambda orders, N = 1 no mu orders).  A prebuilt tensor set can
-    be supplied (any (h, k) it lacks is built from the closed forms).
+    admits no lambda orders, N = 1 no mu orders) or, given a prebuilt tensor
+    set, when the set lacks it; every tensor then comes from the set.
     """
 
-    def fetch(hh: int, kk: int) -> FFamilyElement:
-        if tensors is not None and (hh, kk) in tensors.tensors:
-            return tensors.get(hh, kk)
-        return build_closure_tensor(spec, hh, kk)
+    def fetch(hh: int, kk: int) -> Optional[FFamilyElement]:
+        if tensors is None:
+            return build_closure_tensor(spec, hh, kk)
+        return tensors.tensors.get((hh, kk))
 
     report: dict = {"h": h, "k": k, "lambda_ok": None, "mu_ok": None,
                     "lambda_residuals": None, "mu_residuals": None}
-    base = fetch(h, k)
-    if spec.M >= 2:
-        lhs = fetch(h + 1, k)
+    base = fetch(h, k) if tensors is None else tensors.get(h, k)
+    if spec.M >= 2 and (lhs := fetch(h + 1, k)) is not None:
         for _ in range(spec.M // 2):
             lhs = trace(lhs)
         rhs = base.diff_lambda().scale(1, msq_pow=spec.M // 2)
         diff = lhs - rhs
         report["lambda_residuals"] = list(diff.coeffs)
         report["lambda_ok"] = diff.is_zero()
-    if spec.N >= 3:
-        lhs = fetch(h, k + 1)
+    if spec.N >= 3 and (lhs := fetch(h, k + 1)) is not None:
         for _ in range((spec.N - 1) // 2):
             lhs = trace(lhs)
         rhs = mu_derivative(base).scale(1, msq_pow=(spec.N - 1) // 2)

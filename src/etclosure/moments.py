@@ -9,14 +9,18 @@ tensors, contracted with tensor powers of the deviations
 order pairs the coefficient sequence of C_{h,k} with the deviation product in
 closed form (:func:`etclosure.family.realize_tail`).
 
-Two numeric checks live here:
+Three checks live here:
+
+* :func:`first_order_symmetry` measures the symmetry of the derived moments
+  at equilibrium without a step: exact at rational states (the ``verify``
+  symmetry suite), round-off at float ones (the ``moments`` command).
 
 * :func:`symmetry_residual` differentiates Delta h'^a with respect to the
   full multiplier components (projection and deviation split recomputed at
   every perturbed point, all points of a block evaluated as one batch) and
-  measures how far the resulting moment tensors are from total symmetry.  The
-  closure construction guarantees symmetry, so the residual is
-  finite-difference noise unless a coefficient is corrupted.
+  measures how far the resulting moment tensors are from total symmetry, at
+  any state.  The closure construction guarantees symmetry, so the residual
+  is finite-difference noise unless a coefficient is corrupted.
 
 * :func:`equilibrium_moments_with_traces` computes the kinetic moments of the
   equilibrium distribution by one-dimensional quadrature in the local rest
@@ -51,7 +55,7 @@ from .equilibrium import (
     project_equilibrium,
     radial_integrand,
 )
-from .family import realize_tail
+from .family import realize, realize_tail
 from .scalar import double_factorial
 from .tensors import (
     DenseSymTensor,
@@ -60,6 +64,7 @@ from .tensors import (
     batch_safe,
     canonical_indices,
     contract_mu,
+    contract_tail,
     index_counts,
     sym_product,
     trace_pair,
@@ -167,6 +172,48 @@ def delta_hprime(
 # symmetry of the derived moments
 
 
+# the first-order closure tensor of each multiplier block
+FIRST_ORDER = {"lambda": (1, 0), "mu": (0, 1)}
+
+
+def first_order_blocks(tensors: ClosureTensorSet) -> Dict[str, str]:
+    """Each block of FIRST_ORDER: "checked" when its tensor is in the set, else "unchecked"."""
+    return {block: "checked" if key in tensors.tensors else "unchecked"
+            for block, key in FIRST_ORDER.items()}
+
+
+def first_order_symmetry(
+    tensors: ClosureTensorSet, lam, mu: FourVector
+) -> Dict[str, Dict[Tuple[int, ...], object]]:
+    """Relative index-group spreads of the derived moments at equilibrium, per checked block.
+
+    The deviation split is linear and every deviation is 0 at equilibrium, so
+    d(Delta h'^a)/d(full multiplier component e_i) is the one contraction of
+    the block's first-order tensor, realized at (lam, mu), with
+    make_deviation(e_i).  Divided by the arrangement count of i, every value
+    of one sorted (a,)+i group must be equal; a group's spread is max - min
+    over the block's largest value, exactly 0 at a rational state unless a
+    coefficient is corrupted.
+    """
+    spec = tensors.spec
+    out = {}
+    for block, key in FIRST_ORDER.items():
+        if key not in tensors.tensors:
+            continue
+        rank = spec.M if block == "lambda" else spec.N
+        realized = realize(tensors.get(*key), lam, mu, spec.m, spec.registry)
+        groups: Dict[Tuple[int, ...], list] = {}
+        for idx in canonical_indices(rank):
+            unit = make_deviation(DenseSymTensor(rank, {idx: 1}), rank, spec.m)
+            tail = contract_tail(realized, unit)
+            for a in range(4):
+                value = Fraction(1, arrangements(idx)) * tail.get((a,))
+                groups.setdefault(tuple(sorted((a,) + idx)), []).append(value)
+        scale = max(abs(v) for values in groups.values() for v in values) or 1
+        out[block] = {group: (max(vals) - min(vals)) / scale for group, vals in groups.items()}
+    return out
+
+
 def _as_float(v):
     return v if isinstance(v, np.ndarray) else float(v)
 
@@ -201,7 +248,7 @@ def symmetry_residual(
     step: float = 1e-4,
     tensors: Optional[ClosureTensorSet] = None,
 ) -> float:
-    """Asymmetry of d(Delta h'^a)/d(multiplier components), relative.
+    """Asymmetry of d(Delta h'^a)/d(multiplier components), relative, by finite differences.
 
     Each canonical component of the full rank-M and rank-N multiplier tensors
     is perturbed coherently (all index arrangements together); the

@@ -37,13 +37,10 @@ class OracleConfig:
     """Cost guards for brute-force comparisons."""
 
     max_rank: int = 6
-    arithmetic: str = "rational"
 
     def __post_init__(self):
         if self.max_rank > 8:
             raise ValueError("max_rank above 8 is unaffordable (4^rank components)")
-        if self.arithmetic not in ("rational", "float"):
-            raise ValueError(f"unknown arithmetic mode {self.arithmetic!r}")
 
 
 def _guard(rank: int, config: Optional[OracleConfig]) -> None:

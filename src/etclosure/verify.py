@@ -6,14 +6,16 @@ but equilibrium and kinetic) compare exact values or canonical forms and
 record residual 0.0 or 1.0; the two quadrature suites record the worst
 relative residual against their tolerance.
 
-The mutation harness corrupts coefficients of prebuilt closure tensors
-(scaling one phi_s by 11/10) before the suites that consume them run; a
-healthy harness must then fail, which is the negative control wired to
+The suites that read closure tensors take them from one set, the config's
+truncation (:attr:`VerifyConfig.tensors`).  The mutation harness corrupts
+coefficients of a copy of that set before such a suite runs; a healthy
+harness must then fail, which is the negative control wired to
 `verify --mutate`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -24,8 +26,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 from .closure import (
     ClosureSpec,
     ClosureTensorSet,
-    build_closure_tensor,
-    closure_coeff,
     closure_coeff_N1,
     derive_C_from_E,
     verify_compatibility,
@@ -50,7 +50,12 @@ from .family import (
     timelike_gamma,
     trace,
 )
-from .moments import equilibrium_moments_with_traces, make_deviation
+from .moments import (
+    FIRST_ORDER,
+    equilibrium_moments_with_traces,
+    first_order_blocks,
+    first_order_symmetry,
+)
 from .oracle import (
     brute_mu_contract,
     brute_realize_basis,
@@ -63,11 +68,7 @@ from .oracle import (
 )
 from .scalar import FunctionRegistry, ScalarExpr, SingularRatioError
 from .tensors import (
-    DenseSymTensor,
-    arrangements,
-    canonical_indices,
     contract_mu,
-    contract_tail,
     gmu_basis,
     gmu_combination,
     symmetrize,
@@ -75,7 +76,7 @@ from .tensors import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerifyConfig:
     """Knobs shared by all suites.
 
@@ -110,6 +111,12 @@ class VerifyConfig:
     def tolerance(self, default: float) -> float:
         return self.tol if self.tol is not None else default
 
+    @functools.cached_property
+    def tensors(self) -> ClosureTensorSet:
+        """The closure tensors at every order of the truncation, built once
+        (:func:`~etclosure.closure.iter_orders`)."""
+        return ClosureTensorSet.build(self.spec())
+
 
 @dataclass
 class SuiteResult:
@@ -119,9 +126,8 @@ class SuiteResult:
     forms compared for equality, tolerance 0) or "quadrature"; `tolerance` is
     the bound its residuals were held to, after any ``--tol`` override.
     `blocks`, set by the symmetry suite alone, says which multiplier blocks it
-    "checked" and which it left "unchecked".  `orders`, set by the suites that
-    choose their (h, k) orders by rank (characteristic, compatibility and
-    derivative), lists the orders they checked.
+    "checked" and which it left "unchecked".  `orders`, set by characteristic,
+    cross_route, compatibility and derivative, lists the orders they checked.
     """
 
     name: str
@@ -169,8 +175,9 @@ def mutate_tensor_set(
     orders: Optional[Sequence[tuple]] = None,
     skip_pure_metric: bool = False,
 ) -> ClosureTensorSet:
-    """Copy of the set with one nonzero phi_s of `count` chosen tensors scaled by 11/10.
+    """Copy of the set with one nonzero phi_s of `count` chosen tensors scaled.
 
+    Draw j scales by (11+j)/10, so two draws never scale one tensor uniformly.
     The input set is left untouched.  `orders` restricts the candidate (h, k)
     keys.  `skip_pure_metric` leaves out the pure-metric s = n/2 of an even rank, which
     in a first-order tensor meets only the full trace of a deviation, and that is 0.
@@ -184,33 +191,20 @@ def mutate_tensor_set(
     keys = sorted(key for key, el in pool.items() if choices(el) and (orders is None or key in orders))
     if not keys:
         raise ValueError("nothing to mutate: no nonzero tensor among the candidates")
-    for _ in range(count):
+    for j in range(count):
         key = keys[rng.randrange(len(keys))]
         el = pool[key]
         s_choices = choices(el)
         s = s_choices[rng.randrange(len(s_choices))]
         coeffs = list(el.coeffs)
-        coeffs[s] = coeffs[s].scale(Fraction(11, 10))
+        coeffs[s] = coeffs[s].scale(Fraction(11 + j, 10))
         pool[key] = FFamilyElement(el.rank, coeffs)
     return ClosureTensorSet(tensors.spec, pool)
 
 
-def _build_set(spec: ClosureSpec, orders: Sequence[tuple]) -> ClosureTensorSet:
-    ts = ClosureTensorSet(spec)
-    for h, k in orders:
-        ts.tensors[(h, k)] = build_closure_tensor(spec, h, k)
-    return ts
-
-
-def _orders_up_to_rank(spec: ClosureSpec, rank_cap: int) -> List[tuple]:
-    out = []
-    hmax = rank_cap if spec.M else 0
-    kmax = rank_cap if spec.N >= 3 else 0
-    for h in range(hmax + 1):
-        for k in range(kmax + 1):
-            if spec.rank(h, k) <= rank_cap:
-                out.append((h, k))
-    return out
+def _suite_tensors(cfg: VerifyConfig, rng: random.Random, **kw) -> ClosureTensorSet:
+    """The config's tensor set, or under `--mutate` a corrupted copy of it."""
+    return mutate_tensor_set(cfg.tensors, rng, cfg.mutate, **kw) if cfg.mutate else cfg.tensors
 
 
 # ---------------------------------------------------------------------------
@@ -218,83 +212,61 @@ def _orders_up_to_rank(spec: ClosureSpec, rank_cap: int) -> List[tuple]:
 
 
 def suite_characteristic(cfg: VerifyConfig) -> SuiteResult:
-    """Descent relation holds for every constructed closure tensor, rank <= 12."""
+    """Descent relation holds for every closure tensor of the truncation."""
     res = SuiteResult("characteristic", seed=cfg.seed)
-    rng = random.Random(cfg.seed)
-    spec = cfg.spec()
-    orders = res.orders = _orders_up_to_rank(spec, 12)
-    tensors = _build_set(spec, orders)
-    if cfg.mutate:
-        tensors = mutate_tensor_set(tensors, rng, cfg.mutate)
-    for h, k in orders:
-        ok, residuals = check_characteristic(tensors.get(h, k))
+    tensors = _suite_tensors(cfg, random.Random(cfg.seed))
+    res.orders = list(tensors.tensors)
+    for (h, k), elem in tensors.tensors.items():
+        ok, residuals = check_characteristic(elem)
         res.record(ok, 0.0 if ok else 1.0,
-                   {"M": spec.M, "N": spec.N, "h": h, "k": k,
+                   {"M": cfg.M, "N": cfg.N, "h": h, "k": k,
                     "bad_s": [i + 1 for i, r in enumerate(residuals) if not r.is_zero()]})
     return res
 
 
 def suite_cross_route(cfg: VerifyConfig) -> SuiteResult:
-    """Closed-form coefficients equal the recursive construction exactly."""
+    """Closed-form coefficients equal a second route exactly, at every order of the truncation.
+
+    The recursive construction when N >= 3; at N = 1 the single-vector closed
+    form, the general one's k = 0 reduction, at every h >= 1.
+    """
     res = SuiteResult("cross_route", seed=cfg.seed)
-    rng = random.Random(cfg.seed)
-    if cfg.N >= 3:
-        spec = cfg.spec()
-        orders = [(h, k) for h in range(cfg.h_max + 1) for k in range(cfg.k_max + 1)]
-        tensors = _build_set(spec, orders)
-        if cfg.mutate:
-            tensors = mutate_tensor_set(tensors, rng, cfg.mutate)
-        for h, k in orders:
-            direct = tensors.get(h, k)
-            recursive = derive_C_from_E(spec, h, k)
-            ok = direct == recursive
+    tensors = _suite_tensors(cfg, random.Random(cfg.seed))
+    res.orders = [(h, k) for h, k in tensors.tensors if cfg.N >= 3 or h >= 1]
+    for h, k in res.orders:
+        direct = tensors.get(h, k)
+        if cfg.N >= 3:
+            ok = direct == derive_C_from_E(tensors.spec, h, k)
             res.record(ok, 0.0 if ok else 1.0, {"route": "recursive", "h": h, "k": k})
-    else:
-        for h in range(4):
-            n = cfg.M * h + 1
-            for s in range(n // 2 + 1):
-                ok = closure_coeff(cfg.M, 1, h, 0, s) == closure_coeff_N1(cfg.M, h, s)
+        else:
+            for s, phi in enumerate(direct.coeffs):
+                ok = phi == closure_coeff_N1(cfg.M, h, s)
                 res.record(ok, 0.0 if ok else 1.0, {"route": "k0-reduction", "h": h, "s": s})
     return res
 
 
 def suite_compatibility(cfg: VerifyConfig) -> SuiteResult:
-    """Trace-vs-derivative descent between adjacent orders, exact."""
+    """Trace-vs-derivative descent to each next order inside the truncation, exact."""
     res = SuiteResult("compatibility", seed=cfg.seed, orders=[])
-    rng = random.Random(cfg.seed)
-    spec = cfg.spec()
-    orders = _orders_up_to_rank(spec, 12)
-    needed = set(orders)
-    for h, k in orders:
-        if spec.M >= 2 and spec.rank(h + 1, k) <= 12:
-            needed.add((h + 1, k))
-        if spec.N >= 3 and spec.rank(h, k + 1) <= 12:
-            needed.add((h, k + 1))
-    tensors = _build_set(spec, sorted(needed))
-    if cfg.mutate:
-        tensors = mutate_tensor_set(tensors, rng, cfg.mutate)
-    for h, k in orders:
-        lam_feasible = spec.M >= 2 and (h + 1, k) in tensors.tensors
-        mu_feasible = spec.N >= 3 and (h, k + 1) in tensors.tensors
-        if not lam_feasible and not mu_feasible:
+    tensors = _suite_tensors(cfg, random.Random(cfg.seed))
+    for h, k in tensors.tensors:
+        conds = [cond for cond, nxt in (("lambda", (h + 1, k)), ("mu", (h, k + 1)))
+                 if nxt in tensors.tensors]
+        if not conds:
             continue
         res.orders.append((h, k))
         try:
-            report = verify_compatibility(spec, h, k, tensors=tensors)
+            report = verify_compatibility(tensors.spec, h, k, tensors=tensors)
         except CharacteristicError:
             # a corrupted tensor has no well-defined mu-derivative; that is
             # a detected incompatibility, not a harness error
-            for cond, feasible in (("lambda", lam_feasible), ("mu", mu_feasible)):
-                if feasible:
-                    res.record(False, 1.0, {"condition": cond, "h": h, "k": k,
-                                            "error": "characteristic"})
+            for cond in conds:
+                res.record(False, 1.0, {"condition": cond, "h": h, "k": k,
+                                        "error": "characteristic"})
             continue
-        if lam_feasible:
-            ok = bool(report["lambda_ok"])
-            res.record(ok, 0.0 if ok else 1.0, {"condition": "lambda", "h": h, "k": k})
-        if mu_feasible:
-            ok = bool(report["mu_ok"])
-            res.record(ok, 0.0 if ok else 1.0, {"condition": "mu", "h": h, "k": k})
+        for cond in conds:
+            ok = bool(report[f"{cond}_ok"])
+            res.record(ok, 0.0 if ok else 1.0, {"condition": cond, "h": h, "k": k})
     return res
 
 
@@ -433,19 +405,19 @@ def suite_roundtrip(cfg: VerifyConfig) -> SuiteResult:
 def suite_derivative(cfg: VerifyConfig) -> SuiteResult:
     """Coefficient-space mu derivative equals the chain rule on realize, exactly.
 
-    Both sides are exact at rational states with rational gamma, and
+    Every order of the truncation but (0, 0) is checked.  Both sides are
+    exact at rational states with rational gamma, and
     :func:`~etclosure.oracle.chain_mu_derivative` avoids the coefficient recursion.
     """
     res = SuiteResult("derivative", seed=cfg.seed)
     rng = random.Random(cfg.seed)
-    spec = cfg.spec()
-    orders = res.orders = [hk for hk in _orders_up_to_rank(spec, 7) if hk != (0, 0)]
-    elems = [(hk, build_closure_tensor(spec, *hk)) for hk in orders]
+    elems = {hk: elem for hk, elem in cfg.tensors.tensors.items() if hk != (0, 0)}
+    res.orders = list(elems)
     reg = cfg.reg()
     for case in range(cfg.states):
         mu = random_rational_timelike(rng)
         lam = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        for (h, k), elem in elems:
+        for (h, k), elem in elems.items():
             exact = realize(mu_derivative(elem), lam, mu, 1, reg)
             ok = exact == chain_mu_derivative(elem, lam, mu, 1, reg)
             res.record(ok, 0.0 if ok else 1.0, {"op": "chain_mu", "h": h, "k": k, "case": case})
@@ -455,39 +427,17 @@ def suite_derivative(cfg: VerifyConfig) -> SuiteResult:
 def suite_symmetry(cfg: VerifyConfig) -> SuiteResult:
     """Moment symmetry of the Delta h' series, exactly, by linearity at equilibrium.
 
-    The deviation split is linear and every deviation is 0 at equilibrium, so
-    d(Delta h'^a)/d(full multiplier component e_i) is the one contraction of
-    the block's first-order tensor (C_{1,0} for lambda, C_{0,1} for mu),
-    realized at a rational state, with make_deviation(e_i).  Divided by the
-    arrangement count of i, every value of one sorted (a,)+i group must be
-    equal.  A block without its first-order tensor is reported unchecked.
+    :func:`~etclosure.moments.first_order_symmetry` at rational states must
+    read exactly 0.  `--mutate` corrupts only the checked first-order tensors.
     """
-    res = SuiteResult("symmetry", seed=cfg.seed, blocks={})
+    res = SuiteResult("symmetry", seed=cfg.seed, blocks=first_order_blocks(cfg.tensors))
     rng = random.Random(cfg.seed)
-    spec = cfg.spec()
-    checked = []  # (block, first-order key, unit deviations), built once per block
-    for block, key, rank, inside in (("lambda", (1, 0), spec.M, spec.M >= 2 and spec.h_max >= 1),
-                                     ("mu", (0, 1), spec.N, spec.N >= 3 and spec.k_max >= 1)):
-        res.blocks[block] = "checked" if inside else "unchecked"
-        if inside:
-            units = [(i, make_deviation(DenseSymTensor(rank, {i: 1}), rank, spec.m))
-                     for i in canonical_indices(rank)]
-            checked.append((block, key, units))
-    tensors = _build_set(spec, [key for _, key, _ in checked])
-    if cfg.mutate:
-        tensors = mutate_tensor_set(tensors, rng, cfg.mutate, skip_pure_metric=True)
+    tensors = _suite_tensors(cfg, rng, orders=list(FIRST_ORDER.values()), skip_pure_metric=True)
     for case in range(cfg.states):
         lam = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         mu = random_rational_timelike(rng)
-        for block, key, units in checked:
-            realized = realize(tensors.get(*key), lam, mu, spec.m, spec.registry)
-            groups: Dict[tuple, set] = {}
-            for idx, dev in units:
-                tail = contract_tail(realized, dev)
-                for a in range(4):
-                    value = Fraction(tail.get((a,)), arrangements(idx))
-                    groups.setdefault(tuple(sorted((a,) + idx)), set()).add(value)
-            bad = [group for group, values in groups.items() if len(values) > 1]
+        for block, groups in first_order_symmetry(tensors, lam, mu).items():
+            bad = [group for group, spread in groups.items() if spread]
             res.record(not bad, 1.0 if bad else 0.0,
                        {"op": "symmetry", "block": block, "case": case, "lambda": lam,
                         "mu": list(mu.components), "groups": bad[:5]})

@@ -8,11 +8,11 @@ import os
 
 import pytest
 
-from etclosure import verify
+from etclosure import cli, verify
 from etclosure.cli import _build_parser, main
-from etclosure.closure import ClosureSpec
+from etclosure.closure import ClosureSpec, ClosureTensorSet, iter_orders
 from etclosure.equilibrium import ThermoState
-from etclosure.moments import MultiplierState, symmetry_residual
+from etclosure.moments import first_order_symmetry
 from etclosure.scalar import FunctionRegistry
 from etclosure.tensors import FourVector
 
@@ -213,8 +213,8 @@ def test_non_finite_state_flags_are_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("moments", "--mu0", "1e-30"),  # gamma**(-k) overflows in the closure coefficients
-    ("moments", "--gamma", "1e-30"),
+    ("moments", "--mu0", "1e-40"),  # gamma**(-k) overflows in the closure coefficients
+    ("moments", "--gamma", "1e-40"),
 ])
 def test_overflow_at_a_state_is_a_numerical_failure(capsys, argv):
     code = main(list(argv))
@@ -252,13 +252,24 @@ def test_moments_equilibrium_delta_is_zero(capsys):
 
 
 @pytest.mark.parametrize("m", [1, 2])
-def test_moments_series_runs_at_the_state_mass(capsys, m):
+def test_moments_series_runs_at_the_state_mass(capsys, monkeypatch, m):
+    # the relative spread reads the same at every mass, so the spy says which one ran
+    masses = []
+
+    def spy(tensors, lam, mu):
+        masses.append(tensors.spec.m)
+        return first_order_symmetry(tensors, lam, mu)
+
+    monkeypatch.setattr(cli, "first_order_symmetry", spy)
     code, out = run(capsys, "moments", "--M", "2", "--N", "3", "--m", str(m))
-    assert code == 0
+    assert code == 0 and masses == [m]
     state = ThermoState(1.0, FourVector((1.0, 0.0, 0.0, 0.0), "upper"), float(m))
     spec = ClosureSpec(2, 3, registry=FunctionRegistry.polynomials(0), m=m)
-    want = symmetry_residual(MultiplierState.at_equilibrium(state, spec))
-    assert json.loads(out)["residuals"]["symmetry"] == format(want, ".17g")
+    spreads = first_order_symmetry(ClosureTensorSet.build(spec), state.lam, state.mu)
+    want = max(spread for groups in spreads.values() for spread in groups.values())
+    residuals = json.loads(out)["residuals"]
+    assert residuals["symmetry"] == format(want, ".17g") and want < 1e-15
+    assert residuals["symmetry_blocks"] == {"lambda": "checked", "mu": "checked"}
 
 
 def test_moments_past_rank_cap_is_resource_error(capsys):
@@ -277,25 +288,44 @@ def test_verify_symmetry_past_rank_cap_is_resource_error(capsys):
 
 @pytest.mark.parametrize("suite", ["derivative", "characteristic", "compatibility", "equilibrium"])
 def test_verify_refuses_a_truncation_past_the_rank_cap_before_any_suite(capsys, suite):
-    # these suites choose their own orders, but the top order (9, 9) has rank 46
+    # the top order (9, 9) has rank 46: refused before any suite, whichever suite reads it
     code, out = run(capsys, "verify", "--M", "2", "--N", "3", "--hmax", "9", "--kmax", "9",
                     "--suite", suite)
     assert code == 3
     assert out == ""
 
 
-def test_verify_lists_the_orders_of_the_suites_that_choose_them(capsys):
-    code, out = run(capsys, "verify", "--M", "2", "--N", "3",
-                    "--suite", "derivative,characteristic,compatibility,cross_route")
+def test_verify_lists_the_orders_of_the_truncation(capsys):
+    for h_max, k_max in ((2, 2), (1, 1)):
+        code, out = run(capsys, "verify", "--M", "2", "--N", "3", "--hmax", str(h_max),
+                        "--kmax", str(k_max), "--suite",
+                        "derivative,characteristic,compatibility,cross_route,symmetry")
+        assert code == 0
+        want = list(iter_orders(ClosureSpec(2, 3, h_max=h_max, k_max=k_max)))
+        results = {r["suite"]: r for r in json.loads(out)["results"]}
+        orders = {name: [tuple(hk) for hk in r["orders"]] for name, r in results.items()
+                  if "orders" in r}
+        assert set(orders) == {"derivative", "characteristic", "compatibility", "cross_route"}
+        assert all(set(listed) <= set(want) for listed in orders.values())
+        assert orders["characteristic"] == orders["cross_route"] == want
+        assert orders["derivative"] == want[1:] and want[0] == (0, 0)
+        assert len(want) == results["characteristic"]["cases"] == results["cross_route"]["cases"]
+        assert len(orders["derivative"]) * 3 == results["derivative"]["cases"]
+        # (h_max, k_max) itself has no next order inside the truncation
+        assert (h_max, k_max) not in orders["compatibility"]
+    code, out = run(capsys, "verify", "--M", "2", "--N", "3", "--hmax", "0", "--kmax", "0",
+                    "--suite", "compatibility")
     assert code == 0
-    results = {r["suite"]: r for r in json.loads(out)["results"]}
-    orders = {name: [tuple(hk) for hk in r["orders"]] for name, r in results.items() if "orders" in r}
-    assert set(orders) == {"derivative", "characteristic", "compatibility"}
-    assert (0, 0) not in orders["derivative"] and (3, 0) in orders["derivative"]
-    assert all(2 * h + 3 * k + 1 <= 12 for h, k in orders["characteristic"])
-    assert len(orders["characteristic"]) == results["characteristic"]["cases"] == 16
-    assert set(orders["compatibility"]) <= set(orders["characteristic"])
-    assert len(orders["derivative"]) * 3 == results["derivative"]["cases"]
+    (suite,) = json.loads(out)["results"]
+    assert (suite["orders"], suite["cases"]) == ([], 0)
+
+
+@pytest.mark.parametrize("N", [3, 1])
+def test_verify_runs_every_suite_with_a_scalar_lambda_block(capsys, N):
+    # M = 0 admits no lambda orders: each suite checks what the truncation holds
+    code, out = run(capsys, "verify", "--M", "0", "--N", str(N))
+    assert code == 0
+    assert json.loads(out)["passed"] is True
 
 
 def test_verify_kinetic_runs_every_order_that_fits_the_cap(capsys):

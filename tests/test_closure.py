@@ -167,6 +167,10 @@ def test_compatibility_N3_both_conditions():
             report = verify_compatibility(spec, h, k, tensors)
             assert report["lambda_ok"] is True
             assert report["mu_ok"] is True
+    # with a set, a condition whose next order lies outside it is not checked
+    report = verify_compatibility(spec, 1, 2, tensors)
+    assert report["lambda_ok"] is True and report["mu_ok"] is None
+    assert verify_compatibility(spec, 2, 2, tensors)["lambda_ok"] is None
 
 
 def test_tensor_set_build_and_get():

@@ -156,8 +156,6 @@ def test_chain_rule_derivative_matches_coefficient_space_and_fd(rng, M, N, h, k)
 def test_oracle_config_guards():
     with pytest.raises(ValueError):
         OracleConfig(max_rank=9)
-    with pytest.raises(ValueError):
-        OracleConfig(arithmetic="symbolic")
     cfg = OracleConfig()
     with pytest.raises(ValueError):
         brute_trace(DenseSymTensor.zeros(7), cfg)

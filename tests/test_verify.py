@@ -129,6 +129,13 @@ def test_symmetry_negative_control_fails(M, N, seeds):
         assert not res.passed and res.max_residual == 1.0, seed
 
 
+def test_two_mutations_of_one_first_order_tensor_are_detected():
+    # both draws land on the two visible coefficients of C_{1,0}; scaled alike,
+    # the tensor would stay symmetric
+    (res,) = run_suites(["symmetry"], VerifyConfig(M=2, N=3, seed=653159, mutate=2))
+    assert not res.passed and res.max_residual == 1.0
+
+
 def test_symmetry_reports_which_blocks_it_checked():
     blocks = {}
     for M, N, h_max, k_max in ((2, 3, 2, 2), (2, 1, 2, 2), (2, 3, 0, 1)):
