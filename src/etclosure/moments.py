@@ -176,16 +176,10 @@ def delta_hprime(
 FIRST_ORDER = {"lambda": (1, 0), "mu": (0, 1)}
 
 
-def first_order_blocks(tensors: ClosureTensorSet) -> Dict[str, str]:
-    """Each block of FIRST_ORDER: "checked" when its tensor is in the set, else "unchecked"."""
-    return {block: "checked" if key in tensors.tensors else "unchecked"
-            for block, key in FIRST_ORDER.items()}
-
-
 def first_order_symmetry(
     tensors: ClosureTensorSet, lam, mu: FourVector
 ) -> Dict[str, Dict[Tuple[int, ...], object]]:
-    """Relative index-group spreads of the derived moments at equilibrium, per checked block.
+    """Relative index-group spreads of the derived moments at equilibrium, keyed by checked block.
 
     The deviation split is linear and every deviation is 0 at equilibrium, so
     d(Delta h'^a)/d(full multiplier component e_i) is the one contraction of
@@ -193,7 +187,7 @@ def first_order_symmetry(
     make_deviation(e_i).  Divided by the arrangement count of i, every value
     of one sorted (a,)+i group must be equal; a group's spread is max - min
     over the block's largest value, exactly 0 at a rational state unless a
-    coefficient is corrupted.
+    coefficient is corrupted.  A block whose tensor is outside the set is left out.
     """
     spec = tensors.spec
     out = {}

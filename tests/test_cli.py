@@ -136,6 +136,11 @@ def test_verify_symmetry_passes_where_finite_differences_failed(capsys, argv, mu
     ("verify", "--M", "2", "--N", "3", "--kmax", "-1", "--suite", "cross_route"),
     ("verify", "--hmax", "-1", "--suite", "roundtrip"),
     ("verify", "--mutate", "-1", "--suite", "roundtrip"),
+    # the truncation (0, 0) holds only the zero tensor C_{0,0}: nothing to mutate
+    ("verify", "--M", "2", "--N", "3", "--hmax", "0", "--kmax", "0",
+     "--suite", "characteristic", "--mutate", "1"),
+    ("verify", "--M", "2", "--N", "3", "--hmax", "0", "--kmax", "0",
+     "--suite", "compatibility", "--mutate", "1"),
     ("verify", "--tol", "nan", "--suite", "roundtrip"),
     ("verify", "--tol", "-1", "--suite", "roundtrip"),
     ("verify", "--tol", "inf", "--suite", "roundtrip"),
@@ -213,6 +218,10 @@ def test_non_finite_state_flags_are_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    # the kinetic moments' mass-shell trace residuals read 1: the trace is all cancellation
+    ("moments", "--mu0", "1e-30"),
+    ("moments", "--gamma", "1e-30"),
+    ("moments", "--M", "2", "--N", "1", "--gamma", "1e-7"),
     ("moments", "--mu0", "1e-40"),  # gamma**(-k) overflows in the closure coefficients
     ("moments", "--gamma", "1e-40"),
 ])
@@ -270,6 +279,17 @@ def test_moments_series_runs_at_the_state_mass(capsys, monkeypatch, m):
     residuals = json.loads(out)["residuals"]
     assert residuals["symmetry"] == format(want, ".17g") and want < 1e-15
     assert residuals["symmetry_blocks"] == {"lambda": "checked", "mu": "checked"}
+
+
+@pytest.mark.parametrize("flags,blocks", [
+    (("--kmax", "0"), {"lambda": "checked", "mu": "unchecked"}),
+    (("--hmax", "0"), {"lambda": "unchecked", "mu": "checked"}),
+])
+def test_moments_lists_the_symmetry_blocks_it_checked(capsys, flags, blocks):
+    code, out = run(capsys, "moments", "--M", "2", "--N", "3", *flags)
+    assert code == 0
+    residuals = json.loads(out)["residuals"]
+    assert residuals["symmetry_blocks"] == blocks and float(residuals["symmetry"]) < 1e-15
 
 
 def test_moments_past_rank_cap_is_resource_error(capsys):

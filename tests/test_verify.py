@@ -147,6 +147,9 @@ def test_symmetry_reports_which_blocks_it_checked():
         (2, 1, 2, 2): ({"lambda": "checked", "mu": "unchecked"}, 3),
         (2, 3, 0, 1): ({"lambda": "unchecked", "mu": "checked"}, 3),
     }
+    # a block counts as checked only once a state has checked it
+    (res,) = run_suites(["symmetry"], VerifyConfig(M=2, N=3, states=0))
+    assert (res.blocks, res.cases) == ({"lambda": "unchecked", "mu": "unchecked"}, 0)
     (res,) = run_suites(["roundtrip"])
     assert "blocks" not in res.to_json_obj()
 
