@@ -282,10 +282,10 @@ def cmd_closure(args) -> int:
 
 def cmd_verify(args) -> int:
     names = None
-    if args.suite:
-        names = []
-        for entry in args.suite:
-            names.extend(s.strip() for s in entry.split(",") if s.strip())
+    if args.suite is not None:
+        names = [s.strip() for entry in args.suite for s in entry.split(",") if s.strip()]
+        if not names:
+            raise ValueError(f"--suite names no suite; one of: {', '.join(SUITES)}")
     cfg = VerifyConfig(
         M=args.M, N=args.N, h_max=args.hmax, k_max=args.kmax,
         seed=args.seed, mutate=args.mutate, tol=args.tol,

@@ -104,6 +104,15 @@ class MomentSet:
     truncation: Tuple[int, int]
 
 
+def _split(full: DenseSymTensor, m):
+    """(projection, deviation) of a full multiplier tensor: lambda at even rank, mu at odd."""
+    if full.rank % 2 == 0:
+        lam, _ = project_equilibrium(full, DenseSymTensor.zeros(1), m)
+        return lam, full - lambda_multiplier(lam, full.rank, m)
+    _, mu = project_equilibrium(DenseSymTensor.zeros(0), full, m)
+    return mu, full - mu_multiplier(mu, full.rank, m)
+
+
 def make_deviation(raw: DenseSymTensor, M_or_N: int, m=1) -> DenseSymTensor:
     """Trace-free deviation: raw minus its equilibrium-shaped projection.
 
@@ -115,15 +124,9 @@ def make_deviation(raw: DenseSymTensor, M_or_N: int, m=1) -> DenseSymTensor:
     """
     if raw.rank != M_or_N:
         raise ValueError(f"rank {raw.rank} does not match declared {M_or_N}")
-    if raw.rank % 2 == 0:
-        if raw.rank == 0:
-            return DenseSymTensor.zeros(0)
-        lam_p, _ = project_equilibrium(raw, DenseSymTensor.zeros(1), m)
-        return raw - lambda_multiplier(lam_p, raw.rank, m)
-    if raw.rank == 1:
-        return DenseSymTensor.zeros(1)
-    _, mu_p = project_equilibrium(DenseSymTensor.zeros(0), raw, m)
-    return raw - mu_multiplier(mu_p, raw.rank, m)
+    if raw.rank <= 1:
+        return DenseSymTensor.zeros(raw.rank)
+    return _split(raw, m)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +175,17 @@ def delta_hprime(
 # symmetry of the derived moments
 
 
+def _group_spreads(rows: Dict[Tuple[int, ...], list]) -> Dict[Tuple[int, ...], object]:
+    """Each sorted (a,) + i group of the values rows[i][a]: its max - min over the
+    largest |value| of all rows (over 1 when every value is 0, so that it reads 0)."""
+    groups: Dict[Tuple[int, ...], list] = {}
+    for idx, row in rows.items():
+        for a, value in enumerate(row):
+            groups.setdefault(tuple(sorted((a,) + idx)), []).append(value)
+    scale = max(abs(v) for row in rows.values() for v in row) or 1
+    return {group: (max(vals) - min(vals)) / scale for group, vals in groups.items()}
+
+
 # the first-order closure tensor of each multiplier block
 FIRST_ORDER = {"lambda": (1, 0), "mu": (0, 1)}
 
@@ -196,15 +210,12 @@ def first_order_symmetry(
             continue
         rank = spec.M if block == "lambda" else spec.N
         realized = realize(tensors.get(*key), lam, mu, spec.m, spec.registry)
-        groups: Dict[Tuple[int, ...], list] = {}
+        rows = {}
         for idx in canonical_indices(rank):
             unit = make_deviation(DenseSymTensor(rank, {idx: 1}), rank, spec.m)
             tail = contract_tail(realized, unit)
-            for a in range(4):
-                value = Fraction(1, arrangements(idx)) * tail.get((a,))
-                groups.setdefault(tuple(sorted((a,) + idx)), []).append(value)
-        scale = max(abs(v) for values in groups.values() for v in values) or 1
-        out[block] = {group: (max(vals) - min(vals)) / scale for group, vals in groups.items()}
+            rows[idx] = [Fraction(1, arrangements(idx)) * tail.get((a,)) for a in range(4)]
+        out[block] = _group_spreads(rows)
     return out
 
 
@@ -227,11 +238,9 @@ def series_at(
     lam, mu = state.base.lam, state.base.mu.lowered()
     lam_dev, mu_dev = state.lam_dev, state.mu_dev
     if block == "lam":
-        lam, _ = project_equilibrium(full, DenseSymTensor.zeros(1), m)
-        lam_dev = full - lambda_multiplier(lam, spec.M, m)
+        lam, lam_dev = _split(full, m)
     else:
-        _, mu = project_equilibrium(DenseSymTensor.zeros(0), full, m)
-        mu_dev = full - mu_multiplier(mu, spec.N, m)
+        mu, mu_dev = _split(full, m)
     mu = FourVector(tuple(_as_float(c) for c in mu.components), "lower")
     base = replace(state.base, lam=_as_float(lam), mu=mu, m=float(m))
     return delta_hprime(MultiplierState(base, lam_dev, mu_dev, spec), tensors)
@@ -302,13 +311,7 @@ def symmetry_residual(
         for i, (bidx, _) in enumerate(entries):
             denom = 2.0 * steps[i] * arrangements(bidx)
             derivs[bidx] = [(row[2 * i] - row[2 * i + 1]) / denom for row in rows]
-        scale = max(abs(v) for row in derivs.values() for v in row)
-        grouped: Dict[Tuple[int, ...], list] = {}
-        for bidx, row in derivs.items():
-            for a in range(4):
-                grouped.setdefault(tuple(sorted((a,) + bidx)), []).append(row[a])
-        spread = max(max(vals) - min(vals) for vals in grouped.values())
-        worst = max(worst, spread / max(scale, 1e-300))
+        worst = max(worst, max(_group_spreads(derivs).values()))
     return worst
 
 

@@ -24,15 +24,15 @@ a float, and zero-skipping (:func:`is_zero`) skips an array only when every
 entry is zero, since skipping an exact 0.0 term changes a sum at most in the
 sign of a zero.
 
-Products of batches run as stacked-array updates (:func:`_batch_product`)
-instead of one dict update and one numpy multiply per pair of terms.  A plan
-cached per key structure (:func:`_product_plan`) lists every output's terms in
-the dict loop's (a, b) order; each output starts from 0 and adds them in that
-order, one numpy update per layer of terms, so every entry and the key order
-are the dict loop's bit for bit.  The kernel runs where every term has an
-array factor and every value is a 1-D float64 array, a float, or an int a
-float holds exactly; exact values, object arrays, numpy scalars and anything
-else keep the loop.
+Products of batches (:func:`_batch_product`) follow one rule: an ordered
+scatter-add.  A plan cached per key structure (:func:`_product_plan`) lists
+the dict loop's (a, b) pairs in loop order with each pair's output row; the
+outputs start from 0 and ``np.add.at``, unbuffered, adds the pairs' products
+in that order, so every entry and the key order are the dict loop's bit for
+bit.  The kernel runs where every term has an array factor and every value is
+a 1-D float64 array, a float, or an int a float holds exactly
+(:func:`_batch_side`); exact values, object arrays, numpy scalars and
+anything else keep the loop.
 
 Traces and mu-contractions of batches (:func:`_derivative`) likewise stack the
 components once (:func:`_batch_derivative`) and add the four gathered terms of
@@ -343,7 +343,7 @@ def _from_coefficients(rank: int, poly: Poly, den: Optional[int] = None) -> Dens
         if w != 1 and (isinstance(v, np.ndarray) or v != 0):
             v = Fraction(v, w) if isinstance(v, int) else v / w
         elif isinstance(v, np.ndarray) and v.base is not None:
-            v = v.copy()  # a row of a batch product would keep its whole block alive
+            v = v.copy()  # a row of a batch product would keep the whole product alive
         values[c] = v
     return DenseSymTensor._from_counts(rank, values)
 
@@ -382,12 +382,11 @@ def _linear(vector: Sequence) -> Poly:
 
 
 _F64 = np.dtype(np.float64)
-_BLOCK = 64  # p terms stacked at a time
-_STEP = 128  # most pairs in one update
+_CHUNK = 256  # most pairs in one scatter-add
 
 
 def _batch_side(values: List) -> Optional[Tuple[int, bool]]:
-    """(width, every value an array) for one factor of a batch product, else None.
+    """(width, every value an array) for one factor of a batch kernel, else None.
 
     Every value must be a 1-D float64 array, a float, or an int that a float
     holds exactly; the arrays must share one length (width 0 when there are
@@ -418,70 +417,19 @@ def _rows(values: List, arrays: bool, width: int) -> np.ndarray:
     return rows
 
 
-def _runs(ordered: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(where each run of equal values starts, the run of every entry) in a sorted array."""
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(ordered)) + 1))
-    run = np.zeros(len(ordered), dtype=np.intp)
-    run[starts[1:]] = 1
-    return starts, np.cumsum(run, out=run)
-
-
 @lru_cache(maxsize=64)
 def _product_plan(p_keys: Tuple[Counts, ...], q_keys: Tuple[Counts, ...]):
-    """How the product loop over p_keys x q_keys sums its terms, as index arrays.
+    """The product loop over p_keys x q_keys as int32 index arrays, pairs in loop order.
 
-    Returns (keys, updates, o, i, j).  ``keys`` are the output keys in the
-    loop's first-encounter order, which is also the order of the result's
-    rows.  p's terms are stacked _BLOCK at a time; the update (a0, s, t) adds
-    p term a0 + i[n] times q term j[n] to row o[n] for every n in s..t-1.  No
-    row appears twice in one update, and each row's terms come in the loop's
-    (a, b) order: blocks of p terms go in order, and within a block an
-    output's L-th term comes in a later update than its (L-1)-th.
+    Returns (keys, o, i, j).  ``keys`` are the output keys in the loop's
+    first-encounter order, which is also the order of the result's rows; the
+    n-th pair of the loop adds p term i[n] times q term j[n] to row o[n].
     """
-    base = 1 + max(map(sum, p_keys)) + max(map(sum, q_keys))  # above every output degree
-
-    def code(c: Counts) -> int:
-        return ((c[0] * base + c[1]) * base + c[2]) * base + c[3]
-
-    n_p, n_q = len(p_keys), len(q_keys)
-    lookup = {}
-    for d in {dp + dq for dp in set(map(sum, p_keys)) for dq in set(map(sum, q_keys))}:
-        lookup.update((code(c), c) for c in _layout(d)[0])  # the canonical count tuples
-    # number the outputs in the loop's first-encounter order; pair n is (n // n_q, n % n_q)
-    codes = (np.array([code(c) for c in p_keys])[:, None] + np.array([code(c) for c in q_keys])).ravel()
-    by_code = np.argsort(codes, kind="stable")
-    starts, run = _runs(codes[by_code])
-    first = by_code[starts]
-    encounter = np.argsort(first, kind="stable")
-    keys = tuple(map(lookup.__getitem__, codes[first[encounter]].tolist()))
-    index = np.int16 if max(len(keys), n_q) <= np.iinfo(np.int16).max else np.int32
-    number = np.empty(len(keys), dtype=index)
-    number[encounter] = np.arange(len(keys))
-    out = np.empty(len(codes), dtype=index)
-    out[by_code] = number[run]
-    del codes, by_code, starts, run, first, encounter, number  # before the layer pass
-    # a pair's layer: how many pairs of its output come before it in its block of p terms
-    layer = np.empty_like(out)
-    seen = np.zeros(len(keys), dtype=index)
-    for a in range(n_p):
-        if a % _BLOCK == 0:
-            seen[:] = 0
-        row = out[a * n_q:(a + 1) * n_q]  # distinct outputs: b -> a + b is one-to-one
-        layer[a * n_q:(a + 1) * n_q] = seen[row]
-        seen[row] += 1
-    # updates, one per (block, layer), of at most _STEP pairs each
-    block = np.repeat(np.arange(-(-n_p // _BLOCK)), _BLOCK * n_q)[: len(out)]
-    update = block * (int(layer.max()) + 1) + layer
-    order = np.argsort(update, kind="stable")
-    starts, _ = _runs(update[order])
-    ends = starts.tolist() + [len(out)]
-    updates = tuple(
-        (t * _BLOCK, s, min(s + _STEP, hi))
-        for lo, hi, t in zip(ends, ends[1:], block[order[starts]].tolist())
-        for s in range(lo, hi, _STEP)
-    )
-    a, b = np.divmod(order, n_q)
-    return keys, updates, out[order], (a % _BLOCK).astype(index), b.astype(index)
+    index: Dict[Counts, int] = {}
+    o = [index.setdefault((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]), len(index))
+         for a in p_keys for b in q_keys]
+    i, j = np.divmod(np.arange(len(o), dtype=np.int32), np.int32(len(q_keys)))
+    return tuple(index), np.array(o, dtype=np.int32), i, j
 
 
 def _batch_product(p: Poly, q_terms: List[Tuple[Counts, object]]) -> Optional[Poly]:
@@ -502,14 +450,13 @@ def _batch_product(p: Poly, q_terms: List[Tuple[Counts, object]]) -> Optional[Po
     if wx and wy and wx != wy:
         return None
     width = wx or wy
-    keys, updates, o, i, j = _product_plan(tuple(p), tuple(b for b, _ in q_terms))
-    y = _rows(ys, y_arrays, width)
+    keys, o, i, j = _product_plan(tuple(p), tuple(b for b, _ in q_terms))
+    x, y = _rows(xs, x_arrays, width), _rows(ys, y_arrays, width)
     out = np.zeros((len(keys), width))
-    a0 = x = None
-    for start, s, t in updates:
-        if start != a0:
-            a0, x = start, _rows(xs[start:start + _BLOCK], x_arrays, width)
-        out[o[s:t]] += x[i[s:t]] * y[j[s:t]]
+    flat, col = out.reshape(-1), np.arange(width)
+    for s in range(0, len(o), _CHUNK):  # in order; np.add.at adds repeated indices in order
+        t = slice(s, s + _CHUNK)
+        np.add.at(flat, (o[t, None] * width + col).reshape(-1), (x[i[t]] * y[j[t]]).reshape(-1))
     return dict(zip(keys, out))
 
 
@@ -634,23 +581,18 @@ def _derivative_plan(rank: int, order: int) -> Tuple[np.ndarray, ...]:
 def _batch_derivative(t: DenseSymTensor, weights: Sequence, order: int) -> Optional[Dict]:
     """:func:`_derivative` over stacked float64 rows, or None where its loop must run.
 
-    It runs when every component is a 1-D float64 array of one width and every
-    weight is a float, an exact-in-float int or an array of that width
-    (:func:`_batch_side`).  The four gathered multiply-adds go in the loop's
-    a = 0..3 order, in place, so each output entry is the loop's bit for bit.
+    It runs when every component is an array and the components and the
+    weights are batch-ready numbers of one width (:func:`_batch_side`, as for
+    products).  The four gathered multiply-adds go in the loop's a = 0..3
+    order, in place, so each output entry is the loop's bit for bit.
     """
     values = list(t._values.values())
     if type(values[0]) is not np.ndarray:
         return None  # the cheap test first: exact and scalar tensors keep the loop
-    if any(type(v) is not np.ndarray or v.dtype is not _F64 for v in values):
+    side, weight_side = _batch_side(values), _batch_side(list(weights))
+    if side is None or not side[1] or weight_side is None or weight_side[0] not in (0, side[0]):
         return None
-    try:
-        rows = np.array(values)
-    except ValueError:  # arrays of different lengths
-        return None
-    side = _batch_side(list(weights))
-    if rows.ndim != 2 or side is None or side[0] not in (0, rows.shape[1]):
-        return None
+    rows = np.array(values)
     plan = _derivative_plan(t.rank, order)
     out = rows[plan[0]]
     out *= weights[0]

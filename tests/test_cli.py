@@ -145,6 +145,9 @@ def test_verify_symmetry_passes_where_finite_differences_failed(capsys, argv, mu
     ("verify", "--tol", "-1", "--suite", "roundtrip"),
     ("verify", "--tol", "inf", "--suite", "roundtrip"),
     ("moments", "--hmax", "-1"),
+    # an empty name list is not "all suites"
+    ("verify", "--suite", ","),
+    ("verify", "--suite", ""),
 ])
 def test_negative_orders_mutation_and_bad_tolerance_are_usage_errors(capsys, argv):
     code, out = run(capsys, *argv)

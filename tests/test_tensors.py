@@ -586,6 +586,29 @@ def test_batch_product_sums_start_from_zero():
     assert not any(np.signbit(v[0]) for v in got.values())
 
 
+def test_batch_product_keeps_the_loop_order_across_chunks():
+    # a rank-6 layout times a rank-4 layout: 84 x 35 = 2940 pairs, a dozen
+    # scatter-add chunks; entries of mixed magnitude make every sum's rounding
+    # depend on the order of its terms
+    rng = np.random.default_rng(14)
+    width = 3
+
+    def factor(rank):
+        return {c: rng.standard_normal(width) * 10.0 ** rng.integers(-6, 7, width)
+                for c in tensors._layout(rank)[0]}
+
+    p, q = factor(6), factor(4)
+    assert len(p) * len(q) == 2940 > 10 * tensors._CHUNK
+    assert tensors._batch_product(p, list(q.items())) is not None
+    got, want = tensors._product(p, q), _ref_product(p, q)
+    assert list(got) == list(want)
+    for key, v in got.items():
+        assert v.tobytes() == want[key].tobytes(), key
+    for k in range(width):
+        entry = per_entry_product(p, q, k)
+        assert [float(v[k]).hex() for v in got.values()] == [float(v).hex() for v in entry.values()]
+
+
 def test_inputs_the_kernel_cannot_reproduce_keep_the_loop():
     batch = np.array([0.5, -1.25, 3.0])
     objects = np.array([Fraction(1, 2), Fraction(-3, 4), Fraction(2)], dtype=object)
