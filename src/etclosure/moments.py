@@ -23,9 +23,10 @@ Three checks live here:
   is finite-difference noise unless a coefficient is corrupted.
 
 * :func:`equilibrium_moments_with_traces` computes the kinetic moments of the
-  equilibrium distribution by one-dimensional quadrature in the local rest
-  frame (over the radial kernel and acceptance rule of the equilibrium
-  module), boosts them, and reports the mass-shell trace residuals.  The
+  equilibrium distribution, each a combination of the metric and the
+  four-velocity whose coefficients are one-dimensional quadratures (over the
+  radial kernel and acceptance rule of the equilibrium module), and reports
+  the mass-shell trace residuals.  The
   kinetic integrals use the positive occupancy f_eq(lambda, gamma E), so the
   densities extracted here are positive; they are not the multiplier-side
   n = gamma dH/dlambda of the equilibrium module, which carries the opposite
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -56,7 +57,6 @@ from .equilibrium import (
     radial_integrand,
 )
 from .family import realize, realize_tail
-from .scalar import double_factorial
 from .tensors import (
     DenseSymTensor,
     FourVector,
@@ -65,10 +65,9 @@ from .tensors import (
     canonical_indices,
     contract_mu,
     contract_tail,
-    index_counts,
+    gmu_combination,
     sym_product,
     trace_pair,
-    transform,
 )
 
 
@@ -262,7 +261,8 @@ def symmetry_residual(
     to zero (:func:`make_deviation`); else the blocks' base points differ.  The
     central-difference derivative divided by the arrangement count is the
     slot-wise derivative, and the assembled (rank+1) arrays must be totally
-    symmetric.  Returns the worst relative mismatch over both blocks.
+    symmetric.  Returns the worst relative mismatch over both blocks, or NaN
+    when a derivative is not finite, so that ``residual <= tol`` fails.
 
     The stencil of a block with P canonical components has 2P points, and
     they go through :func:`series_at` together: one tensor whose components
@@ -311,6 +311,8 @@ def symmetry_residual(
         for i, (bidx, _) in enumerate(entries):
             denom = 2.0 * steps[i] * arrangements(bidx)
             derivs[bidx] = [(row[2 * i] - row[2 * i + 1]) / denom for row in rows]
+        if not all(math.isfinite(d) for row in derivs.values() for d in row):
+            return math.nan  # max() would drop a NaN and read a perfect pass
         worst = max(worst, max(_group_spreads(derivs).values()))
     return worst
 
@@ -319,38 +321,20 @@ def symmetry_residual(
 # kinetic moments at equilibrium
 
 
-def _angular(counts3: Tuple[int, int, int]) -> float:
-    """Integral of a unit-vector monomial over the sphere."""
-    if any(b % 2 for b in counts3):
-        return 0.0
-    b = sum(counts3)
-    num = 1
-    for bi in counts3:
-        num *= double_factorial(bi - 1)
-    return 4.0 * math.pi * num / double_factorial(b + 1)
-
-
-def _boost_matrix(u: FourVector):
-    uc = [float(c) for c in u.raised().components]
-    mat = [[0.0] * 4 for _ in range(4)]
-    mat[0][0] = uc[0]
-    for i in (1, 2, 3):
-        mat[0][i] = uc[i]
-        mat[i][0] = uc[i]
-        for j in (1, 2, 3):
-            mat[i][j] = (1.0 if i == j else 0.0) + uc[i] * uc[j] / (1.0 + uc[0])
-    return mat
-
-
 def kinetic_moment(state: ThermoState, rank: int, _cache: Optional[dict] = None) -> DenseSymTensor:
-    """Equilibrium moment with `rank` momentum factors, boosted from rest.
+    """Equilibrium moment with `rank` momentum factors, as one combination of g and u.
 
-    In the rest frame p = m(cosh x, sinh x w) with w on the unit sphere, and
-    the invariant measure reduces to m^2 sinh^2 x dx dOmega, so a component
-    with a time legs and spatial counts (b1, b2, b3) is
+    On the mass shell p = m cosh x u + m sinh x w, with w a unit vector
+    orthogonal to u, and the invariant measure is m^2 sinh^2 x dx dOmega(w).
+    The sphere average of (w.y)^j is |y|^j/(j+1) at even j and 0 at odd j,
+    and the part of x orthogonal to u has |y|^2 = x.x + (u.x)^2, so the
+    moment's polynomial, the integral of f_eq (p.x)^rank, is the basis
+    combination sum_s alpha_s (x.x)^s (u.x)^(rank-2s)
+    (:func:`~etclosure.tensors.gmu_combination`) with
 
-        m^(2+a+b) * integral_0^R f_eq(lambda, gamma m cosh x) cosh^a x
-                    sinh^(b+2) x dx * [sphere moment of w^b],
+        alpha_s = 4 pi sum_{even j >= 2s} C(rank, j) C(j/2, s)/(j+1) radial(rank-j, j),
+        radial(a, b) = m^(2+a+b) * integral_0^R f_eq(lambda, gamma m cosh x)
+                       cosh^a x sinh^(b+2) x dx,
 
     with R = ``dist.window(lambda, gamma m)``, past which f_eq reads exactly
     0.0 (see :meth:`~etclosure.equilibrium.JuttnerFamily.window`).
@@ -368,20 +352,13 @@ def kinetic_moment(state: ThermoState, rank: int, _cache: Optional[dict] = None)
             cache[key] = state.m ** (2 + a + b) * val
         return cache[key]
 
-    vals = {}
-    for idx in canonical_indices(rank):
-        counts = index_counts(idx)
-        a, spatial = counts[0], counts[1:]
-        if any(b % 2 for b in spatial):
-            vals[idx] = 0.0
-            continue
-        ang = _angular(spatial)
-        vals[idx] = radial(a, sum(spatial)) * ang if ang else 0.0
-    rest = DenseSymTensor(rank, vals)
-    uc = state.u.raised().components
-    if all(float(c) == 0.0 for c in uc[1:]):
-        return rest
-    return transform(rest, _boost_matrix(state.u))
+    alpha = [0.0] * (rank // 2 + 1)
+    for j in range(0, rank + 1, 2):
+        weight = 4.0 * math.pi * comb(rank, j) / (j + 1) * radial(rank - j, j)
+        for s in range(j // 2 + 1):
+            alpha[s] += comb(j // 2, s) * weight
+    # float components throughout: a slot no term reaches comes back as the int 0
+    return gmu_combination(rank, dict(enumerate(alpha)), state.u).map_values(float)
 
 
 def equilibrium_moments_with_traces(state: ThermoState, spec: ClosureSpec):

@@ -38,16 +38,18 @@ Traces and mu-contractions of batches (:func:`_derivative`) likewise stack the
 components once (:func:`_batch_derivative`) and add the four gathered terms of
 every output in the loop's a = 0..3 order, in place, under the same rules.
 
-Exact values are computed over integers (the representation of FLINT's
-``fmpq_poly``): where every term of an exact result is a Fraction, the
-operation writes each exact input as integer numerators over one common
-denominator (:func:`_integral`), runs its loops over Python ints, and divides
-once per output component.  The component is then the Fraction a loop over
-Fractions gives, and of the same type: a sum that cancels is Fraction(0), and
-a slot no term reaches stays the int 0.  Where some terms would stay ints
-(int-only inputs, or ints and Fractions meeting so that some components come
-out as ints), the loops run on the values as given.  Floats and batches never
-take the integer path.
+Basis realization (:func:`gmu_combination`) and the tail contraction
+(:func:`contract_tail`), which exact realization and the exact symmetry check
+repeat, compute exact values over integers (the representation of FLINT's
+``fmpq_poly``): where every term of an exact result is a Fraction, they write
+each exact input as integer numerators over one common denominator
+(:func:`_integral`), run their loops over Python ints, and divide once per
+output component.  The component is then the Fraction a loop over Fractions
+gives, and of the same type: a sum that cancels is Fraction(0), and a slot no
+term reaches stays the int 0.  Where some terms would stay ints (int-only
+inputs, or ints and Fractions meeting so that some components come out as
+ints), and in every other operation, the loops run on the values as given.
+Floats and batches never take the integer path.
 
 Each operation is the polynomial operation it is (see its docstring).  On
 components a derivative is an index shift with no weight, so traces and
@@ -661,30 +663,12 @@ def transform(t: DenseSymTensor, matrix: Sequence[Sequence]) -> DenseSymTensor:
     On the polynomial this is the substitution x_i -> sum_j L^j_i y_j.
     """
     forms = [_linear([matrix[j][i] for j in range(DIM)]) for i in range(DIM)]
-    poly = _coefficients(t)
-    den = None
-    entries = {(i, u): a for i, form in enumerate(forms) for u, a in form.items()}
-    # every term of a rank >= 1 result has rank matrix entries as factors
-    typed = (t.rank and _fractions(entries.values())) or _fractions(poly.values())
-    exact = _integral(poly, entries) if typed else None
-    if exact:
-        (poly, d), (entries, l) = exact
-        forms = [{u: entries[i, u] for u in form} for i, form in enumerate(forms)]
-        den = d * l**t.rank
-    return _from_coefficients(t.rank, _substitute(poly, forms), den)
+    return _from_coefficients(t.rank, _substitute(_coefficients(t), forms))
 
 
 def sym_product(a: DenseSymTensor, b: DenseSymTensor) -> DenseSymTensor:
     """Symmetrized tensor product sym(a x b), the product of the two polynomials."""
-    p, q = _coefficients(a), _coefficients(b)
-    den = None
-    # the terms of the product pair every coefficient of a with the nonzero ones of b
-    typed = _fractions(p.values()) or _fractions(y for y in q.values() if not is_zero(y))
-    exact = _integral(p, q) if typed else None
-    if exact:
-        (p, dp), (q, dq) = exact
-        den = dp * dq
-    return _from_coefficients(a.rank + b.rank, _product(p, q), den)
+    return _from_coefficients(a.rank + b.rank, _product(_coefficients(a), _coefficients(b)))
 
 
 def contract_tail(c: DenseSymTensor, p: DenseSymTensor) -> DenseSymTensor:

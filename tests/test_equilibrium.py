@@ -25,7 +25,7 @@ from etclosure.equilibrium import (
     thermo_with_residuals,
 )
 from etclosure.oracle import random_rational_timelike
-from etclosure.tensors import DenseSymTensor, FourVector, gmu_basis
+from etclosure.tensors import DenseSymTensor, FourVector, canonical_indices, gmu_basis, transform
 
 REST = FourVector([1.0, 0, 0, 0])
 BOOSTED = FourVector([1.3, 0.4, -0.2, 0.1])
@@ -344,6 +344,44 @@ def test_rank4_kinetic_moment_matches_bessel_series(stats, lam, gamma, m, k_B):
         want = m ** (2 + a + b) * ang * k_series(
             stats, lam, gamma, m, k_B, lambda j, w: radial_integral(a, b, w))
         assert rel(got.get(idx), want) <= 1e-10, idx
+
+
+def boost_matrix(u):
+    """The pure boost taking (1, 0, 0, 0) to the unit four-velocity u (upper components)."""
+    return [list(u)] + [[u[i]] + [(i == j) + u[i] * u[j] / (1.0 + u[0]) for j in (1, 2, 3)]
+                        for i in (1, 2, 3)]
+
+
+# (lambda, gamma, m, k_B, spatial velocity u^i)
+BOOSTED_SERIES_STATES = [(0.2, 0.1, 0.5, 2.0, (0.6, -0.3, 0.2)),
+                         (2.0, 30.0, 1.0, 1.0, (-0.4, 0.1, 1.5))]
+
+
+@pytest.mark.parametrize("stats", STATISTICS)
+@pytest.mark.parametrize("lam,gamma,m,k_B,velocity", BOOSTED_SERIES_STATES)
+def test_boosted_kinetic_moments_match_the_boosted_bessel_series(stats, lam, gamma, m, k_B,
+                                                                 velocity):
+    # the rest-frame tensor component by component from the Bessel series and
+    # the sphere moments, carried to the moving frame by tensors.transform
+    from etclosure.moments import kinetic_moment
+
+    u = (math.sqrt(1.0 + sum(v * v for v in velocity)),) + velocity
+    state = ThermoState(lam, FourVector([gamma * c for c in u]), m, statistics=stats, k_B=k_B)
+    series = {}
+    for rank in range(7):
+        rest = {}
+        for idx in canonical_indices(rank):
+            a = idx.count(0)
+            counts = [idx.count(i) for i in (1, 2, 3)]
+            ang = sphere_moment(counts)
+            b = sum(counts)
+            if ang and (a, b) not in series:
+                series[a, b] = m ** (2 + a + b) * k_series(
+                    stats, lam, gamma, m, k_B, lambda j, w: radial_integral(a, b, w))
+            rest[idx] = ang * series[a, b] if ang else 0.0
+        want = transform(DenseSymTensor(rank, rest), boost_matrix(u))
+        got = kinetic_moment(state, rank)
+        assert (got - want).max_abs() <= 1e-10 * want.max_abs(), rank
 
 
 @pytest.mark.parametrize("stats", STATISTICS)

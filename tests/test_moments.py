@@ -150,6 +150,19 @@ def test_symmetry_residual_at_equilibrium_is_noise_floor():
     assert symmetry_residual(st, step=1e-6) <= 1e-10
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("block, idx, bad",
+                         [("lam", (1, 2), math.nan), ("mu", (1, 2, 3), math.inf)])
+def test_symmetry_residual_is_nan_for_a_non_finite_deviation(block, idx, bad):
+    # a NaN derivative must fail ``residual <= tol`` instead of reading as 0
+    spec = ClosureSpec(2, 3, registry=poly_registry())
+    devs = {"lam": DenseSymTensor.zeros(2), "mu": DenseSymTensor.zeros(3)}
+    devs[block] = devs[block].with_entry(idx, bad)
+    base = ThermoState(0.8, FourVector([2.0, 0.3, 0.1, -0.2]), 1.0)
+    residual = symmetry_residual(MultiplierState(base, devs["lam"], devs["mu"], spec), step=1e-6)
+    assert math.isnan(residual)
+
+
 def _recording_delta_hprime(monkeypatch):
     seen = []
 
