@@ -26,11 +26,10 @@ Three checks live here:
   equilibrium distribution, each a combination of the metric and the
   four-velocity whose coefficients are one-dimensional quadratures (over the
   radial kernel and acceptance rule of the equilibrium module), and reports
-  the mass-shell trace residuals.  The
-  kinetic integrals use the positive occupancy f_eq(lambda, gamma E), so the
-  densities extracted here are positive; they are not the multiplier-side
-  n = gamma dH/dlambda of the equilibrium module, which carries the opposite
-  sign convention.
+  the mass-shell trace residuals.  The kinetic integrals use the positive
+  occupancy f_eq(lambda, gamma E), so the densities extracted here are
+  positive; they are not the multiplier-side n = gamma dH/dlambda of the
+  equilibrium module, which carries the opposite sign convention.
 """
 
 from __future__ import annotations
