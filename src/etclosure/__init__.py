@@ -71,7 +71,7 @@ from .moments import (
     make_deviation,
     symmetry_residual,
 )
-from .oracle import OracleConfig, brute_symmetrize, fd_mu_derivative
+from .oracle import brute_symmetrize, fd_mu_derivative
 from .scalar import (
     FunctionRegistry,
     MissingFunctionError,
@@ -102,7 +102,6 @@ __all__ = [
     "MissingFunctionError",
     "MomentSet",
     "MultiplierState",
-    "OracleConfig",
     "RankCapError",
     "ScalarExpr",
     "SingularRatioError",

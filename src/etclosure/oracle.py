@@ -14,13 +14,13 @@ import json
 import os
 import random
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
 from typing import Optional, Sequence, Tuple
 
 from .family import FFamilyElement, realize, timelike_gamma
+from .scalar import ScalarExpr
 from .tensors import DenseSymTensor, FourVector, canonical_indices, gmu_basis
 
 # literal metric components, written out rather than imported
@@ -32,21 +32,13 @@ _G = (
 )
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Cost guards for brute-force comparisons."""
-
-    max_rank: int = 6
-
-    def __post_init__(self):
-        if self.max_rank > 8:
-            raise ValueError("max_rank above 8 is unaffordable (4^rank components)")
+# the brute forces cost 4^rank terms; above this rank they are out of reach
+MAX_RANK = 8
 
 
-def _guard(rank: int, config: Optional[OracleConfig]) -> None:
-    cap = config.max_rank if config is not None else 8
-    if rank > cap:
-        raise ValueError(f"rank {rank} exceeds oracle cap {cap}")
+def _guard(rank: int) -> None:
+    if rank > MAX_RANK:
+        raise ValueError(f"rank {rank} exceeds oracle cap {MAX_RANK}")
 
 
 def _mean(total, count: int):
@@ -55,7 +47,7 @@ def _mean(total, count: int):
     return total / count
 
 
-def brute_symmetrize(raw, rank: Optional[int] = None, config: Optional[OracleConfig] = None):
+def brute_symmetrize(raw, rank: Optional[int] = None):
     """Average over all rank! slot permutations, evaluated entrywise.
 
     `raw` is either a mapping from full index tuples to values or a nested
@@ -70,7 +62,7 @@ def brute_symmetrize(raw, rank: Optional[int] = None, config: Optional[OracleCon
             while isinstance(probe, (list, tuple)):
                 rank += 1
                 probe = probe[0]
-    _guard(rank, config)
+    _guard(rank)
 
     def lookup(idx: Tuple[int, ...]):
         if hasattr(raw, "keys"):
@@ -91,9 +83,7 @@ def brute_symmetrize(raw, rank: Optional[int] = None, config: Optional[OracleCon
     return DenseSymTensor(rank, vals)
 
 
-def brute_realize_basis(
-    n: int, s: int, mu: Optional[FourVector] = None, config: Optional[OracleConfig] = None
-) -> DenseSymTensor:
+def brute_realize_basis(n: int, s: int, mu: Optional[FourVector] = None) -> DenseSymTensor:
     """sym(g x ... x g x mu x ... x mu) by literal permutation average.
 
     s metric blocks occupy the first 2s slots pairwise, the remaining n - 2s
@@ -101,7 +91,7 @@ def brute_realize_basis(
     out at all 4^n index tuples; the n! slot permutations of a multi-index hit
     each of its distinct orderings equally often, so they average alike.
     """
-    _guard(n, config)
+    _guard(n)
     if not 0 <= 2 * s <= n:
         raise ValueError("need 0 <= 2s <= n")
     if n > 2 * s and mu is None:
@@ -129,9 +119,9 @@ def brute_realize_basis(
     return DenseSymTensor(n, vals)
 
 
-def brute_trace(t: DenseSymTensor, config: Optional[OracleConfig] = None) -> DenseSymTensor:
+def brute_trace(t: DenseSymTensor) -> DenseSymTensor:
     """Metric contraction of the last two slots, summed over all 16 pairs."""
-    _guard(t.rank, config)
+    _guard(t.rank)
     if t.rank < 2:
         raise ValueError("trace needs rank >= 2")
     vals = {}
@@ -148,11 +138,9 @@ def brute_trace(t: DenseSymTensor, config: Optional[OracleConfig] = None) -> Den
     return DenseSymTensor(t.rank - 2, vals)
 
 
-def brute_mu_contract(
-    t: DenseSymTensor, mu: FourVector, config: Optional[OracleConfig] = None
-) -> DenseSymTensor:
+def brute_mu_contract(t: DenseSymTensor, mu: FourVector) -> DenseSymTensor:
     """Contraction of the last slot with the covariant mu, written out."""
-    _guard(t.rank, config)
+    _guard(t.rank)
     if t.rank < 1:
         raise ValueError("contraction needs rank >= 1")
     c = mu.components
@@ -167,11 +155,9 @@ def brute_mu_contract(
     return DenseSymTensor(t.rank - 1, vals)
 
 
-def brute_transform(
-    t: DenseSymTensor, matrix: Sequence[Sequence], config: Optional[OracleConfig] = None
-) -> DenseSymTensor:
+def brute_transform(t: DenseSymTensor, matrix: Sequence[Sequence]) -> DenseSymTensor:
     """T'^{j1..jn} = L^{j1}_{i1}...L^{jn}_{in} T^{i1..in}, summed over all 4^n tuples (i1..in)."""
-    _guard(t.rank, config)
+    _guard(t.rank)
     vals = {}
     for jdx in canonical_indices(t.rank):
         total = 0
@@ -281,6 +267,16 @@ def random_rational_timelike(rng: random.Random) -> FourVector:
         (gamma * cosh, gamma * sinh * unit[0], gamma * sinh * unit[1], gamma * sinh * unit[2]),
         "upper",
     )
+
+
+def random_family_element(rank: int, rng: random.Random) -> FFamilyElement:
+    """The characteristic element whose leading term is a c_0 gamma^-6 + b c_1 gamma^-8,
+    with seeded nonzero rationals a and b, so it is never zero."""
+    lead = ScalarExpr.zero()
+    for p in range(2):
+        coeff = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+        lead = lead + ScalarExpr.monomial(coeff, -6 - 2 * p, 0, (p, 0))
+    return FFamilyElement.from_leading(rank, lead)
 
 
 def random_float_timelike(rng: random.Random) -> FourVector:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,13 @@ import pytest
 from etclosure.closure import ClosureSpec, build_closure_tensor
 from etclosure.family import FFamilyElement, mu_derivative, realize
 from etclosure.oracle import (
-    OracleConfig,
     brute_mu_contract,
     brute_realize_basis,
     brute_symmetrize,
     brute_trace,
     chain_mu_derivative,
     fd_mu_derivative,
+    random_family_element,
     random_float_timelike,
     random_rational_timelike,
     random_sym_tensor,
@@ -155,11 +156,6 @@ def test_chain_rule_derivative_matches_coefficient_space_and_fd(rng, M, N, h, k)
 
 def test_oracle_config_guards():
     with pytest.raises(ValueError):
-        OracleConfig(max_rank=9)
-    cfg = OracleConfig()
-    with pytest.raises(ValueError):
-        brute_trace(DenseSymTensor.zeros(7), cfg)
-    with pytest.raises(ValueError):
         brute_trace(DenseSymTensor.zeros(9))
 
 
@@ -171,6 +167,17 @@ def test_random_rational_timelike_properties(rng):
         num, den = gsq.numerator, gsq.denominator
         assert math.isqrt(num) ** 2 == num
         assert math.isqrt(den) ** 2 == den
+
+
+def test_random_family_element_is_never_zero():
+    # a zero element would pass any comparison it is put through
+    for seed in range(300):
+        rng = random.Random(seed)
+        for rank in range(1, 17):
+            elem = random_family_element(rank, rng)
+            lead = elem.leading.terms
+            assert len({gpow for _, gpow, _, _ in lead}) == 2 and all(sym for *_, sym in lead)
+            assert elem.rank == rank and not elem.coeffs[0].is_zero(), (seed, rank)
 
 
 def test_random_float_timelike_properties(rng):

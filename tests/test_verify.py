@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from etclosure import family, oracle, verify
 from etclosure.closure import ClosureSpec, ClosureTensorSet
+from etclosure.family import FFamilyElement
 from etclosure.verify import SUITES, SuiteResult, VerifyConfig, mutate_tensor_set, run_suites
 
 
@@ -163,3 +166,37 @@ def test_mutation_can_skip_the_pure_metric_coefficient():
         mutated = mutate_tensor_set(tensors, random.Random(seed), skip_pure_metric=True)
         changed = [s for s, (a, b) in enumerate(zip(mutated.get(0, 1).coeffs, c01.coeffs)) if a != b]
         assert len(changed) == 1 and changed[0] != 2
+
+
+def scaled_psi(s):
+    """mu_derivative with its coefficient psi_s scaled by 11/10."""
+    def corrupted(f):
+        out = family.mu_derivative(f)
+        coeffs = list(out.coeffs)
+        coeffs[s] = coeffs[s].scale(Fraction(11, 10))
+        return FFamilyElement(out.rank, coeffs)
+    return corrupted
+
+
+def scaled_component(*args):
+    """chain_mu_derivative with its first nonzero component scaled by 11/10."""
+    out = oracle.chain_mu_derivative(*args)
+    idx, value = next((idx, value) for idx, value in out.items() if value)
+    return out.with_entry(idx, value * Fraction(11, 10))
+
+
+@pytest.mark.parametrize("target, corrupted", [
+    ("mu_derivative", scaled_psi(0)),
+    ("mu_derivative", scaled_psi(1)),
+    ("chain_mu_derivative", scaled_component),
+], ids=["psi_0", "psi_1", "chain"])
+def test_derivative_negative_control_fails(monkeypatch, target, corrupted):
+    monkeypatch.setattr(verify, target, corrupted)
+    for seed in range(40):
+        (res,) = run_suites(["derivative"], VerifyConfig(M=2, N=1, seed=seed))
+        assert not res.passed and res.max_residual == 1.0, seed
+    # a seed draws the same ranks 1-5 at (2,3) as at (2,1), so ask there that
+    # every rank fails, the higher ones too
+    for seed in (0, 1):
+        (res,) = run_suites(["derivative"], VerifyConfig(M=2, N=3, seed=seed))
+        assert res.failures == res.cases == 11, seed
