@@ -23,123 +23,6 @@ Layers, bottom up:
   verification, kinetic equilibrium moments with trace reports.
 - :mod:`etclosure.oracle`: brute-force reference implementations.
 - :mod:`etclosure.verify`: the suite harness behind `etclosure verify`.
+
+Callers import these submodules; the package root exports nothing.
 """
-
-from .closure import (
-    ClosureSpec,
-    ClosureTensorSet,
-    RankCapError,
-    build_closure_tensor,
-    closure_coeff,
-    closure_coeff_N1,
-    closure_table,
-    derive_C_from_E,
-    recursive_E,
-    verify_compatibility,
-)
-from .equilibrium import (
-    ConvergenceError,
-    EquilibriumFunctions,
-    JuttnerFamily,
-    ThermoState,
-    H_from_distribution,
-    equilibrium_hprime,
-    equilibrium_multipliers,
-    gibbs_residual,
-    integrability_residual,
-    mj_closed_form_H,
-    project_equilibrium,
-    state_functions,
-    thermo_functions,
-)
-from .family import (
-    CharacteristicError,
-    FFamilyElement,
-    basis_mu_contraction,
-    check_characteristic,
-    leading_after_traces,
-    lift,
-    mu_derivative,
-    realize,
-    trace,
-)
-from .moments import (
-    MomentSet,
-    MultiplierState,
-    delta_hprime,
-    equilibrium_moments_with_traces,
-    make_deviation,
-    symmetry_residual,
-)
-from .oracle import brute_symmetrize, fd_mu_derivative
-from .scalar import (
-    FunctionRegistry,
-    MissingFunctionError,
-    ScalarExpr,
-    SingularRatioError,
-    double_factorial,
-    double_factorial_ratio,
-    eta,
-)
-from .tensors import DenseSymTensor, FourVector, Metric, gmu_basis, symmetrize
-from .verify import SuiteResult, VerifyConfig, run_suites
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CharacteristicError",
-    "ClosureSpec",
-    "ClosureTensorSet",
-    "ConvergenceError",
-    "DenseSymTensor",
-    "EquilibriumFunctions",
-    "FFamilyElement",
-    "FourVector",
-    "FunctionRegistry",
-    "H_from_distribution",
-    "JuttnerFamily",
-    "Metric",
-    "MissingFunctionError",
-    "MomentSet",
-    "MultiplierState",
-    "RankCapError",
-    "ScalarExpr",
-    "SingularRatioError",
-    "SuiteResult",
-    "ThermoState",
-    "VerifyConfig",
-    "basis_mu_contraction",
-    "brute_symmetrize",
-    "build_closure_tensor",
-    "check_characteristic",
-    "closure_coeff",
-    "closure_coeff_N1",
-    "closure_table",
-    "delta_hprime",
-    "derive_C_from_E",
-    "double_factorial",
-    "double_factorial_ratio",
-    "equilibrium_hprime",
-    "equilibrium_moments_with_traces",
-    "equilibrium_multipliers",
-    "eta",
-    "fd_mu_derivative",
-    "gibbs_residual",
-    "gmu_basis",
-    "integrability_residual",
-    "leading_after_traces",
-    "lift",
-    "make_deviation",
-    "mj_closed_form_H",
-    "mu_derivative",
-    "project_equilibrium",
-    "realize",
-    "recursive_E",
-    "run_suites",
-    "state_functions",
-    "symmetrize",
-    "symmetry_residual",
-    "thermo_functions",
-    "trace",
-    "verify_compatibility",
-]

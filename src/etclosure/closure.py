@@ -59,8 +59,6 @@ class ClosureSpec:
             raise ValueError(f"M must be even and non-negative, got {self.M}")
         if self.N < 1 or self.N % 2 != 1:
             raise ValueError(f"N must be odd and positive, got {self.N}")
-        if (self.M + self.N) % 2 != 1:
-            raise ValueError("M + N must be odd")
         if self.h_max < 0 or self.k_max < 0:
             raise ValueError(f"h_max and k_max must be non-negative, got {self.h_max}, {self.k_max}")
 
@@ -79,6 +77,12 @@ class ClosureSpec:
                 f"rank {self.rank(h, k)} exceeds cap {RANK_CAP} for (h,k)=({h},{k})"
             )
 
+    @property
+    def top_order(self) -> Tuple[int, int]:
+        """The highest (h, k) of the truncation: M = 0 admits no lambda
+        orders and N = 1 no mu orders."""
+        return (self.h_max if self.M >= 2 else 0, self.k_max if self.N >= 3 else 0)
+
     def check_top_order(self) -> None:
         """Raise RankCapError when the highest requested order passes the rank cap.
 
@@ -86,8 +90,7 @@ class ClosureSpec:
         does; :func:`iter_orders` calls this, so nothing that sums over the
         truncation silently covers less than was requested.
         """
-        top_h = self.h_max if self.M >= 2 else 0
-        top_k = self.k_max if self.N >= 3 else 0
+        top_h, top_k = self.top_order
         if self.rank(top_h, top_k) > RANK_CAP:
             raise RankCapError(
                 f"rank {self.rank(top_h, top_k)} at (h,k)=({top_h},{top_k}) "
@@ -309,8 +312,7 @@ class ClosureTensorSet:
 def iter_orders(spec: ClosureSpec):
     """All (h, k) within the truncation orders; RankCapError past the rank cap."""
     spec.check_top_order()
-    hmax = spec.h_max if spec.M >= 2 else 0
-    kmax = spec.k_max if spec.N >= 3 else 0
+    hmax, kmax = spec.top_order
     for h in range(hmax + 1):
         for k in range(kmax + 1):
             yield (h, k)

@@ -136,43 +136,38 @@ def project_equilibrium(lam_tensor: DenseSymTensor, mu_tensor: DenseSymTensor, m
 _UNDERFLOW_EXPONENT = 746.0
 
 
-def _occupancy(statistics: str, k: float, a: float):
-    """(F, f_eq) of one statistics as closures over k_B and the amplitude a = w/h^3."""
+def _occupancy(statistics: str, k: float):
+    """(F, f_eq) of one statistics as closures over k_B, at amplitude w/h^3 = 1."""
     exp, log1p = math.exp, math.log1p
+    neg_k = -k
     if statistics == "nondegenerate":
-        neg_ka = -k * a
-
         def F(x: float, y: float) -> float:
-            return neg_ka * exp(-((x + y) / k))
+            return neg_k * exp(-((x + y) / k))
 
         def f_eq(x: float, y: float) -> float:
-            return a * exp(-((x + y) / k))
+            return exp(-((x + y) / k))
 
     elif statistics == "fermion":
-        neg_ka = -k * a
-
         def F(x: float, y: float) -> float:
-            return neg_ka * log1p(exp(-((x + y) / k)))
+            return neg_k * log1p(exp(-((x + y) / k)))
 
         def f_eq(x: float, y: float) -> float:
             ez = exp(-((x + y) / k))
-            return a * ez / (1.0 + ez)
+            return ez / (1.0 + ez)
 
     else:
-        ka = k * a
-
         def F(x: float, y: float) -> float:
             z = (x + y) / k
             if z <= 0:
                 raise ValueError("boson antiderivative needs X + Y > 0")
-            return ka * log1p(-exp(-z))
+            return k * log1p(-exp(-z))
 
         def f_eq(x: float, y: float) -> float:
             z = (x + y) / k
             if z <= 0:
                 raise ValueError("boson occupancy needs X + Y > 0")
             ez = exp(-z)
-            return a * ez / (1.0 - ez)
+            return ez / (1.0 - ez)
 
     return F, f_eq
 
@@ -182,15 +177,13 @@ class JuttnerFamily:
     """F(X, Y) and f_eq = dF/dX for the three equilibrium statistics.
 
     All three depend on X and Y through (X + Y)/k_B only, so dF/dY = dF/dX.
-    ``F`` and ``f_eq`` are plain functions of (X, Y) bound when the family is
-    made: the statistics branch and the amplitude w/h^3 are chosen once, not
-    on every call of a quadrature integrand.
+    The amplitude w/h^3 is 1 (natural units).  ``F`` and ``f_eq`` are plain
+    functions of (X, Y) bound when the family is made: the statistics branch
+    is chosen once, not on every call of a quadrature integrand.
     """
 
     statistics: str = "nondegenerate"
     k_B: float = 1.0
-    h_planck: float = 1.0
-    w: float = 1.0
     F: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
     f_eq: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
 
@@ -199,7 +192,7 @@ class JuttnerFamily:
             raise ValueError(f"unknown statistics {self.statistics!r}")
         if not self.k_B > 0:
             raise ValueError(f"k_B must be positive, got {self.k_B}")
-        F, f_eq = _occupancy(self.statistics, self.k_B, self.w / self.h_planck**3)
+        F, f_eq = _occupancy(self.statistics, self.k_B)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "f_eq", f_eq)
 
@@ -235,8 +228,6 @@ class ThermoState:
     m: float
     statistics: str = "nondegenerate"
     k_B: float = 1.0
-    h_planck: float = 1.0
-    w: float = 1.0
 
     def __post_init__(self):
         if self.m <= 0:
@@ -263,7 +254,7 @@ class ThermoState:
 
     @cached_property
     def dist(self) -> JuttnerFamily:
-        return JuttnerFamily(self.statistics, self.k_B, self.h_planck, self.w)
+        return JuttnerFamily(self.statistics, self.k_B)
 
 
 # ---------------------------------------------------------------------------
@@ -518,16 +509,15 @@ def equilibrium_hprime(state: ThermoState):
 # nondegenerate closed form and its independent oracle
 
 
-def mj_closed_form_H(lam, gamma, m, k_B=1.0, h_planck=1.0, w=1.0) -> float:
-    """Nondegenerate H via the Bessel identity.
+def mj_closed_form_H(lam, gamma, m) -> float:
+    """Nondegenerate H via the Bessel identity, at k_B = 1.
 
-    integral exp(-z cosh r) sinh^2 r dr = K_1(z)/z at z = gamma m / k_B turns
-    the quadrature of (the nondegenerate) F into
-    H = (4 pi / gamma) m^3 k_B (w/h^3) exp(-lambda/k_B) K_1(z)/z.  K_1 comes
-    from scipy's exponentially scaled k1e(z) = exp(z) K_1(z), an independent
-    route from the quadrature it checks.
+    integral exp(-z cosh r) sinh^2 r dr = K_1(z)/z at z = gamma m turns the
+    quadrature of (the nondegenerate) F into
+    H = (4 pi / gamma) m^3 exp(-lambda) K_1(z)/z.  K_1 comes from scipy's
+    exponentially scaled k1e(z) = exp(z) K_1(z), an independent route from
+    the quadrature it checks.
     """
-    z = gamma * m / k_B
-    amp = w / h_planck**3
-    k1 = math.exp(-(lam / k_B + z)) * float(k1e(z))
-    return (FOUR_PI / gamma) * m**3 * k_B * amp * k1 / z
+    z = gamma * m
+    k1 = math.exp(-(lam + z)) * float(k1e(z))
+    return (FOUR_PI / gamma) * m**3 * k1 / z

@@ -13,11 +13,10 @@ from __future__ import annotations
 import json
 import os
 import random
-import tempfile
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .family import FFamilyElement, realize, timelike_gamma
 from .scalar import ScalarExpr
@@ -47,39 +46,20 @@ def _mean(total, count: int):
     return total / count
 
 
-def brute_symmetrize(raw, rank: Optional[int] = None):
+def brute_symmetrize(raw, rank: int):
     """Average over all rank! slot permutations, evaluated entrywise.
 
-    `raw` is either a mapping from full index tuples to values or a nested
-    sequence indexed [i1][i2]...[in].
+    `raw` maps full index tuples to values; absent tuples count as 0.
     """
-    if rank is None:
-        if hasattr(raw, "keys"):
-            rank = len(next(iter(raw.keys()))) if raw else 0
-        else:
-            rank = 0
-            probe = raw
-            while isinstance(probe, (list, tuple)):
-                rank += 1
-                probe = probe[0]
     _guard(rank)
-
-    def lookup(idx: Tuple[int, ...]):
-        if hasattr(raw, "keys"):
-            return raw.get(idx, 0)
-        v = raw
-        for i in idx:
-            v = v[i]
-        return v
-
     fact = factorial(rank)
     vals = {}
     for idx in canonical_indices(rank):
         total = None
         for perm in permutations(idx):
-            item = lookup(perm)
+            item = raw.get(perm, 0)
             total = item if total is None else total + item
-        vals[idx] = _mean(total, fact) if rank else lookup(())
+        vals[idx] = _mean(total, fact) if rank else total
     return DenseSymTensor(rank, vals)
 
 
@@ -171,40 +151,35 @@ def brute_transform(t: DenseSymTensor, matrix: Sequence[Sequence]) -> DenseSymTe
     return DenseSymTensor(t.rank, vals)
 
 
-def fd_mu_derivative(
-    f: FFamilyElement,
-    lam,
-    mu: FourVector,
-    m=1,
-    registry=None,
-    step: float = 1e-5,
-) -> DenseSymTensor:
+# the step h of :func:`fd_mu_derivative` in each covariant component of mu
+FD_STEP = 1e-5
+
+
+def fd_mu_derivative(f: FFamilyElement, lam, mu: FourVector, m=1, registry=None) -> DenseSymTensor:
     """d(realize(f))/d(mu_beta) by fourth-order central differences, rank n+1 components.
 
-    Each derivative is (8 (f(+h) - f(-h)) - (f(+2h) - f(-2h))) / (12 h), whose
-    truncation error is O(h^4).  The derivative slot is placed first; for
-    elements of the family the result is totally symmetric, so any slot
-    assignment must agree with the coefficient-space derivative.
+    Each derivative is (8 (f(+h) - f(-h)) - (f(+2h) - f(-2h))) / (12 h) at
+    h = ``FD_STEP``, whose truncation error is O(h^4).  The derivative slot is
+    placed first; for elements of the family the result is totally symmetric,
+    so any slot assignment must agree with the coefficient-space derivative.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     mu_low = [float(c) for c in mu.lowered().components]
     shifted = []
     for beta in range(4):
         at = {}
         for off in (1, -1, 2, -2):
             comps = list(mu_low)
-            comps[beta] += off * step
+            comps[beta] += off * FD_STEP
             vec = FourVector(tuple(comps), "lower")
             if float(vec.gamma_sq()) <= 0:
-                raise ValueError("perturbed mu left the timelike cone; reduce step")
+                raise ValueError("mu lies within FD_STEP of the light cone")
             at[off] = realize(f, lam, vec, m, registry)
         shifted.append(at)
     vals = {}
     for idx in canonical_indices(f.rank + 1):
         beta, rest = idx[0], idx[1:]
         p1, m1, p2, m2 = (float(shifted[beta][off].get(rest)) for off in (1, -1, 2, -2))
-        vals[idx] = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * step)
+        vals[idx] = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * FD_STEP)
     return DenseSymTensor(f.rank + 1, vals)
 
 
@@ -287,13 +262,12 @@ def random_float_timelike(rng: random.Random) -> FourVector:
     return FourVector((gamma * u0, gamma * v[0], gamma * v[1], gamma * v[2]), "upper")
 
 
-def write_failure_artifact(tag: str, payload: dict, directory: Optional[str] = None) -> str:
+def write_failure_artifact(tag: str, payload: dict, directory: str) -> str:
     """Dump a JSON replay artifact (inputs, seed, mismatch) and return its path.
 
     The file is ``etclosure-<tag>.json``: the same tag names the same file,
     so a tag that carries the inputs (suite and seed) replaces a stale copy.
     """
-    directory = directory or tempfile.gettempdir()
     path = os.path.join(directory, f"etclosure-{tag}.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, default=str)

@@ -320,16 +320,14 @@ class FunctionRegistry:
         return fn.derivative_value(order, lam)
 
     @classmethod
-    def polynomials(cls, seed: int, count: int = 8, degree: int = 6) -> "FunctionRegistry":
-        """Seeded registry of exact rational polynomials (for exact tests)."""
+    def polynomials(cls, seed: int) -> "FunctionRegistry":
+        """Seeded registry of exact rational polynomials c_0..c_7 of degree 6 (for exact tests)."""
         import random
 
         rng = random.Random(seed)
         funcs = {}
-        for q in range(count):
-            coeffs = [
-                Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(degree + 1)
-            ]
+        for q in range(8):
+            coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(7)]
             # keep the top coefficient nonzero so degrees are as advertised
             if coeffs[-1] == 0:
                 coeffs[-1] = Fraction(1, 2)

@@ -301,7 +301,7 @@ class DenseSymTensor:
         }
 
 
-def symmetrize(raw: Mapping[Index, object], rank: Optional[int] = None) -> DenseSymTensor:
+def symmetrize(raw: Mapping[Index, object], rank: int) -> DenseSymTensor:
     """Weight-one (idempotent) symmetrization of raw components keyed by index tuples.
 
     Symmetrization keeps the polynomial: sum over tuples of raw[idx] x^idx is
@@ -310,8 +310,6 @@ def symmetrize(raw: Mapping[Index, object], rank: Optional[int] = None) -> Dense
     average over all of them, absent tuples counting as 0.  That equals the
     average over all n! slot permutations.
     """
-    if rank is None:
-        rank = len(next(iter(raw))) if raw else 0
     poly: Poly = {}
     for idx, v in raw.items():
         c = index_counts(idx)

@@ -28,7 +28,6 @@ from .closure import (
     ClosureTensorSet,
     closure_coeff_N1,
     derive_C_from_E,
-    iter_orders,
     verify_compatibility,
 )
 from .equilibrium import (
@@ -412,7 +411,7 @@ def suite_derivative(cfg: VerifyConfig) -> SuiteResult:
     res = SuiteResult("derivative", seed=cfg.seed)
     rng = random.Random(cfg.seed)
     spec = cfg.spec()
-    res.ranks = list(range(1, max(spec.rank(h, k) for h, k in iter_orders(spec)) + 1))
+    res.ranks = list(range(1, spec.rank(*spec.top_order) + 1))
     for n in res.ranks:
         elem = random_family_element(n, rng)
         mu = random_rational_timelike(rng)

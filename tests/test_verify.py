@@ -99,12 +99,14 @@ def test_mutate_tensor_set_respects_order_filter():
 
 
 def test_seed_reproducibility():
-    cfg_a = VerifyConfig(states=2, seed=7)
-    cfg_b = VerifyConfig(states=2, seed=7)
-    ra = run_suites(["derivative"], cfg_a)[0]
-    rb = run_suites(["derivative"], cfg_b)[0]
-    assert ra.max_residual == rb.max_residual
-    assert ra.seed == rb.seed == 7
+    # a mutated symmetry run fails, and its failed cases carry the drawn lambda and mu
+    def run(seed):
+        return run_suites(["symmetry"], VerifyConfig(M=2, N=3, seed=seed, mutate=1))[0].to_json_obj()
+
+    first, again, other = run(7), run(7), run(8)
+    assert first["failures"] > 0 and other["failures"] > 0
+    assert first == again
+    assert first["failed_cases"] != other["failed_cases"]
 
 
 EXACT_SPECS = [(2, 1), (2, 3), (2, 5), (4, 3)]
