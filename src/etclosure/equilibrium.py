@@ -13,8 +13,11 @@ integrability condition hold identically, so their finite-difference
 residuals measure only numerical error.
 
 Every radial integral, here and in the kinetic moments, runs over one kernel
-(:func:`radial_integrand`) under one acceptance rule (:func:`converged`); the
-nondegenerate closed form that checks them takes K_1 from ``scipy.special``.
+(:func:`radial_integrand`) under one acceptance rule (:func:`converged`)
+through one entry point (:func:`quad`); the nondegenerate closed form that
+checks them takes K_1 from ``scipy.special``.  scipy is imported on the
+first quadrature and the first closed-form call, not with the module, so the
+exact closure path (tables, the exact verification suites) never loads it.
 
 Sign convention: H here multiplies the multiplier covector mu_alpha directly,
 so for the nondegenerate family H = p > 0 while n = gamma dH/dlambda < 0
@@ -29,9 +32,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Tuple
-
-from scipy.integrate import quad
-from scipy.special import k1e
 
 from .scalar import double_factorial
 from .tensors import (
@@ -263,6 +263,16 @@ class ThermoState:
 
 # the quad options of every radial integral; :func:`converged` is their acceptance rule
 QUAD_OPTIONS = {"epsabs": 1e-300, "epsrel": 1e-13, "limit": 400}
+
+_scipy_quad = None
+
+
+def quad(func, a, b, **options):
+    """``scipy.integrate.quad(func, a, b, **options)``, imported on the first call."""
+    global _scipy_quad
+    if _scipy_quad is None:
+        from scipy.integrate import quad as _scipy_quad
+    return _scipy_quad(func, a, b, **options)
 
 
 def radial_integrand(fn: Callable[[float, float], float], lam, gm, a: int, b: int):
@@ -518,6 +528,8 @@ def mj_closed_form_H(lam, gamma, m) -> float:
     exponentially scaled k1e(z) = exp(z) K_1(z), an independent route from
     the quadrature it checks.
     """
+    from scipy.special import k1e
+
     z = gamma * m
     k1 = math.exp(-(lam + z)) * float(k1e(z))
     return (FOUR_PI / gamma) * m**3 * k1 / z

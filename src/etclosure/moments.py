@@ -41,7 +41,6 @@ from math import comb, factorial
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .closure import ClosureSpec, ClosureTensorSet, build_closure_tensor, iter_orders
 from .equilibrium import (
@@ -53,6 +52,7 @@ from .equilibrium import (
     lambda_multiplier,
     mu_multiplier,
     project_equilibrium,
+    quad,
     radial_integrand,
 )
 from .family import realize, realize_tail

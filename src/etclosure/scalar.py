@@ -284,14 +284,23 @@ class PolynomialFunction:
 
     def __init__(self, coeffs: Sequence[RationalLike]):
         self.coeffs = tuple(_as_fraction(c) for c in coeffs)
+        self._derived = {}
+
+    def _derivative_coeffs(self, order: int):
+        """(exact, float) coefficients of the order-th derivative, lowest power first; cached."""
+        try:
+            return self._derived[order]
+        except KeyError:
+            exact = tuple(c * math.perm(k, order) for k, c in enumerate(self.coeffs) if k >= order)
+            return self._derived.setdefault(order, (exact, tuple(map(float, exact))))
 
     def derivative_value(self, order: int, lam):
         """The order-th derivative at lam: exact at a rational lam, else float (or a float64 array)."""
         exact = isinstance(lam, (int, Fraction))
+        exact_coeffs, float_coeffs = self._derivative_coeffs(order)
         acc = Fraction(0) if exact else 0 * lam
-        for k in range(order, len(self.coeffs)):
-            c = self.coeffs[k] * math.perm(k, order)
-            acc = acc + (c if exact else float(c)) * power(lam, k - order)
+        for j, c in enumerate(exact_coeffs if exact else float_coeffs):
+            acc = acc + c * power(lam, j)
         return acc
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from etclosure.scalar import (
     double_factorial,
     double_factorial_ratio,
     eta,
+    power,
 )
 
 
@@ -238,3 +240,31 @@ def test_registry_functions():
     assert reg.derivative_value(0, 0, Fraction(1)) == 6
     assert reg.derivative_value(0, 1, Fraction(1)) == 8
     assert reg.derivative_value(0, 4, Fraction(1)) == 0
+
+
+def uncached_derivative_value(coeffs, order, lam):
+    """The per-call formula: scale each coefficient by perm(k, order) at every call."""
+    exact = isinstance(lam, (int, Fraction))
+    acc = Fraction(0) if exact else 0 * lam
+    for k in range(order, len(coeffs)):
+        c = coeffs[k] * math.perm(k, order)
+        acc = acc + (c if exact else float(c)) * power(lam, k - order)
+    return acc
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_derivative_value_matches_the_uncached_formula_bit_for_bit(seed):
+    rng = random.Random(seed)
+    fn = PolynomialFunction([Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(8)])
+    points = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)), 3, rng.uniform(-2.0, 2.0)]
+    batch = np.array([rng.uniform(-2.0, 2.0) for _ in range(9)])
+    for _ in range(2):  # the second pass reads the cached coefficients
+        for order in range(10):
+            for lam in points:
+                got = fn.derivative_value(order, lam)
+                want = uncached_derivative_value(fn.coeffs, order, lam)
+                assert type(got) is type(want) and got == want, (order, lam)
+            got = fn.derivative_value(order, batch)
+            want = uncached_derivative_value(fn.coeffs, order, batch)
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), order
