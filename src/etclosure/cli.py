@@ -4,15 +4,14 @@ Subcommands: closure (coefficient tables), verify (suite harness),
 equilibrium (state functions of one state), moments (kinetic moments and
 residual blocks).  Each takes only the flags it reads: closure the orders
 (--M --N --hmax --kmax) and output (--format --out) groups, verify those plus
---seed --tol --suite --mutate --artifacts --timings, equilibrium the state
-(--lambda --gamma --mu0..3 --m --stats) and output groups, moments all three
-plus --seed.  Any other flag, an abbreviated flag, or a --config key no
-subcommand takes is a usage error.
+--seed --tol --suite --mutate --artifacts, equilibrium the state (--lambda
+--gamma --mu0..3 --m --stats) and output groups, moments all three plus --seed.
+Any other flag, an abbreviated flag, or a --config key no subcommand takes is a
+usage error.
 
 Output is deterministic: floats are rendered as 17-significant-digit strings,
 rationals as "p/q" strings, keys are sorted, and files are written atomically
 (temp file then rename).  CSV is a projection of the same rows as the JSON.
-Only verify --timings, which adds each suite's wall time, varies run to run.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap
 (a requested order past the rank cap, for every command that sums over orders),
@@ -187,9 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--artifacts", default=None, metavar="DIR",
                           help="write each failing suite's failed cases to "
                           "DIR/etclosure-<suite>-seed<seed>.json for replay")
-    p_verify.add_argument("--timings", action="store_true",
-                          help="add each suite's wall time (wall_ms) to its result; "
-                          "off by default, so that output is reproducible")
     _output(p_verify)
 
     p_eq = sub.add_parser("equilibrium", help="state functions of one state",
@@ -239,21 +235,12 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: Sequence[str]) -> 
                 action = flags[key]
                 if action.type is not None:
                     val = action.type(val)
-                elif isinstance(action, argparse._StoreTrueAction):
-                    val = _config_bool(key, val)
                 defaults[key] = [val] if isinstance(action, argparse._AppendAction) else val
                 taken.add(key)
         sp.set_defaults(**defaults)
     unknown = sorted(set(values) - taken)
     if unknown:
         raise ValueError(f"config key(s) no subcommand takes: {', '.join(unknown)}")
-
-
-def _config_bool(key: str, val: str) -> bool:
-    try:
-        return {"true": True, "1": True, "false": False, "0": False}[val.lower()]
-    except KeyError:
-        raise ValueError(f"config key {key} takes true or false, got {val!r}") from None
 
 
 def _state_from_args(args) -> ThermoState:
@@ -303,7 +290,7 @@ def cmd_verify(args) -> int:
         M=args.M, N=args.N, h_max=args.hmax, k_max=args.kmax,
         seed=args.seed, mutate=args.mutate, tol=args.tol,
     )
-    results = run_suites(names, cfg, timings=args.timings)
+    results = run_suites(names, cfg)
     if args.artifacts:
         os.makedirs(args.artifacts, exist_ok=True)
         for r in results:
@@ -322,8 +309,7 @@ def cmd_verify(args) -> int:
     if args.format == "csv":
         rows = [
             {"suite": r.name, "cases": r.cases, "failures": r.failures,
-             "max_residual": r.max_residual, "seed": r.seed,
-             **({"wall_ms": r.wall_ms} if args.timings else {})}
+             "max_residual": r.max_residual, "seed": r.seed}
             for r in results
         ]
         _write_out(_to_csv(rows), args.out)

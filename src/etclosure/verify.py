@@ -19,7 +19,6 @@ import functools
 import itertools
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence
@@ -129,8 +128,7 @@ class SuiteResult:
     `blocks`, set by the symmetry suite alone, says which multiplier blocks it
     "checked" and which it left "unchecked".  `orders`, set by characteristic,
     cross_route and compatibility, lists the orders they checked; `ranks`, set
-    by derivative alone, lists the ranks it checked.  `wall_ms`, the suite's
-    wall time, is set only when :func:`run_suites` is asked for timings.
+    by derivative alone, lists the ranks it checked.
     """
 
     name: str
@@ -144,7 +142,6 @@ class SuiteResult:
     blocks: Optional[Dict[str, str]] = None
     orders: Optional[List[tuple]] = None
     ranks: Optional[List[int]] = None
-    wall_ms: Optional[float] = None
 
     @property
     def passed(self) -> bool:
@@ -171,7 +168,6 @@ class SuiteResult:
             **({} if self.blocks is None else {"blocks": self.blocks}),
             **({} if self.orders is None else {"orders": [list(hk) for hk in self.orders]}),
             **({} if self.ranks is None else {"ranks": self.ranks}),
-            **({} if self.wall_ms is None else {"wall_ms": self.wall_ms}),
         }
 
 
@@ -502,23 +498,14 @@ SUITES: Dict[str, Callable[[VerifyConfig], SuiteResult]] = {
 }
 
 
-def run_suites(names: Optional[Sequence[str]] = None, cfg: Optional[VerifyConfig] = None,
-               timings: bool = False):
+def run_suites(names: Optional[Sequence[str]] = None, cfg: Optional[VerifyConfig] = None):
     """Run the named suites (all when none are named) in order.
 
     Every name is checked before any suite runs, so a typo costs no work.
-    With `timings`, each result carries its suite's wall time in ms.
     """
     cfg = cfg or VerifyConfig()
     chosen = list(SUITES) if not names else list(names)
     for name in chosen:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; available: {', '.join(SUITES)}")
-    results = []
-    for name in chosen:
-        start = time.perf_counter()
-        result = SUITES[name](cfg)
-        if timings:
-            result.wall_ms = 1e3 * (time.perf_counter() - start)
-        results.append(result)
-    return results
+    return [SUITES[name](cfg) for name in chosen]

@@ -432,46 +432,6 @@ def test_verify_json_states_each_suites_tolerance_and_route(capsys):
     assert out.splitlines()[0] == "suite,cases,failures,max_residual,seed"
 
 
-TIMED = "roundtrip,characteristic"
-
-
-def test_verify_timings_add_wall_ms_only_with_the_flag(capsys):
-    code, out = run(capsys, "verify", "--suite", TIMED)
-    assert code == 0
-    assert all("wall_ms" not in r for r in json.loads(out)["results"])
-    code, out = run(capsys, "verify", "--suite", TIMED, "--timings")
-    assert code == 0
-    walls = [float(r["wall_ms"]) for r in json.loads(out)["results"]]
-    assert len(walls) == 2 and all(w >= 0 for w in walls)
-    code, out = run(capsys, "verify", "--suite", TIMED, "--format", "csv", "--timings")
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert [r["suite"] for r in rows] == ["roundtrip", "characteristic"]
-    assert all(float(r["wall_ms"]) >= 0 for r in rows)
-
-
-def test_verify_timings_leave_the_default_output_unchanged(capsys):
-    _, default = run(capsys, "verify", "--suite", TIMED)
-    _, timed = run(capsys, "verify", "--suite", TIMED, "--timings")
-    doc = json.loads(timed)
-    for r in doc["results"]:
-        del r["wall_ms"]
-    assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == default
-    _, csv_out = run(capsys, "verify", "--suite", TIMED, "--format", "csv")
-    assert csv_out.splitlines()[0] == "suite,cases,failures,max_residual,seed"
-
-
-@pytest.mark.parametrize("value,code", [("true", 0), ("false", 0), ("maybe", 2)])
-def test_config_timings_key_is_a_boolean(tmp_path, capsys, value, code):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"timings = {value}\n")
-    got, out = run(capsys, "--config", str(cfg), "verify", "--suite", "roundtrip")
-    assert got == code
-    if code == 0:
-        (result,) = json.loads(out)["results"]
-        assert ("wall_ms" in result) == (value == "true")
-
-
 ORDERS = ("--M", "--N", "--hmax", "--kmax")
 STATE = ("--lambda", "--gamma", "--mu0", "--mu1", "--mu2", "--mu3", "--m", "--stats")
 REMOVED = ([("closure", flag) for flag in STATE + ("--tol", "--seed")]
@@ -483,8 +443,7 @@ REMOVED = ([("closure", flag) for flag in STATE + ("--tol", "--seed")]
 OUTPUT = ("--format", "--out")
 FLAGS = {
     "closure": ORDERS + OUTPUT,
-    "verify": ORDERS + ("--seed", "--tol", "--suite", "--mutate", "--artifacts", "--timings")
-    + OUTPUT,
+    "verify": ORDERS + ("--seed", "--tol", "--suite", "--mutate", "--artifacts") + OUTPUT,
     "equilibrium": STATE + OUTPUT,
     "moments": ORDERS + ("--seed",) + STATE + OUTPUT,
 }
@@ -496,7 +455,7 @@ def test_each_subcommand_takes_exactly_the_flags_it_reads():
     for name, sp in subparsers.choices.items():
         taken = {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
         assert taken == set(FLAGS[name]), name
-    assert sum(map(len, FLAGS.values())) + 1 == 44  # plus the top-level --config
+    assert sum(map(len, FLAGS.values())) + 1 == 43  # plus the top-level --config
     assert len(set(REMOVED)) == 25
 
 
