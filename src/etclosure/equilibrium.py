@@ -7,17 +7,23 @@ these (:func:`equilibrium_multipliers`) and the inverse projection
 
 The potential h'^alpha = H(lambda, gamma) mu^alpha is generated by a
 distribution-family antiderivative F through a one-dimensional quadrature
-(:func:`H_from_distribution`); state functions follow algebraically
+(:func:`H_derivatives`); state functions follow algebraically
 (:func:`state_functions`) and the Gibbs relation and the change-of-variables
 integrability condition hold identically, so their finite-difference
 residuals measure only numerical error.
 
-Every radial integral, here and in the kinetic moments, runs over one kernel
-(:func:`radial_integrand`) under one acceptance rule (:func:`converged`)
-through one entry point (:func:`quad`); the nondegenerate closed form that
-checks them takes K_1 from ``scipy.special``.  scipy is imported on the
-first quadrature and the first closed-form call, not with the module, so the
-exact closure path (tables, the exact verification suites) never loads it.
+H, dH/dlambda and dH/dgamma share one trapezoid grid over the family's
+window (:func:`H_derivatives`): their integrands are even in the rapidity
+and analytic near the real axis, so the rule converges geometrically.  Where
+it does not settle (degenerate fermions, bosons near condensation) the three
+integrals fall back to ``quad``.  Every ``quad`` integral (that fallback, the
+half-line :func:`H_from_distribution` that checks the grid, and the kinetic
+moments) runs over one kernel (:func:`radial_integrand`) under one
+acceptance rule (:func:`converged`) through one entry point (:func:`quad`);
+the nondegenerate closed form takes K_1 from ``scipy.special``.  scipy is
+imported on the first ``quad`` call and the first closed-form call, not with
+the module, so neither the exact closure path nor the equilibrium state
+functions at a state where the grid settles ever load it.
 
 Sign convention: H here multiplies the multiplier covector mu_alpha directly,
 so for the nondegenerate family H = p > 0 while n = gamma dH/dlambda < 0
@@ -278,8 +284,8 @@ def quad(func, a, b, **options):
 def radial_integrand(fn: Callable[[float, float], float], lam, gm, a: int, b: int):
     """x -> fn(lam, gm cosh x) cosh^a x sinh^(b+2) x, the one radial kernel.
 
-    H and its derivatives take (a, b) = (0, 0) and (1, 0), a kinetic moment
-    its own (a, b).  It reads 0.0 where cosh overflows and where fn has
+    H and its derivatives, where they run through ``quad``, take (a, b) =
+    (0, 0) and (1, 0), a kinetic moment its own (a, b).  It reads 0.0 where cosh overflows and where fn has
     underflowed (without evaluating sinh, so no 0 * inf), and raises
     :class:`ConvergenceError` where the powers overflow while fn is nonzero.
     """
@@ -315,23 +321,73 @@ def converged(val: float, err: float) -> float:
     return val
 
 
-def _radial_integral(fn, lam, gm, upper, a: int = 0) -> float:
-    """integral_0^upper fn(lam, gm cosh r) cosh^a r sinh^2 r dr.
-
-    `upper` is infinite or the family's :meth:`JuttnerFamily.window`.
-    """
-    return converged(*quad(radial_integrand(fn, lam, gm, a, 0), 0.0, upper, **QUAD_OPTIONS))
-
-
 def H_from_distribution(F: Callable[[float, float], float], lam, gamma, m) -> float:
     """H(lambda, gamma) = -(4 pi / gamma) m^3 integral_0^inf F(lambda, gamma m cosh r) sinh^2 r dr.
 
-    F is any callable, so the range is the whole half-line; this makes the
-    function an independent check of :func:`H_derivatives`' windowed range.
+    F is any callable, so the range is the whole half-line, integrated by
+    ``quad``; this makes the function an independent check of
+    :func:`H_derivatives`' windowed trapezoid rule.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    return -(FOUR_PI / gamma) * m**3 * _radial_integral(F, lam, gamma * m, math.inf)
+    integrand = radial_integrand(F, lam, gamma * m, 0, 0)
+    return -(FOUR_PI / gamma) * m**3 * converged(*quad(integrand, 0.0, math.inf, **QUAD_OPTIONS))
+
+
+# the trapezoid rule of :func:`H_derivatives`: its first grid, the relative
+# agreement of two successive grids that stops it, and the grid past which it
+# gives way to ``quad``
+TRAPEZOID_FIRST_INTERVALS = 8
+TRAPEZOID_RTOL = 1e-10
+TRAPEZOID_MAX_INTERVALS = 512
+
+
+def _trapezoid_H_integrals(dist: JuttnerFamily, lam, gm, upper):
+    """integral_0^upper (F, f_eq, f_eq cosh r)(lam, gm cosh r) sinh^2 r dr on one grid.
+
+    Each integrand is even in r and analytic in a strip around the real
+    axis, and reads 0.0 (with all its derivatives) from ``upper`` on, so the
+    plain trapezoid rule converges geometrically in 1/h (Trefethen &
+    Weideman, SIAM Review 56 (2014) 385).  Each halving of h then roughly
+    squares the error: two successive grids that agree to TRAPEZOID_RTOL
+    leave the finer one far below rounding.  Every node evaluates F and f_eq
+    once, for all three integrals.  Returns None when ``upper`` is infinite,
+    when the grids have not settled by TRAPEZOID_MAX_INTERVALS (a feature
+    narrower than the grid, such as a degenerate Fermi edge or a boson near
+    condensation) or when a node overflows.
+    """
+    if not math.isfinite(upper):
+        return None
+    cosh, sinh, F, f_eq = math.cosh, math.sinh, dist.F, dist.f_eq
+    values = ([], [], [])
+
+    def sample(x: float) -> None:
+        c = cosh(x)
+        y = gm * c
+        s2 = sinh(x) ** 2
+        values[0].append(F(lam, y) * s2)
+        f = f_eq(lam, y) * s2
+        values[1].append(f)
+        values[2].append(f * c)
+
+    # only interior nodes: at r = 0 sinh r = 0, and at r = upper F and f_eq read 0.0
+    n = TRAPEZOID_FIRST_INTERVALS
+    try:
+        for k in range(1, n):
+            sample(upper * k / n)
+        previous = [upper / n * math.fsum(v) for v in values]
+        while n < TRAPEZOID_MAX_INTERVALS:
+            n *= 2
+            for k in range(1, n, 2):
+                sample(upper * k / n)
+            current = [upper / n * math.fsum(v) for v in values]
+            if all(abs(new - old) <= TRAPEZOID_RTOL * abs(new)
+                   for new, old in zip(current, previous)):
+                return current
+            previous = current
+    except OverflowError:
+        pass
+    return None
 
 
 def H_derivatives(dist: JuttnerFamily, lam, gamma, m) -> Tuple[float, float, float]:
@@ -340,17 +396,24 @@ def H_derivatives(dist: JuttnerFamily, lam, gamma, m) -> Tuple[float, float, flo
     dF/dX = f_eq gives the lambda derivative; dF/dY = f_eq (the families
     depend on X + Y) gives the gamma derivative an extra m cosh factor.  The
     three integrals run over [0, R] with R = ``dist.window(lam, gamma m)``,
-    dropping only the range where F and f_eq are exactly 0.0.
+    dropping only the range where F and f_eq are exactly 0.0, on one shared
+    trapezoid grid (:func:`_trapezoid_H_integrals`).  Where R is infinite or
+    the grid does not settle, each runs through ``quad`` instead.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     gm = gamma * m
     upper = dist.window(lam, gm)
-    h_val = -(FOUR_PI / gamma) * m**3 * _radial_integral(dist.F, lam, gm, upper)
-    h_lam = -(FOUR_PI / gamma) * m**3 * _radial_integral(dist.f_eq, lam, gm, upper)
-    h_gam = -h_val / gamma - (FOUR_PI / gamma) * m**4 * _radial_integral(
-        dist.f_eq, lam, gm, upper, a=1
-    )
+    integrals = _trapezoid_H_integrals(dist, lam, gm, upper)
+    if integrals is None:
+        integrals = [
+            converged(*quad(radial_integrand(fn, lam, gm, a, 0), 0.0, upper, **QUAD_OPTIONS))
+            for fn, a in ((dist.F, 0), (dist.f_eq, 0), (dist.f_eq, 1))
+        ]
+    i_val, i_lam, i_gam = integrals
+    h_val = -(FOUR_PI / gamma) * m**3 * i_val
+    h_lam = -(FOUR_PI / gamma) * m**3 * i_lam
+    h_gam = -h_val / gamma - (FOUR_PI / gamma) * m**4 * i_gam
     return h_val, h_lam, h_gam
 
 

@@ -31,6 +31,8 @@ from .closure import (
     verify_compatibility,
 )
 from .equilibrium import (
+    STATISTICS,
+    H_derivatives,
     H_from_distribution,
     JuttnerFamily,
     ThermoState,
@@ -444,11 +446,26 @@ def suite_symmetry(cfg: VerifyConfig) -> SuiteResult:
 
 
 def suite_equilibrium(cfg: VerifyConfig) -> SuiteResult:
-    """Quadrature H vs the Bessel oracle; Gibbs and integrability residuals."""
+    """Quadrature H vs the Bessel oracle; Gibbs and integrability residuals.
+
+    The trapezoid route the commands print (:func:`H_derivatives`) is checked
+    against the half-line ``quad`` of :func:`H_from_distribution`, for every
+    statistics.
+    """
     tol = cfg.tolerance(1e-8)
     res = SuiteResult("equilibrium", seed=cfg.seed, tolerance=tol, route="quadrature")
     lam = 1.0
     for z in (0.1, 1.0, 10.0):
+        for stats in STATISTICS:
+            dist = JuttnerFamily(stats)
+            h_val = H_from_distribution(dist.F, lam, z, 1.0)
+            # dF/dY = f_eq and Y = gamma m cosh r: the cosh weight of dH/dgamma is f_eq Y / gamma
+            want = (h_val, H_from_distribution(dist.f_eq, lam, z, 1.0),
+                    -h_val / z + H_from_distribution(
+                        lambda x, y: dist.f_eq(x, y) * y / z, lam, z, 1.0))
+            rel = max(abs(g - w) / abs(w) for g, w in zip(H_derivatives(dist, lam, z, 1.0), want))
+            res.record(rel <= tol, rel, {"op": "H_derivatives", "statistics": stats, "z": z})
+
         dist = JuttnerFamily("nondegenerate")
         h_quad = H_from_distribution(dist.F, lam, z, 1.0)
         h_closed = mj_closed_form_H(lam, z, 1.0)

@@ -384,11 +384,18 @@ def test_boosted_kinetic_moments_match_the_boosted_bessel_series(stats, lam, gam
         assert (got - want).max_abs() <= 1e-10 * want.max_abs(), rank
 
 
+# states where the trapezoid grid does not settle by TRAPEZOID_MAX_INTERVALS, so
+# H_derivatives takes the quad fallback: a degenerate fermion and a boson near condensation
+FALLBACK_STATES = {"fermion": (-30.0, 1.0, 1.0, 1.0), "boson": (-0.999999999, 1.0, 1.0, 1.0)}
+
+
 @pytest.mark.parametrize("stats", STATISTICS)
 def test_windowed_H_derivatives_match_the_half_line(stats):
-    # H_from_distribution integrates any callable over [0, inf); H_derivatives
-    # stops at the family's window, which drops only exact zeros
-    for lam, gamma, m, k_B in SERIES_STATES + [(-3.0, 4.0, 1.0, 1.0), (1.0, 400.0, 1.0, 1.0)]:
+    # H_from_distribution integrates any callable over [0, inf) by quad;
+    # H_derivatives stops at the family's window, which drops only exact zeros
+    fallback = [FALLBACK_STATES[stats]] if stats in FALLBACK_STATES else []
+    states = SERIES_STATES + [(-3.0, 4.0, 1.0, 1.0), (1.0, 400.0, 1.0, 1.0)] + fallback
+    for lam, gamma, m, k_B in states:
         dist = JuttnerFamily(stats, k_B=k_B)
         h_val, h_lam, h_gam = H_derivatives(dist, lam, gamma, m)
         want_val = H_from_distribution(dist.F, lam, gamma, m)
@@ -396,9 +403,47 @@ def test_windowed_H_derivatives_match_the_half_line(stats):
         # dF/dY = f_eq, and Y = gamma m cosh r, so the cosh-weighted term is f_eq(X, Y) Y / gamma
         want_gam = -want_val / gamma + H_from_distribution(
             lambda x, y: dist.f_eq(x, y) * y / gamma, lam, gamma, m)
-        assert rel(h_val, want_val) <= 1e-13
-        assert rel(h_lam, want_lam) <= 1e-13
-        assert rel(h_gam, want_gam) <= 1e-13
+        # near condensation the half-line quad misses the narrow peak at r = 0 by
+        # 4e-10 under a 7e-14 error estimate (the windowed quad is within 6e-14 of
+        # 40-digit mpmath there), so that state is held to quad's acceptance of 1e-8
+        bound = 1e-8 if stats == "boson" and fallback == [(lam, gamma, m, k_B)] else 1e-13
+        assert rel(h_val, want_val) <= bound
+        assert rel(h_lam, want_lam) <= bound
+        assert rel(h_gam, want_gam) <= bound
+
+
+@pytest.mark.parametrize("stats,state", FALLBACK_STATES.items())
+def test_H_derivatives_fall_back_to_quad_where_the_grid_does_not_settle(stats, state, monkeypatch):
+    lam, gamma, m, k_B = state
+    dist = JuttnerFamily(stats, k_B=k_B)
+    calls = []
+
+    def counted_quad(func, a, b, **options):
+        calls.append((a, b))
+        return quad(func, a, b, **options)
+
+    quad = equilibrium.quad
+    monkeypatch.setattr(equilibrium, "quad", counted_quad)
+    H_derivatives(dist, lam, gamma, m)
+    assert calls == [(0.0, dist.window(lam, gamma * m))] * 3
+
+
+THERMO_KINETIC_GRID = [(stats, lam * j, gamma * j) for stats in STATISTICS
+                       for lam in (0.2, 0.45, 1.0, 2.0) for gamma in (0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
+                       for j in (0.97, 1.03)]
+
+
+def test_H_derivatives_settle_on_the_grid_without_quad(monkeypatch):
+    # every state of the thermo-kinetic benchmark grid (lambda and gamma at the
+    # ends of its 3 % jitter) and each Gibbs stencil point around it settles
+    # within 64 intervals, and never reaches quad or scipy
+    def no_quad(*args, **kwargs):
+        raise AssertionError("H_derivatives fell back to quad")
+
+    monkeypatch.setattr(equilibrium, "quad", no_quad)
+    monkeypatch.setattr(equilibrium, "TRAPEZOID_MAX_INTERVALS", 64)
+    for stats, lam, gamma in THERMO_KINETIC_GRID:
+        thermo_with_residuals(ThermoState.rest(lam, gamma, 1.0, statistics=stats))
 
 
 @pytest.mark.parametrize("stats", STATISTICS)

@@ -1,9 +1,11 @@
-"""scipy loads on the first quadrature, not with the package.
+"""scipy loads on the first ``quad`` call, not with the package.
 
 The exact closure path (``closure`` and every verify suite but ``equilibrium``
-and ``kinetic``) is Fraction arithmetic and never integrates, so it must not
-pay scipy's import.  Each check of sys.modules runs in a fresh interpreter,
-because the test process itself has long since imported scipy.
+and ``kinetic``) is Fraction arithmetic and never integrates, and
+``equilibrium`` at an ordinary state integrates on its own trapezoid grid, so
+neither may pay scipy's import; ``moments`` runs its kinetic moments through
+``quad`` and must load it.  Each check of sys.modules runs in a fresh
+interpreter, because the test process itself has long since imported scipy.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     report["exact"] = scipy_loaded()
     report["codes"].append(cli.main(["equilibrium"]))
     report["equilibrium"] = scipy_loaded()
+    report["codes"].append(cli.main(["moments"]))
+    report["moments"] = scipy_loaded()
 print(json.dumps(report))
 """
 
@@ -48,7 +52,8 @@ def test_exact_commands_never_load_scipy_and_a_quadrature_does():
     proc = subprocess.run([sys.executable, "-c", PROBE, EXACT_SUITES], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == {"import": False, "codes": [0, 0, 0], "exact": False, "equilibrium": True}
+    assert report == {"import": False, "codes": [0, 0, 0, 0], "exact": False,
+                      "equilibrium": False, "moments": True}
 
 
 def test_quad_forwards_to_scipy_exactly():
