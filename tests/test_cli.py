@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +20,8 @@ from etclosure.equilibrium import ThermoState
 from etclosure.moments import first_order_symmetry
 from etclosure.scalar import FunctionRegistry
 from etclosure.tensors import FourVector
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -200,6 +207,17 @@ def test_equilibrium_numerical_failure_exit_code(capsys):
     assert code == 4
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_equilibrium_below_the_normal_float_range_is_a_numerical_failure(capsys):
+    # p reads 8.5e-320 at gamma 720: a subnormal float with a handful of digits
+    code = main(["equilibrium", "--gamma", "720"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert "normal float range" in captured.err and captured.err.count("\n") == 1
+    code, out = run(capsys, "equilibrium", "--gamma", "650")
+    assert code == 0
+    assert float(json.loads(out)["p"]) == pytest.approx(2.75e-289, rel=1e-3)
 
 
 @pytest.mark.parametrize("argv", [
@@ -449,14 +467,66 @@ FLAGS = {
 }
 
 
-def test_each_subcommand_takes_exactly_the_flags_it_reads():
+def subcommands():
     (subparsers,) = [a for a in _build_parser()._actions
                      if isinstance(a, argparse._SubParsersAction)]
-    for name, sp in subparsers.choices.items():
+    return subparsers.choices
+
+
+def test_each_subcommand_takes_exactly_the_flags_it_reads():
+    for name, sp in subcommands().items():
         taken = {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
         assert taken == set(FLAGS[name]), name
     assert sum(map(len, FLAGS.values())) + 1 == 43  # plus the top-level --config
     assert len(set(REMOVED)) == 25
+
+
+def test_defaults_name_every_flag_of_every_subcommand():
+    dests = {a.dest for sp in subcommands().values() for a in sp._actions} - {"help"}
+    assert set(cli.DEFAULTS) == dests
+
+
+def test_parser_is_built_once_across_commands(capsys):
+    for argv in (("closure", "--hmax", "1"), ("equilibrium",), ("closure",)):
+        assert run(capsys, *argv)[0] == 0
+    assert _build_parser.cache_info().misses == 1
+
+
+def test_config_of_one_call_does_not_reach_the_next(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("M = 4\nsuite = kinetic\n")
+    code, out = run(capsys, "--config", str(cfg), "verify", "--N", "3")
+    assert code == 0 and suites_run(out) == ["kinetic"]
+    code, out = run(capsys, "verify")
+    fresh = subprocess.run([sys.executable, "-m", "etclosure.cli", "verify"],
+                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert code == fresh.returncode == 0
+    assert out == fresh.stdout
+
+
+# sha256 of `COLUMNS=80 etclosure [command] --help`, unchanged since the parser
+# stopped carrying defaults
+HELP_SHA256 = {
+    (): "29e37d2b8b26c0802a1a83b70d3307369ca7a6990b6a9347b382f2a116bc0371",
+    ("closure",): "2162ce75e6ae5be89c58d2c72eac3a00f8b998a950a7b1f3d25eef95a59ce4a6",
+    ("verify",): "9d8f71d20e75d790eafcf86b1836f656981cc156b2d2f358cae3f55fa00ab0fe",
+    ("equilibrium",): "daadfd3f5445cae9584c27e7033094422e7dcbc65ba68ca4d12f763e79489dde",
+    ("moments",): "83a3bc5b693d953a128c38d598b4c05b60aca82372d400940090c1d83f94c605",
+}
+
+
+@pytest.mark.parametrize("argv", HELP_SHA256)
+def test_help_text_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    if argv:
+        options = text.split("\noptions:\n", 1)[1]
+        flags = re.findall(r"^  (-[-\w]+)", options, flags=re.MULTILINE)
+        assert flags == ["-h", *FLAGS[argv[0]]]
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[argv]
 
 
 @pytest.mark.parametrize("command,flag", REMOVED)

@@ -8,6 +8,7 @@ import scipy.special
 
 from etclosure import cli, equilibrium, verify
 from etclosure.equilibrium import (
+    ConvergenceError,
     EntropyUndefinedError,
     JuttnerFamily,
     STATISTICS,
@@ -403,13 +404,23 @@ def test_windowed_H_derivatives_match_the_half_line(stats):
         # dF/dY = f_eq, and Y = gamma m cosh r, so the cosh-weighted term is f_eq(X, Y) Y / gamma
         want_gam = -want_val / gamma + H_from_distribution(
             lambda x, y: dist.f_eq(x, y) * y / gamma, lam, gamma, m)
-        # near condensation the half-line quad misses the narrow peak at r = 0 by
-        # 4e-10 under a 7e-14 error estimate (the windowed quad is within 6e-14 of
-        # 40-digit mpmath there), so that state is held to quad's acceptance of 1e-8
-        bound = 1e-8 if stats == "boson" and fallback == [(lam, gamma, m, k_B)] else 1e-13
+        bound = 1e-12 if stats == "boson" and fallback == [(lam, gamma, m, k_B)] else 1e-13
         assert rel(h_val, want_val) <= bound
         assert rel(h_lam, want_lam) <= bound
         assert rel(h_gam, want_gam) <= bound
+
+
+def test_half_line_H_resolves_the_peak_of_a_boson_near_condensation():
+    # the mpmath value; QUADPACK's infinite-range rule alone read 3.8032169266694633
+    lam, gamma, m, _ = FALLBACK_STATES["boson"]
+    got = H_from_distribution(JuttnerFamily("boson").f_eq, lam, gamma, m)
+    assert rel(got, -4.0 * math.pi * 3.8032169252013839) <= 1e-12
+
+
+def test_H_derivatives_refuse_integrals_below_the_normal_float_range():
+    # dH/dgamma reads -2.535e-317 here, 1.4e-3 off 40-digit mpmath
+    with pytest.raises(ConvergenceError, match="normal float range"):
+        H_derivatives(JuttnerFamily("boson", k_B=1.29), -0.0539, 287.9, 3.23)
 
 
 @pytest.mark.parametrize("stats,state", FALLBACK_STATES.items())
