@@ -61,7 +61,10 @@ from .verify import SUITES, VerifyConfig, run_suites
 
 STATS_ALIASES = {"mb": "nondegenerate", "fd": "fermion", "be": "boson"}
 # relative trace residual past which no digit of the moments holds on the mass
-# shell: 1e-15 at gamma 1, about 1 below gamma 1e-8 where the trace is all cancellation
+# shell.  The radials share one grid, on which cosh^2 - sinh^2 = 1 node by node,
+# so the residual is the rounding of the trace's cancellation: 1e-15 at gamma 1,
+# noise about 0.1 at gamma 1e-7, and 1 or more from gamma 1e-8 on, where the
+# trace is all cancellation
 TRACE_FAILURE = 0.1
 
 
@@ -134,13 +137,17 @@ def _write_out(text: str, out: Optional[str]) -> None:
 DEFAULTS = {"M": 2, "N": 1, "hmax": 2, "kmax": 2, "seed": 0, "tol": None, "suite": None,
             "mutate": 0, "artifacts": None, "lam": 1.0, "gamma": 1.0, "m": 1.0, "stats": "mb",
             "format": "json", "out": None, **{f"mu{i}": None for i in range(4)}}
-# the converter of each flag's value, by dest, recorded as _build_parser adds it
+# the converter of each flag's value, and the values a flag with choices allows,
+# by dest, recorded as _build_parser adds them
 _TYPES: Dict[str, Callable[[str], object]] = {}
+_CHOICES: Dict[str, Sequence[str]] = {}
 
 
 def _add(p: argparse.ArgumentParser, flag: str, **kw) -> None:
     action = p.add_argument(flag, **kw)
     _TYPES[action.dest] = action.type or str
+    if action.choices is not None:
+        _CHOICES[action.dest] = action.choices
 
 
 def _orders(p: argparse.ArgumentParser) -> None:
@@ -214,11 +221,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_config(path: str) -> Dict[str, object]:
     """A --config file's ``key = value`` lines as flag values, by dest.
 
-    ``lambda`` names ``lam``; each value goes through its flag's type, and a
-    ``suite`` value becomes a one-entry list, read like one use of the flag.
-    A key of a flag the running subcommand does not take is ignored, so one
-    file can serve several commands; a key no subcommand takes is a usage
-    error.  Runs after :func:`_build_parser`, which records the types.
+    ``lambda`` names ``lam``; each value goes through its flag's type and
+    must be one of its choices (a usage error in argparse's wording when it
+    is not), and a ``suite`` value becomes a one-entry list, read like one
+    use of the flag.  A key of a flag the running subcommand does not take is
+    ignored, so one file can serve several commands; a key no subcommand
+    takes is a usage error.  Runs after :func:`_build_parser`, which records
+    the types and choices.
     """
     values: Dict[str, str] = {}
     with open(path) as fh:
@@ -233,7 +242,19 @@ def _read_config(path: str) -> Dict[str, object]:
     unknown = sorted(set(values) - set(DEFAULTS))
     if unknown:
         raise ValueError(f"config key(s) no subcommand takes: {', '.join(unknown)}")
-    return {key: [val] if key == "suite" else _TYPES[key](val) for key, val in values.items()}
+    config = {}
+    for key, val in values.items():
+        try:
+            value = [val] if key == "suite" else _TYPES[key](val)
+        except ValueError:
+            raise ValueError(f"config key {key}: invalid {_TYPES[key].__name__} value: "
+                             f"{val!r}") from None
+        if key in _CHOICES and value not in _CHOICES[key]:
+            allowed = ", ".join(map(repr, _CHOICES[key]))
+            raise ValueError(f"config key {key}: invalid choice: {value!r} "
+                             f"(choose from {allowed})")
+        config[key] = value
+    return config
 
 
 def _state_from_args(args) -> ThermoState:

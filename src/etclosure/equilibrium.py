@@ -12,18 +12,22 @@ distribution-family antiderivative F through a one-dimensional quadrature
 integrability condition hold identically, so their finite-difference
 residuals measure only numerical error.
 
-H, dH/dlambda and dH/dgamma share one trapezoid grid over the family's
-window (:func:`H_derivatives`): their integrands are even in the rapidity
-and analytic near the real axis, so the rule converges geometrically.  Where
-it does not settle (degenerate fermions, bosons near condensation) the three
-integrals fall back to ``quad``.  Every ``quad`` integral (that fallback, the
-half-line :func:`H_from_distribution` that checks the grid, and the kinetic
-moments) runs over one kernel (:func:`radial_integrand`) under one
-acceptance rule (:func:`converged`) through one entry point (:func:`quad`);
-the nondegenerate closed form takes K_1 from ``scipy.special``.  scipy is
-imported on the first ``quad`` call and the first closed-form call, not with
-the module, so neither the exact closure path nor the equilibrium state
-functions at a state where the grid settles ever load it.
+Every radial integral, H with dH/dlambda and dH/dgamma (:func:`H_derivatives`)
+and the weights of the kinetic moments
+(:func:`etclosure.moments.kinetic_radials`), runs on one trapezoid integrator
+over the family's window (:func:`trapezoid_radials`), all the weights of one
+call on one grid: the integrands are even in the rapidity and analytic in a
+strip around the real axis, so the rule converges geometrically once its step
+is well inside that strip.  Where no grid is accepted (degenerate fermions,
+bosons near condensation) each integral falls back to ``quad``.  Every
+``quad`` integral (those fallbacks, the half-line :func:`H_from_distribution`
+that checks the H grid, and the ``kinetic`` suite's second route) runs over
+one kernel (:func:`radial_integrand`) under one acceptance rule
+(:func:`converged`) through one entry point (:func:`quad`); the nondegenerate
+closed form takes K_1 from ``scipy.special``.  scipy is imported on the first
+``quad`` call and the first closed-form call, not with the module, so neither
+the exact closure path nor the ``equilibrium`` and ``moments`` commands at a
+state where the grid is accepted ever load it.
 
 Sign convention: H here multiplies the multiplier covector mu_alpha directly,
 so for the nondegenerate family H = p > 0 while n = gamma dH/dlambda < 0
@@ -33,11 +37,13 @@ moments with their own positive densities live in the moments module.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Callable, Tuple
 
 from .scalar import double_factorial
@@ -144,7 +150,10 @@ _UNDERFLOW_EXPONENT = 746.0
 
 
 def _occupancy(statistics: str, k: float):
-    """(F, f_eq) of one statistics as closures over k_B, at amplitude w/h^3 = 1."""
+    """(F, f_eq, F_and_f_eq) of one statistics as closures over k_B, at amplitude w/h^3 = 1.
+
+    F_and_f_eq(x, y) is (F(x, y), f_eq(x, y)) from one exponential, bit for bit.
+    """
     exp, log1p = math.exp, math.log1p
     neg_k = -k
     if statistics == "nondegenerate":
@@ -154,6 +163,10 @@ def _occupancy(statistics: str, k: float):
         def f_eq(x: float, y: float) -> float:
             return exp(-((x + y) / k))
 
+        def F_and_f_eq(x: float, y: float) -> Tuple[float, float]:
+            ez = exp(-((x + y) / k))
+            return neg_k * ez, ez
+
     elif statistics == "fermion":
         def F(x: float, y: float) -> float:
             return neg_k * log1p(exp(-((x + y) / k)))
@@ -161,6 +174,10 @@ def _occupancy(statistics: str, k: float):
         def f_eq(x: float, y: float) -> float:
             ez = exp(-((x + y) / k))
             return ez / (1.0 + ez)
+
+        def F_and_f_eq(x: float, y: float) -> Tuple[float, float]:
+            ez = exp(-((x + y) / k))
+            return neg_k * log1p(ez), ez / (1.0 + ez)
 
     else:
         def F(x: float, y: float) -> float:
@@ -176,7 +193,14 @@ def _occupancy(statistics: str, k: float):
             ez = exp(-z)
             return ez / (1.0 - ez)
 
-    return F, f_eq
+        def F_and_f_eq(x: float, y: float) -> Tuple[float, float]:
+            z = (x + y) / k
+            if z <= 0:
+                raise ValueError("boson antiderivative needs X + Y > 0")
+            ez = exp(-z)
+            return k * log1p(-ez), ez / (1.0 - ez)
+
+    return F, f_eq, F_and_f_eq
 
 
 @dataclass(frozen=True)
@@ -187,21 +211,23 @@ class JuttnerFamily:
     The amplitude w/h^3 is 1 (natural units).  ``F`` and ``f_eq`` are plain
     functions of (X, Y) bound when the family is made: the statistics branch
     is chosen once, not on every call of a quadrature integrand.
+    ``F_and_f_eq`` gives both from one exponential, for a grid that needs both.
     """
 
     statistics: str = "nondegenerate"
     k_B: float = 1.0
     F: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
     f_eq: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
+    F_and_f_eq: Callable[[float, float], Tuple[float, float]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.statistics not in STATISTICS:
             raise ValueError(f"unknown statistics {self.statistics!r}")
         if not self.k_B > 0:
             raise ValueError(f"k_B must be positive, got {self.k_B}")
-        F, f_eq = _occupancy(self.statistics, self.k_B)
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "f_eq", f_eq)
+        for name, fn in zip(("F", "f_eq", "F_and_f_eq"), _occupancy(self.statistics, self.k_B)):
+            object.__setattr__(self, name, fn)
 
     def window(self, lam: float, gm: float) -> float:
         """Rapidity R past which F(lam, gm cosh r) and f_eq read exactly 0.0.
@@ -220,6 +246,26 @@ class JuttnerFamily:
         if ratio <= 1.0:
             return 0.0
         return math.acosh(ratio)
+
+    def strip(self, lam: float, gm: float) -> float:
+        """Distance from the real r axis to the nearest complex singularity of
+        F and f_eq at (lam, gm cosh r), capped at pi/2.
+
+        The Bose and Fermi occupancies have poles, and their antiderivatives
+        branch points, where (lam + gm cosh r)/k_B = 2 pi i j for a boson and
+        i pi (2j + 1) for a fermion, j any integer: cosh r = w_j =
+        (-lam + i s_j k_B)/gm.
+        Their distance is the imaginary part of acosh(w_j) in [0, pi].  It
+        grows with |j| when lam < 0, so j = 0 is nearest; when lam >= 0 it
+        falls towards pi/2 as |j| grows, which is the cap.  The nondegenerate
+        family is entire: infinite.
+        """
+        if self.statistics == "nondegenerate":
+            return math.inf
+        if lam >= 0:
+            return math.pi / 2
+        shift = 0.0 if self.statistics == "boson" else math.pi * self.k_B
+        return abs(cmath.acosh(complex(-lam, shift) / gm).imag)
 
 
 # ---------------------------------------------------------------------------
@@ -340,60 +386,107 @@ def H_from_distribution(F: Callable[[float, float], float], lam, gamma, m) -> fl
     return -(FOUR_PI / gamma) * m**3 * sum(pieces)
 
 
-# the trapezoid rule of :func:`H_derivatives`: its first grid, the relative
-# agreement of two successive grids that stops it, and the grid past which it
-# gives way to ``quad``
+# the trapezoid rule of :func:`trapezoid_radials`: its first grid, the relative
+# agreement of two successive grids that stops it, the grid past which it gives
+# way to ``quad``, and the widest step it accepts, as a fraction of the
+# distance from the real axis to the occupancy's nearest complex singularity
 TRAPEZOID_FIRST_INTERVALS = 8
 TRAPEZOID_RTOL = 1e-10
 TRAPEZOID_MAX_INTERVALS = 512
+TRAPEZOID_STRIP_FRACTION = 0.25
 
 
-def _trapezoid_H_integrals(dist: JuttnerFamily, lam, gm, upper):
-    """integral_0^upper (F, f_eq, f_eq cosh r)(lam, gm cosh r) sinh^2 r dr on one grid.
+def trapezoid_radials(dist: JuttnerFamily, lam, gm, upper, weights):
+    """[integral_0^upper fn(lam, gm cosh r) cosh^a r sinh^(b+2) r dr for (fn, a, b) in weights].
 
-    Each integrand is even in r and analytic in a strip around the real
-    axis, and reads 0.0 (with all its derivatives) from ``upper`` on, so the
-    plain trapezoid rule converges geometrically in 1/h (Trefethen &
-    Weideman, SIAM Review 56 (2014) 385).  Each halving of h then roughly
-    squares the error: two successive grids that agree to TRAPEZOID_RTOL
-    leave the finer one far below rounding.  Every node evaluates F and f_eq
-    once, for all three integrals.  Returns None when ``upper`` is infinite,
-    when the grids have not settled by TRAPEZOID_MAX_INTERVALS (a feature
-    narrower than the grid, such as a degenerate Fermi edge or a boson near
-    condensation) or when a node overflows.
+    Every weight runs on one grid, and each node evaluates each distinct fn
+    once; the fns are one function, or the family's F and f_eq, which a node
+    then takes from one exponential (``dist.F_and_f_eq``).  Each integrand
+    is even in r, analytic in a strip around the real axis as wide as
+    :meth:`JuttnerFamily.strip`, and reads 0.0 (with all its derivatives)
+    from ``upper`` on, so the plain trapezoid rule converges
+    geometrically once the step is well inside that strip (Trefethen &
+    Weideman, SIAM Review 56 (2014) 385).  A grid is accepted when it agrees
+    with the one before to TRAPEZOID_RTOL in every integral and its step is
+    at most TRAPEZOID_STRIP_FRACTION of the strip's width: wider steps over a
+    nearby pole (a boson near condensation) err by halves from one grid to
+    the next, so two neighbours agree while both are wrong.  Returns None when
+    ``upper`` is infinite, when no grid up to TRAPEZOID_MAX_INTERVALS can be
+    accepted (a feature narrower than the grid, such as a degenerate Fermi
+    edge or a boson near condensation) or when a node overflows.
     """
     if not math.isfinite(upper):
         return None
-    cosh, sinh, F, f_eq = math.cosh, math.sinh, dist.F, dist.f_eq
-    values = ([], [], [])
+    widest = TRAPEZOID_STRIP_FRACTION * dist.strip(lam, gm)
+    if upper / TRAPEZOID_MAX_INTERVALS > widest:
+        return None
+    cosh, sinh, fsum = math.cosh, math.sinh, math.fsum
+    # at every node so far: cosh r; fn(lam, gm cosh r) sinh^2 r for each distinct
+    # fn; and cosh^a r sinh^b r for each (a, b) other than (0, 0) and (1, 0),
+    # which read no factor and cosh r.  Per weight: the fn column, and the
+    # factor column it is multiplied by node by node (None for (0, 0))
+    cs, at_nodes, powers, terms = [], {}, {}, []
+    for fn, a, b in weights:
+        at = at_nodes.setdefault(fn, [])
+        if a == 1 and b == 0:
+            terms.append((at, cs))
+        else:
+            terms.append((at, powers.setdefault((a, b), []) if a or b else None))
 
-    def sample(x: float) -> None:
-        c = cosh(x)
-        y = gm * c
-        s2 = sinh(x) ** 2
-        values[0].append(F(lam, y) * s2)
-        f = f_eq(lam, y) * s2
-        values[1].append(f)
-        values[2].append(f * c)
+    # one loop over a level's nodes, written out for one fn and for F and f_eq
+    # together: a call per node, or a loop over the fns at every node, would
+    # each cost H_derivatives about a tenth of its time
+    if len(at_nodes) == 1:
+        ((fn, at_fn),) = at_nodes.items()
 
-    # only interior nodes: at r = 0 sinh r = 0, and at r = upper F and f_eq read 0.0
+        def sample(n: int, ks) -> None:
+            put_c, put = cs.append, at_fn.append
+            for k in ks:
+                x = upper * k / n
+                c = cosh(x)
+                s2 = sinh(x) ** 2
+                put_c(c)
+                put(fn(lam, gm * c) * s2)
+    elif at_nodes.keys() == {dist.F, dist.f_eq}:
+        both, at_F, at_f = dist.F_and_f_eq, at_nodes[dist.F], at_nodes[dist.f_eq]
+
+        def sample(n: int, ks) -> None:
+            put_c, put_F, put_f = cs.append, at_F.append, at_f.append
+            for k in ks:
+                x = upper * k / n
+                c = cosh(x)
+                s2 = sinh(x) ** 2
+                put_c(c)
+                value_F, value_f = both(lam, gm * c)
+                put_F(value_F * s2)
+                put_f(value_f * s2)
+    else:
+        raise ValueError("the weights take one fn, or the family's F and f_eq")
+
+    # only interior nodes: at r = 0 sinh r = 0, and at r = upper every fn reads 0.0
     n = TRAPEZOID_FIRST_INTERVALS
+    ks = range(1, n)
+    previous = None
     try:
-        for k in range(1, n):
-            sample(upper * k / n)
-        previous = [upper / n * math.fsum(v) for v in values]
-        while n < TRAPEZOID_MAX_INTERVALS:
-            n *= 2
-            for k in range(1, n, 2):
-                sample(upper * k / n)
-            current = [upper / n * math.fsum(v) for v in values]
-            if all(abs(new - old) <= TRAPEZOID_RTOL * abs(new)
-                   for new, old in zip(current, previous)):
-                return current
+        while True:
+            sample(n, ks)
+            for (a, b), column in powers.items():
+                column.extend([cosh(x) ** a * sinh(x) ** b for x in (upper * k / n for k in ks)])
+            h = upper / n
+            current = [h * (fsum(at) if power is None else fsum(map(mul, at, power)))
+                       for at, power in terms]
+            if previous is not None and h <= widest and all(
+                    abs(new - old) <= TRAPEZOID_RTOL * abs(new)
+                    for new, old in zip(current, previous)):
+                # an overflow to inf can agree with a finite neighbour
+                return current if all(map(math.isfinite, current)) else None
+            if n >= TRAPEZOID_MAX_INTERVALS:
+                return None
             previous = current
+            n *= 2
+            ks = range(1, n, 2)
     except OverflowError:
-        pass
-    return None
+        return None
 
 
 def H_derivatives(dist: JuttnerFamily, lam, gamma, m) -> Tuple[float, float, float]:
@@ -403,8 +496,8 @@ def H_derivatives(dist: JuttnerFamily, lam, gamma, m) -> Tuple[float, float, flo
     depend on X + Y) gives the gamma derivative an extra m cosh factor.  The
     three integrals run over [0, R] with R = ``dist.window(lam, gamma m)``,
     dropping only the range where F and f_eq are exactly 0.0, on one shared
-    trapezoid grid (:func:`_trapezoid_H_integrals`).  Where R is infinite or
-    the grid does not settle, each runs through ``quad`` instead.  A nonzero
+    trapezoid grid (:func:`trapezoid_radials`).  Where R is infinite or no
+    grid is accepted, each runs through ``quad`` instead.  A nonzero
     integral or result below the normal float range keeps only a few digits,
     so it raises :class:`ConvergenceError`.
     """
@@ -412,11 +505,12 @@ def H_derivatives(dist: JuttnerFamily, lam, gamma, m) -> Tuple[float, float, flo
         raise ValueError("gamma must be positive")
     gm = gamma * m
     upper = dist.window(lam, gm)
-    integrals = _trapezoid_H_integrals(dist, lam, gm, upper)
+    weights = ((dist.F, 0, 0), (dist.f_eq, 0, 0), (dist.f_eq, 1, 0))
+    integrals = trapezoid_radials(dist, lam, gm, upper, weights)
     if integrals is None:
         integrals = [
-            converged(*quad(radial_integrand(fn, lam, gm, a, 0), 0.0, upper, **QUAD_OPTIONS))
-            for fn, a in ((dist.F, 0), (dist.f_eq, 0), (dist.f_eq, 1))
+            converged(*quad(radial_integrand(fn, lam, gm, a, b), 0.0, upper, **QUAD_OPTIONS))
+            for fn, a, b in weights
         ]
     i_val, i_lam, i_gam = integrals
     h_val = -(FOUR_PI / gamma) * m**3 * i_val

@@ -24,12 +24,13 @@ Three checks live here:
 
 * :func:`equilibrium_moments_with_traces` computes the kinetic moments of the
   equilibrium distribution, each a combination of the metric and the
-  four-velocity whose coefficients are one-dimensional quadratures (over the
-  radial kernel and acceptance rule of the equilibrium module), and reports
-  the mass-shell trace residuals.  The kinetic integrals use the positive
-  occupancy f_eq(lambda, gamma E), so the densities extracted here are
-  positive; they are not the multiplier-side n = gamma dH/dlambda of the
-  equilibrium module, which carries the opposite sign convention.
+  four-velocity whose coefficients are radial integrals, all of them on one
+  trapezoid grid per state (:func:`kinetic_radials`, with ``quad`` as the
+  fallback), and reports the mass-shell trace residuals.  The kinetic
+  integrals use the positive occupancy f_eq(lambda, gamma E), so the
+  densities extracted here are positive; they are not the multiplier-side
+  n = gamma dH/dlambda of the equilibrium module, which carries the opposite
+  sign convention.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .equilibrium import (
     project_equilibrium,
     quad,
     radial_integrand,
+    trapezoid_radials,
 )
 from .family import realize, realize_tail
 from .tensors import (
@@ -320,7 +322,54 @@ def symmetry_residual(
 # kinetic moments at equilibrium
 
 
-def kinetic_moment(state: ThermoState, rank: int, _cache: Optional[dict] = None) -> DenseSymTensor:
+def moment_ranks(M: int, N: int) -> Tuple[int, ...]:
+    """Ranks of the kinetic moments :func:`equilibrium_moments_with_traces` reads."""
+    return (M + 1, N + 1, M - 1, N - 1, 1, 2)
+
+
+def radial_weights(ranks) -> Tuple[Tuple[int, int], ...]:
+    """Every (a, b) = (rank - j, j), j even, that the kinetic moments of ``ranks`` need."""
+    return tuple(sorted({(rank - j, j) for rank in ranks for j in range(0, rank + 1, 2)}))
+
+
+def grid_radials(state: ThermoState, weights) -> Optional[Dict[Tuple[int, int], float]]:
+    """{(a, b): radial(a, b)} on one trapezoid grid, or None where it is not accepted.
+
+    See :func:`~etclosure.equilibrium.trapezoid_radials`: f_eq is evaluated
+    once per node for every weight.
+    """
+    dist, m = state.dist, state.m
+    lam, gm = state.lam, state.gamma * m
+    upper = dist.window(lam, gm)
+    integrals = trapezoid_radials(dist, lam, gm, upper, [(dist.f_eq, a, b) for a, b in weights])
+    if integrals is None:
+        return None
+    return {(a, b): m ** (2 + a + b) * val for (a, b), val in zip(weights, integrals)}
+
+
+def quad_radials(state: ThermoState, weights) -> Dict[Tuple[int, int], float]:
+    """{(a, b): radial(a, b)}, one ``quad`` call per weight over the same window."""
+    dist, m = state.dist, state.m
+    lam, gm = state.lam, state.gamma * m
+    upper = dist.window(lam, gm)
+    return {(a, b): m ** (2 + a + b) * converged(*quad(
+        radial_integrand(dist.f_eq, lam, gm, a, b), 0.0, upper, **QUAD_OPTIONS))
+        for a, b in weights}
+
+
+def kinetic_radials(state: ThermoState, ranks) -> Dict[Tuple[int, int], float]:
+    """{(a, b): radial(a, b)} for every weight the kinetic moments of ``ranks`` need.
+
+    All of them run on one trapezoid grid (:func:`grid_radials`); where that
+    grid is not accepted, each runs through ``quad`` (:func:`quad_radials`).
+    """
+    weights = radial_weights(ranks)
+    radials = grid_radials(state, weights)
+    return radials if radials is not None else quad_radials(state, weights)
+
+
+def kinetic_moment(state: ThermoState, rank: int,
+                   radials: Optional[Dict[Tuple[int, int], float]] = None) -> DenseSymTensor:
     """Equilibrium moment with `rank` momentum factors, as one combination of g and u.
 
     On the mass shell p = m cosh x u + m sinh x w, with w a unit vector
@@ -336,24 +385,16 @@ def kinetic_moment(state: ThermoState, rank: int, _cache: Optional[dict] = None)
                        cosh^a x sinh^(b+2) x dx,
 
     with R = ``dist.window(lambda, gamma m)``, past which f_eq reads exactly
-    0.0 (see :meth:`~etclosure.equilibrium.JuttnerFamily.window`).
+    0.0 (see :meth:`~etclosure.equilibrium.JuttnerFamily.window`).  This
+    function only assembles the alpha_s: the radials come from ``radials``,
+    a :func:`kinetic_radials` result, or else from one such call for this
+    rank alone.
     """
-    dist = state.dist
-    cache = _cache if _cache is not None else {}
-    lam, gm = state.lam, state.gamma * state.m
-    upper = dist.window(lam, gm)
-
-    def radial(a: int, b: int) -> float:
-        key = (a, b)
-        if key not in cache:
-            integrand = radial_integrand(dist.f_eq, lam, gm, a, b)
-            val = converged(*quad(integrand, 0.0, upper, **QUAD_OPTIONS))
-            cache[key] = state.m ** (2 + a + b) * val
-        return cache[key]
-
+    if radials is None:
+        radials = kinetic_radials(state, [rank])
     alpha = [0.0] * (rank // 2 + 1)
     for j in range(0, rank + 1, 2):
-        weight = 4.0 * math.pi * comb(rank, j) / (j + 1) * radial(rank - j, j)
+        weight = 4.0 * math.pi * comb(rank, j) / (j + 1) * radials[rank - j, j]
         for s in range(j // 2 + 1):
             alpha[s] += comb(j // 2, s) * weight
     # float components throughout: a slot no term reaches comes back as the int 0
@@ -366,12 +407,18 @@ def equilibrium_moments_with_traces(state: ThermoState, spec: ClosureSpec):
     Returns (MomentSet, report).  The report carries the relative residuals
     of the mass-shell trace chain (metric trace of a rank r+2 moment equals
     -m^2 times the rank r moment) for both moment tensors, and the kinetic
-    densities n, p, e extracted from the low-rank moments.
+    densities n, p, e extracted from the low-rank moments.  Every radial of
+    their ranks (:func:`moment_ranks`) comes from one :func:`kinetic_radials`
+    call.  On its one grid cosh^2 - sinh^2 = 1 holds node by node, so the
+    trace chain checks the assembly of the moments from the radials and
+    measures the rounding of its own cancellation; it does not measure the
+    quadrature error, which the ``kinetic`` suite's cross-route case checks
+    against ``quad``.
     """
     spec.check_top_order()
-    cache: dict = {}
-    a_mom = kinetic_moment(state, spec.M + 1, cache)
-    b_mom = kinetic_moment(state, spec.N + 1, cache)
+    radials = kinetic_radials(state, moment_ranks(spec.M, spec.N))
+    a_mom = kinetic_moment(state, spec.M + 1, radials)
+    b_mom = kinetic_moment(state, spec.N + 1, radials)
     hp, _, _ = equilibrium_hprime(state)
     mset = MomentSet(a_mom, b_mom, hp, (spec.h_max, spec.k_max))
 
@@ -384,14 +431,14 @@ def equilibrium_moments_with_traces(state: ThermoState, spec: ClosureSpec):
     for name, mom in (("A", a_mom), ("B", b_mom)):
         if mom.rank < 2:
             continue
-        lower = kinetic_moment(state, mom.rank - 2, cache)
+        lower = kinetic_moment(state, mom.rank - 2, radials)
         traced = trace_pair(mom)
         target = lower.scale(-msq)
         scale = max(traced.max_abs(), target.max_abs(), 1e-300)
         report["traces"][name] = (traced - target).max_abs() / scale
 
-    t1 = kinetic_moment(state, 1, cache)
-    t2 = kinetic_moment(state, 2, cache)
+    t1 = kinetic_moment(state, 1, radials)
+    t2 = kinetic_moment(state, 2, radials)
     n_kin = -contract_mu(t1, state.u).get(())
     e_kin = contract_mu(contract_mu(t2, state.u), state.u).get(())
     p_kin = (trace_pair(t2).get(()) + e_kin) / 3.0

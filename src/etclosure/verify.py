@@ -56,6 +56,10 @@ from .moments import (
     FIRST_ORDER,
     equilibrium_moments_with_traces,
     first_order_symmetry,
+    grid_radials,
+    moment_ranks,
+    quad_radials,
+    radial_weights,
 )
 from .oracle import (
     brute_mu_contract,
@@ -478,14 +482,42 @@ def suite_equilibrium(cfg: VerifyConfig) -> SuiteResult:
     return res
 
 
+# the kinetic suite's bound on the trapezoid radials against ``quad``
+KINETIC_CROSS_ROUTE_TOL = 1e-10
+
+
 def suite_kinetic(cfg: VerifyConfig) -> SuiteResult:
-    """Mass-shell trace chain of the kinetic equilibrium moments."""
+    """The kinetic radials by two routes, and the mass-shell trace chain.
+
+    The moments the commands print take their radial integrals from one
+    trapezoid grid per state (:func:`~etclosure.moments.kinetic_radials`).
+    The ``cross_route`` case checks every radial weight of the suite's pairs
+    on that grid against ``quad`` (:func:`~etclosure.moments.quad_radials`),
+    for each statistics at the suite's rest state, to KINETIC_CROSS_ROUTE_TOL
+    (or a tighter ``--tol``); a grid that is not accepted there fails it.  The
+    trace chain (metric trace of a rank r+2 moment equals -m^2 times the rank
+    r moment) runs on the grid's radials: cosh^2 - sinh^2 = 1 holds node by
+    node, so the chain checks the assembly of the moments from the radials
+    and the rounding of its own cancellation, not the quadrature error.
+    """
     tol = cfg.tolerance(1e-8)
+    cross_tol = min(tol, KINETIC_CROSS_ROUTE_TOL)
     res = SuiteResult("kinetic", seed=cfg.seed, tolerance=tol, route="quadrature")
     rng = random.Random(cfg.seed)
     pairs = [(0, 1)]
     if (cfg.M, cfg.N) != (0, 1):
         pairs.append((cfg.M, cfg.N))
+    weights = radial_weights([rank for pair in pairs for rank in moment_ranks(*pair)])
+    for stats in STATISTICS:
+        state = ThermoState.rest(0.5, 1.3, 1.0, statistics=stats)
+        grid = grid_radials(state, weights)
+        if grid is None:
+            rel = math.inf
+        else:
+            want = quad_radials(state, weights)
+            rel = max(abs(grid[w] - want[w]) / abs(want[w]) for w in weights)
+        res.record(rel <= cross_tol, rel, {"op": "cross_route", "statistics": stats,
+                                           "tolerance": cross_tol})
     for M, N in pairs:
         spec = ClosureSpec(M, N, h_max=cfg.h_max, k_max=cfg.k_max, registry=cfg.reg(), m=1)
         for boosted in (False, True):

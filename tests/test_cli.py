@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -10,8 +11,11 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etclosure import cli, verify
 from etclosure.cli import _build_parser, main
@@ -241,7 +245,7 @@ def test_non_finite_state_flags_are_usage_errors(capsys, argv):
     # the kinetic moments' mass-shell trace residuals read 1: the trace is all cancellation
     ("moments", "--mu0", "1e-30"),
     ("moments", "--gamma", "1e-30"),
-    ("moments", "--M", "2", "--N", "1", "--gamma", "1e-7"),
+    ("moments", "--M", "2", "--N", "1", "--gamma", "1e-8"),
     ("moments", "--mu0", "1e-40"),  # gamma**(-k) overflows in the closure coefficients
     ("moments", "--gamma", "1e-40"),
 ])
@@ -410,6 +414,22 @@ def test_config_key_of_another_subcommand_is_skipped(tmp_path, capsys):
     assert json.loads(out)["M"] == 4
 
 
+@pytest.mark.parametrize("line,command,message", [
+    # as on the command line, where these are argparse's usage errors
+    ("format = xml", "closure", "invalid choice: 'xml' (choose from 'json', 'csv')"),
+    ("stats = xx", "equilibrium", "invalid choice: 'xx' (choose from 'be', 'fd', 'mb')"),
+    ("M = x", "closure", "invalid int value: 'x'"),
+])
+def test_config_value_its_flag_refuses_is_usage_error(tmp_path, capsys, line, command, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code = main(["--config", str(cfg), command])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    key = line.split("=")[0].strip()
+    assert captured.err == f"error: config key {key}: {message}\n"
+
+
 def suites_run(out):
     return [r["suite"] for r in json.loads(out)["results"]]
 
@@ -555,3 +575,61 @@ def test_deterministic_output(capsys):
     _, eq1 = run(capsys, "equilibrium", "--lambda", "0.5", "--gamma", "2", "--m", "1")
     _, eq2 = run(capsys, "equilibrium", "--lambda", "0.5", "--gamma", "2", "--m", "1")
     assert eq1 == eq2
+
+
+# a seeded fuzz of main() over the four commands: edge values on every flag
+# (except --out and --artifacts, which write files) and on --config file keys
+EDGES = ("0", "-1", "5e-324", "1e308", "nan", "inf", "-inf")
+SUITES_DRAWN = ("kinetic", "equilibrium", "roundtrip,kinetic", "characteristic,cross_route")
+# per flag: (ordinary values, edge values); a value is drawn from either with equal chance
+FUZZ_VALUES = {
+    **{flag: (("1", "2", "3", "4"), EDGES) for flag in ORDERS + ("--seed", "--mutate")},
+    **{flag: (("0.5", "1", "1.3", "2"), EDGES + ("1e-8",)) for flag in STATE[:-1] + ("--tol",)},
+    "--stats": (("mb", "fd", "be"), ("xx",)),
+    "--format": (("json", "csv"), ("xml",)),
+    "--suite": (SUITES_DRAWN, (",", "bogus")),
+}
+FUZZ_FLAGS = {command: [f for f in flags if f in FUZZ_VALUES] for command, flags in FLAGS.items()}
+# a config key is a flag's dest (``lambda`` names ``lam``), or one no subcommand takes
+CONFIG_KEYS = {"lambda": "--lambda", "suite": "--suite", "bogus": "--M",
+               **{flag[2:]: flag for flag in FUZZ_VALUES if flag not in ("--lambda", "--suite")}}
+NAN_OR_INF = re.compile(r"\b-?(nan|inf)\b", re.IGNORECASE)
+
+
+def fuzz_value(flag):
+    return st.one_of(*map(st.sampled_from, FUZZ_VALUES[flag]))
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = draw(st.lists(st.sampled_from(FUZZ_FLAGS[command]), unique=True, max_size=4))
+    argv = [command]
+    for flag in flags:
+        argv += [flag, draw(fuzz_value(flag))]
+    if command == "verify" and "--suite" not in flags:  # derivative alone would take seconds
+        argv += ["--suite", draw(st.sampled_from(SUITES_DRAWN))]
+    keys = draw(st.lists(st.sampled_from(sorted(CONFIG_KEYS)), unique=True, max_size=2))
+    return argv, [(key, draw(fuzz_value(CONFIG_KEYS[key]))) for key in keys]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(invocations())
+def test_cli_fuzz_ends_in_a_documented_exit_code(invocation):
+    argv, config = invocation
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if config:
+            path = os.path.join(tmp, "fuzz.cfg")
+            with open(path, "w") as fh:
+                fh.write("".join(f"{key} = {value}\n" for key, value in config))
+            argv = ["--config", path] + argv
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    assert code in (0, 1, 2, 3, 4), (argv, config, code)
+    assert "Traceback" not in err.getvalue(), (argv, config)
+    if code == 0:
+        assert not NAN_OR_INF.search(out.getvalue()), (argv, config)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 import scipy.special
 
-from etclosure import cli, equilibrium, verify
+from etclosure import cli, equilibrium, moments, verify
 from etclosure.equilibrium import (
     ConvergenceError,
     EntropyUndefinedError,
@@ -488,3 +488,125 @@ def test_window_needs_positive_gamma_m(gm):
         H_derivatives(dist, 1.0, 1.0, gm)
     # a NaN gamma m is not rejected: its window is the whole half-line
     assert dist.window(1.0, float("nan")) == math.inf
+
+
+# the shared trapezoid grid of the kinetic radials, against 40-digit mpmath
+# (mpmath.quad of the same windowed integral, split at the peak and at each
+# unit of r; 30 digits agree with it to 1e-26): (stats, lam, gamma m) ->
+# {(a, b): integral_0^R f_eq(lam, gm cosh r) cosh^a r sinh^(b+2) r dr}, k_B = m = 1
+SETTLED_RADIALS = {
+    # the worst settled state of a sweep of 210 states by 10 weights (2.3e-15)
+    ("fermion", -7.0, 30.0): {(0, 0): 7.9240226392501722576e-13,
+                              (1, 0): 8.3234199497557885895e-13,
+                              (2, 0): 8.7563646342403970219e-13},
+    # the steps widest against the strip (0.235 and 0.233 of it) among accepted grids
+    ("boson", -0.297, 0.3): {(0, 2): 1088.9071720589239292, (4, 0): 226409.36682693700126,
+                             (0, 4): 224204.41242461032617},
+    ("boson", -0.97, 1.0): {(0, 4): 291.28954889135708666, (2, 2): 306.25591247423903701,
+                            (1, 2): 60.94588467762540902},
+    ("nondegenerate", 1.0, 30.0): {(0, 4): 5.0508438369360915048e-18,
+                                   (0, 2): 2.7921963295795329706e-17,
+                                   (2, 2): 3.2972807132731421211e-17},
+}
+# bosons at gamma m = 1 near condensation: the Bose pole sits about
+# sqrt(2 (lam + gm)/gm) off the real axis, so successive grids agree while
+# they are still 1e-11 to 1e-8 off; the strip test must send them to quad.
+# A degenerate fermion's Fermi edge is too narrow for 512 intervals too.
+HAZARD_STATES = [("boson", 6.1e-9 - 1.0, 1.0), ("boson", 1e-7 - 1.0, 1.0),
+                 ("fermion", -30.0, 1.0)]
+HAZARD_WEIGHTS = ((1, 2), (0, 2), (2, 2))
+
+
+@pytest.mark.parametrize("state", SETTLED_RADIALS)
+def test_kinetic_radials_settle_on_the_grid_within_1e_12_of_mpmath(state, monkeypatch):
+    def no_quad(*args, **kwargs):
+        raise AssertionError("kinetic_radials fell back to quad")
+
+    monkeypatch.setattr(moments, "quad", no_quad)
+    stats, lam, gm = state
+    want = SETTLED_RADIALS[state]
+    got = moments.grid_radials(ThermoState.rest(lam, gm, 1.0, statistics=stats), list(want))
+    assert got is not None
+    for key, value in want.items():
+        assert rel(got[key], value) <= 1e-12, key
+
+
+@pytest.mark.parametrize("state", HAZARD_STATES)
+def test_kinetic_radials_fall_back_to_quad_near_a_pole(state, monkeypatch):
+    stats, lam, gm = state
+    st = ThermoState.rest(lam, gm, 1.0, statistics=stats)
+    dist = st.dist
+    # the bosons' poles are too near for any grid up to the finest, so no node is sampled
+    narrow = dist.window(lam, gm) / equilibrium.TRAPEZOID_MAX_INTERVALS > (
+        equilibrium.TRAPEZOID_STRIP_FRACTION * dist.strip(lam, gm))
+    assert narrow == (stats == "boson")
+    assert moments.grid_radials(st, HAZARD_WEIGHTS) is None
+    calls = []
+
+    def counted_quad(func, a, b, **options):
+        calls.append((a, b))
+        return quad(func, a, b, **options)
+
+    quad = moments.quad
+    monkeypatch.setattr(moments, "quad", counted_quad)
+    radials = moments.kinetic_radials(st, [4])
+    assert set(radials) == {(4, 0), (2, 2), (0, 4)}
+    assert calls == [(0.0, dist.window(lam, gm))] * 3
+
+
+@pytest.mark.parametrize("fraction,k_B,lam,weight,want,off", [
+    # the strip test off, at the first hazard state
+    (math.inf, 1.0, 6.1e-9 - 1.0, (1, 2), 63.075048022560306174, 1e-11),
+    # steps up to 4 strip widths, at a boson with k_B = 2 that the sweep found
+    (4.0, 2.0, -0.999, (0, 4), 12612.829612010151385, 1e-11),
+], ids=["strip_off", "strip_4x"])
+def test_strip_test_is_what_rejects_the_near_condensed_grids(fraction, k_B, lam, weight, want,
+                                                             off, monkeypatch):
+    state = ThermoState.rest(lam, 1.0, 1.0, statistics="boson", k_B=k_B)
+    assert moments.grid_radials(state, [weight]) is None
+    # with a looser strip test two successive grids agree, wrongly
+    monkeypatch.setattr(equilibrium, "TRAPEZOID_STRIP_FRACTION", fraction)
+    got = moments.grid_radials(state, [weight])
+    assert got is not None and rel(got[weight], want) > off
+
+
+def test_kinetic_radials_make_no_quad_call_at_an_ordinary_state(monkeypatch):
+    def no_quad(*args, **kwargs):
+        raise AssertionError("kinetic_radials fell back to quad")
+
+    monkeypatch.setattr(moments, "quad", no_quad)
+    for stats in STATISTICS:
+        state = ThermoState(0.8, BOOSTED, 1.0, statistics=stats)
+        radials = moments.kinetic_radials(state, [5, 3, 2, 1])
+        assert len(radials) == len(moments.radial_weights([5, 3, 2, 1])) == 8
+
+
+@pytest.mark.parametrize("stats", STATISTICS)
+def test_strip_is_the_distance_to_the_nearest_singularity(stats):
+    import cmath
+
+    dist = JuttnerFamily(stats, k_B=1.7)
+    for lam, gm in ((-20.0, 1.0), (-0.5, 0.6), (0.0, 2.0), (0.4, 0.1), (3.0, 30.0)):
+        if stats == "nondegenerate":
+            assert dist.strip(lam, gm) == math.inf
+            continue
+        # (lam + gm cosh r)/k_B = 2 pi i j (bosons) or i pi (2j + 1) (fermions)
+        step = 2 * math.pi * 1.7
+        shift = 0.0 if stats == "boson" else step / 2
+        brute = min(abs(cmath.acosh(complex(-lam, shift + j * step) / gm).imag)
+                    for j in range(-5000, 5000))
+        assert dist.strip(lam, gm) == pytest.approx(min(brute, math.pi / 2), rel=1e-6)
+
+
+@pytest.mark.parametrize("stats", STATISTICS)
+def test_F_and_f_eq_is_both_occupancies_bit_for_bit(stats):
+    import random
+
+    rng = random.Random(4)
+    for _ in range(2000):
+        dist = JuttnerFamily(stats, k_B=rng.uniform(0.1, 10.0))
+        x, y = rng.uniform(-5.0, 50.0), rng.uniform(5.0, 800.0)
+        assert dist.F_and_f_eq(x, y) == (dist.F(x, y), dist.f_eq(x, y))
+    if stats == "boson":
+        with pytest.raises(ValueError, match="X \\+ Y > 0"):
+            JuttnerFamily(stats).F_and_f_eq(-2.0, 1.0)

@@ -2,10 +2,11 @@
 
 The exact closure path (``closure`` and every verify suite but ``equilibrium``
 and ``kinetic``) is Fraction arithmetic and never integrates, and
-``equilibrium`` at an ordinary state integrates on its own trapezoid grid, so
-neither may pay scipy's import; ``moments`` runs its kinetic moments through
-``quad`` and must load it.  Each check of sys.modules runs in a fresh
-interpreter, because the test process itself has long since imported scipy.
+``equilibrium`` and ``moments`` at an ordinary state integrate on the shared
+trapezoid grid, so none of them may pay scipy's import; the ``equilibrium``
+suite checks that grid against the half-line ``quad`` and must load it.  Each
+check of sys.modules runs in a fresh interpreter, because the test process
+itself has long since imported scipy.
 """
 
 from __future__ import annotations
@@ -42,7 +43,10 @@ with contextlib.redirect_stdout(io.StringIO()):
     report["codes"].append(cli.main(["equilibrium"]))
     report["equilibrium"] = scipy_loaded()
     report["codes"].append(cli.main(["moments"]))
+    report["codes"].append(cli.main(["moments", "--M", "2", "--N", "3"]))
     report["moments"] = scipy_loaded()
+    report["codes"].append(cli.main(["verify", "--suite", "equilibrium"]))
+    report["quad"] = scipy_loaded()
 print(json.dumps(report))
 """
 
@@ -52,8 +56,8 @@ def test_exact_commands_never_load_scipy_and_a_quadrature_does():
     proc = subprocess.run([sys.executable, "-c", PROBE, EXACT_SUITES], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == {"import": False, "codes": [0, 0, 0, 0], "exact": False,
-                      "equilibrium": False, "moments": True}
+    assert report == {"import": False, "codes": [0, 0, 0, 0, 0, 0], "exact": False,
+                      "equilibrium": False, "moments": False, "quad": True}
 
 
 def test_quad_forwards_to_scipy_exactly():

@@ -7,7 +7,11 @@ import pytest
 
 from etclosure import family, oracle, verify
 from etclosure.closure import ClosureSpec, ClosureTensorSet
+from etclosure.equilibrium import ThermoState
 from etclosure.family import FFamilyElement
+from etclosure.moments import equilibrium_moments_with_traces, grid_radials
+from etclosure.oracle import random_float_timelike
+from etclosure.scalar import FunctionRegistry
 from etclosure.verify import SUITES, SuiteResult, VerifyConfig, mutate_tensor_set, run_suites
 
 
@@ -202,3 +206,31 @@ def test_derivative_negative_control_fails(monkeypatch, target, corrupted):
     for seed in (0, 1):
         (res,) = run_suites(["derivative"], VerifyConfig(M=2, N=3, seed=seed))
         assert res.failures == res.cases == 11, seed
+
+
+def test_kinetic_cross_route_fails_when_one_grid_radial_is_off(monkeypatch):
+    # negative control: one radial 1e-8 off, relative, is a failure at every statistics
+    def perturbed(state, weights):
+        radials = grid_radials(state, weights)
+        radials[weights[-1]] *= 1.0 + 1e-8
+        return radials
+
+    monkeypatch.setattr(verify, "grid_radials", perturbed)
+    (res,) = run_suites(["kinetic"], VerifyConfig(M=2, N=3))
+    assert res.failures == 3
+    assert [case["op"] for case in res.failed_cases] == ["cross_route"] * 3
+    assert 0.9e-8 < res.max_residual < 1.1e-8
+
+
+@pytest.mark.parametrize("M,N", [(2, 1), (2, 3), (4, 1)])
+def test_kinetic_cross_route_and_trace_chain_pass_at_seeds_0_to_39(M, N):
+    spec = ClosureSpec(M, N, registry=FunctionRegistry.polynomials(0), m=1)
+    for seed in range(40):
+        (res,) = run_suites(["kinetic"], VerifyConfig(M=M, N=N, seed=seed))
+        assert res.passed and res.cases == 3 + 2 + 4, seed  # cross_route, (0, 1), (M, N)
+        # the suite's trace chain runs at mb; its first boosted state, at fd and be too
+        mu = random_float_timelike(random.Random(seed))
+        for stats in ("fermion", "boson"):
+            _, report = equilibrium_moments_with_traces(
+                ThermoState(0.5, mu, 1.0, statistics=stats), spec)
+            assert max(report["traces"].values()) <= 1e-8, (seed, stats)
