@@ -27,6 +27,7 @@ import numpy as np
 
 RationalLike = Union[int, Fraction]
 SymKey = Optional[Tuple[int, int]]
+Term = Tuple[Fraction, int, int, SymKey]
 
 
 class SingularRatioError(ArithmeticError):
@@ -113,17 +114,41 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"exact rational expected, got {type(x).__name__}")
 
 
+def _merged(terms: Iterable[Term]) -> Tuple[Term, ...]:
+    """Valid terms, equal (gamma_pow, msq_pow, sym) summed and zeros dropped, in canonical order."""
+    merged: dict = {}
+    for c, g, mp, s in terms:
+        key = (g, mp, s)
+        merged[key] = merged[key] + c if key in merged else c
+    kept = [(c, g, mp, s) for (g, mp, s), c in merged.items() if c != 0]
+    kept.sort(key=lambda t: (t[3] is not None, t[3] or (0, 0), t[1], t[2]))
+    return tuple(kept)
+
+
 class ScalarExpr:
     """Canonical sum of rational * gamma^p * (-m^2)^j * (optional D^h c_q).
 
     Immutable.  Terms with equal (gamma_pow, msq_pow, sym) are merged and
     zero-coefficient terms dropped, so ``==`` is exact structural equality.
+    The canonical order sorts constants first, then by symbol, gamma_pow and
+    msq_pow.
+
+    The public constructor validates and merges arbitrary terms.  Operations
+    whose result is canonical by construction skip that work and store their
+    terms directly: negation, ``scale`` by a nonzero factor (a constant shift
+    of both powers), ``diff_gamma`` and ``diff_gamma_sq`` (a constant shift of
+    gamma_pow, dropping gamma_pow 0) and ``diff_lambda`` (h -> h + 1 on every
+    symbol, dropping constants) keep every key distinct, every coefficient
+    nonzero and the order unchanged; ``+`` merges two canonical tuples and
+    sorts once.  Every stored term tuple is built from a list, never from a
+    generator, whose tuple would be over-allocated for as long as the
+    expression lives.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Iterable[Tuple[Fraction, int, int, SymKey]] = ()):
-        merged: dict = {}
+    def __init__(self, terms: Iterable[Term] = ()):
+        checked = []
         for coeff, gpow, mpow, sym in terms:
             coeff = _as_fraction(coeff)
             if sym is not None:
@@ -131,15 +156,15 @@ class ScalarExpr:
                 if q < 0 or h < 0:
                     raise ValueError(f"invalid symbol (q={q}, h={h})")
                 sym = (int(q), int(h))
-            key = (int(gpow), int(mpow), sym)
-            merged[key] = merged.get(key, Fraction(0)) + coeff
-        kept = [
-            (c, g, mp, s)
-            for (g, mp, s), c in merged.items()
-            if c != 0
-        ]
-        kept.sort(key=lambda t: (t[3] is not None, t[3] or (0, 0), t[1], t[2]))
-        self._terms = tuple(kept)
+            checked.append((coeff, int(gpow), int(mpow), sym))
+        self._terms = _merged(checked)
+
+    @classmethod
+    def _canonical(cls, terms: Tuple[Term, ...]) -> "ScalarExpr":
+        """Wrap a term tuple that is already canonical, without checking it."""
+        expr = object.__new__(cls)
+        expr._terms = terms
+        return expr
 
     # -- constructors -------------------------------------------------
 
@@ -169,7 +194,7 @@ class ScalarExpr:
     # -- structure ----------------------------------------------------
 
     @property
-    def terms(self) -> Tuple[Tuple[Fraction, int, int, SymKey], ...]:
+    def terms(self) -> Tuple[Term, ...]:
         return self._terms
 
     def is_zero(self) -> bool:
@@ -204,7 +229,11 @@ class ScalarExpr:
     def __add__(self, other: "ScalarExpr") -> "ScalarExpr":
         if not isinstance(other, ScalarExpr):
             return NotImplemented
-        return ScalarExpr(self._terms + other._terms)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        return ScalarExpr._canonical(_merged(self._terms + other._terms))
 
     def __sub__(self, other: "ScalarExpr") -> "ScalarExpr":
         if not isinstance(other, ScalarExpr):
@@ -212,35 +241,36 @@ class ScalarExpr:
         return self + (-other)
 
     def __neg__(self) -> "ScalarExpr":
-        return ScalarExpr((-c, g, mp, s) for c, g, mp, s in self._terms)
+        return ScalarExpr._canonical(tuple([(-c, g, mp, s) for c, g, mp, s in self._terms]))
 
     def scale(self, factor: RationalLike, gamma_pow: int = 0, msq_pow: int = 0) -> "ScalarExpr":
         """Multiply by factor * gamma^gamma_pow * (-m^2)^msq_pow."""
         f = _as_fraction(factor)
         if f == 0:
             return ScalarExpr()
-        return ScalarExpr(
-            (c * f, g + gamma_pow, mp + msq_pow, s) for c, g, mp, s in self._terms
+        dg, dm = int(gamma_pow), int(msq_pow)
+        return ScalarExpr._canonical(
+            tuple([(c * f, g + dg, mp + dm, s) for c, g, mp, s in self._terms])
         )
 
     # -- calculus -----------------------------------------------------
 
     def diff_gamma(self) -> "ScalarExpr":
         """Termwise d/d gamma."""
-        return ScalarExpr(
-            (c * g, g - 1, mp, s) for c, g, mp, s in self._terms if g != 0
+        return ScalarExpr._canonical(
+            tuple([(c * g, g - 1, mp, s) for c, g, mp, s in self._terms if g != 0])
         )
 
     def diff_gamma_sq(self) -> "ScalarExpr":
         """Termwise d/d(gamma^2) = (1/(2 gamma)) d/d gamma."""
-        return ScalarExpr(
-            (c * Fraction(g, 2), g - 2, mp, s) for c, g, mp, s in self._terms if g != 0
+        return ScalarExpr._canonical(
+            tuple([(c * Fraction(g, 2), g - 2, mp, s) for c, g, mp, s in self._terms if g != 0])
         )
 
     def diff_lambda(self) -> "ScalarExpr":
         """d/d lambda: bumps the derivative order of each symbol, drops constants."""
-        return ScalarExpr(
-            (c, g, mp, (s[0], s[1] + 1)) for c, g, mp, s in self._terms if s is not None
+        return ScalarExpr._canonical(
+            tuple([(c, g, mp, (s[0], s[1] + 1)) for c, g, mp, s in self._terms if s is not None])
         )
 
     # -- evaluation ---------------------------------------------------
@@ -296,10 +326,16 @@ class PolynomialFunction:
 
     def derivative_value(self, order: int, lam):
         """The order-th derivative at lam: exact at a rational lam, else float (or a float64 array)."""
-        exact = isinstance(lam, (int, Fraction))
         exact_coeffs, float_coeffs = self._derivative_coeffs(order)
-        acc = Fraction(0) if exact else 0 * lam
-        for j, c in enumerate(exact_coeffs if exact else float_coeffs):
+        if isinstance(lam, (int, Fraction)):
+            # Horner's rule: exact arithmetic gives the same Fraction as the power sum
+            acc = Fraction(0)
+            for c in reversed(exact_coeffs):
+                acc = acc * lam + c
+            return acc
+        # the float and float64-array sum stays a power sum: Horner would round differently
+        acc = 0 * lam
+        for j, c in enumerate(float_coeffs):
             acc = acc + c * power(lam, j)
         return acc
 

@@ -498,7 +498,10 @@ def suite_kinetic(cfg: VerifyConfig) -> SuiteResult:
     trace chain (metric trace of a rank r+2 moment equals -m^2 times the rank
     r moment) runs on the grid's radials: cosh^2 - sinh^2 = 1 holds node by
     node, so the chain checks the assembly of the moments from the radials
-    and the rounding of its own cancellation, not the quadrature error.
+    and the rounding of its own cancellation, not the quadrature error.  It
+    runs for the nondegenerate family at rest and at a seeded boosted state,
+    at (0, 1) and the suite's pair, and for fermions and bosons at rest at
+    the suite's pair.
     """
     tol = cfg.tolerance(1e-8)
     cross_tol = min(tol, KINETIC_CROSS_ROUTE_TOL)
@@ -518,19 +521,20 @@ def suite_kinetic(cfg: VerifyConfig) -> SuiteResult:
             rel = max(abs(grid[w] - want[w]) / abs(want[w]) for w in weights)
         res.record(rel <= cross_tol, rel, {"op": "cross_route", "statistics": stats,
                                            "tolerance": cross_tol})
-    for M, N in pairs:
-        spec = ClosureSpec(M, N, h_max=cfg.h_max, k_max=cfg.k_max, registry=cfg.reg(), m=1)
-        for boosted in (False, True):
-            if boosted:
-                mu = random_float_timelike(rng)
-                state = ThermoState(0.5, mu, 1.0)
-            else:
-                state = ThermoState.rest(0.5, 1.3, 1.0)
-            _, report = equilibrium_moments_with_traces(state, spec)
-            for name, rel in report["traces"].items():
-                res.record(rel <= tol, rel,
-                           {"op": "trace_chain", "M": M, "N": N, "tensor": name,
-                            "boosted": boosted})
+    chains = [(pair, "nondegenerate", boosted) for pair in pairs for boosted in (False, True)]
+    chains += [(pairs[-1], stats, False) for stats in ("fermion", "boson")]
+    specs = {(M, N): ClosureSpec(M, N, h_max=cfg.h_max, k_max=cfg.k_max, registry=cfg.reg(), m=1)
+             for M, N in pairs}
+    for (M, N), stats, boosted in chains:
+        if boosted:
+            state = ThermoState(0.5, random_float_timelike(rng), 1.0, statistics=stats)
+        else:
+            state = ThermoState.rest(0.5, 1.3, 1.0, statistics=stats)
+        _, report = equilibrium_moments_with_traces(state, specs[M, N])
+        for name, rel in report["traces"].items():
+            res.record(rel <= tol, rel,
+                       {"op": "trace_chain", "M": M, "N": N, "tensor": name,
+                        "boosted": boosted, "statistics": stats})
     return res
 
 

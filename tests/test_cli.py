@@ -549,6 +549,24 @@ def test_help_text_is_pinned(capsys, monkeypatch, argv):
     assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[argv]
 
 
+# sha256 of the stdout of two exact closure tables, taken from the commit
+# before ScalarExpr's order-preserving operations stopped re-canonicalising
+# their results: the exact algebra's output must not move by a byte
+CLOSURE_SHA256 = {
+    ("--M", "2", "--N", "3"):
+        "88b0bbca97635c80e0744d2597934af14933e16186fd036d5c8c467f3dc1531a",
+    ("--M", "2", "--N", "5", "--hmax", "5", "--kmax", "1"):
+        "76130fe7c9d677c4ebc0c371c1ab8dc4725c84a372f7a8c44b75f6c06ed52d8e",
+}
+
+
+@pytest.mark.parametrize("argv", CLOSURE_SHA256)
+def test_exact_closure_output_is_pinned(capsys, argv):
+    code, out = run(capsys, "closure", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLOSURE_SHA256[argv]
+
+
 @pytest.mark.parametrize("command,flag", REMOVED)
 def test_flag_a_subcommand_does_not_read_is_usage_error(capsys, command, flag):
     with pytest.raises(SystemExit) as exc:

@@ -268,3 +268,30 @@ def test_derivative_value_matches_the_uncached_formula_bit_for_bit(seed):
             want = uncached_derivative_value(fn.coeffs, order, batch)
             assert got.dtype == want.dtype == np.float64
             assert got.tobytes() == want.tobytes(), order
+
+
+shifts = st.integers(min_value=-4, max_value=4)
+nonzero_factors = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+
+
+@given(terms=raw_terms, other=raw_terms, f=nonzero_factors, gp=shifts, mp=shifts)
+@settings(max_examples=200, deadline=None)
+def test_ops_that_skip_the_constructor_return_canonical_terms(terms, other, f, gp, mp):
+    # negation, scale, the derivatives and + store their terms unchecked: the
+    # public constructor must find nothing to merge, drop or reorder in them,
+    # and must make the same terms from each op's raw, unmerged terms
+    x, y = ScalarExpr(terms), ScalarExpr(other)
+    ops = [
+        (-x, [(-c, g, mp_, s) for c, g, mp_, s in x.terms]),
+        (x.scale(f, gp, mp), [(c * f, g + gp, mp_ + mp, s) for c, g, mp_, s in x.terms]),
+        (x.diff_gamma(), [(c * g, g - 1, mp_, s) for c, g, mp_, s in x.terms]),
+        (x.diff_gamma_sq(), [(c * Fraction(g, 2), g - 2, mp_, s) for c, g, mp_, s in x.terms]),
+        (x.diff_lambda(), [(c, g, mp_, (s[0], s[1] + 1)) for c, g, mp_, s in x.terms if s]),
+        (x + y, x.terms + y.terms),
+        (x - y, x.terms + (-y).terms),
+        (y + x, y.terms + x.terms),
+    ]
+    for result, raw in ops:
+        assert result.terms == ScalarExpr(result.terms).terms
+        assert result.terms == ScalarExpr(raw).terms
+    assert x.scale(0, gp, mp).is_zero()

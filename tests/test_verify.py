@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from etclosure import family, oracle, verify
+from etclosure import family, moments, oracle, verify
 from etclosure.closure import ClosureSpec, ClosureTensorSet
 from etclosure.equilibrium import ThermoState
 from etclosure.family import FFamilyElement
-from etclosure.moments import equilibrium_moments_with_traces, grid_radials
+from etclosure.moments import equilibrium_moments_with_traces, grid_radials, kinetic_radials
 from etclosure.oracle import random_float_timelike
 from etclosure.scalar import FunctionRegistry
 from etclosure.verify import SUITES, SuiteResult, VerifyConfig, mutate_tensor_set, run_suites
@@ -222,13 +222,31 @@ def test_kinetic_cross_route_fails_when_one_grid_radial_is_off(monkeypatch):
     assert 0.9e-8 < res.max_residual < 1.1e-8
 
 
+def test_kinetic_trace_chain_fails_when_only_the_fermion_moments_are_off(monkeypatch):
+    # negative control: the top radial 1e-6 off for fermions alone breaks their trace chain
+    def perturbed(state, ranks):
+        radials = kinetic_radials(state, ranks)
+        if state.statistics == "fermion":
+            radials[max(radials)] *= 1.0 + 1e-6
+        return radials
+
+    monkeypatch.setattr(moments, "kinetic_radials", perturbed)
+    for M, N in [(2, 1), (2, 3), (4, 1)]:
+        (res,) = run_suites(["kinetic"], VerifyConfig(M=M, N=N))
+        assert not res.passed, (M, N)
+        failed = {(case["op"], case["statistics"], case["M"], case["N"]) for case in res.failed_cases}
+        assert failed == {("trace_chain", "fermion", M, N)}
+
+
 @pytest.mark.parametrize("M,N", [(2, 1), (2, 3), (4, 1)])
 def test_kinetic_cross_route_and_trace_chain_pass_at_seeds_0_to_39(M, N):
     spec = ClosureSpec(M, N, registry=FunctionRegistry.polynomials(0), m=1)
     for seed in range(40):
         (res,) = run_suites(["kinetic"], VerifyConfig(M=M, N=N, seed=seed))
-        assert res.passed and res.cases == 3 + 2 + 4, seed  # cross_route, (0, 1), (M, N)
-        # the suite's trace chain runs at mb; its first boosted state, at fd and be too
+        # cross_route, (0, 1) at rest and boosted, (M, N) at rest and boosted,
+        # (M, N) at rest for fd and be
+        assert res.passed and res.cases == 3 + 2 + 4 + 4, seed
+        # the suite's boosted trace chains run at mb; its first boosted state, at fd and be too
         mu = random_float_timelike(random.Random(seed))
         for stats in ("fermion", "boson"):
             _, report = equilibrium_moments_with_traces(
