@@ -45,6 +45,7 @@ from .equilibrium import (
     ConvergenceError,
     EntropyUndefinedError,
     ThermoState,
+    equilibrium_hprime,
     thermo_with_residuals,
 )
 from .moments import (
@@ -54,7 +55,6 @@ from .moments import (
     equilibrium_moments_with_traces,
     first_order_symmetry,
 )
-from .oracle import write_failure_artifact
 from .scalar import FunctionRegistry
 from .tensors import DenseSymTensor, FourVector
 from .verify import SUITES, VerifyConfig, run_suites
@@ -309,10 +309,10 @@ def cmd_verify(args) -> int:
         os.makedirs(args.artifacts, exist_ok=True)
         for r in results:
             if not r.passed:
-                payload = _render({"suite": r.name, "seed": cfg.seed, "M": cfg.M, "N": cfg.N,
-                                   "h_max": cfg.h_max, "k_max": cfg.k_max, "mutate": cfg.mutate,
-                                   "failed_cases": r.failed_cases})
-                path = write_failure_artifact(f"{r.name}-seed{cfg.seed}", payload, args.artifacts)
+                path = os.path.join(args.artifacts, f"etclosure-{r.name}-seed{cfg.seed}.json")
+                _write_out(_to_json({"suite": r.name, "seed": cfg.seed, "M": cfg.M, "N": cfg.N,
+                                     "h_max": cfg.h_max, "k_max": cfg.k_max, "mutate": cfg.mutate,
+                                     "failed_cases": r.failed_cases}), path)
                 print(f"wrote {path}", file=sys.stderr)
     doc = {
         "passed": all(r.passed for r in results),
@@ -357,7 +357,8 @@ def cmd_equilibrium(args) -> int:
 def cmd_moments(args) -> int:
     state = _state_from_args(args)
     spec = _spec_from_args(args, FunctionRegistry.polynomials(args.seed), state.m)
-    mset, report = equilibrium_moments_with_traces(state, spec)
+    a_mom, b_mom, report = equilibrium_moments_with_traces(state, spec)
+    hprime, _, _ = equilibrium_hprime(state)
     worst = max(report["traces"].values(), default=0.0)
     if not worst < TRACE_FAILURE:
         raise ConvergenceError(f"kinetic moments miss the mass-shell trace chain at this state "
@@ -367,26 +368,25 @@ def cmd_moments(args) -> int:
     tensors = ClosureTensorSet.build(spec)
     spreads = first_order_symmetry(tensors, state.lam, state.mu)
     doc = {
-        "A": mset.A,
-        "B": mset.B,
-        "hprime": mset.hprime,
-        "truncation": list(mset.truncation),
+        "A": a_mom,
+        "B": b_mom,
+        "hprime": hprime,
+        "truncation": [spec.h_max, spec.k_max],
         "delta_hprime": [float(c) for c in delta.components],
         "residuals": {
             "symmetry": float(max((max(g.values()) for g in spreads.values()), default=0.0)),
             "symmetry_blocks": {b: "checked" if b in spreads else "unchecked" for b in FIRST_ORDER},
             "traces": report["traces"],
-            "orders": report["orders"],
+            "orders": {"M": spec.M, "N": spec.N},
         },
         "kinetic": report["kinetic"],
     }
     if args.format == "csv":
         rows = []
-        for block in ("A", "B"):
-            tensor: DenseSymTensor = getattr(mset, block)
+        for block, tensor in (("A", a_mom), ("B", b_mom)):
             for idx, val in tensor.items():
                 rows.append({"block": block, "index": "".join(map(str, idx)), "value": val})
-        for i, c in enumerate(mset.hprime.components):
+        for i, c in enumerate(hprime.components):
             rows.append({"block": "hprime", "index": str(i), "value": c})
         _write_out(_to_csv(rows), args.out)
     else:

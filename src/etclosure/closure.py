@@ -43,6 +43,20 @@ class RankCapError(ValueError):
     """A requested order exceeds the combinatorial rank cap."""
 
 
+def _admits(M: int, N: int, h: int, k: int) -> bool:
+    """The order rule: (h, k) is an order of the (M, N) closure when M >= 0 is
+    even, N >= 1 odd, h, k >= 0, M = 0 admits no lambda orders (h = 0) and
+    N = 1 no mu orders (k = 0).  The rank cap is not part of it."""
+    return (M >= 0 and M % 2 == 0 and N >= 1 and N % 2 == 1 and h >= 0 and k >= 0
+            and (h == 0 or M > 0) and (k == 0 or N > 1))
+
+
+def _check_admits(M: int, N: int, h: int, k: int) -> None:
+    if not _admits(M, N, h, k):
+        raise ValueError(f"(h,k)=({h},{k}) is no order of the (M,N)=({M},{N}) closure "
+                         "(see ClosureSpec.admits)")
+
+
 @dataclass(frozen=True)
 class ClosureSpec:
     """One closure instance: multiplier ranks, truncation orders, functions."""
@@ -65,23 +79,23 @@ class ClosureSpec:
     def rank(self, h: int, k: int) -> int:
         return self.M * h + self.N * k + 1
 
+    def admits(self, h: int, k: int) -> bool:
+        """Whether C_{h,k} exists, whatever h_max, k_max and the rank cap."""
+        return _admits(self.M, self.N, h, k)
+
     def check_orders(self, h: int, k: int) -> None:
-        if h < 0 or k < 0:
-            raise ValueError("orders must be non-negative")
-        if self.M == 0 and h > 0:
-            raise ValueError("scalar multiplier block admits no deviation orders (h must be 0)")
-        if self.N == 1 and k > 0:
-            raise ValueError("vector multiplier block admits no deviation orders (k must be 0)")
+        """ValueError unless the spec admits (h, k); RankCapError past the rank cap."""
+        _check_admits(self.M, self.N, h, k)
         if self.rank(h, k) > RANK_CAP:
             raise RankCapError(
-                f"rank {self.rank(h, k)} exceeds cap {RANK_CAP} for (h,k)=({h},{k})"
+                f"rank {self.rank(h, k)} at (h,k)=({h},{k}) "
+                f"exceeds cap {RANK_CAP}; lower --hmax/--kmax"
             )
 
     @property
     def top_order(self) -> Tuple[int, int]:
-        """The highest (h, k) of the truncation: M = 0 admits no lambda
-        orders and N = 1 no mu orders."""
-        return (self.h_max if self.M >= 2 else 0, self.k_max if self.N >= 3 else 0)
+        """The highest admitted (h, k) of the truncation."""
+        return (self.h_max if self.admits(1, 0) else 0, self.k_max if self.admits(0, 1) else 0)
 
     def check_top_order(self) -> None:
         """Raise RankCapError when the highest requested order passes the rank cap.
@@ -90,12 +104,7 @@ class ClosureSpec:
         does; :func:`iter_orders` calls this, so nothing that sums over the
         truncation silently covers less than was requested.
         """
-        top_h, top_k = self.top_order
-        if self.rank(top_h, top_k) > RANK_CAP:
-            raise RankCapError(
-                f"rank {self.rank(top_h, top_k)} at (h,k)=({top_h},{top_k}) "
-                f"exceeds cap {RANK_CAP}; lower --hmax/--kmax"
-            )
+        self.check_orders(*self.top_order)
 
 
 def closure_coeff_N1(M: int, h: int, s: int) -> ScalarExpr:
@@ -144,16 +153,7 @@ def closure_coeff(M: int, N: int, h: int, k: int, s: int) -> ScalarExpr:
     with q over 0..(A-2)/2.  At k = 0 this reduces exactly to
     :func:`closure_coeff_N1`; at s = L it is the leading-term closed form.
     """
-    if M < 0 or M % 2 != 0:
-        raise ValueError(f"M must be even and non-negative, got {M}")
-    if N < 1 or N % 2 != 1:
-        raise ValueError(f"N must be odd and positive, got {N}")
-    if h < 0 or k < 0:
-        raise ValueError("orders must be non-negative")
-    if N == 1 and k > 0:
-        raise ValueError("k > 0 is empty for a rank-1 multiplier block")
-    if M == 0 and h > 0:
-        raise ValueError("h > 0 is empty for a scalar multiplier block")
+    _check_admits(M, N, h, k)
     n = M * h + N * k + 1
     big_l = n // 2
     if not 0 <= s <= big_l:
@@ -261,33 +261,27 @@ def verify_compatibility(
     (-m^2)^((N-1)/2) d/d mu C_{h,k}.
 
     Each residual is a coefficient list that must vanish identically; a block
-    is reported as None when the higher order is not constructible (M = 0
-    admits no lambda orders, N = 1 no mu orders) or, given a prebuilt tensor
-    set, when the set lacks it; every tensor then comes from the set.
+    is reported as None when the spec does not admit its next order
+    (:meth:`ClosureSpec.admits`) or, given a prebuilt tensor set, when the set
+    lacks it; every tensor then comes from the set.
     """
-
-    def fetch(hh: int, kk: int) -> Optional[FFamilyElement]:
-        if tensors is None:
-            return build_closure_tensor(spec, hh, kk)
-        return tensors.tensors.get((hh, kk))
-
     report: dict = {"h": h, "k": k, "lambda_ok": None, "mu_ok": None,
                     "lambda_residuals": None, "mu_residuals": None}
-    base = fetch(h, k) if tensors is None else tensors.get(h, k)
-    if spec.M >= 2 and (lhs := fetch(h + 1, k)) is not None:
-        for _ in range(spec.M // 2):
+    base = build_closure_tensor(spec, h, k) if tensors is None else tensors.get(h, k)
+    for block, nxt, traces, derivative in (
+        ("lambda", (h + 1, k), spec.M // 2, FFamilyElement.diff_lambda),
+        ("mu", (h, k + 1), (spec.N - 1) // 2, mu_derivative),
+    ):
+        if not spec.admits(*nxt):
+            continue
+        lhs = build_closure_tensor(spec, *nxt) if tensors is None else tensors.tensors.get(nxt)
+        if lhs is None:
+            continue
+        for _ in range(traces):
             lhs = trace(lhs)
-        rhs = base.diff_lambda().scale(1, msq_pow=spec.M // 2)
-        diff = lhs - rhs
-        report["lambda_residuals"] = list(diff.coeffs)
-        report["lambda_ok"] = diff.is_zero()
-    if spec.N >= 3 and (lhs := fetch(h, k + 1)) is not None:
-        for _ in range((spec.N - 1) // 2):
-            lhs = trace(lhs)
-        rhs = mu_derivative(base).scale(1, msq_pow=(spec.N - 1) // 2)
-        diff = lhs - rhs
-        report["mu_residuals"] = list(diff.coeffs)
-        report["mu_ok"] = diff.is_zero()
+        diff = lhs - derivative(base).scale(1, msq_pow=traces)
+        report[f"{block}_residuals"] = list(diff.coeffs)
+        report[f"{block}_ok"] = diff.is_zero()
     return report
 
 

@@ -48,7 +48,6 @@ from .equilibrium import (
     QUAD_OPTIONS,
     ThermoState,
     converged,
-    equilibrium_hprime,
     equilibrium_multipliers,
     lambda_multiplier,
     mu_multiplier,
@@ -92,16 +91,6 @@ class MultiplierState:
     @classmethod
     def at_equilibrium(cls, base: ThermoState, spec: ClosureSpec) -> "MultiplierState":
         return cls(base, DenseSymTensor.zeros(spec.M), DenseSymTensor.zeros(spec.N), spec)
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """The two moment tensors, the potential, and the truncation orders."""
-
-    A: DenseSymTensor
-    B: DenseSymTensor
-    hprime: FourVector
-    truncation: Tuple[int, int]
 
 
 def _split(full: DenseSymTensor, m):
@@ -404,30 +393,24 @@ def kinetic_moment(state: ThermoState, rank: int,
 def equilibrium_moments_with_traces(state: ThermoState, spec: ClosureSpec):
     """Kinetic moment tensors of one equilibrium state plus trace residuals.
 
-    Returns (MomentSet, report).  The report carries the relative residuals
-    of the mass-shell trace chain (metric trace of a rank r+2 moment equals
-    -m^2 times the rank r moment) for both moment tensors, and the kinetic
-    densities n, p, e extracted from the low-rank moments.  Every radial of
-    their ranks (:func:`moment_ranks`) comes from one :func:`kinetic_radials`
-    call.  On its one grid cosh^2 - sinh^2 = 1 holds node by node, so the
-    trace chain checks the assembly of the moments from the radials and
-    measures the rounding of its own cancellation; it does not measure the
-    quadrature error, which the ``kinetic`` suite's cross-route case checks
-    against ``quad``.
+    Returns (A, B, report): the moments of rank M+1 and N+1, and a report
+    that carries the relative residuals of the mass-shell trace chain (metric
+    trace of a rank r+2 moment equals -m^2 times the rank r moment) for both
+    moment tensors, and the kinetic densities n, p, e extracted from the
+    low-rank moments.  Every radial of their ranks (:func:`moment_ranks`)
+    comes from one :func:`kinetic_radials` call.  On its one grid
+    cosh^2 - sinh^2 = 1 holds node by node, so the trace chain checks the
+    assembly of the moments from the radials and measures the rounding of its
+    own cancellation; it does not measure the quadrature error, which the
+    ``kinetic`` suite's cross-route case checks against ``quad``.
     """
     spec.check_top_order()
     radials = kinetic_radials(state, moment_ranks(spec.M, spec.N))
     a_mom = kinetic_moment(state, spec.M + 1, radials)
     b_mom = kinetic_moment(state, spec.N + 1, radials)
-    hp, _, _ = equilibrium_hprime(state)
-    mset = MomentSet(a_mom, b_mom, hp, (spec.h_max, spec.k_max))
 
     msq = float(state.m) ** 2
-    report = {
-        "traces": {},
-        "kinetic": {},
-        "orders": {"M": spec.M, "N": spec.N},
-    }
+    report = {"traces": {}, "kinetic": {}}
     for name, mom in (("A", a_mom), ("B", b_mom)):
         if mom.rank < 2:
             continue
@@ -443,4 +426,4 @@ def equilibrium_moments_with_traces(state: ThermoState, spec: ClosureSpec):
     e_kin = contract_mu(contract_mu(t2, state.u), state.u).get(())
     p_kin = (trace_pair(t2).get(()) + e_kin) / 3.0
     report["kinetic"] = {"n": n_kin, "p": p_kin, "e": e_kin}
-    return mset, report
+    return a_mom, b_mom, report

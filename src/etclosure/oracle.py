@@ -10,8 +10,6 @@ no code with it beyond the container types and ``gmu_basis`` (checked against
 
 from __future__ import annotations
 
-import json
-import os
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -260,15 +258,3 @@ def random_float_timelike(rng: random.Random) -> FourVector:
     u0 = (1.0 + v2) ** 0.5
     gamma = rng.uniform(0.5, 3.0)
     return FourVector((gamma * u0, gamma * v[0], gamma * v[1], gamma * v[2]), "upper")
-
-
-def write_failure_artifact(tag: str, payload: dict, directory: str) -> str:
-    """Dump a JSON replay artifact (inputs, seed, mismatch) and return its path.
-
-    The file is ``etclosure-<tag>.json``: the same tag names the same file,
-    so a tag that carries the inputs (suite and seed) replaces a stale copy.
-    """
-    path = os.path.join(directory, f"etclosure-{tag}.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=str)
-    return path

@@ -349,7 +349,7 @@ def test_10_kinetic_trace_chain():
     state = ThermoState(0.8, FourVector([1.3, 0.4, -0.2, 0.1]), 1.0)
     for M, N in ((0, 1), (2, 1)):
         spec = ClosureSpec(M, N, h_max=1, k_max=0)
-        _, report = equilibrium_moments_with_traces(state, spec)
+        _, _, report = equilibrium_moments_with_traces(state, spec)
         for name, rel in report["traces"].items():
             if rel > 1e-8:
                 failures.append((M, N, name, f"{rel:.2e}"))

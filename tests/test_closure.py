@@ -203,6 +203,45 @@ def test_block_order_validation():
         build_closure_tensor(ClosureSpec(2, 1, h_max=1, k_max=1), 0, 1)
 
 
+@pytest.mark.parametrize("N", [1, 3, 5])
+@pytest.mark.parametrize("M", [0, 2, 4, 6])
+def test_admits_is_the_one_order_rule(M, N):
+    orders = [(h, k) for h in range(5) for k in range(5)]
+    spec = ClosureSpec(M, N)
+    for h, k in orders:
+        admitted = spec.admits(h, k)
+        # M = 0 admits no lambda orders and N = 1 no mu orders; the cap plays no part
+        assert admitted == ((h == 0 or M > 0) and (k == 0 or N > 1)), (h, k)
+        try:
+            spec.check_orders(h, k)
+            raised = None
+        except ValueError as exc:
+            raised = type(exc)
+        if not admitted:
+            want = ValueError
+        elif spec.rank(h, k) > RANK_CAP:
+            want = RankCapError
+        else:
+            want = None
+        assert raised is want, (h, k)
+        if not admitted:
+            with pytest.raises(ValueError):
+                closure_coeff(M, N, h, k, 0)
+    for h_max, k_max in orders:
+        truncation = ClosureSpec(M, N, h_max=h_max, k_max=k_max)
+        within = [(h, k) for h, k in orders if h <= h_max and k <= k_max and spec.admits(h, k)]
+        if truncation.rank(*within[-1]) > RANK_CAP:
+            with pytest.raises(RankCapError):
+                list(iter_orders(truncation))
+        else:
+            assert list(iter_orders(truncation)) == within, (h_max, k_max)
+    # with no tensor set the next orders are built, past the truncation
+    report = verify_compatibility(ClosureSpec(M, N, h_max=0, k_max=0), 0, 0)
+    for block, nxt in (("lambda", (1, 0)), ("mu", (0, 1))):
+        assert report[f"{block}_ok"] is (True if spec.admits(*nxt) else None), block
+        assert (report[f"{block}_residuals"] is None) is not spec.admits(*nxt), block
+
+
 def test_closure_table_rows():
     rows = closure_table(ClosureSpec(2, 1, h_max=1, k_max=0))
     assert len(rows) == 3

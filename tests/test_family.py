@@ -283,7 +283,7 @@ def test_realize_vector_and_zero():
 
 def _orders_to_the_cap(spec):
     return [(h, k) for h in range(RANK_CAP) for k in range(RANK_CAP)
-            if (h == 0 or spec.M >= 2) and (k == 0 or spec.N >= 3) and spec.rank(h, k) <= RANK_CAP]
+            if spec.admits(h, k) and spec.rank(h, k) <= RANK_CAP]
 
 
 @pytest.mark.parametrize("M, N", [(2, 1), (2, 3), (4, 3), (2, 5), (4, 5), (8, 1)])

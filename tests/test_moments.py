@@ -10,7 +10,12 @@ import pytest
 
 from etclosure import moments as moments_module
 from etclosure.closure import ClosureSpec, ClosureTensorSet, RankCapError, build_closure_tensor
-from etclosure.equilibrium import ThermoState, equilibrium_multipliers, thermo_functions
+from etclosure.equilibrium import (
+    ThermoState,
+    equilibrium_hprime,
+    equilibrium_multipliers,
+    thermo_functions,
+)
 from etclosure.moments import (
     MultiplierState,
     delta_hprime,
@@ -254,7 +259,7 @@ def _per_point_residual(state: MultiplierState, step: float, tensors) -> float:
 
 @pytest.mark.parametrize("M, N", [(2, 1), (2, 3), (4, 3)])
 def test_batched_symmetry_residual_is_bit_identical_to_per_point(M, N):
-    spec = VerifyConfig(M=M, N=N).spec()
+    spec = VerifyConfig(M=M, N=N).spec
     tensors = ClosureTensorSet.build(spec)
     rng = random.Random(11)
     base = ThermoState(rng.uniform(0.2, 1.0), random_float_timelike(rng), 1.0)
@@ -337,9 +342,9 @@ def test_equilibrium_moments_trace_chain():
     for M, N in ((0, 1), (2, 1)):
         spec = ClosureSpec(M, N, h_max=1, k_max=0, registry=poly_registry())
         st = ThermoState(0.8, FourVector([1.2, 0.3, 0, -0.1]), 1.0)
-        moments, report = equilibrium_moments_with_traces(st, spec)
-        assert moments.A.rank == M + 1
-        assert moments.B.rank == N + 1
+        A, B, report = equilibrium_moments_with_traces(st, spec)
+        assert A.rank == M + 1
+        assert B.rank == N + 1
         for value in report["traces"].values():
             assert abs(value) <= 1e-8
         assert report["kinetic"]["n"] > 0
@@ -348,16 +353,16 @@ def test_equilibrium_moments_trace_chain():
 def test_equilibrium_moments_rest_frame_shapes():
     spec = ClosureSpec(0, 1, h_max=1, k_max=0, registry=poly_registry())
     st = ThermoState(0.8, FourVector([1.2, 0, 0, 0]), 1.0)
-    moments, report = equilibrium_moments_with_traces(st, spec)
+    A, B, report = equilibrium_moments_with_traces(st, spec)
     n = report["kinetic"]["n"]
     e = report["kinetic"]["e"]
     p = report["kinetic"]["p"]
     # A = n u, B = diag(e, p, p, p) in the rest frame
-    assert moments.A.get((0,)) == pytest.approx(n, rel=1e-12)
-    assert all(moments.A.get((i,)) == 0 for i in range(1, 4))
-    assert moments.B.get((0, 0)) == pytest.approx(e, rel=1e-12)
+    assert A.get((0,)) == pytest.approx(n, rel=1e-12)
+    assert all(A.get((i,)) == 0 for i in range(1, 4))
+    assert B.get((0, 0)) == pytest.approx(e, rel=1e-12)
     for i in range(1, 4):
-        assert moments.B.get((i, i)) == pytest.approx(p, rel=1e-12)
+        assert B.get((i, i)) == pytest.approx(p, rel=1e-12)
 
 
 def test_ultrarelativistic_trace_trend():
@@ -366,7 +371,7 @@ def test_ultrarelativistic_trace_trend():
     rel = {}
     for z in (0.1, 0.01):
         st = ThermoState(0.8, FourVector([z, 0, 0, 0]), 1.0)
-        _, report = equilibrium_moments_with_traces(st, spec)
+        _, _, report = equilibrium_moments_with_traces(st, spec)
         k = report["kinetic"]
         rel[z] = (k["e"] - 3 * k["p"]) / k["e"]
         assert rel[z] > 0
@@ -375,9 +380,8 @@ def test_ultrarelativistic_trace_trend():
 
 
 def test_hprime_block_matches_equilibrium_flux():
-    spec = ClosureSpec(2, 1, h_max=1, k_max=0, registry=poly_registry())
     st = ThermoState(0.8, FourVector([1.2, 0.2, 0, 0]), 1.0)
-    moments, _ = equilibrium_moments_with_traces(st, spec)
+    hprime, _, _ = equilibrium_hprime(st)
     H = thermo_functions(st).H
     for i in range(4):
-        assert moments.hprime.components[i] == pytest.approx(H * st.mu.components[i], rel=1e-12)
+        assert hprime.components[i] == pytest.approx(H * st.mu.components[i], rel=1e-12)

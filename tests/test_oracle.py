@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import json
 import math
-import os
 import random
 from fractions import Fraction
 
@@ -21,7 +19,6 @@ from etclosure.oracle import (
     random_float_timelike,
     random_rational_timelike,
     random_sym_tensor,
-    write_failure_artifact,
 )
 from etclosure.scalar import FunctionRegistry, PolynomialFunction, ScalarExpr
 from etclosure.tensors import (
@@ -194,11 +191,3 @@ def test_random_sym_tensor_modes(rng):
     tf = random_sym_tensor(2, rng, rational=False)
     assert any(isinstance(v, float) for _, v in tf.items())
 
-
-def test_write_failure_artifact(tmp_path):
-    path = write_failure_artifact("unit", {"seed": 42, "detail": "x"}, str(tmp_path))
-    assert os.path.dirname(path) == str(tmp_path)
-    assert "unit" in os.path.basename(path)
-    with open(path) as fh:
-        payload = json.load(fh)
-    assert payload == {"seed": 42, "detail": "x"}

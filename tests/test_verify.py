@@ -60,7 +60,7 @@ def test_exact_suites_report_zero_residual():
 def test_suites_cover_vector_valued_block():
     # second-order truncation, with both first-order tensors inside it, so the
     # symmetry suite checks the lambda and the mu block
-    cfg = VerifyConfig(M=2, N=3, h_max=2, k_max=2, states=2)
+    cfg = VerifyConfig(M=2, N=3, h_max=2, k_max=2)
     results = run_suites(None, cfg)
     assert all(r.failures == 0 for r in results), [
         (r.name, r.failed_cases) for r in results if r.failures
@@ -68,13 +68,13 @@ def test_suites_cover_vector_valued_block():
 
 
 def test_mutation_is_detected():
-    cfg = VerifyConfig(M=2, N=3, h_max=1, k_max=1, states=2, mutate=1)
+    cfg = VerifyConfig(M=2, N=3, h_max=1, k_max=1, mutate=1)
     results = run_suites(["characteristic"], cfg)
     assert results[0].failures > 0
 
 
 def test_mutation_detected_by_symmetry_suite():
-    cfg = VerifyConfig(M=2, N=1, h_max=2, k_max=0, states=2, mutate=1)
+    cfg = VerifyConfig(M=2, N=1, h_max=2, k_max=0, mutate=1)
     (res,) = run_suites(["symmetry"], cfg)
     assert res.failures > 0
     assert res.max_residual > 1e-3
@@ -145,7 +145,7 @@ def test_two_mutations_of_one_first_order_tensor_are_detected():
     assert not res.passed and res.max_residual == 1.0
 
 
-def test_symmetry_reports_which_blocks_it_checked():
+def test_symmetry_reports_which_blocks_it_checked(monkeypatch):
     blocks = {}
     for M, N, h_max, k_max in ((2, 3, 2, 2), (2, 1, 2, 2), (2, 3, 0, 1)):
         (res,) = run_suites(["symmetry"], VerifyConfig(M=M, N=N, h_max=h_max, k_max=k_max))
@@ -157,7 +157,9 @@ def test_symmetry_reports_which_blocks_it_checked():
         (2, 3, 0, 1): ({"lambda": "unchecked", "mu": "checked"}, 3),
     }
     # a block counts as checked only once a state has checked it
-    (res,) = run_suites(["symmetry"], VerifyConfig(M=2, N=3, states=0))
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "first_order_symmetry", lambda *args: {})
+        (res,) = run_suites(["symmetry"], VerifyConfig(M=2, N=3))
     assert (res.blocks, res.cases) == ({"lambda": "unchecked", "mu": "unchecked"}, 0)
     (res,) = run_suites(["roundtrip"])
     assert "blocks" not in res.to_json_obj()
@@ -249,6 +251,6 @@ def test_kinetic_cross_route_and_trace_chain_pass_at_seeds_0_to_39(M, N):
         # the suite's boosted trace chains run at mb; its first boosted state, at fd and be too
         mu = random_float_timelike(random.Random(seed))
         for stats in ("fermion", "boson"):
-            _, report = equilibrium_moments_with_traces(
+            _, _, report = equilibrium_moments_with_traces(
                 ThermoState(0.5, mu, 1.0, statistics=stats), spec)
             assert max(report["traces"].values()) <= 1e-8, (seed, stats)
