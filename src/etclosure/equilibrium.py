@@ -29,6 +29,9 @@ closed form takes K_1 from ``scipy.special``.  scipy is imported on the first
 the exact closure path nor the ``equilibrium`` and ``moments`` commands at a
 state where the grid is accepted ever load it.
 
+Units are natural: k_B = c = 1 and the occupancy's amplitude w/h^3 = 1, so
+T = 1/gamma and every occupancy depends on lambda + gamma m cosh r alone.
+
 Sign convention: H here multiplies the multiplier covector mu_alpha directly,
 so for the nondegenerate family H = p > 0 while n = gamma dH/dlambda < 0
 (the generating F is negative and decreasing in lambda). The kinetic-side
@@ -45,6 +48,8 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Callable, Tuple
+
+import numpy as np
 
 from .scalar import double_factorial
 from .tensors import (
@@ -63,7 +68,7 @@ FOUR_PI = 4.0 * math.pi
 
 
 class ConvergenceError(RuntimeError):
-    """A quadrature failed to reach its accuracy target."""
+    """A quadrature or finite-difference stencil cannot reach its accuracy target."""
 
 
 class EntropyUndefinedError(ZeroDivisionError):
@@ -149,56 +154,55 @@ def project_equilibrium(lam_tensor: DenseSymTensor, mu_tensor: DenseSymTensor, m
 _UNDERFLOW_EXPONENT = 746.0
 
 
-def _occupancy(statistics: str, k: float):
-    """(F, f_eq, F_and_f_eq) of one statistics as closures over k_B, at amplitude w/h^3 = 1.
+def _occupancy(statistics: str):
+    """(F, f_eq, F_and_f_eq) of one statistics.
 
     F_and_f_eq(x, y) is (F(x, y), f_eq(x, y)) from one exponential, bit for bit.
     """
     exp, log1p = math.exp, math.log1p
-    neg_k = -k
     if statistics == "nondegenerate":
         def F(x: float, y: float) -> float:
-            return neg_k * exp(-((x + y) / k))
+            return -exp(-(x + y))
 
         def f_eq(x: float, y: float) -> float:
-            return exp(-((x + y) / k))
+            return exp(-(x + y))
 
         def F_and_f_eq(x: float, y: float) -> Tuple[float, float]:
-            ez = exp(-((x + y) / k))
-            return neg_k * ez, ez
+            ez = exp(-(x + y))
+            return -ez, ez
 
     elif statistics == "fermion":
         def F(x: float, y: float) -> float:
-            return neg_k * log1p(exp(-((x + y) / k)))
+            return -log1p(exp(-(x + y)))
 
         def f_eq(x: float, y: float) -> float:
-            ez = exp(-((x + y) / k))
+            ez = exp(-(x + y))
             return ez / (1.0 + ez)
 
         def F_and_f_eq(x: float, y: float) -> Tuple[float, float]:
-            ez = exp(-((x + y) / k))
-            return neg_k * log1p(ez), ez / (1.0 + ez)
+            ez = exp(-(x + y))
+            return -log1p(ez), ez / (1.0 + ez)
 
     else:
         def F(x: float, y: float) -> float:
-            z = (x + y) / k
+            z = x + y
             if z <= 0:
                 raise ValueError("boson antiderivative needs X + Y > 0")
-            return k * log1p(-exp(-z))
+            return log1p(-exp(-z))
 
         def f_eq(x: float, y: float) -> float:
-            z = (x + y) / k
+            z = x + y
             if z <= 0:
                 raise ValueError("boson occupancy needs X + Y > 0")
             ez = exp(-z)
             return ez / (1.0 - ez)
 
         def F_and_f_eq(x: float, y: float) -> Tuple[float, float]:
-            z = (x + y) / k
+            z = x + y
             if z <= 0:
                 raise ValueError("boson antiderivative needs X + Y > 0")
             ez = exp(-z)
-            return k * log1p(-ez), ez / (1.0 - ez)
+            return log1p(-ez), ez / (1.0 - ez)
 
     return F, f_eq, F_and_f_eq
 
@@ -207,15 +211,13 @@ def _occupancy(statistics: str, k: float):
 class JuttnerFamily:
     """F(X, Y) and f_eq = dF/dX for the three equilibrium statistics.
 
-    All three depend on X and Y through (X + Y)/k_B only, so dF/dY = dF/dX.
-    The amplitude w/h^3 is 1 (natural units).  ``F`` and ``f_eq`` are plain
-    functions of (X, Y) bound when the family is made: the statistics branch
-    is chosen once, not on every call of a quadrature integrand.
-    ``F_and_f_eq`` gives both from one exponential, for a grid that needs both.
+    All three depend on X and Y through X + Y only, so dF/dY = dF/dX.
+    ``F`` and ``f_eq`` are plain functions of (X, Y) bound when the family is
+    made: the statistics branch is chosen once, not on every call of a
+    quadrature integrand.  ``F_and_f_eq`` gives both from one exponential.
     """
 
     statistics: str = "nondegenerate"
-    k_B: float = 1.0
     F: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
     f_eq: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
     F_and_f_eq: Callable[[float, float], Tuple[float, float]] = field(
@@ -224,23 +226,21 @@ class JuttnerFamily:
     def __post_init__(self):
         if self.statistics not in STATISTICS:
             raise ValueError(f"unknown statistics {self.statistics!r}")
-        if not self.k_B > 0:
-            raise ValueError(f"k_B must be positive, got {self.k_B}")
-        for name, fn in zip(("F", "f_eq", "F_and_f_eq"), _occupancy(self.statistics, self.k_B)):
+        for name, fn in zip(("F", "f_eq", "F_and_f_eq"), _occupancy(self.statistics)):
             object.__setattr__(self, name, fn)
 
     def window(self, lam: float, gm: float) -> float:
         """Rapidity R past which F(lam, gm cosh r) and f_eq read exactly 0.0.
 
-        cosh R = (746 k_B - lam)/(gm): there (lam + gm cosh r)/k_B >= 746 and
-        exp of its negative underflows to 0.0 in double precision.  R is 0
-        when the whole range underflows, and infinite when the ratio is not
-        finite (a NaN lam or gm included), so no range is ever dropped by
-        mistake.  gm = gamma m must be positive.
+        cosh R = (746 - lam)/(gm): there lam + gm cosh r >= 746 and exp of
+        its negative underflows to 0.0 in double precision.  R is 0 when the
+        whole range underflows, and infinite when the ratio is not finite (a
+        NaN lam or gm included), so no range is ever dropped by mistake.
+        gm = gamma m must be positive.
         """
         if gm <= 0:
             raise ValueError(f"gamma m must be positive, got {gm}")
-        ratio = (_UNDERFLOW_EXPONENT * self.k_B - lam) / gm
+        ratio = (_UNDERFLOW_EXPONENT - lam) / gm
         if not math.isfinite(ratio):
             return math.inf
         if ratio <= 1.0:
@@ -252,9 +252,9 @@ class JuttnerFamily:
         F and f_eq at (lam, gm cosh r), capped at pi/2.
 
         The Bose and Fermi occupancies have poles, and their antiderivatives
-        branch points, where (lam + gm cosh r)/k_B = 2 pi i j for a boson and
+        branch points, where lam + gm cosh r = 2 pi i j for a boson and
         i pi (2j + 1) for a fermion, j any integer: cosh r = w_j =
-        (-lam + i s_j k_B)/gm.
+        (-lam + i s_j)/gm.
         Their distance is the imaginary part of acosh(w_j) in [0, pi].  It
         grows with |j| when lam < 0, so j = 0 is nearest; when lam >= 0 it
         falls towards pi/2 as |j| grows, which is the cap.  The nondegenerate
@@ -264,7 +264,7 @@ class JuttnerFamily:
             return math.inf
         if lam >= 0:
             return math.pi / 2
-        shift = 0.0 if self.statistics == "boson" else math.pi * self.k_B
+        shift = 0.0 if self.statistics == "boson" else math.pi
         return abs(cmath.acosh(complex(-lam, shift) / gm).imag)
 
 
@@ -280,14 +280,19 @@ class ThermoState:
     mu: FourVector
     m: float
     statistics: str = "nondegenerate"
-    k_B: float = 1.0
 
     def __post_init__(self):
         if self.m <= 0:
             raise ValueError("mass must be positive")
-        self.dist  # the family checks statistics and k_B
+        self.dist  # the family checks statistics
         if not self.mu.is_timelike_future():
             raise ValueError("mu must be timelike and future-directed")
+        # below lambda + gamma m = 0 a boson's occupancy is negative at small momenta;
+        # a batched state (float64 components) must keep it at every entry
+        if self.statistics == "boson":
+            gap = self.lam + np.sqrt(np.asarray(self.mu.gamma_sq(), dtype=float)) * self.m
+            if np.any(gap < 0):
+                raise ValueError(f"a boson needs lambda + gamma m >= 0, got {np.min(gap):.6g}")
 
     @classmethod
     def rest(cls, lam: float, gamma: float, m: float, **kw) -> "ThermoState":
@@ -307,7 +312,7 @@ class ThermoState:
 
     @cached_property
     def dist(self) -> JuttnerFamily:
-        return JuttnerFamily(self.statistics, self.k_B)
+        return JuttnerFamily(self.statistics)
 
 
 # ---------------------------------------------------------------------------
@@ -368,21 +373,30 @@ def converged(val: float, err: float) -> float:
     return val
 
 
+def quad_ranges(upper: float) -> Tuple[Tuple[float, float], ...]:
+    """The ranges a ``quad`` radial integral over [0, upper] runs as, split at r = min(1, upper).
+
+    One rule misses the narrow peak at r = 0 of a boson near condensation:
+    at lambda = -1 + 1e-7, gamma = m = 1 the weight (0, 2) reads 1.4e-11 off
+    over [0, R] and 1.5e-17 split.  The tail runs first, so an integrand
+    that never decays (a NaN state) fails by :func:`radial_integrand`'s overflow.
+    """
+    if upper <= 1.0:
+        return ((0.0, upper),)
+    return ((1.0, upper), (0.0, 1.0))
+
+
 def H_from_distribution(F: Callable[[float, float], float], lam, gamma, m) -> float:
     """H(lambda, gamma) = -(4 pi / gamma) m^3 integral_0^inf F(lambda, gamma m cosh r) sinh^2 r dr.
 
     F is any callable, so the range is the whole half-line, integrated by
-    ``quad``; this makes the function an independent check of
-    :func:`H_derivatives`' windowed trapezoid rule.  [0, 1] and [1, inf) run
-    as two ``quad`` calls: the infinite-range rule alone misses the narrow
-    peak at r = 0 of a boson near condensation by 4e-10 under an error
-    estimate of 3e-13.
+    ``quad`` over :func:`quad_ranges`; this makes the function an
+    independent check of :func:`H_derivatives`' windowed trapezoid rule.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     integrand = radial_integrand(F, lam, gamma * m, 0, 0)
-    pieces = [converged(*quad(integrand, a, b, **QUAD_OPTIONS))
-              for a, b in ((0.0, 1.0), (1.0, math.inf))]
+    pieces = [converged(*quad(integrand, a, b, **QUAD_OPTIONS)) for a, b in quad_ranges(math.inf)]
     return -(FOUR_PI / gamma) * m**3 * sum(pieces)
 
 
@@ -399,59 +413,49 @@ TRAPEZOID_STRIP_FRACTION = 0.25
 def trapezoid_radials(dist: JuttnerFamily, lam, gm, upper, weights):
     """[integral_0^upper fn(lam, gm cosh r) cosh^a r sinh^(b+2) r dr for (fn, a, b) in weights].
 
-    Every weight runs on one grid, and each node evaluates each distinct fn
-    once; the fns are one function, or the family's F and f_eq, which a node
-    then takes from one exponential (``dist.F_and_f_eq``).  Each integrand
-    is even in r, analytic in a strip around the real axis as wide as
-    :meth:`JuttnerFamily.strip`, and reads 0.0 (with all its derivatives)
-    from ``upper`` on, so the plain trapezoid rule converges
-    geometrically once the step is well inside that strip (Trefethen &
-    Weideman, SIAM Review 56 (2014) 385).  A grid is accepted when it agrees
-    with the one before to TRAPEZOID_RTOL in every integral and its step is
-    at most TRAPEZOID_STRIP_FRACTION of the strip's width: wider steps over a
-    nearby pole (a boson near condensation) err by halves from one grid to
-    the next, so two neighbours agree while both are wrong.  Returns None when
-    ``upper`` is infinite, when no grid up to TRAPEZOID_MAX_INTERVALS can be
-    accepted (a feature narrower than the grid, such as a degenerate Fermi
-    edge or a boson near condensation) or when a node overflows.
+    Every weight runs on one grid, and fn is the family's F or f_eq (else
+    ``ValueError``): each node evaluates both from one exponential
+    (``dist.F_and_f_eq``).  Each integrand is even in r, analytic in a
+    strip around the real axis as wide as :meth:`JuttnerFamily.strip`, and
+    reads 0.0 (with all its derivatives) from ``upper`` on, so the plain
+    trapezoid rule converges geometrically once the step is well inside that
+    strip (Trefethen & Weideman, SIAM Review 56 (2014) 385).  A grid is
+    accepted when it agrees with the one before to TRAPEZOID_RTOL in every
+    integral and its step is at most TRAPEZOID_STRIP_FRACTION of the strip's
+    width: wider steps over a nearby pole (a boson near condensation) err by
+    halves from one grid to the next, so two neighbours agree while both are
+    wrong.  Returns None when ``upper`` is infinite, when no grid up to
+    TRAPEZOID_MAX_INTERVALS can be accepted (a feature narrower than the
+    grid, such as a degenerate Fermi edge or a boson near condensation) or
+    when a node overflows.
     """
+    # at every node so far: cosh r; F and f_eq times sinh^2 r; and cosh^a r sinh^b r
+    # for each (a, b) other than (0, 0) and (1, 0), which read no factor and cosh r.
+    # Per weight: the fn column, and the factor column it is multiplied by node by
+    # node (None for (0, 0))
+    cs, at_F, at_f, powers, terms = [], [], [], {}, []
+    columns = {dist.F: at_F, dist.f_eq: at_f}
+    for fn, a, b in weights:
+        if fn not in columns:
+            raise ValueError("the weights take the family's F or f_eq")
+        if a == 1 and b == 0:
+            terms.append((columns[fn], cs))
+        else:
+            terms.append((columns[fn], powers.setdefault((a, b), []) if a or b else None))
     if not math.isfinite(upper):
         return None
     widest = TRAPEZOID_STRIP_FRACTION * dist.strip(lam, gm)
     if upper / TRAPEZOID_MAX_INTERVALS > widest:
         return None
-    cosh, sinh, fsum = math.cosh, math.sinh, math.fsum
-    # at every node so far: cosh r; fn(lam, gm cosh r) sinh^2 r for each distinct
-    # fn; and cosh^a r sinh^b r for each (a, b) other than (0, 0) and (1, 0),
-    # which read no factor and cosh r.  Per weight: the fn column, and the
-    # factor column it is multiplied by node by node (None for (0, 0))
-    cs, at_nodes, powers, terms = [], {}, {}, []
-    for fn, a, b in weights:
-        at = at_nodes.setdefault(fn, [])
-        if a == 1 and b == 0:
-            terms.append((at, cs))
-        else:
-            terms.append((at, powers.setdefault((a, b), []) if a or b else None))
+    cosh, sinh, fsum, both = math.cosh, math.sinh, math.fsum, dist.F_and_f_eq
+    put_c, put_F, put_f = cs.append, at_F.append, at_f.append
 
-    # one loop over a level's nodes, written out for one fn and for F and f_eq
-    # together: a call per node, or a loop over the fns at every node, would
-    # each cost H_derivatives about a tenth of its time
-    if len(at_nodes) == 1:
-        ((fn, at_fn),) = at_nodes.items()
-
-        def sample(n: int, ks) -> None:
-            put_c, put = cs.append, at_fn.append
-            for k in ks:
-                x = upper * k / n
-                c = cosh(x)
-                s2 = sinh(x) ** 2
-                put_c(c)
-                put(fn(lam, gm * c) * s2)
-    elif at_nodes.keys() == {dist.F, dist.f_eq}:
-        both, at_F, at_f = dist.F_and_f_eq, at_nodes[dist.F], at_nodes[dist.f_eq]
-
-        def sample(n: int, ks) -> None:
-            put_c, put_F, put_f = cs.append, at_F.append, at_f.append
+    # only interior nodes: at r = 0 sinh r = 0, and at r = upper every fn reads 0.0
+    n = TRAPEZOID_FIRST_INTERVALS
+    ks = range(1, n)
+    previous = None
+    try:
+        while True:
             for k in ks:
                 x = upper * k / n
                 c = cosh(x)
@@ -460,16 +464,6 @@ def trapezoid_radials(dist: JuttnerFamily, lam, gm, upper, weights):
                 value_F, value_f = both(lam, gm * c)
                 put_F(value_F * s2)
                 put_f(value_f * s2)
-    else:
-        raise ValueError("the weights take one fn, or the family's F and f_eq")
-
-    # only interior nodes: at r = 0 sinh r = 0, and at r = upper every fn reads 0.0
-    n = TRAPEZOID_FIRST_INTERVALS
-    ks = range(1, n)
-    previous = None
-    try:
-        while True:
-            sample(n, ks)
             for (a, b), column in powers.items():
                 column.extend([cosh(x) ** a * sinh(x) ** b for x in (upper * k / n for k in ks)])
             h = upper / n
@@ -497,9 +491,9 @@ def H_derivatives(dist: JuttnerFamily, lam, gamma, m) -> Tuple[float, float, flo
     three integrals run over [0, R] with R = ``dist.window(lam, gamma m)``,
     dropping only the range where F and f_eq are exactly 0.0, on one shared
     trapezoid grid (:func:`trapezoid_radials`).  Where R is infinite or no
-    grid is accepted, each runs through ``quad`` instead.  A nonzero
-    integral or result below the normal float range keeps only a few digits,
-    so it raises :class:`ConvergenceError`.
+    grid is accepted, each runs through ``quad`` over :func:`quad_ranges`
+    instead.  A nonzero integral or result below the normal float range
+    keeps only a few digits, so it raises :class:`ConvergenceError`.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -508,10 +502,9 @@ def H_derivatives(dist: JuttnerFamily, lam, gamma, m) -> Tuple[float, float, flo
     weights = ((dist.F, 0, 0), (dist.f_eq, 0, 0), (dist.f_eq, 1, 0))
     integrals = trapezoid_radials(dist, lam, gm, upper, weights)
     if integrals is None:
-        integrals = [
-            converged(*quad(radial_integrand(fn, lam, gm, a, b), 0.0, upper, **QUAD_OPTIONS))
-            for fn, a, b in weights
-        ]
+        integrals = [sum(converged(*quad(radial_integrand(fn, lam, gm, a, b), lo, hi,
+                                         **QUAD_OPTIONS)) for lo, hi in quad_ranges(upper))
+                     for fn, a, b in weights]
     i_val, i_lam, i_gam = integrals
     h_val = -(FOUR_PI / gamma) * m**3 * i_val
     h_lam = -(FOUR_PI / gamma) * m**3 * i_lam
@@ -595,17 +588,30 @@ def _stencil_functions(state: ThermoState):
 
     Returns (centre, (points along lambda, h_lambda), (points along gamma,
     h_gamma)); each of the nine points costs one :func:`H_derivatives` call.
+    A boson's occupancy has its pole at lambda + gamma m = 0, so a step whose
+    lowest point would not stay above it shrinks to move lambda + gamma m by
+    a quarter of the centre's value; at the pole itself no stencil fits,
+    which raises :class:`ConvergenceError`.
     """
-    dist, m = state.dist, state.m
+    dist, m, lam, gamma = state.dist, state.m, state.lam, state.gamma
 
     def funcs(lam, gamma):
         return state_functions(*H_derivatives(dist, lam, gamma, m), lam, gamma)
 
-    h_lam = _REL_STEP * state.k_B
-    h_gam = _REL_STEP / (state.m / state.k_B + 3.0 / state.gamma)
-    centre = funcs(state.lam, state.gamma)
-    along_lam = [funcs(state.lam + off * h_lam, state.gamma) for off, _ in _STENCIL]
-    along_gam = [funcs(state.lam, state.gamma + off * h_gam) for off, _ in _STENCIL]
+    h_lam = _REL_STEP
+    h_gam = _REL_STEP / (m + 3.0 / gamma)
+    if state.statistics == "boson":
+        gap = lam + gamma * m
+        if not gap > 0.0:
+            raise ConvergenceError("no finite-difference stencil fits a boson at "
+                                   "lambda + gamma m = 0 (condensation)")
+        if not lam - 2.0 * h_lam + gamma * m > 0.0:
+            h_lam = gap / 4.0
+        if not lam + (gamma - 2.0 * h_gam) * m > 0.0:
+            h_gam = gap / (4.0 * m)
+    centre = funcs(lam, gamma)
+    along_lam = [funcs(lam + off * h_lam, gamma) for off, _ in _STENCIL]
+    along_gam = [funcs(lam, gamma + off * h_gam) for off, _ in _STENCIL]
     return centre, (along_lam, h_lam), (along_gam, h_gam)
 
 
@@ -690,7 +696,7 @@ def equilibrium_hprime(state: ThermoState):
 
 
 def mj_closed_form_H(lam, gamma, m) -> float:
-    """Nondegenerate H via the Bessel identity, at k_B = 1.
+    """Nondegenerate H via the Bessel identity.
 
     integral exp(-z cosh r) sinh^2 r dr = K_1(z)/z at z = gamma m turns the
     quadrature of (the nondegenerate) F into

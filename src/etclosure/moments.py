@@ -53,6 +53,7 @@ from .equilibrium import (
     mu_multiplier,
     project_equilibrium,
     quad,
+    quad_ranges,
     radial_integrand,
     trapezoid_radials,
 )
@@ -337,12 +338,13 @@ def grid_radials(state: ThermoState, weights) -> Optional[Dict[Tuple[int, int], 
 
 
 def quad_radials(state: ThermoState, weights) -> Dict[Tuple[int, int], float]:
-    """{(a, b): radial(a, b)}, one ``quad`` call per weight over the same window."""
+    """{(a, b): radial(a, b)} by ``quad`` over the same window, split by
+    :func:`~etclosure.equilibrium.quad_ranges`."""
     dist, m = state.dist, state.m
     lam, gm = state.lam, state.gamma * m
-    upper = dist.window(lam, gm)
-    return {(a, b): m ** (2 + a + b) * converged(*quad(
-        radial_integrand(dist.f_eq, lam, gm, a, b), 0.0, upper, **QUAD_OPTIONS))
+    ranges = quad_ranges(dist.window(lam, gm))
+    return {(a, b): m ** (2 + a + b) * sum(converged(*quad(
+        radial_integrand(dist.f_eq, lam, gm, a, b), lo, hi, **QUAD_OPTIONS)) for lo, hi in ranges)
         for a, b in weights}
 
 

@@ -204,6 +204,26 @@ def test_equilibrium_spacelike_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("lam,gamma,want,message", [
+    # the Gibbs stencil's steps shrink to stay above condensation
+    ("-0.995", "1", 0, None),
+    # below lambda + gamma m = 0 a boson would be a condensate
+    ("-0.5", "0.1", 2, "lambda + gamma m"),
+    # at lambda + gamma m = 0 no stencil fits
+    ("-30", "30", 4, "condensation"),
+])
+def test_equilibrium_boson_near_condensation(capsys, lam, gamma, want, message):
+    code = main(["equilibrium", "--stats", "be", "--lambda", lam, "--gamma", gamma])
+    captured = capsys.readouterr()
+    assert code == want
+    if message is None:
+        assert float(json.loads(captured.out)["gibbs_residual"]) <= 1e-5
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
+
 def test_equilibrium_numerical_failure_exit_code(capsys):
     # dH/dlambda underflows to 0 at gamma = 800, so the entropy is undefined
     code = main(["equilibrium", "--gamma", "800"])

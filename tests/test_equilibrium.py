@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import scipy.special
 
@@ -41,8 +42,14 @@ def test_thermostate_validation():
         ThermoState(1.0, REST, -1.0)
     with pytest.raises(ValueError):
         ThermoState(1.0, REST, 1.0, statistics="maxwellian")
-    with pytest.raises(ValueError):
-        ThermoState(1.0, REST, 1.0, k_B=0.0)
+    # a boson below lambda + gamma m = 0 would be a condensate; at 0 it is the edge
+    with pytest.raises(ValueError, match="lambda \\+ gamma m"):
+        ThermoState(-2.0, BOOSTED, 1.0, statistics="boson")
+    assert ThermoState.rest(-1.0, 1.0, 1.0, statistics="boson").lam == -1.0
+    # a batched state (as the symmetry stencil builds) is checked at every entry
+    ThermoState(np.array([0.5, -1.0]), REST, 1.0, statistics="boson")
+    with pytest.raises(ValueError, match="got -0.5"):
+        ThermoState(np.array([0.5, -1.5]), REST, 1.0, statistics="boson")
     st = ThermoState(0.5, BOOSTED, 2.0)
     assert st.gamma == pytest.approx(math.sqrt(-BOOSTED.norm_sq()))
 
@@ -263,23 +270,31 @@ def test_extreme_gamma_quadrature_is_finite():
 # ---------------------------------------------------------------------------
 # degenerate statistics against Bessel-K series
 #
-# f_eq = a e^(-z) / (1 + sigma e^(-z)) with z = (lambda + gamma m cosh r)/k_B
+# f_eq = a e^(-z) / (1 + sigma e^(-z)) with z = lambda + gamma m cosh r
 # expands as a sum_j c_j e^(-j z), c_j = (-sigma)^(j-1): sigma = 1 gives the
 # alternating fermion series, sigma = -1 the plain boson series, sigma = 0
 # the single nondegenerate term.  Each term integrates through
-# integral_0^inf e^(-w cosh r) cosh(n r) dr = K_n(w) at w = j gamma m / k_B.
+# integral_0^inf e^(-w cosh r) cosh(n r) dr = K_n(w) at w = j gamma m.
+#
+# A state given with a Boltzmann constant k_B runs at its natural-units image
+# (lambda/k_B, gamma/k_B): the occupancy reads (lambda + gamma m cosh r)/k_B only.
 
 SIGMA = {"nondegenerate": 0, "fermion": 1, "boson": -1}
 SERIES_STATES = [(lam, gamma, 1.0, 1.0) for lam in (0.2, 2.0) for gamma in (0.1, 30.0)]
 SERIES_STATES.append((0.2, 0.1, 0.5, 2.0))  # (lambda, gamma, m, k_B)
 
 
-def k_series(stats, lam, gamma, m, k_B, term):
-    """sum_j c_j e^(-j lambda/k_B) term(j, w_j), summed until the terms stop mattering."""
+def natural(lam, gamma, k_B):
+    """The natural-units image (lambda/k_B, gamma/k_B) of a state given with k_B."""
+    return lam / k_B, gamma / k_B
+
+
+def k_series(stats, lam, gamma, m, term):
+    """sum_j c_j e^(-j lambda) term(j, w_j), summed until the terms stop mattering."""
     sigma = SIGMA[stats]
     total = 0.0
     for j in range(1, 5000):
-        t = (-sigma) ** (j - 1) * math.exp(-j * lam / k_B) * term(j, j * gamma * m / k_B)
+        t = (-sigma) ** (j - 1) * math.exp(-j * lam) * term(j, j * gamma * m)
         total += t
         if sigma == 0 or abs(t) <= 1e-18 * abs(total):
             return total
@@ -314,14 +329,13 @@ def rel(got, want):
 @pytest.mark.parametrize("lam,gamma,m,k_B", SERIES_STATES)
 def test_state_functions_match_bessel_series(stats, lam, gamma, m, k_B):
     # multiplier-side convention: n = gamma dH/dlambda < 0, p = H, e = -H - gamma dH/dgamma
-    fn = thermo_functions(ThermoState.rest(lam, gamma, m, statistics=stats, k_B=k_B))
+    lam, gamma = natural(lam, gamma, k_B)
+    fn = thermo_functions(ThermoState.rest(lam, gamma, m, statistics=stats))
     four_pi = 4.0 * math.pi
-    n = -four_pi * m**3 * k_series(stats, lam, gamma, m, k_B,
-                                   lambda j, w: scipy.special.kv(1, w) / w)
-    p = four_pi * m**3 * k_B / gamma * k_series(stats, lam, gamma, m, k_B,
-                                                lambda j, w: scipy.special.kv(1, w) / (j * w))
-    e = four_pi * m**4 * k_series(stats, lam, gamma, m, k_B,
-                                  lambda j, w: scipy.special.kv(2, w) / w)
+    n = -four_pi * m**3 * k_series(stats, lam, gamma, m, lambda j, w: scipy.special.kv(1, w) / w)
+    p = four_pi * m**3 / gamma * k_series(stats, lam, gamma, m,
+                                          lambda j, w: scipy.special.kv(1, w) / (j * w))
+    e = four_pi * m**4 * k_series(stats, lam, gamma, m, lambda j, w: scipy.special.kv(2, w) / w)
     assert rel(fn.n, n) <= 1e-10
     assert rel(fn.p, p) <= 1e-10
     assert rel(fn.e, e) <= 1e-10
@@ -332,7 +346,8 @@ def test_state_functions_match_bessel_series(stats, lam, gamma, m, k_B):
 def test_rank4_kinetic_moment_matches_bessel_series(stats, lam, gamma, m, k_B):
     from etclosure.moments import kinetic_moment
 
-    state = ThermoState.rest(lam, gamma, m, statistics=stats, k_B=k_B)
+    lam, gamma = natural(lam, gamma, k_B)
+    state = ThermoState.rest(lam, gamma, m, statistics=stats)
     got = kinetic_moment(state, 4)
     for idx in ((0, 0, 0, 0), (0, 0, 1, 1), (1, 1, 2, 2), (3, 3, 3, 3), (0, 1, 1, 1)):
         a = idx.count(0)
@@ -343,7 +358,7 @@ def test_rank4_kinetic_moment_matches_bessel_series(stats, lam, gamma, m, k_B):
             continue
         b = sum(counts)
         want = m ** (2 + a + b) * ang * k_series(
-            stats, lam, gamma, m, k_B, lambda j, w: radial_integral(a, b, w))
+            stats, lam, gamma, m, lambda j, w: radial_integral(a, b, w))
         assert rel(got.get(idx), want) <= 1e-10, idx
 
 
@@ -366,8 +381,9 @@ def test_boosted_kinetic_moments_match_the_boosted_bessel_series(stats, lam, gam
     # the sphere moments, carried to the moving frame by tensors.transform
     from etclosure.moments import kinetic_moment
 
+    lam, gamma = natural(lam, gamma, k_B)
     u = (math.sqrt(1.0 + sum(v * v for v in velocity)),) + velocity
-    state = ThermoState(lam, FourVector([gamma * c for c in u]), m, statistics=stats, k_B=k_B)
+    state = ThermoState(lam, FourVector([gamma * c for c in u]), m, statistics=stats)
     series = {}
     for rank in range(7):
         rest = {}
@@ -378,7 +394,7 @@ def test_boosted_kinetic_moments_match_the_boosted_bessel_series(stats, lam, gam
             b = sum(counts)
             if ang and (a, b) not in series:
                 series[a, b] = m ** (2 + a + b) * k_series(
-                    stats, lam, gamma, m, k_B, lambda j, w: radial_integral(a, b, w))
+                    stats, lam, gamma, m, lambda j, w: radial_integral(a, b, w))
             rest[idx] = ang * series[a, b] if ang else 0.0
         want = transform(DenseSymTensor(rank, rest), boost_matrix(u))
         got = kinetic_moment(state, rank)
@@ -387,7 +403,7 @@ def test_boosted_kinetic_moments_match_the_boosted_bessel_series(stats, lam, gam
 
 # states where the trapezoid grid does not settle by TRAPEZOID_MAX_INTERVALS, so
 # H_derivatives takes the quad fallback: a degenerate fermion and a boson near condensation
-FALLBACK_STATES = {"fermion": (-30.0, 1.0, 1.0, 1.0), "boson": (-0.999999999, 1.0, 1.0, 1.0)}
+FALLBACK_STATES = {"fermion": (-30.0, 1.0, 1.0), "boson": (-0.999999999, 1.0, 1.0)}
 
 
 @pytest.mark.parametrize("stats", STATISTICS)
@@ -395,16 +411,17 @@ def test_windowed_H_derivatives_match_the_half_line(stats):
     # H_from_distribution integrates any callable over [0, inf) by quad;
     # H_derivatives stops at the family's window, which drops only exact zeros
     fallback = [FALLBACK_STATES[stats]] if stats in FALLBACK_STATES else []
-    states = SERIES_STATES + [(-3.0, 4.0, 1.0, 1.0), (1.0, 400.0, 1.0, 1.0)] + fallback
-    for lam, gamma, m, k_B in states:
-        dist = JuttnerFamily(stats, k_B=k_B)
+    states = [(*natural(lam, gamma, k_B), m) for lam, gamma, m, k_B in SERIES_STATES]
+    states += [(-3.0, 4.0, 1.0), (1.0, 400.0, 1.0)] + fallback
+    dist = JuttnerFamily(stats)
+    for lam, gamma, m in states:
         h_val, h_lam, h_gam = H_derivatives(dist, lam, gamma, m)
         want_val = H_from_distribution(dist.F, lam, gamma, m)
         want_lam = H_from_distribution(dist.f_eq, lam, gamma, m)
         # dF/dY = f_eq, and Y = gamma m cosh r, so the cosh-weighted term is f_eq(X, Y) Y / gamma
         want_gam = -want_val / gamma + H_from_distribution(
             lambda x, y: dist.f_eq(x, y) * y / gamma, lam, gamma, m)
-        bound = 1e-12 if stats == "boson" and fallback == [(lam, gamma, m, k_B)] else 1e-13
+        bound = 1e-12 if stats == "boson" and fallback == [(lam, gamma, m)] else 1e-13
         assert rel(h_val, want_val) <= bound
         assert rel(h_lam, want_lam) <= bound
         assert rel(h_gam, want_gam) <= bound
@@ -412,21 +429,40 @@ def test_windowed_H_derivatives_match_the_half_line(stats):
 
 def test_half_line_H_resolves_the_peak_of_a_boson_near_condensation():
     # the mpmath value; QUADPACK's infinite-range rule alone read 3.8032169266694633
-    lam, gamma, m, _ = FALLBACK_STATES["boson"]
+    lam, gamma, m = FALLBACK_STATES["boson"]
     got = H_from_distribution(JuttnerFamily("boson").f_eq, lam, gamma, m)
     assert rel(got, -4.0 * math.pi * 3.8032169252013839) <= 1e-12
 
 
+def test_boson_gibbs_stencil_shrinks_only_a_step_that_would_reach_condensation():
+    # lambda + gamma m - 2 h is 0.01 along lambda and 0.025 along gamma at -0.97
+    # (both fit); at -0.98 the lambda stencil would reach 0, at -0.995 both would
+    default = (equilibrium._REL_STEP, equilibrium._REL_STEP / 4.0)
+    for lam, shrunk in ((-0.97, ()), (-0.98, (0,)), (-0.995, (0, 1))):
+        state = ThermoState.rest(lam, 1.0, 1.0, statistics="boson")
+        _, *directions = equilibrium._stencil_functions(state)
+        gap = lam + 1.0
+        assert [h for _, h in directions] == [gap / 4.0 if i in shrunk else default[i]
+                                              for i in (0, 1)]
+        assert all(f.lam + f.gamma > 0.0 for points, _ in directions for f in points)
+    # the fermion stencil crosses lambda + gamma m = 0 freely
+    _, *directions = equilibrium._stencil_functions(
+        ThermoState.rest(-0.995, 1.0, 1.0, statistics="fermion"))
+    assert [h for _, h in directions] == list(default)
+    with pytest.raises(ConvergenceError, match="condensation"):
+        gibbs_residual(ThermoState.rest(-30.0, 30.0, 1.0, statistics="boson"))
+
+
 def test_H_derivatives_refuse_integrals_below_the_normal_float_range():
-    # dH/dgamma reads -2.535e-317 here, 1.4e-3 off 40-digit mpmath
+    # dH/dgamma reads -3.552e-317 here, 1.0e-6 off 40-digit mpmath
     with pytest.raises(ConvergenceError, match="normal float range"):
-        H_derivatives(JuttnerFamily("boson", k_B=1.29), -0.0539, 287.9, 3.23)
+        H_derivatives(JuttnerFamily("boson"), *natural(-0.0539, 287.9, 1.29), 3.23)
 
 
 @pytest.mark.parametrize("stats,state", FALLBACK_STATES.items())
 def test_H_derivatives_fall_back_to_quad_where_the_grid_does_not_settle(stats, state, monkeypatch):
-    lam, gamma, m, k_B = state
-    dist = JuttnerFamily(stats, k_B=k_B)
+    lam, gamma, m = state
+    dist = JuttnerFamily(stats)
     calls = []
 
     def counted_quad(func, a, b, **options):
@@ -436,7 +472,10 @@ def test_H_derivatives_fall_back_to_quad_where_the_grid_does_not_settle(stats, s
     quad = equilibrium.quad
     monkeypatch.setattr(equilibrium, "quad", counted_quad)
     H_derivatives(dist, lam, gamma, m)
-    assert calls == [(0.0, dist.window(lam, gamma * m))] * 3
+    # each integral splits at r = 1, as the half-line one does
+    upper = dist.window(lam, gamma * m)
+    assert upper > 1.0
+    assert calls == [(1.0, upper), (0.0, 1.0)] * 3
 
 
 THERMO_KINETIC_GRID = [(stats, lam * j, gamma * j) for stats in STATISTICS
@@ -459,8 +498,8 @@ def test_H_derivatives_settle_on_the_grid_without_quad(monkeypatch):
 
 @pytest.mark.parametrize("stats", STATISTICS)
 def test_occupancy_is_exactly_zero_past_the_window(stats):
-    for lam, gm, k_B in ((0.2, 0.1, 1.0), (2.0, 30.0, 1.0), (-3.0, 4.0, 1.0), (0.2, 0.05, 2.0)):
-        dist = JuttnerFamily(stats, k_B=k_B)
+    dist = JuttnerFamily(stats)
+    for lam, gm in ((0.2, 0.1), (2.0, 30.0), (-3.0, 4.0), natural(0.2, 0.05, 2.0)):
         R = dist.window(lam, gm)
         assert 0.0 < R < math.inf
         for x in (R, math.nextafter(R, math.inf), R * (1 + 1e-9), R + 1.0, 2.0 * R):
@@ -469,14 +508,11 @@ def test_occupancy_is_exactly_zero_past_the_window(stats):
         # the window is tight: one percent inside it the occupancy is still nonzero
         inside = math.acosh(0.99 * math.cosh(R))
         assert dist.f_eq(lam, gm * math.cosh(inside)) > 0.0
-    dist = JuttnerFamily(stats)
     # the whole range underflows: an empty window (equilibrium --gamma 800)
     assert dist.window(1.0, 800.0) == 0.0
     assert dist.f_eq(1.0, 800.0) == 0.0
     # a ratio that is not finite never reads as an empty window
     assert dist.window(float("nan"), 1.0) == math.inf
-    with pytest.raises(ValueError):
-        JuttnerFamily(stats, k_B=0.0)
 
 
 @pytest.mark.parametrize("gm", [0.0, -1.0])
@@ -493,7 +529,7 @@ def test_window_needs_positive_gamma_m(gm):
 # the shared trapezoid grid of the kinetic radials, against 40-digit mpmath
 # (mpmath.quad of the same windowed integral, split at the peak and at each
 # unit of r; 30 digits agree with it to 1e-26): (stats, lam, gamma m) ->
-# {(a, b): integral_0^R f_eq(lam, gm cosh r) cosh^a r sinh^(b+2) r dr}, k_B = m = 1
+# {(a, b): integral_0^R f_eq(lam, gm cosh r) cosh^a r sinh^(b+2) r dr}, m = 1
 SETTLED_RADIALS = {
     # the worst settled state of a sweep of 210 states by 10 weights (2.3e-15)
     ("fermion", -7.0, 30.0): {(0, 0): 7.9240226392501722576e-13,
@@ -551,18 +587,46 @@ def test_kinetic_radials_fall_back_to_quad_near_a_pole(state, monkeypatch):
     monkeypatch.setattr(moments, "quad", counted_quad)
     radials = moments.kinetic_radials(st, [4])
     assert set(radials) == {(4, 0), (2, 2), (0, 4)}
-    assert calls == [(0.0, dist.window(lam, gm))] * 3
+    upper = dist.window(lam, gm)
+    assert upper > 1.0
+    assert calls == [(1.0, upper), (0.0, 1.0)] * 3
 
 
-@pytest.mark.parametrize("fraction,k_B,lam,weight,want,off", [
+# a boson at lambda = -1 + 1e-7, gamma = m = 1, against 40-digit mpmath
+# (mpmath.quad of the windowed integrals, split at 1e-4, 1e-3, 0.01, 0.1 and
+# each unit of r): {(fn, a, b): integral_0^R fn(lam, cosh r) cosh^a r sinh^(b+2) r dr}
+NEAR_CONDENSATION_RADIALS = {("F", 0, 0): -2.117722121020841015829685,
+                             ("f_eq", 0, 0): 3.801952530761901551500925,
+                             ("f_eq", 1, 0): 7.353874892660795887384123,
+                             ("f_eq", 0, 2): 15.57584137592048432554378}
+
+
+def test_quad_fallbacks_resolve_the_peak_of_a_boson_near_condensation():
+    # one quad call over [0, R] reads the weight (0, 2) 1.4e-11 off; split, 1.5e-17
+    state = ThermoState.rest(1e-7 - 1.0, 1.0, 1.0, statistics="boson")
+    assert moments.grid_radials(state, [(0, 2)]) is None
+    want = {(a, b): v for (fn, a, b), v in NEAR_CONDENSATION_RADIALS.items() if fn == "f_eq"}
+    got = moments.quad_radials(state, list(want))
+    for key, value in want.items():
+        assert rel(got[key], value) <= 1e-13, key
+    i_val, i_lam, i_gam = (NEAR_CONDENSATION_RADIALS[key] for key in
+                           (("F", 0, 0), ("f_eq", 0, 0), ("f_eq", 1, 0)))
+    four_pi = 4.0 * math.pi
+    want_H = (-four_pi * i_val, -four_pi * i_lam, four_pi * (i_val - i_gam))
+    for got_H, value in zip(H_derivatives(state.dist, state.lam, 1.0, 1.0), want_H):
+        assert rel(got_H, value) <= 1e-13
+
+
+@pytest.mark.parametrize("fraction,lam,gamma,weight,want,off", [
     # the strip test off, at the first hazard state
-    (math.inf, 1.0, 6.1e-9 - 1.0, (1, 2), 63.075048022560306174, 1e-11),
-    # steps up to 4 strip widths, at a boson with k_B = 2 that the sweep found
-    (4.0, 2.0, -0.999, (0, 4), 12612.829612010151385, 1e-11),
+    (math.inf, 6.1e-9 - 1.0, 1.0, (1, 2), 63.075048022560306174, 1e-11),
+    # steps up to 4 strip widths, at a boson the sweep found (lambda -0.999,
+    # gamma 1 at k_B = 2)
+    (4.0, *natural(-0.999, 1.0, 2.0), (0, 4), 12612.829612010151385, 1e-11),
 ], ids=["strip_off", "strip_4x"])
-def test_strip_test_is_what_rejects_the_near_condensed_grids(fraction, k_B, lam, weight, want,
+def test_strip_test_is_what_rejects_the_near_condensed_grids(fraction, lam, gamma, weight, want,
                                                              off, monkeypatch):
-    state = ThermoState.rest(lam, 1.0, 1.0, statistics="boson", k_B=k_B)
+    state = ThermoState.rest(lam, gamma, 1.0, statistics="boson")
     assert moments.grid_radials(state, [weight]) is None
     # with a looser strip test two successive grids agree, wrongly
     monkeypatch.setattr(equilibrium, "TRAPEZOID_STRIP_FRACTION", fraction)
@@ -581,17 +645,31 @@ def test_kinetic_radials_make_no_quad_call_at_an_ordinary_state(monkeypatch):
         assert len(radials) == len(moments.radial_weights([5, 3, 2, 1])) == 8
 
 
+def test_trapezoid_radials_take_only_the_familys_F_and_f_eq():
+    dist = JuttnerFamily("fermion")
+    upper = dist.window(0.5, 1.0)
+    for fn in (lambda x, y: 0.0, JuttnerFamily("fermion").f_eq):
+        with pytest.raises(ValueError, match="F or f_eq"):
+            equilibrium.trapezoid_radials(dist, 0.5, 1.0, upper, [(fn, 0, 0)])
+    # F alone, f_eq alone and both run on the one node loop
+    both = equilibrium.trapezoid_radials(dist, 0.5, 1.0, upper, [(dist.F, 0, 0), (dist.f_eq, 2, 2)])
+    alone = [equilibrium.trapezoid_radials(dist, 0.5, 1.0, upper, [weight])[0]
+             for weight in ((dist.F, 0, 0), (dist.f_eq, 2, 2))]
+    assert both == alone
+
+
 @pytest.mark.parametrize("stats", STATISTICS)
 def test_strip_is_the_distance_to_the_nearest_singularity(stats):
     import cmath
 
-    dist = JuttnerFamily(stats, k_B=1.7)
-    for lam, gm in ((-20.0, 1.0), (-0.5, 0.6), (0.0, 2.0), (0.4, 0.1), (3.0, 30.0)):
+    dist = JuttnerFamily(stats)
+    for lam, gm in (natural(lam, gm, 1.7) for lam, gm in
+                    ((-20.0, 1.0), (-0.5, 0.6), (0.0, 2.0), (0.4, 0.1), (3.0, 30.0))):
         if stats == "nondegenerate":
             assert dist.strip(lam, gm) == math.inf
             continue
-        # (lam + gm cosh r)/k_B = 2 pi i j (bosons) or i pi (2j + 1) (fermions)
-        step = 2 * math.pi * 1.7
+        # lam + gm cosh r = 2 pi i j (bosons) or i pi (2j + 1) (fermions)
+        step = 2 * math.pi
         shift = 0.0 if stats == "boson" else step / 2
         brute = min(abs(cmath.acosh(complex(-lam, shift + j * step) / gm).imag)
                     for j in range(-5000, 5000))
@@ -603,9 +681,10 @@ def test_F_and_f_eq_is_both_occupancies_bit_for_bit(stats):
     import random
 
     rng = random.Random(4)
+    dist = JuttnerFamily(stats)
     for _ in range(2000):
-        dist = JuttnerFamily(stats, k_B=rng.uniform(0.1, 10.0))
-        x, y = rng.uniform(-5.0, 50.0), rng.uniform(5.0, 800.0)
+        k_B = rng.uniform(0.1, 10.0)
+        x, y = natural(rng.uniform(-5.0, 50.0), rng.uniform(5.0, 800.0), k_B)
         assert dist.F_and_f_eq(x, y) == (dist.F(x, y), dist.f_eq(x, y))
     if stats == "boson":
         with pytest.raises(ValueError, match="X \\+ Y > 0"):
