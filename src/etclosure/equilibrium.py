@@ -14,20 +14,26 @@ residuals measure only numerical error.
 
 Every radial integral, H with dH/dlambda and dH/dgamma (:func:`H_derivatives`)
 and the weights of the kinetic moments
-(:func:`etclosure.moments.kinetic_radials`), runs on one trapezoid integrator
-over the family's window (:func:`trapezoid_radials`), all the weights of one
-call on one grid: the integrands are even in the rapidity and analytic in a
+(:func:`etclosure.moments.kinetic_radials`), runs on one trapezoid kernel
+over the family's window (:func:`trapezoid_radials_many`), all the weights of
+a state on one grid: the integrands are even in the rapidity and analytic in a
 strip around the real axis, so the rule converges geometrically once its step
-is well inside that strip.  Where no grid is accepted (degenerate fermions,
-bosons near condensation) each integral falls back to ``quad``.  Every
-``quad`` integral (those fallbacks, the half-line :func:`H_from_distribution`
-that checks the H grid, and the ``kinetic`` suite's second route) runs over
-one kernel (:func:`radial_integrand`) under one acceptance rule
-(:func:`converged`) through one entry point (:func:`quad`); the nondegenerate
-closed form takes K_1 from ``scipy.special``.  scipy is imported on the first
-``quad`` call and the first closed-form call, not with the module, so neither
-the exact closure path nor the ``equilibrium`` and ``moments`` commands at a
-state where the grid is accepted ever load it.
+is well inside that strip.  The kernel samples its nodes as numpy arrays over
+states x nodes, every node of the 64-interval grid in its first pass, so the
+nine points of the Gibbs stencil (:func:`H_derivatives_many`) cost one pass.
+numpy's vectorised exp and cosh may differ from libm in the last bit, so
+printed values can differ between machines in their last digits; a state
+reads the same bits alone as in a batch.  Where no grid is accepted
+(degenerate fermions, bosons near condensation) each integral falls back to
+``quad``.  Every ``quad`` integral (those fallbacks, the half-line
+:func:`H_from_distribution` that checks the H grid, and the ``kinetic``
+suite's second route) runs over one kernel (:func:`radial_integrand`) under
+one acceptance rule (:func:`converged`) through one entry point
+(:func:`quad`); the nondegenerate closed form takes K_1 from
+``scipy.special``.  scipy is imported on the first ``quad`` call and the
+first closed-form call, not with the module, so neither the exact closure
+path nor the ``equilibrium`` and ``moments`` commands at a state where the
+grid is accepted ever load it.
 
 Units are natural: k_B = c = 1 and the occupancy's amplitude w/h^3 = 1, so
 T = 1/gamma and every occupancy depends on lambda + gamma m cosh r alone.
@@ -46,8 +52,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
-from typing import Callable, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -157,9 +162,11 @@ _UNDERFLOW_EXPONENT = 746.0
 def _occupancy(statistics: str):
     """(F, f_eq, F_and_f_eq) of one statistics.
 
-    F_and_f_eq(x, y) is (F(x, y), f_eq(x, y)) from one exponential, bit for bit.
+    F and f_eq take floats (libm); F_and_f_eq(x, y) takes arrays and gives
+    both from one numpy exponential.
     """
     exp, log1p = math.exp, math.log1p
+    np_exp, np_log1p = np.exp, np.log1p
     if statistics == "nondegenerate":
         def F(x: float, y: float) -> float:
             return -exp(-(x + y))
@@ -167,8 +174,8 @@ def _occupancy(statistics: str):
         def f_eq(x: float, y: float) -> float:
             return exp(-(x + y))
 
-        def F_and_f_eq(x: float, y: float) -> Tuple[float, float]:
-            ez = exp(-(x + y))
+        def F_and_f_eq(x, y):
+            ez = np_exp(-(x + y))
             return -ez, ez
 
     elif statistics == "fermion":
@@ -179,9 +186,9 @@ def _occupancy(statistics: str):
             ez = exp(-(x + y))
             return ez / (1.0 + ez)
 
-        def F_and_f_eq(x: float, y: float) -> Tuple[float, float]:
-            ez = exp(-(x + y))
-            return -log1p(ez), ez / (1.0 + ez)
+        def F_and_f_eq(x, y):
+            ez = np_exp(-(x + y))
+            return -np_log1p(ez), ez / (1.0 + ez)
 
     else:
         def F(x: float, y: float) -> float:
@@ -197,12 +204,12 @@ def _occupancy(statistics: str):
             ez = exp(-z)
             return ez / (1.0 - ez)
 
-        def F_and_f_eq(x: float, y: float) -> Tuple[float, float]:
+        def F_and_f_eq(x, y):
             z = x + y
-            if z <= 0:
+            if np.any(z <= 0):
                 raise ValueError("boson antiderivative needs X + Y > 0")
-            ez = exp(-z)
-            return log1p(-ez), ez / (1.0 - ez)
+            ez = np_exp(-z)
+            return np_log1p(-ez), ez / (1.0 - ez)
 
     return F, f_eq, F_and_f_eq
 
@@ -212,15 +219,16 @@ class JuttnerFamily:
     """F(X, Y) and f_eq = dF/dX for the three equilibrium statistics.
 
     All three depend on X and Y through X + Y only, so dF/dY = dF/dX.
-    ``F`` and ``f_eq`` are plain functions of (X, Y) bound when the family is
-    made: the statistics branch is chosen once, not on every call of a
-    quadrature integrand.  ``F_and_f_eq`` gives both from one exponential.
+    ``F`` and ``f_eq`` are plain functions of float (X, Y) bound when the
+    family is made: the statistics branch is chosen once, not on every call
+    of a quadrature integrand.  ``F_and_f_eq`` is their array form, both
+    from one exponential, for the trapezoid nodes.
     """
 
     statistics: str = "nondegenerate"
     F: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
     f_eq: Callable[[float, float], float] = field(init=False, repr=False, compare=False)
-    F_and_f_eq: Callable[[float, float], Tuple[float, float]] = field(
+    F_and_f_eq: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -400,7 +408,7 @@ def H_from_distribution(F: Callable[[float, float], float], lam, gamma, m) -> fl
     return -(FOUR_PI / gamma) * m**3 * sum(pieces)
 
 
-# the trapezoid rule of :func:`trapezoid_radials`: its first grid, the relative
+# the trapezoid rule of :func:`trapezoid_radials_many`: its first grid, the relative
 # agreement of two successive grids that stops it, the grid past which it gives
 # way to ``quad``, and the widest step it accepts, as a fraction of the
 # distance from the real axis to the occupancy's nearest complex singularity
@@ -409,9 +417,83 @@ TRAPEZOID_RTOL = 1e-10
 TRAPEZOID_MAX_INTERVALS = 512
 TRAPEZOID_STRIP_FRACTION = 0.25
 
+# The first pass samples every interior node k of the grid with eight times
+# TRAPEZOID_FIRST_INTERVALS (64), and k = 0 (r = 0, where sinh r = 0), which
+# is set to read 0.0.  Position 8 q + j holds k = 8 q + (0, 4, 2, 6, 1, 3, 5, 7)[j],
+# so halving a row down to eight slots (:func:`_fold`) leaves in slot j the
+# sum over k = that offset mod 8: the first grid's nodes (slot 0), the next
+# grid's new ones (1), the third's (2, 3) and the fourth's (4 to 7).  The
+# running sum of the slots at _FIRST_PASS_PREFIXES is then the node sum of
+# each of _FIRST_PASS_GRIDS.
+_FIRST_PASS_INTERVALS = 8 * TRAPEZOID_FIRST_INTERVALS
+_FIRST_PASS_NODES = np.array([8.0 * q + j for q in range(TRAPEZOID_FIRST_INTERVALS)
+                              for j in (0, 4, 2, 6, 1, 3, 5, 7)])
+_FIRST_PASS_GRIDS = TRAPEZOID_FIRST_INTERVALS * np.array([1.0, 2.0, 4.0, 8.0])
+_FIRST_PASS_PREFIXES = np.array([0, 1, 3, 7])
 
-def trapezoid_radials(dist: JuttnerFamily, lam, gm, upper, weights):
-    """[integral_0^upper fn(lam, gm cosh r) cosh^a r sinh^(b+2) r dr for (fn, a, b) in weights].
+
+def _fold(values: np.ndarray, width: int) -> np.ndarray:
+    """Sum the last axis, a power of two long, by halves down to ``width`` slots.
+
+    Slot j sums the positions equal to j mod ``width``.  Each row's sums use
+    that row's values alone, in a fixed order, so a state reads the same bits
+    in any batch.
+    """
+    while values.shape[-1] > width:
+        half = values.shape[-1] // 2
+        values = values[..., :half] + values[..., half:]
+    return values
+
+
+def _sample(dist: JuttnerFamily, columns, powers, lams, gms, uppers, nodes, n) -> np.ndarray:
+    """Node values (states x weights x nodes) of every weight at r = upper k / n, k in ``nodes``.
+
+    ``columns[w]`` is 0 for F and 1 for f_eq, ``powers[w]`` is (a, b).
+    """
+    x = uppers[:, None] * nodes / n
+    c = np.cosh(x)
+    s = np.sinh(x)
+    s2 = s * s
+    F, f = dist.F_and_f_eq(lams[:, None], gms[:, None] * c)
+    at = (F * s2, f * s2)
+    # cosh^a r sinh^b r, once per distinct (a, b); (0, 0) needs none
+    factors = {}
+    for a, b in set(powers) - {(0, 0)}:
+        if b == 0:
+            factors[a, b] = c if a == 1 else c ** a
+        elif a == 0:
+            factors[a, b] = s ** b
+        else:
+            factors[a, b] = c ** a * s ** b
+    return np.stack([at[column] * factors[power] if power in factors else at[column]
+                     for column, power in zip(columns, powers)], axis=1)
+
+
+_REFINE = object()
+
+
+def _settle(grids, integrals, previous, upper, widest):
+    """(verdict, last integrals) of one state over successive grids.
+
+    The verdict is the first accepted grid's integrals, None when a grid's
+    integrals are not finite or the finest grid is not accepted, or _REFINE
+    when the state needs a finer grid than ``grids``.
+    """
+    for n, current in zip(grids, integrals):
+        if not all(map(math.isfinite, current)):
+            return None, current
+        if previous is not None and upper / n <= widest and all(
+                abs(new - old) <= TRAPEZOID_RTOL * abs(new) for new, old in zip(current, previous)):
+            return current, current
+        if n >= TRAPEZOID_MAX_INTERVALS:
+            return None, current
+        previous = current
+    return _REFINE, previous
+
+
+def trapezoid_radials_many(dist: JuttnerFamily, lams, gms, uppers, weights):
+    """[integral_0^upper fn(lam, gm cosh r) cosh^a r sinh^(b+2) r dr for (fn, a, b) in weights]
+    at every state (lams[i], gms[i], uppers[i]), or None where no grid is accepted.
 
     Every weight runs on one grid, and fn is the family's F or f_eq (else
     ``ValueError``): each node evaluates both from one exponential
@@ -419,68 +501,108 @@ def trapezoid_radials(dist: JuttnerFamily, lam, gm, upper, weights):
     strip around the real axis as wide as :meth:`JuttnerFamily.strip`, and
     reads 0.0 (with all its derivatives) from ``upper`` on, so the plain
     trapezoid rule converges geometrically once the step is well inside that
-    strip (Trefethen & Weideman, SIAM Review 56 (2014) 385).  A grid is
+    strip (Trefethen & Weideman, SIAM Review 56 (2014) 385).  The grids are
+    nested: 8 intervals first, each next one halving the step.  A grid is
     accepted when it agrees with the one before to TRAPEZOID_RTOL in every
     integral and its step is at most TRAPEZOID_STRIP_FRACTION of the strip's
     width: wider steps over a nearby pole (a boson near condensation) err by
     halves from one grid to the next, so two neighbours agree while both are
-    wrong.  Returns None when ``upper`` is infinite, when no grid up to
+    wrong.  A state reads None when ``upper`` is infinite, when no grid up to
     TRAPEZOID_MAX_INTERVALS can be accepted (a feature narrower than the
     grid, such as a degenerate Fermi edge or a boson near condensation) or
-    when a node overflows.
-    """
-    # at every node so far: cosh r; F and f_eq times sinh^2 r; and cosh^a r sinh^b r
-    # for each (a, b) other than (0, 0) and (1, 0), which read no factor and cosh r.
-    # Per weight: the fn column, and the factor column it is multiplied by node by
-    # node (None for (0, 0))
-    cs, at_F, at_f, powers, terms = [], [], [], {}, []
-    columns = {dist.F: at_F, dist.f_eq: at_f}
-    for fn, a, b in weights:
-        if fn not in columns:
-            raise ValueError("the weights take the family's F or f_eq")
-        if a == 1 and b == 0:
-            terms.append((columns[fn], cs))
-        else:
-            terms.append((columns[fn], powers.setdefault((a, b), []) if a or b else None))
-    if not math.isfinite(upper):
-        return None
-    widest = TRAPEZOID_STRIP_FRACTION * dist.strip(lam, gm)
-    if upper / TRAPEZOID_MAX_INTERVALS > widest:
-        return None
-    cosh, sinh, fsum, both = math.cosh, math.sinh, math.fsum, dist.F_and_f_eq
-    put_c, put_F, put_f = cs.append, at_F.append, at_f.append
+    when a grid's integral is not finite (an overflow).
 
-    # only interior nodes: at r = 0 sinh r = 0, and at r = upper every fn reads 0.0
-    n = TRAPEZOID_FIRST_INTERVALS
-    ks = range(1, n)
-    previous = None
-    try:
+    The nodes are sampled as arrays over states x nodes.  One first pass
+    takes every node of the 64-interval grid at every state, and the 8-, 16-,
+    32- and 64-interval sums follow from it (:data:`_FIRST_PASS_NODES`);
+    only the states that none of those grids settles sample the new nodes of
+    128, then 256 and 512 intervals.  An overflow reads inf or NaN inside the
+    kernel, so no floating-point warning leaves it.  A state's integrals do
+    not depend on the other states of the call.
+    """
+    columns, powers = [], []
+    for fn, a, b in weights:
+        if fn is not dist.F and fn is not dist.f_eq:
+            raise ValueError("the weights take the family's F or f_eq")
+        columns.append(int(fn is dist.f_eq))
+        powers.append((a, b))
+    results = [None] * len(lams)
+    rows, widest = [], []
+    for i, (lam, gm, upper) in enumerate(zip(lams, gms, uppers)):
+        if math.isfinite(upper):
+            width = TRAPEZOID_STRIP_FRACTION * dist.strip(lam, gm)
+            if not upper / TRAPEZOID_MAX_INTERVALS > width:
+                rows.append(i)
+                widest.append(width)
+    if not rows:
+        return results
+    lam, gm, upper = np.array([(lams[i], gms[i], uppers[i]) for i in rows], dtype=float).T
+    last = [None] * len(rows)  # per sampled state, its last grid's integrals
+    with np.errstate(all="ignore"):
+        first = _sample(dist, columns, powers, lam, gm, upper, _FIRST_PASS_NODES,
+                        _FIRST_PASS_INTERVALS)
+        first[:, :, 0] = 0.0  # r = 0
+        # node sums (states x weights x grids) of every grid of this pass
+        sums = np.add.accumulate(_fold(first, 8), axis=-1)[..., _FIRST_PASS_PREFIXES]
+        grids = _FIRST_PASS_GRIDS
         while True:
-            for k in ks:
-                x = upper * k / n
-                c = cosh(x)
-                s2 = sinh(x) ** 2
-                put_c(c)
-                value_F, value_f = both(lam, gm * c)
-                put_F(value_F * s2)
-                put_f(value_f * s2)
-            for (a, b), column in powers.items():
-                column.extend([cosh(x) ** a * sinh(x) ** b for x in (upper * k / n for k in ks)])
-            h = upper / n
-            current = [h * (fsum(at) if power is None else fsum(map(mul, at, power)))
-                       for at, power in terms]
-            if previous is not None and h <= widest and all(
-                    abs(new - old) <= TRAPEZOID_RTOL * abs(new)
-                    for new, old in zip(current, previous)):
-                # an overflow to inf can agree with a finite neighbour
-                return current if all(map(math.isfinite, current)) else None
-            if n >= TRAPEZOID_MAX_INTERVALS:
-                return None
-            previous = current
-            n *= 2
-            ks = range(1, n, 2)
-    except OverflowError:
-        return None
+            integrals = sums * (upper[:, None] / grids)[:, None, :]
+            kept, ns = [], grids.tolist()
+            for k, per_grid in enumerate(integrals.transpose(0, 2, 1).tolist()):
+                i = rows[k]
+                verdict, last[k] = _settle(ns, per_grid, last[k], uppers[i], widest[k])
+                if verdict is _REFINE:
+                    kept.append(k)
+                else:
+                    results[i] = verdict
+            if not kept:
+                return results
+            # the states still open, and their sums so far
+            rows, widest, last = ([v[k] for k in kept] for v in (rows, widest, last))
+            lam, gm, upper, sums = lam[kept], gm[kept], upper[kept], sums[kept][..., -1:]
+            n = 2.0 * grids[-1]
+            new = _sample(dist, columns, powers, lam, gm, upper, np.arange(1.0, n, 2.0), n)
+            sums = sums + _fold(new, 1)
+            grids = np.array([n])
+
+
+def trapezoid_radials(dist: JuttnerFamily, lam, gm, upper, weights):
+    """:func:`trapezoid_radials_many` at one state: its list of integrals, or None."""
+    return trapezoid_radials_many(dist, [lam], [gm], [upper], weights)[0]
+
+
+def H_derivatives_many(dist: JuttnerFamily, points, m) -> List[Tuple[float, float, float]]:
+    """[H_derivatives(dist, lam, gamma, m) for (lam, gamma) in points].
+
+    Every point's trapezoid grid is sampled in one :func:`trapezoid_radials_many`
+    call; the ``quad`` fallback, the scaling and the subnormal check of
+    :func:`H_derivatives` run per point, in order.
+    """
+    for _, gamma in points:
+        if gamma <= 0:
+            raise ValueError("gamma must be positive")
+    lams = [lam for lam, _ in points]
+    gms = [gamma * m for _, gamma in points]
+    uppers = [dist.window(lam, gm) for lam, gm in zip(lams, gms)]
+    weights = ((dist.F, 0, 0), (dist.f_eq, 0, 0), (dist.f_eq, 1, 0))
+    grids = trapezoid_radials_many(dist, lams, gms, uppers, weights)
+    out = []
+    for (lam, gamma), gm, upper, integrals in zip(points, gms, uppers, grids):
+        if integrals is None:
+            integrals = [sum(converged(*quad(radial_integrand(fn, lam, gm, a, b), lo, hi,
+                                             **QUAD_OPTIONS)) for lo, hi in quad_ranges(upper))
+                         for fn, a, b in weights]
+        i_val, i_lam, i_gam = integrals
+        h_val = -(FOUR_PI / gamma) * m**3 * i_val
+        h_lam = -(FOUR_PI / gamma) * m**3 * i_lam
+        h_gam = -h_val / gamma - (FOUR_PI / gamma) * m**4 * i_gam
+        subnormal = [v for v in (*integrals, h_val, h_lam, h_gam)
+                     if 0.0 < abs(v) < sys.float_info.min]
+        if subnormal:
+            raise ConvergenceError(f"H integrals fall below the normal float range at this state "
+                                   f"({subnormal[0]:.3e}): too few digits are left")
+        out.append((h_val, h_lam, h_gam))
+    return out
 
 
 def H_derivatives(dist: JuttnerFamily, lam, gamma, m) -> Tuple[float, float, float]:
@@ -490,31 +612,13 @@ def H_derivatives(dist: JuttnerFamily, lam, gamma, m) -> Tuple[float, float, flo
     depend on X + Y) gives the gamma derivative an extra m cosh factor.  The
     three integrals run over [0, R] with R = ``dist.window(lam, gamma m)``,
     dropping only the range where F and f_eq are exactly 0.0, on one shared
-    trapezoid grid (:func:`trapezoid_radials`).  Where R is infinite or no
-    grid is accepted, each runs through ``quad`` over :func:`quad_ranges`
+    trapezoid grid (:func:`trapezoid_radials_many`).  Where R is infinite or
+    no grid is accepted, each runs through ``quad`` over :func:`quad_ranges`
     instead.  A nonzero integral or result below the normal float range
-    keeps only a few digits, so it raises :class:`ConvergenceError`.
+    keeps only a few digits, so it raises :class:`ConvergenceError`.  This is
+    :func:`H_derivatives_many` at one point.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    gm = gamma * m
-    upper = dist.window(lam, gm)
-    weights = ((dist.F, 0, 0), (dist.f_eq, 0, 0), (dist.f_eq, 1, 0))
-    integrals = trapezoid_radials(dist, lam, gm, upper, weights)
-    if integrals is None:
-        integrals = [sum(converged(*quad(radial_integrand(fn, lam, gm, a, b), lo, hi,
-                                         **QUAD_OPTIONS)) for lo, hi in quad_ranges(upper))
-                     for fn, a, b in weights]
-    i_val, i_lam, i_gam = integrals
-    h_val = -(FOUR_PI / gamma) * m**3 * i_val
-    h_lam = -(FOUR_PI / gamma) * m**3 * i_lam
-    h_gam = -h_val / gamma - (FOUR_PI / gamma) * m**4 * i_gam
-    subnormal = [v for v in (*integrals, h_val, h_lam, h_gam)
-                 if 0.0 < abs(v) < sys.float_info.min]
-    if subnormal:
-        raise ConvergenceError(f"H integrals fall below the normal float range at this state "
-                               f"({subnormal[0]:.3e}): too few digits are left")
-    return h_val, h_lam, h_gam
+    return H_derivatives_many(dist, [(lam, gamma)], m)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -587,17 +691,13 @@ def _stencil_functions(state: ThermoState):
     """State functions at the centre and at each _STENCIL offset of both directions.
 
     Returns (centre, (points along lambda, h_lambda), (points along gamma,
-    h_gamma)); each of the nine points costs one :func:`H_derivatives` call.
-    A boson's occupancy has its pole at lambda + gamma m = 0, so a step whose
-    lowest point would not stay above it shrinks to move lambda + gamma m by
-    a quarter of the centre's value; at the pole itself no stencil fits,
-    which raises :class:`ConvergenceError`.
+    h_gamma)); the nine points are evaluated once each, in one
+    :func:`H_derivatives_many` call.  A boson's occupancy has its pole at
+    lambda + gamma m = 0, so a step whose lowest point would not stay above
+    it shrinks to move lambda + gamma m by a quarter of the centre's value;
+    at the pole itself no stencil fits, which raises :class:`ConvergenceError`.
     """
     dist, m, lam, gamma = state.dist, state.m, state.lam, state.gamma
-
-    def funcs(lam, gamma):
-        return state_functions(*H_derivatives(dist, lam, gamma, m), lam, gamma)
-
     h_lam = _REL_STEP
     h_gam = _REL_STEP / (m + 3.0 / gamma)
     if state.statistics == "boson":
@@ -609,10 +709,12 @@ def _stencil_functions(state: ThermoState):
             h_lam = gap / 4.0
         if not lam + (gamma - 2.0 * h_gam) * m > 0.0:
             h_gam = gap / (4.0 * m)
-    centre = funcs(lam, gamma)
-    along_lam = [funcs(lam + off * h_lam, gamma) for off, _ in _STENCIL]
-    along_gam = [funcs(lam, gamma + off * h_gam) for off, _ in _STENCIL]
-    return centre, (along_lam, h_lam), (along_gam, h_gam)
+    points = [(lam, gamma)]
+    points += [(lam + off * h_lam, gamma) for off, _ in _STENCIL]
+    points += [(lam, gamma + off * h_gam) for off, _ in _STENCIL]
+    funcs = [state_functions(*H, *point)
+             for H, point in zip(H_derivatives_many(dist, points, m), points)]
+    return funcs[0], (funcs[1:5], h_lam), (funcs[5:], h_gam)
 
 
 def gibbs_residual(state: ThermoState) -> float:

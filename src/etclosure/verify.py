@@ -132,7 +132,9 @@ class SuiteResult:
     `blocks`, set by the symmetry suite alone, says which multiplier blocks it
     "checked" and which it left "unchecked".  `orders`, set by characteristic,
     cross_route and compatibility, lists the orders they checked; `ranks`, set
-    by derivative alone, lists the ranks it checked.
+    by derivative alone, lists the ranks it checked.  `max_residual_by_op`,
+    set by the quadrature suites, holds the largest residual of each case
+    kind (the ``op`` of its detail), which ``max_residual`` folds together.
     """
 
     name: str
@@ -146,6 +148,7 @@ class SuiteResult:
     blocks: Optional[Dict[str, str]] = None
     orders: Optional[List[tuple]] = None
     ranks: Optional[List[int]] = None
+    max_residual_by_op: Optional[Dict[str, float]] = None
 
     @property
     def passed(self) -> bool:
@@ -154,6 +157,9 @@ class SuiteResult:
     def record(self, ok: bool, residual: float, detail: Optional[dict] = None) -> None:
         self.cases += 1
         self.max_residual = max(self.max_residual, residual)
+        if self.max_residual_by_op is not None:
+            op = detail["op"]
+            self.max_residual_by_op[op] = max(self.max_residual_by_op.get(op, 0.0), residual)
         if not ok:
             self.failures += 1
             if detail is not None and len(self.failed_cases) < 20:
@@ -172,6 +178,8 @@ class SuiteResult:
             **({} if self.blocks is None else {"blocks": self.blocks}),
             **({} if self.orders is None else {"orders": [list(hk) for hk in self.orders]}),
             **({} if self.ranks is None else {"ranks": self.ranks}),
+            **({} if self.max_residual_by_op is None
+               else {"max_residual_by_op": self.max_residual_by_op}),
         }
 
 
@@ -455,7 +463,8 @@ def suite_equilibrium(cfg: VerifyConfig) -> SuiteResult:
     statistics.
     """
     tol = cfg.tolerance(1e-8)
-    res = SuiteResult("equilibrium", seed=cfg.seed, tolerance=tol, route="quadrature")
+    res = SuiteResult("equilibrium", seed=cfg.seed, tolerance=tol, route="quadrature",
+                      max_residual_by_op={})
     lam = 1.0
     for z in (0.1, 1.0, 10.0):
         for stats in STATISTICS:
@@ -503,7 +512,8 @@ def suite_kinetic(cfg: VerifyConfig) -> SuiteResult:
     """
     tol = cfg.tolerance(1e-8)
     cross_tol = min(tol, KINETIC_CROSS_ROUTE_TOL)
-    res = SuiteResult("kinetic", seed=cfg.seed, tolerance=tol, route="quadrature")
+    res = SuiteResult("kinetic", seed=cfg.seed, tolerance=tol, route="quadrature",
+                      max_residual_by_op={})
     rng = random.Random(cfg.seed)
     pairs = [(0, 1)]
     if (cfg.M, cfg.N) != (0, 1):

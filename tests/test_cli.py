@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -242,6 +243,27 @@ def test_equilibrium_below_the_normal_float_range_is_a_numerical_failure(capsys)
     code, out = run(capsys, "equilibrium", "--gamma", "650")
     assert code == 0
     assert float(json.loads(out)["p"]) == pytest.approx(2.75e-289, rel=1e-3)
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("--stats", "fd", "--lambda", "-800"), 4),  # the occupancy overflows at every node
+    (("--gamma", "720",), 4),
+    (("--gamma", "650",), 0),  # most nodes underflow
+    (("--stats", "fd", "--lambda", "-30", "--gamma", "1"), 0),  # stencil rows on quad
+])
+def test_equilibrium_sampling_lets_no_floating_point_warning_out(capsys, argv, want):
+    # the radial nodes are sampled as numpy arrays, whose overflows and
+    # underflows would warn outside the kernel's own error state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["equilibrium", *argv])
+    captured = capsys.readouterr()
+    assert code == want
+    if want == 0:
+        assert captured.err == "" and json.loads(captured.out)["statistics"]
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,6 +18,7 @@ from etclosure.equilibrium import (
     equilibrium_multipliers,
     gibbs_residual,
     H_derivatives,
+    H_derivatives_many,
     H_from_distribution,
     integrability_residual,
     mj_closed_form_H,
@@ -176,17 +177,23 @@ def equilibrium_suite(state: ThermoState) -> None:
                          (equilibrium_command, 1), (equilibrium_suite, 3))
 ])
 def test_residuals_evaluate_each_stencil_point_once(residual, states, monkeypatch):
-    # per state: centre plus four offsets along lambda and four along gamma
-    points = []
+    # per state: one batched call with the centre plus four offsets along
+    # lambda and four along gamma
+    batches = []
 
-    def counted(dist, lam, gamma, m):
-        points.append((lam, gamma))
-        return H_derivatives(dist, lam, gamma, m)
+    def counted(dist, points, m):
+        batches.append(list(points))
+        return H_derivatives_many(dist, points, m)
 
-    monkeypatch.setattr(equilibrium, "H_derivatives", counted)
+    monkeypatch.setattr(equilibrium, "H_derivatives_many", counted)
     residual(ThermoState(0.3, BOOSTED, 1.0))
-    assert len(points) == 9 * states
-    assert len(set(points)) == 9 * states
+    # the equilibrium suite also checks H_derivatives against quad one point at a time
+    stencils = [points for points in batches if len(points) > 1]
+    assert len(stencils) == states
+    if residual is not equilibrium_suite:
+        assert len(batches) == states
+    assert all(len(points) == 9 for points in stencils)
+    assert len({point for points in stencils for point in points}) == 9 * states
 
 
 def test_thermo_with_residuals_matches_the_single_calls():
@@ -496,6 +503,94 @@ def test_H_derivatives_settle_on_the_grid_without_quad(monkeypatch):
         thermo_with_residuals(ThermoState.rest(lam, gamma, 1.0, statistics=stats))
 
 
+def test_batched_H_derivatives_match_the_one_state_calls_bit_for_bit(monkeypatch):
+    # every statistics' share of the benchmark grid as one batch
+    for stats in STATISTICS:
+        dist = JuttnerFamily(stats)
+        points = [(lam, gamma) for s, lam, gamma in THERMO_KINETIC_GRID if s == stats]
+        assert H_derivatives_many(dist, points, 1.0) == [
+            H_derivatives(dist, lam, gamma, 1.0) for lam, gamma in points]
+    # a fermion batch where one row settles in the first pass, one needs 256
+    # intervals, the degenerate lambda = -30 row falls back to quad and one is cold
+    dist = JuttnerFamily("fermion")
+    points = [(0.5, 1.0), (-10.0, 3.0), (-30.0, 1.0), (2.0, 30.0)]
+    calls = []
+
+    def counted_quad(func, a, b, **options):
+        calls.append((a, b))
+        return quad(func, a, b, **options)
+
+    quad = equilibrium.quad
+    monkeypatch.setattr(equilibrium, "quad", counted_quad)
+    batch = H_derivatives_many(dist, points, 1.0)
+    assert calls == [(1.0, dist.window(-30.0, 1.0)), (0.0, 1.0)] * 3
+    assert batch == [H_derivatives(dist, lam, gamma, 1.0) for lam, gamma in points]
+
+
+def test_batched_trapezoid_radials_match_the_one_state_calls_bit_for_bit():
+    # the kinetic weights of moments --M 2 --N 3, at a first-pass state, two that
+    # refine to 256 and 512 intervals, one the strip test rejects, one with no
+    # finite window and one whose grid never settles
+    dist = JuttnerFamily("boson")
+    weights = [(dist.f_eq, a, b) for a, b in moments.radial_weights(moments.moment_ranks(2, 3))]
+    weights.append((dist.F, 0, 0))
+    states = [(0.5, 1.0), (-0.97, 1.0), (-0.297, 0.3), (1e-7 - 1.0, 1.0), (float("nan"), 1.0),
+              (-0.998, 1.0)]
+    lams, gms = zip(*states)
+    uppers = [dist.window(lam, gm) for lam, gm in states]
+    batch = equilibrium.trapezoid_radials_many(dist, lams, gms, uppers, weights)
+    assert batch == [equilibrium.trapezoid_radials(dist, lam, gm, upper, weights)
+                     for lam, gm, upper in zip(lams, gms, uppers)]
+    assert [row is None for row in batch] == [False, False, False, True, True, True]
+
+
+def loop_radials(dist, lam, gm, upper, weights):
+    """The trapezoid rule node by node, in libm and math.fsum: the reference for the array kernel."""
+    if not math.isfinite(upper):
+        return None
+    widest = equilibrium.TRAPEZOID_STRIP_FRACTION * dist.strip(lam, gm)
+    if upper / equilibrium.TRAPEZOID_MAX_INTERVALS > widest:
+        return None
+    nodes, n, ks, previous = [], 8, range(1, 8), None
+    try:
+        while True:
+            for k in ks:
+                x = upper * k / n
+                c, s = math.cosh(x), math.sinh(x)
+                nodes.append([fn(lam, gm * c) * s**2 * c**a * s**b for fn, a, b in weights])
+            h = upper / n
+            current = [h * math.fsum(column) for column in zip(*nodes)]
+            if previous is not None and h <= widest and all(
+                    abs(new - old) <= equilibrium.TRAPEZOID_RTOL * abs(new)
+                    for new, old in zip(current, previous)):
+                return current if all(map(math.isfinite, current)) else None
+            if n >= equilibrium.TRAPEZOID_MAX_INTERVALS:
+                return None
+            previous, n, ks = current, 2 * n, range(1, 2 * n, 2)
+    except OverflowError:
+        return None
+
+
+def test_array_kernel_matches_the_node_loop_within_1e_14():
+    # numpy's exp and cosh and the pairwise sums differ from libm and fsum in
+    # the last bits; over these states and weights they read at most 2.6e-15
+    # apart, and every state settles or falls back alike
+    states = [(stats, lam, gamma) for stats, lam, gamma in THERMO_KINETIC_GRID]
+    states += [(stats, lam, gm) for stats in ("fermion", "boson") for lam, gm in
+               ((-3.0, 4.0), (-10.0, 3.0), (-30.0, 1.0), (-7.0, 30.0), (-0.97, 1.0), (-0.297, 0.3))
+               if stats == "fermion" or lam + gm >= 0]
+    for stats, lam, gm in states:
+        dist = JuttnerFamily(stats)
+        weights = [(dist.F, 0, 0)]
+        weights += [(dist.f_eq, a, b) for a, b in moments.radial_weights([5, 3, 2, 1])]
+        upper = dist.window(lam, gm)
+        want = loop_radials(dist, lam, gm, upper, weights)
+        got = equilibrium.trapezoid_radials(dist, lam, gm, upper, weights)
+        assert (got is None) == (want is None), (stats, lam, gm)
+        if want is not None:
+            assert max(rel(g, w) for g, w in zip(got, want)) <= 1e-14, (stats, lam, gm)
+
+
 @pytest.mark.parametrize("stats", STATISTICS)
 def test_occupancy_is_exactly_zero_past_the_window(stats):
     dist = JuttnerFamily(stats)
@@ -676,16 +771,37 @@ def test_strip_is_the_distance_to_the_nearest_singularity(stats):
         assert dist.strip(lam, gm) == pytest.approx(min(brute, math.pi / 2), rel=1e-6)
 
 
+# the most units in the last place that the array F_and_f_eq was seen to differ
+# from the scalar (libm) F and f_eq over the 2000 draws below: 1 and 1
+# (nondegenerate), 1 and 2 (fermion), 2 and 3 (boson), where numpy's exp runs on
+# AVX-512; the bound leaves one more
+F_AND_F_EQ_ULPS = 4
+
+
 @pytest.mark.parametrize("stats", STATISTICS)
-def test_F_and_f_eq_is_both_occupancies_bit_for_bit(stats):
+def test_F_and_f_eq_is_one_exponential_within_ulps_of_F_and_f_eq(stats, monkeypatch):
     import random
 
+    exps = []
+
+    def counted_exp(z):
+        exps.append(z)
+        return np_exp(z)
+
+    np_exp = np.exp
+    monkeypatch.setattr(np, "exp", counted_exp)
+    dist = JuttnerFamily(stats)  # binds the counted exp
     rng = random.Random(4)
-    dist = JuttnerFamily(stats)
+    draws = []
     for _ in range(2000):
         k_B = rng.uniform(0.1, 10.0)
-        x, y = natural(rng.uniform(-5.0, 50.0), rng.uniform(5.0, 800.0), k_B)
-        assert dist.F_and_f_eq(x, y) == (dist.F(x, y), dist.f_eq(x, y))
+        draws.append(natural(rng.uniform(-5.0, 50.0), rng.uniform(5.0, 800.0), k_B))
+    xs, ys = zip(*draws)
+    got_F, got_f = dist.F_and_f_eq(np.array(xs), np.array(ys))
+    assert len(exps) == 1
+    for got, fn in ((got_F, dist.F), (got_f, dist.f_eq)):
+        want = np.array([fn(x, y) for x, y in zip(xs, ys)])
+        assert np.all(np.abs(got - want) <= F_AND_F_EQ_ULPS * np.spacing(np.abs(want)))
     if stats == "boson":
         with pytest.raises(ValueError, match="X \\+ Y > 0"):
-            JuttnerFamily(stats).F_and_f_eq(-2.0, 1.0)
+            dist.F_and_f_eq(np.array([-2.0, 1.0]), np.array([1.0, 1.0]))

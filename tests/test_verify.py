@@ -254,3 +254,22 @@ def test_kinetic_cross_route_and_trace_chain_pass_at_seeds_0_to_39(M, N):
             _, _, report = equilibrium_moments_with_traces(
                 ThermoState(0.5, mu, 1.0, statistics=stats), spec)
             assert max(report["traces"].values()) <= 1e-8, (seed, stats)
+
+
+def test_quadrature_suites_report_the_largest_residual_of_each_case_kind(capsys):
+    # max_residual folds every case together, so in the kinetic suite the trace
+    # chain hides the cross_route residuals, which alone follow the quadrature
+    results = run_suites(["kinetic", "equilibrium", "roundtrip"], VerifyConfig(M=2, N=3))
+    kinetic, equilibrium, roundtrip = (r.to_json_obj() for r in results)
+    assert set(kinetic["max_residual_by_op"]) == {"cross_route", "trace_chain"}
+    assert set(equilibrium["max_residual_by_op"]) == {"H_derivatives", "bessel", "gibbs",
+                                                      "integrability"}
+    for doc, res in zip((kinetic, equilibrium), results):
+        assert max(doc["max_residual_by_op"].values()) == res.max_residual
+    assert kinetic["max_residual_by_op"]["cross_route"] < results[0].max_residual
+    assert "max_residual_by_op" not in roundtrip
+    # the CSV rows keep their columns
+    from etclosure.cli import main
+
+    assert main(["verify", "--suite", "kinetic", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "suite,cases,failures,max_residual,seed"
