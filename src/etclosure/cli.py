@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -310,8 +311,8 @@ def cmd_verify(args) -> int:
         for r in results:
             if not r.passed:
                 path = os.path.join(args.artifacts, f"etclosure-{r.name}-seed{cfg.seed}.json")
-                _write_out(_to_json({"suite": r.name, "seed": cfg.seed, "M": cfg.M, "N": cfg.N,
-                                     "h_max": cfg.h_max, "k_max": cfg.k_max, "mutate": cfg.mutate,
+                # every VerifyConfig field, so the payload replays the same checks
+                _write_out(_to_json({"suite": r.name, **dataclasses.asdict(cfg),
                                      "failed_cases": r.failed_cases}), path)
                 print(f"wrote {path}", file=sys.stderr)
     doc = {

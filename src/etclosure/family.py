@@ -19,8 +19,10 @@ All coefficient lists are ordered s = 0..floor(n/2).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import factorial, isqrt
+from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -124,9 +126,35 @@ class FFamilyElement:
         return FFamilyElement(self.rank, [c.diff_lambda() for c in self.coeffs])
 
 
+def _descends(upper: ScalarExpr, lower: ScalarExpr, s: int, k: int) -> bool:
+    """Whether (2s/gamma) d(upper)/d gamma + k lower is exactly zero.
+
+    Both are canonical, and shifting gamma_pow keeps the canonical order, so
+    the sum vanishes exactly when the gamma_pow != 0 terms c g^p of upper,
+    moved to g^(p-2), have lower's keys in lower's order and each pair
+    c 2s p + k d = 0, compared over integers.
+    """
+    moved = [t for t in upper.terms if t[1]]
+    if len(moved) != len(lower.terms):
+        return False
+    for (c, g, mp, sym), (d, g_low, mp_low, sym_low) in zip(moved, lower.terms):
+        if (g - 2 != g_low or mp != mp_low or sym != sym_low
+                or c.numerator * (2 * s * g) * d.denominator != -k * d.numerator * c.denominator):
+            return False
+    return True
+
+
 def check_characteristic(f: FFamilyElement) -> Tuple[bool, List[ScalarExpr]]:
-    """Exact check of the descent relation; returns (ok, residual per s >= 1)."""
+    """Exact check of the descent relation; returns (ok, residual per s >= 1).
+
+    Each residual is (2s/gamma) d(phi_s)/d gamma + (n-2s+2)(n-2s+1) phi_{s-1}.
+    Where every one vanishes (:func:`_descends`, with no residual built) the
+    residuals are zeros; otherwise each is built term by term.
+    """
     n = f.rank
+    if all(_descends(f.coeffs[s], f.coeffs[s - 1], s, (n - 2 * s + 2) * (n - 2 * s + 1))
+           for s in range(1, n // 2 + 1)):
+        return True, [ScalarExpr.zero()] * (n // 2)
     residuals: List[ScalarExpr] = []
     for s in range(1, n // 2 + 1):
         res = f.coeffs[s].diff_gamma().scale(2 * s, gamma_pow=-1) + f.coeffs[
@@ -326,8 +354,15 @@ def timelike_gamma(mu: FourVector):
 
 
 def _coefficient_values(f: FFamilyElement, lam, mu: FourVector, m, registry) -> dict:
-    """{s: phi^n_s(lam, gamma, m)} for every s whose value is not zero."""
+    """{s: phi^n_s(lam, gamma, m)} for every s whose value is not zero.
+
+    At an exact lambda each D^h c_q(lambda) is computed once for all phi_s,
+    through a registry view that remembers its values for this call only.
+    """
     gamma = timelike_gamma(mu)
+    if registry is not None and isinstance(lam, (int, Fraction)):
+        registry = SimpleNamespace(has=registry.has,
+                                   derivative_value=functools.cache(registry.derivative_value))
     values = {}
     for s, phi in enumerate(f.coeffs):
         if phi.is_zero():

@@ -43,13 +43,19 @@ Basis realization (:func:`gmu_combination`) and the tail contraction
 repeat, compute exact values over integers (the representation of FLINT's
 ``fmpq_poly``): where every term of an exact result is a Fraction, they write
 each exact input as integer numerators over one common denominator
-(:func:`_integral`), run their loops over Python ints, and divide once per
-output component.  The component is then the Fraction a loop over Fractions
-gives, and of the same type: a sum that cancels is Fraction(0), and a slot no
-term reaches stays the int 0.  Where some terms would stay ints (int-only
-inputs, or ints and Fractions meeting so that some components come out as
-ints), and in every other operation, the loops run on the values as given.
-Floats and batches never take the integer path.
+(:func:`_integral`), compute over Python ints, and divide once per output
+component.  The tail contraction runs its loop on the integers.  Basis
+realization runs its Horner steps on dense integer rows in canonical order
+(:func:`_dense_gmu`): a product with mu.x gathers, for each output component,
+the four components one index lower (:func:`_times_x_plan`), and the metric
+powers are cached as (position, coefficient) pairs (:func:`_metric_row`).
+The component is then the Fraction a loop over Fractions gives, and of the
+same type: a sum that cancels is Fraction(0), and a slot no term reaches
+stays the int 0 (which slots the terms reach follows from the orders present
+and the nonzero components of mu, :func:`_reached`).  Where some terms would
+stay ints (int-only inputs, or ints and Fractions meeting so that some
+components come out as ints), and in every other operation, the loops run on
+the values as given.  Floats and batches never take the integer path.
 
 Each operation is the polynomial operation it is (see its docstring).  On
 components a derivative is an index shift with no weight, so traces and
@@ -326,16 +332,8 @@ def _coefficients(t: DenseSymTensor) -> Poly:
     return {c: t._values[c] * w for c, w in zip(*_layout(t.rank))}
 
 
-def _from_coefficients(rank: int, poly: Poly, den: Optional[int] = None) -> DenseSymTensor:
-    """The tensor whose polynomial is ``poly`` (homogeneous of degree ``rank``).
-
-    With ``den``, ``poly`` holds integer numerators over ``den`` and every
-    present coefficient becomes the Fraction it stands for, divided once.
-    """
-    if den is not None:
-        return DenseSymTensor._from_counts(
-            rank, {c: Fraction(poly[c], w * den) for c, w in zip(*_layout(rank)) if c in poly}
-        )
+def _from_coefficients(rank: int, poly: Poly) -> DenseSymTensor:
+    """The tensor whose polynomial is ``poly`` (homogeneous of degree ``rank``)."""
     values = {}
     for c, w in zip(*_layout(rank)):
         v = poly.get(c, 0)
@@ -510,6 +508,79 @@ def _gmu_structure(s: int) -> Tuple[Tuple[Counts, int], ...]:
     return tuple(_product(dict(_gmu_structure(s - 1)), squares).items())
 
 
+@lru_cache(maxsize=None)
+def _metric_row(s: int) -> Tuple[Tuple[int, int], ...]:
+    """(x.x)^s as (canonical position, coefficient) pairs over the rank-2s layout."""
+    position = {c: i for i, c in enumerate(_layout(2 * s)[0])}
+    return tuple((position[c], v) for c, v in _gmu_structure(s))
+
+
+@lru_cache(maxsize=None)
+def _times_x_plan(rank: int) -> Tuple[Tuple[int, ...], ...]:
+    """For each axis a, the position of c - e_a in the rank layout for every component
+    c of rank + 1; len(layout) where c_a = 0, which a row padded with one 0 reads as 0."""
+    position = {c: i for i, c in enumerate(_layout(rank)[0])}
+    pad = len(position)
+    return tuple(
+        tuple(position.get((c[0] - u[0], c[1] - u[1], c[2] - u[2], c[3] - u[3]), pad)
+              for c in _layout(rank + 1)[0])
+        for u in _UNITS
+    )
+
+
+def _times_linear(row: List[int], rank: int, weights: Sequence[int]) -> List[int]:
+    """A dense rank row times sum_a weights[a] x_a, as the dense rank + 1 row."""
+    w0, w1, w2, w3 = weights
+    row = row + [0]
+    return [w0 * row[a] + w1 * row[b] + w2 * row[c] + w3 * row[d]
+            for a, b, c, d in zip(*_times_x_plan(rank))]
+
+
+@lru_cache(maxsize=256)
+def _reached(n: int, orders: Tuple[int, ...], support: Tuple[bool, ...]) -> Tuple[bool, ...]:
+    """Which rank-n components some term of sum_{s in orders} (x.x)^s (ell.x)^(n-2s) reaches.
+
+    ell's nonzero components are those where ``support`` is True.  Every
+    coefficient of (x.x)^s and of a power of ell.x is nonzero, so x^c is
+    reached when c = e + f with e all even of degree 2s and f on the support:
+    c is even off the support, and 2s lies between the degree off the
+    support and that plus the even parts of c on it.
+    """
+    out = []
+    for c in _layout(n)[0]:
+        off = sum(ct for ct, on in zip(c, support) if not on)
+        even = sum(ct - ct % 2 for ct, on in zip(c, support) if on)
+        out.append(all(ct % 2 == 0 for ct, on in zip(c, support) if not on)
+                   and any(off <= 2 * s <= off + even for s in orders))
+    return tuple(out)
+
+
+def _dense_gmu(n: int, coeffs: Mapping[int, int], ell: Mapping[Counts, int], den: int) -> DenseSymTensor:
+    """The exact :func:`gmu_combination` on integer rows: phi_s and ell over integers, / den.
+
+    The same Horner steps run on dense rows in canonical order; ell^2 is two
+    steps of ell.  A reached component is the Fraction it stands for, divided
+    once, and an unreached one the int 0 (:func:`_reached`).
+    """
+    low, top = min(coeffs), max(coeffs)
+    weights = [ell.get(u, 0) for u in _UNITS]
+    row = [0] * len(_layout(2 * low)[0])
+    for s in range(low, top + 1):
+        if s > low:
+            row = _times_linear(_times_linear(row, 2 * s - 2, weights), 2 * s - 1, weights)
+        if s in coeffs:
+            phi = coeffs[s]
+            for pos, v in _metric_row(s):
+                row[pos] += phi * v
+    for rank in range(2 * top, n):
+        row = _times_linear(row, rank, weights)
+    reached = _reached(n, tuple(sorted(coeffs)), tuple(w != 0 for w in weights))
+    return DenseSymTensor._from_counts(n, {
+        c: Fraction(v, w * den) if hit else 0
+        for c, w, v, hit in zip(*_layout(n), row, reached)
+    })
+
+
 # ---------------------------------------------------------------------------
 # operations
 
@@ -534,15 +605,14 @@ def gmu_combination(
         raise ValueError("mu required when n > 2s")
     mu_up = mu.raised().components if isinstance(mu, FourVector) else mu
     ell = _linear(mu_up) if n > 2 * low else {}
-    den = None
     # every term has a phi factor, and n - 2 top >= 1 factors from ell
     typed = _fractions(coeffs.values()) or (n > 2 * top and _fractions(ell.values()))
     exact = _integral(coeffs, ell) if typed else None
     if exact:
         # mu over l: the acc of step s carries l^(2(s-low)), so phi_s does too
         (coeffs, d), (ell, l) = exact
-        coeffs = {s: phi * l ** (2 * (s - low)) for s, phi in coeffs.items()}
-        den = d * l ** (n - 2 * low)
+        return _dense_gmu(n, {s: phi * l ** (2 * (s - low)) for s, phi in coeffs.items()},
+                          ell, d * l ** (n - 2 * low))
     ell_sq = _product(ell, ell)
     acc: Poly = {}
     for s in range(low, top + 1):
@@ -554,7 +624,7 @@ def gmu_combination(
                 acc[c] = acc.get(c, 0) + phi * v
     for _ in range(n - 2 * top):
         acc = _product(acc, ell)
-    return _from_coefficients(n, acc, den)
+    return _from_coefficients(n, acc)
 
 
 def gmu_basis(n: int, s: int, mu: Union[FourVector, Sequence, None] = None) -> DenseSymTensor:

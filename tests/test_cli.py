@@ -115,9 +115,23 @@ def test_verify_artifacts_hold_each_failing_suite_for_replay(tmp_path, capsys):
     with open(directory / "etclosure-characteristic-seed4.json") as fh:
         payload = json.load(fh)
     assert payload == {"suite": "characteristic", "seed": 4, "M": 2, "N": 3, "h_max": 2,
-                       "k_max": 2, "mutate": 1,
+                       "k_max": 2, "mutate": 1, "tol": None,
                        "failed_cases": failing["characteristic"]["failed_cases"]}
     assert payload["failed_cases"]
+
+
+def test_verify_artifacts_keep_the_tolerance(tmp_path, capsys):
+    # at 1e-12 the equilibrium suite fails where the default 1e-8 passes, so an
+    # artifact without its tolerance would replay as a pass
+    argv = ["verify", "--suite", "equilibrium", "--tol", "1e-12"]
+    assert run(capsys, *argv[:3])[0] == 0
+    code, _ = run(capsys, *argv, "--artifacts", str(tmp_path))
+    assert code == 1
+    with open(tmp_path / "etclosure-equilibrium-seed0.json") as fh:
+        payload = json.load(fh)
+    assert float(payload["tol"]) == 1e-12
+    assert {k: payload[k] for k in ("suite", "seed", "M", "N", "h_max", "k_max", "mutate")} == {
+        "suite": "equilibrium", "seed": 0, "M": 2, "N": 1, "h_max": 2, "k_max": 2, "mutate": 0}
 
 
 def test_verify_derivative_suite_passes_at_seed_3(capsys):

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etclosure.closure import RANK_CAP, ClosureSpec, build_closure_tensor
 from etclosure.family import (
@@ -21,7 +25,7 @@ from etclosure.family import (
     trace,
 )
 from etclosure.oracle import random_float_timelike, random_rational_timelike, random_sym_tensor
-from etclosure.scalar import FunctionRegistry, ScalarExpr, SingularRatioError
+from etclosure.scalar import FunctionRegistry, PolynomialFunction, ScalarExpr, SingularRatioError
 from etclosure.tensors import DenseSymTensor, FourVector, contract_mu, contract_tail, gmu_basis, trace_pair
 
 
@@ -76,6 +80,75 @@ def test_characteristic_zero_element():
     ok, residuals = check_characteristic(FFamilyElement.zero(4))
     assert ok
     assert all(r.is_zero() for r in residuals)
+
+
+def residuals_term_by_term(f: FFamilyElement):
+    """(ok, residuals) built from diff_gamma, two scales and a merge, as the check once did."""
+    n = f.rank
+    residuals = [f.coeffs[s].diff_gamma().scale(2 * s, gamma_pow=-1)
+                 + f.coeffs[s - 1].scale((n - 2 * s + 2) * (n - 2 * s + 1))
+                 for s in range(1, n // 2 + 1)]
+    return all(r.is_zero() for r in residuals), residuals
+
+
+_TERMS = st.lists(st.tuples(
+    st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+    st.integers(-14, 4),  # gamma power
+    st.integers(0, 3),  # (-m^2) power
+    st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 2))),
+), max_size=4)
+CORRUPTIONS = ("intact", "scale", "drop", "new_key", "msq_pow", "gamma_pow_0")
+
+
+@st.composite
+def descent_elements(draw):
+    """An element from_leading, intact or corrupted in one coefficient, and how."""
+    f = FFamilyElement.from_leading(draw(st.integers(0, 10)), ScalarExpr(draw(_TERMS)))
+    how = draw(st.sampled_from(CORRUPTIONS))
+    coeffs = list(f.coeffs)
+    s = draw(st.integers(0, len(coeffs) - 1))
+    terms = list(coeffs[s].terms)
+    if how == "scale":
+        coeffs[s] = coeffs[s].scale(draw(st.sampled_from((2, -1, Fraction(1, 3)))))
+    elif how == "drop" and terms:
+        del terms[draw(st.integers(0, len(terms) - 1))]
+        coeffs[s] = ScalarExpr(terms)
+    elif how == "new_key":
+        keys = {t[1:] for t in terms}
+        term = draw(_TERMS.filter(bool))[0]
+        if term[1:] not in keys:
+            coeffs[s] = ScalarExpr(terms + [term])
+    elif how == "msq_pow" and terms:
+        i = draw(st.integers(0, len(terms) - 1))
+        c, g, mp, sym = terms[i]
+        terms[i] = (c, g, mp + draw(st.sampled_from((-1, 1))), sym)
+        coeffs[s] = ScalarExpr(terms)
+    elif how == "gamma_pow_0":
+        # a gamma-free term of the leading coefficient has no d/d gamma
+        s = len(coeffs) - 1
+        coeffs[s] = coeffs[s] + ScalarExpr.monomial(draw(st.sampled_from((1, Fraction(-2, 3)))),
+                                                    sym=draw(st.sampled_from((None, (1, 0)))))
+    return FFamilyElement(f.rank, coeffs), how
+
+
+@given(case=descent_elements())
+@settings(max_examples=400, deadline=None)
+def test_characteristic_matches_the_term_by_term_residuals(case):
+    f, how = case
+    ok, residuals = check_characteristic(f)
+    assert (ok, residuals) == residuals_term_by_term(f)
+    if how in ("intact", "gamma_pow_0"):
+        assert ok
+
+
+def test_characteristic_builds_no_residual_where_the_relation_holds(monkeypatch):
+    elements = [build_closure_tensor(ClosureSpec(2, 3, registry=FunctionRegistry.polynomials(3)), 2, 2),
+                monomial_element(9, Fraction(-5, 3), gamma_pow=-16, sym=(2, 1)),
+                # the gamma-free c_1 in the leading coefficient takes no part in the descent
+                FFamilyElement.from_leading(8, ScalarExpr.monomial(3, gamma_pow=-12) + ScalarExpr.symbol(1))]
+    monkeypatch.setattr(ScalarExpr, "diff_gamma", None)  # any residual built would raise
+    for f in elements:
+        assert check_characteristic(f) == (True, [ScalarExpr.zero()] * (f.rank // 2))
 
 
 def test_from_leading_regenerates_descent():
@@ -279,6 +352,46 @@ def test_realize_vector_and_zero():
     mu = FourVector([Fraction(5, 4), Fraction(3, 4), 0, 0])
     assert realize(monomial_element(1), 0, mu, 1) == gmu_basis(1, 0, mu)
     assert realize(FFamilyElement.zero(2), 0, mu, 1).max_abs() == 0
+
+
+def test_exact_realize_reads_each_symbol_once(monkeypatch):
+    registry = FunctionRegistry.polynomials(3)
+    elem = build_closure_tensor(ClosureSpec(2, 3, registry=registry), 2, 2)
+    symbols = {t[3] for phi in elem.coeffs for t in phi.terms}
+    calls = []
+    read = FunctionRegistry.derivative_value
+    monkeypatch.setattr(FunctionRegistry, "derivative_value",
+                        lambda self, q, order, lam: calls.append((q, order)) or read(self, q, order, lam))
+    mu = FourVector([Fraction(5, 2), Fraction(3, 2), 0, 0])
+    realize(elem, Fraction(1, 3), mu, 1, registry)
+    assert len(elem.coeffs) > 1 and sorted(calls) == sorted(symbols)
+
+
+# sha256 of the JSON of the realized top tensor of each (M, N, h_max, k_max) of the
+# exact-closure benchmark at one rational state, taken before exact realization
+# ran on dense integer rows: every value and type must stay as it was
+REALIZE_SHA256 = {
+    (2, 1, 7, 0): "90e2170575d08d64100835b392e08089766b4b86ca77eeee2435a000ec5c05f2",
+    (4, 1, 3, 0): "085b02dd9c1d19c582e4bdee73a4efb059805491c94a4a1f5169405e1227d537",
+    (6, 1, 2, 0): "1bdd57c102e90a8a77df43083e5350fa5558ac195d3e9b3eafe295f1edb58550",
+    (2, 3, 3, 3): "165e6f28934a82c42e65499512f0db37413da1d14845e5fd20271432d534c931",
+    (4, 3, 3, 1): "a01b892664fd5430a74294ab77f64aaf2c43c28d2ff6b07b993018694fd0c6c2",
+    (2, 5, 5, 1): "63c3c74a82ea557f0aa85e71dac3306138dc63983cf3356262c0104acd5c6e81",
+}
+
+
+@pytest.mark.parametrize("M, N, h, k", REALIZE_SHA256)
+def test_exact_realize_of_the_top_tensors_is_pinned(M, N, h, k):
+    # degree-9 c_q, so that D^7 c_q is not zero
+    registry = FunctionRegistry({q: PolynomialFunction([Fraction((-1) ** j * (j + q + 1), j + 2)
+                                                        for j in range(10)]) for q in range(8)})
+    gamma, cosh, sinh = Fraction(7, 2), Fraction(5, 3), Fraction(4, 3)
+    mu = FourVector((gamma * cosh,) + tuple(gamma * sinh * Fraction(c, 9) for c in (-4, 1, 8)))
+    spec = ClosureSpec(M, N, h_max=h, k_max=k, registry=registry, m=1)
+    t = realize(build_closure_tensor(spec, h, k), Fraction(-3, 4), mu, 1, registry)
+    assert t.rank == spec.rank(h, k)
+    text = json.dumps(t.to_json_obj(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REALIZE_SHA256[(M, N, h, k)]
 
 
 def _orders_to_the_cap(spec):

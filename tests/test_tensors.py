@@ -421,6 +421,37 @@ def test_exact_gmu_combination_matches_fraction_loop(data, n, phi_kind, mu_kind)
     assert_same_components(gmu_combination(n, coeffs, mu), ref_gmu_combination(n, coeffs, mu))
 
 
+def _dense_cases(n):
+    """(coeffs, mu) at rank n: every order, sparse orders with a zero phi beside a zero
+    component of mu, int phi against Fraction mu, and the metric power alone."""
+    rng = random.Random(n)
+
+    def frac():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3, 4, 6, 9)))
+
+    boosted = [frac() for _ in range(4)]
+    flat = [frac(), frac(), 0, frac()]  # x_2 only from the metric: odd c_2 is never reached
+    top = (n - 1) // 2  # below n / 2, so every term has a factor of ell
+    cases = [
+        ({s: frac() for s in range(n // 2 + 1)}, boosted),
+        ({0: frac(), 1: Fraction(0), n // 2: Fraction(0), n // 2 - 1: frac()}, flat),
+        ({s: rng.randint(-5, 5) for s in range(0, top + 1, 2)}, flat),
+    ]
+    if n % 2 == 0:
+        cases.append(({n // 2: frac()}, None))
+    return cases
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+def test_exact_gmu_combination_matches_fraction_loop_to_the_rank_cap(n):
+    for coeffs, mu in _dense_cases(n):
+        got = gmu_combination(n, coeffs, mu)
+        assert_same_components(got, ref_gmu_combination(n, coeffs, mu))
+        # a boosted mu reaches every slot; the other cases leave int 0s beside Fractions
+        want = {Fraction} if mu is not None and 0 not in mu else {Fraction, int}
+        assert {type(v) for _, v in got.items()} == want
+
+
 @given(data=st.data(), ranks=st.tuples(st.integers(0, 3), st.integers(0, 3)),
        kinds=st.tuples(exact_kind, exact_kind))
 @settings(max_examples=100, deadline=None)
