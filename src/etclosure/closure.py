@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .family import (
@@ -163,21 +163,19 @@ def closure_coeff(M: int, N: int, h: int, k: int, s: int) -> ScalarExpr:
     if qmax < 0:
         return ScalarExpr.zero()
     khalf = k // 2
-    pref = Fraction(
-        2 ** (2 * big_l + khalf - 2 * s) * factorial(big_l),
-        factorial(s) * factorial(n - 2 * s),
-    )
+    # the q-th prefactor is top (q+2+shift)! / ((A-2q-2)!! (q+2)!) over pref_den,
+    # written over the lcm of the q-dependent denominators
+    top = 2 ** (2 * big_l + khalf - 2 * s) * factorial(big_l) * double_factorial(a + 1 + 2 * khalf)
+    pref_den = factorial(s) * factorial(n - 2 * s)
     gpow_base = -6 - M * h - (N + 1) * k + 2 * s
     msq = a // 2
     shift = (M * h + (N + 1) * k) // 2 - s
-    terms = []
-    for q in range(qmax + 1):
-        coeff = pref * Fraction(
-            double_factorial(a + 1 + 2 * khalf) * factorial(q + 2 + shift),
-            double_factorial(a - 2 * q - 2) * factorial(q + 2),
-        )
-        terms.append((coeff, gpow_base - 2 * q, msq, (q, h)))
-    return ScalarExpr(terms)
+    dens = [double_factorial(a - 2 * q - 2) * factorial(q + 2) for q in range(qmax + 1)]
+    common = lcm(*dens)
+    return ScalarExpr.from_numerators(pref_den * common, [
+        (top * factorial(q + 2 + shift) * (common // d), gpow_base - 2 * q, msq, (q, h))
+        for q, d in enumerate(dens)
+    ])
 
 
 def build_closure_tensor(spec: ClosureSpec, h: int, k: int) -> FFamilyElement:

@@ -82,9 +82,7 @@ class FFamilyElement:
         coeffs[smax] = leading
         for s in range(smax, 0, -1):
             denom = (rank - 2 * s + 2) * (rank - 2 * s + 1)
-            coeffs[s - 1] = coeffs[s].diff_gamma().scale(
-                Fraction(-2 * s, denom), gamma_pow=-1
-            )
+            coeffs[s - 1] = coeffs[s].diff_gamma().scale(-2 * s, gamma_pow=-1, divisor=denom)
         return cls(rank, coeffs)
 
     @property
@@ -126,33 +124,17 @@ class FFamilyElement:
         return FFamilyElement(self.rank, [c.diff_lambda() for c in self.coeffs])
 
 
-def _descends(upper: ScalarExpr, lower: ScalarExpr, s: int, k: int) -> bool:
-    """Whether (2s/gamma) d(upper)/d gamma + k lower is exactly zero.
-
-    Both are canonical, and shifting gamma_pow keeps the canonical order, so
-    the sum vanishes exactly when the gamma_pow != 0 terms c g^p of upper,
-    moved to g^(p-2), have lower's keys in lower's order and each pair
-    c 2s p + k d = 0, compared over integers.
-    """
-    moved = [t for t in upper.terms if t[1]]
-    if len(moved) != len(lower.terms):
-        return False
-    for (c, g, mp, sym), (d, g_low, mp_low, sym_low) in zip(moved, lower.terms):
-        if (g - 2 != g_low or mp != mp_low or sym != sym_low
-                or c.numerator * (2 * s * g) * d.denominator != -k * d.numerator * c.denominator):
-            return False
-    return True
-
-
 def check_characteristic(f: FFamilyElement) -> Tuple[bool, List[ScalarExpr]]:
     """Exact check of the descent relation; returns (ok, residual per s >= 1).
 
     Each residual is (2s/gamma) d(phi_s)/d gamma + (n-2s+2)(n-2s+1) phi_{s-1}.
-    Where every one vanishes (:func:`_descends`, with no residual built) the
-    residuals are zeros; otherwise each is built term by term.
+    Where every one vanishes (:meth:`ScalarExpr.gamma_derivative_cancels`, with
+    no residual built) the residuals are zeros; otherwise each is built term by
+    term.
     """
     n = f.rank
-    if all(_descends(f.coeffs[s], f.coeffs[s - 1], s, (n - 2 * s + 2) * (n - 2 * s + 1))
+    c = f.coeffs
+    if all(c[s].gamma_derivative_cancels(c[s - 1], 2 * s, (n - 2 * s + 2) * (n - 2 * s + 1))
            for s in range(1, n // 2 + 1)):
         return True, [ScalarExpr.zero()] * (n // 2)
     residuals: List[ScalarExpr] = []
@@ -179,8 +161,7 @@ def mu_derivative(f: FFamilyElement) -> "FFamilyElement":
     coeffs: List[ScalarExpr] = []
     coeffs.append(f.coeffs[0].diff_gamma().scale(-1, gamma_pow=-1))
     for s in range(1, new_smax + 1):
-        factor = Fraction((n + 1) * (n - 2 * s + 2), 2 * s)
-        coeffs.append(f.coeffs[s - 1].scale(factor))
+        coeffs.append(f.coeffs[s - 1].scale((n + 1) * (n - 2 * s + 2), divisor=2 * s))
     return FFamilyElement(n + 1, coeffs)
 
 
@@ -197,11 +178,10 @@ def trace(f: FFamilyElement) -> "FFamilyElement":
     denom = (n + 2) * (n + 1)
     coeffs: List[ScalarExpr] = []
     for s in range(n // 2 + 1):
-        term = f.coeffs[s + 1].scale(Fraction(4 * (s + 1) * (n - s + 2), denom))
-        term = term + f.coeffs[s].scale(
-            Fraction(-(n + 2 - 2 * s) * (n + 1 - 2 * s), denom), gamma_pow=2
+        coeffs.append(
+            f.coeffs[s + 1].scale(4 * (s + 1) * (n - s + 2), divisor=denom)
+            + f.coeffs[s].scale(-(n + 2 - 2 * s) * (n + 1 - 2 * s), gamma_pow=2, divisor=denom)
         )
-        coeffs.append(term)
     return FFamilyElement(n, coeffs)
 
 
@@ -230,18 +210,18 @@ def leading_after_traces(f: FFamilyElement, r: int) -> ScalarExpr:
     if n - 2 * r < 0:
         raise ValueError(f"cannot trace rank {n} element {r} times")
     big_l = (n + 1) // 2
-    out = ScalarExpr.zero()
+    ratio = double_factorial_ratio(2 * big_l - 2 * r - 1, 2 * big_l - 1)
+    terms = []
     for coeff, gpow, mpow, sym in f.leading.terms:
         p = _leading_monomial_p(gpow)
         if p < 0:
             raise ValueError(
                 f"monomial gamma^{gpow} is not of the admissible gamma^(-2(3+p)) form"
             )
-        factor = double_factorial_ratio(2 * big_l - 2 * r - 1, 2 * big_l - 1)
-        factor *= eta(2 * big_l - 2 * r - 2 - 2 * p, 2 * big_l - 4 - 2 * p)
-        if factor != 0:
-            out = out + ScalarExpr.monomial(coeff * factor, gpow, mpow, sym)
-    return out
+        # a zero eta drops the monomial
+        terms.append((coeff * ratio * eta(2 * big_l - 2 * r - 2 - 2 * p, 2 * big_l - 4 - 2 * p),
+                      gpow, mpow, sym))
+    return ScalarExpr(terms)
 
 
 def lift(

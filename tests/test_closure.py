@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,7 @@ from etclosure.closure import (
     recursive_E,
     verify_compatibility,
 )
-from etclosure.family import check_characteristic, trace
+from etclosure.family import FFamilyElement, check_characteristic, trace
 from etclosure.scalar import ScalarExpr
 
 
@@ -270,3 +272,51 @@ def test_c_function_coherence():
     syms_k = {t[3] for t in closure_coeff(4, 1, 1, 0, 2).terms}
     qs_k = {q for q, _ in syms_k}
     assert qs_20 == qs_k == {0, 1}
+
+
+def _terms_json(coeffs):
+    return [[[str(c), g, mp, sym] for c, g, mp, sym in phi.terms] for phi in coeffs]
+
+
+def _report_json(report):
+    return {key: _terms_json(value) if key.endswith("_residuals") and value is not None else value
+            for key, value in report.items()}
+
+
+def _bumped(spec, tensors):
+    """Each C_{h,k} plus a descending element, so that every compatibility residual is nonzero."""
+    out = ClosureTensorSet(spec)
+    for (h, k), elem in tensors.tensors.items():
+        bump = ScalarExpr.monomial(Fraction(h + 1, k + 3), -6 - 2 * k, h, (k, h))
+        out.tensors[(h, k)] = elem + FFamilyElement.from_leading(elem.rank, bump)
+    return out
+
+
+# sha256 of the JSON of, for every order of each (M, N, h_max, k_max) of the
+# exact-closure benchmark: the recursive route's C_{h,k} (tensor blocks only),
+# and the compatibility reports of the closure tensors and of the bumped ones;
+# taken while every coefficient was still stored as Fractions
+RECURSIVE_AND_COMPATIBILITY_SHA256 = {
+    (2, 1, 7, 0): "a93b61f275875eb6d134204f1d4c01b8a3d9feff2639fbf5d08c56cae52f94a2",
+    (4, 1, 3, 0): "d118adb41d4eedf843c3ff1ef2323d840fa26410dfefc9ac3f8a7382935e8da6",
+    (6, 1, 2, 0): "7ae70d9a6197aea495486dbfb53cec360ced948b3ca58868323660477f50153b",
+    (2, 3, 3, 3): "dfae4458da7ba12eb4e298963372285260cd539bfb7183028c716002a740a8da",
+    (4, 3, 3, 1): "b894e038980b9218215b54381bc65e441112d9c4fe48c209bce81c4ee2d8f1b8",
+    (2, 5, 5, 1): "7e226908c48f73cdffe34718bd4ea740da1ede660488816008967afe54576e44",
+}
+
+
+@pytest.mark.parametrize("M, N, h_max, k_max", RECURSIVE_AND_COMPATIBILITY_SHA256)
+def test_recursive_route_and_compatibility_reports_are_pinned(M, N, h_max, k_max):
+    spec = ClosureSpec(M, N, h_max=h_max, k_max=k_max, m=1)
+    tensors = ClosureTensorSet.build(spec)
+    bumped = _bumped(spec, tensors)
+    doc = [{"h": h, "k": k,
+            "derived": _terms_json(derive_C_from_E(spec, h, k).coeffs) if N >= 3 else None,
+            "compat": _report_json(verify_compatibility(spec, h, k, tensors)),
+            "bumped": _report_json(verify_compatibility(spec, h, k, bumped))}
+           for h, k in iter_orders(spec)]
+    assert not any(row["bumped"]["lambda_ok"] or row["bumped"]["mu_ok"] for row in doc)
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RECURSIVE_AND_COMPATIBILITY_SHA256[
+        (M, N, h_max, k_max)]

@@ -274,24 +274,146 @@ shifts = st.integers(min_value=-4, max_value=4)
 nonzero_factors = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
 
 
+def reference_canonical(raw):
+    """The Fraction loop: equal (gamma_pow, msq_pow, sym) summed, zeros dropped, sorted."""
+    merged = {}
+    for c, g, mp, s in raw:
+        merged[(g, mp, s)] = merged.get((g, mp, s), 0) + Fraction(c)
+    kept = [(c, g, mp, s) for (g, mp, s), c in merged.items() if c != 0]
+    kept.sort(key=lambda t: (t[3] is not None, t[3] or (0, 0), t[1], t[2]))
+    return tuple(kept)
+
+
+def assert_canonical_storage(expr):
+    # integer numerators over one positive denominator, reduced, one per key, keys sorted
+    den, nums, keys = expr._den, expr._nums, expr._keys
+    assert type(den) is int and den > 0 and math.gcd(den, *nums) == 1
+    assert all(type(n) is int and n != 0 for n in nums)
+    assert len(nums) == len(keys) and list(keys) == sorted(set(keys))
+
+
 @given(terms=raw_terms, other=raw_terms, f=nonzero_factors, gp=shifts, mp=shifts)
 @settings(max_examples=200, deadline=None)
 def test_ops_that_skip_the_constructor_return_canonical_terms(terms, other, f, gp, mp):
-    # negation, scale, the derivatives and + store their terms unchecked: the
-    # public constructor must find nothing to merge, drop or reorder in them,
-    # and must make the same terms from each op's raw, unmerged terms
+    # every op runs on the integer storage and reduces once: its storage must be
+    # canonical, and its terms must be what the Fraction loop makes of its raw,
+    # unmerged terms
     x, y = ScalarExpr(terms), ScalarExpr(other)
     ops = [
+        (x, terms),
         (-x, [(-c, g, mp_, s) for c, g, mp_, s in x.terms]),
         (x.scale(f, gp, mp), [(c * f, g + gp, mp_ + mp, s) for c, g, mp_, s in x.terms]),
+        (x.scale(1, gp, mp), [(c, g + gp, mp_ + mp, s) for c, g, mp_, s in x.terms]),
+        (x.scale(-1), [(-c, g, mp_, s) for c, g, mp_, s in x.terms]),
+        (x.scale(f.numerator, gp, divisor=-f.denominator),
+         [(-c * f, g + gp, mp_, s) for c, g, mp_, s in x.terms]),
         (x.diff_gamma(), [(c * g, g - 1, mp_, s) for c, g, mp_, s in x.terms]),
         (x.diff_gamma_sq(), [(c * Fraction(g, 2), g - 2, mp_, s) for c, g, mp_, s in x.terms]),
         (x.diff_lambda(), [(c, g, mp_, (s[0], s[1] + 1)) for c, g, mp_, s in x.terms if s]),
         (x + y, x.terms + y.terms),
         (x - y, x.terms + (-y).terms),
         (y + x, y.terms + x.terms),
+        (x - x, ()),
     ]
     for result, raw in ops:
+        assert_canonical_storage(result)
+        assert result.terms == reference_canonical(raw)
         assert result.terms == ScalarExpr(result.terms).terms
-        assert result.terms == ScalarExpr(raw).terms
+        copy = ScalarExpr(result.terms)
+        assert copy == result and hash(copy) == hash(result)
+    results = [result for result, _ in ops]
+    for a in results:
+        for b in results:
+            assert (a == b) == (a.terms == b.terms)
+            if a == b:
+                assert hash(a) == hash(b)
     assert x.scale(0, gp, mp).is_zero()
+
+
+class FloatFunction:
+    """A registry function that returns floats even at an exact lambda."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def derivative_value(self, order, lam):
+        return float(self.fn.derivative_value(order, lam))
+
+
+def reference_evaluate(expr, lam, gamma, m, registry):
+    """The loop over the terms, coefficient by coefficient (the Fraction loop at Fraction inputs)."""
+    exact = isinstance(gamma, (int, Fraction))
+    msq = -(m * m)
+    total = None
+    for c, g, mp, s in expr.terms:
+        val = (c if exact else float(c)) * power(gamma, g) * msq**mp
+        if s is not None:
+            val = val * registry.derivative_value(s[0], s[1], lam)
+        total = val if total is None else total + val
+    return 0 * gamma if total is None else total
+
+
+EVAL_REGISTRY = FunctionRegistry.polynomials(11)
+FLOAT_REGISTRY = FunctionRegistry({q: FloatFunction(EVAL_REGISTRY._functions[q]) for q in range(8)})
+
+eval_terms = st.lists(
+    st.tuples(
+        st.fractions(min_value=-7, max_value=7, max_denominator=9).filter(bool),
+        st.integers(min_value=-8, max_value=8),
+        st.integers(min_value=-3, max_value=3),
+        st.one_of(
+            st.none(),
+            st.tuples(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=6)),
+        ),
+    ),
+    min_size=0,
+    max_size=8,
+)
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+positive_rationals = st.one_of(
+    st.integers(min_value=1, max_value=5),
+    st.fractions(min_value=Fraction(1, 9), max_value=5, max_denominator=12).filter(lambda x: x > 0),
+)
+nonzero_masses = st.one_of(st.integers(min_value=1, max_value=3),
+                           st.fractions(min_value=Fraction(1, 7), max_value=3, max_denominator=8))
+
+
+def same(got, want):
+    """Equal values of one type; floats and float64 arrays bit for bit."""
+    if isinstance(want, np.ndarray):
+        return isinstance(got, np.ndarray) and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if isinstance(want, float):
+        return type(got) is float and got.hex() == want.hex()
+    return type(got) is type(want) and got == want
+
+
+@given(terms=eval_terms, lam=rationals, gamma=positive_rationals, m=nonzero_masses)
+@settings(max_examples=200, deadline=None)
+def test_exact_evaluate_matches_the_fraction_loop(terms, lam, gamma, m):
+    expr = ScalarExpr(terms)
+    exact = expr.evaluate(lam, gamma, m, EVAL_REGISTRY)
+    if expr.terms:
+        # an int gamma or m goes in as its Fraction: in the loop, an int to a
+        # negative power is a float
+        assert same(exact, reference_evaluate(expr, lam, Fraction(gamma), Fraction(m), EVAL_REGISTRY))
+    else:
+        assert same(exact, 0 * gamma)  # zero in the caller's numeric type
+    # floats, and float64 arrays of gamma or lambda, stay on the float(c) path
+    fl, fg, fm = float(lam), float(gamma), float(m)
+    for args in ((fl, fg, fm), (fl, np.array([fg, fg + 0.25]), fm), (np.array([fl, fl - 0.5]), fg, fm)):
+        assert same(expr.evaluate(*args, EVAL_REGISTRY), reference_evaluate(expr, *args, EVAL_REGISTRY))
+    # mixed inputs keep the loop's result type: an exact gamma with a float
+    # lambda or a float mass, and a registry that returns floats
+    gamma, m = Fraction(gamma), Fraction(m)
+    for args, registry in (((fl, gamma, m), EVAL_REGISTRY), ((lam, gamma, fm), EVAL_REGISTRY),
+                           ((lam, gamma, m), FLOAT_REGISTRY)):
+        assert same(expr.evaluate(*args, registry), reference_evaluate(expr, *args, registry))
+
+
+def test_exact_evaluate_at_zero_mass():
+    expr = ScalarExpr([(Fraction(2, 3), -2, 0, (1, 1)), (Fraction(5, 4), 3, 1, None)])
+    got = expr.evaluate(Fraction(1, 2), Fraction(3, 2), 0, EVAL_REGISTRY)
+    assert same(got, reference_evaluate(expr, Fraction(1, 2), Fraction(3, 2), 0, EVAL_REGISTRY))
+    singular = ScalarExpr.monomial(1, msq_pow=-1)
+    with pytest.raises(ZeroDivisionError):
+        singular.evaluate(0, 1, 0, None)
