@@ -5,7 +5,15 @@ permutation averages, explicit metric sums, central finite differences, the
 chain rule.  The point is independence, so this module deliberately
 reimplements arithmetic that exists elsewhere in coefficient space and shares
 no code with it beyond the container types and ``gmu_basis`` (checked against
-:func:`brute_realize_basis`, which costs 4^rank terms).
+:func:`brute_realize_basis`, which writes out the 4^s 4^(n-2s) index tuples
+whose metric pairs are diagonal).
+
+Exact arithmetic runs on Python ints.  Each function writes its exact inputs
+as integer numerators over one common denominator, the lcm of theirs
+(:func:`_integers`, this module's own helper, not the integer path of
+``tensors`` that it checks), sums over the ints, and builds one Fraction per
+output component (:func:`_quotient`).  A group of inputs with a float in it
+stays as given over denominator 1, so the same loops give float results.
 """
 
 from __future__ import annotations
@@ -13,8 +21,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial
-from typing import Optional, Sequence
+from math import factorial, lcm, prod
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .family import FFamilyElement, realize, timelike_gamma
 from .scalar import ScalarExpr
@@ -29,7 +37,7 @@ _G = (
 )
 
 
-# the brute forces cost 4^rank terms; above this rank they are out of reach
+# the brute forces cost up to 4^rank terms; above this rank they are out of reach
 MAX_RANK = 8
 
 
@@ -38,10 +46,41 @@ def _guard(rank: int) -> None:
         raise ValueError(f"rank {rank} exceeds oracle cap {MAX_RANK}")
 
 
-def _mean(total, count: int):
-    if isinstance(total, (int, Fraction)):
-        return total * Fraction(1, count)
-    return total / count
+def _integers(values: Iterable) -> Tuple[List, int]:
+    """(numerators, den) with values[i] == numerators[i] / den.
+
+    For ints and Fractions den is the lcm of their denominators and every
+    numerator is an int.  If any value is anything else (a float), the values
+    come back as given over den 1.
+    """
+    values = list(values)
+    den = 1
+    for v in values:
+        if type(v) is Fraction:
+            den = lcm(den, v.denominator)
+        elif type(v) is not int:
+            return values, 1
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _quotient(total, den: int):
+    """total / den, one Fraction for an integer total."""
+    return Fraction(total, den) if type(total) is int else total / den
+
+
+def _numerators(t: DenseSymTensor) -> Tuple[DenseSymTensor, int]:
+    """t as (tensor of numerators, den), by :func:`_integers` over its components."""
+    items = t.items()
+    nums, den = _integers(v for _, v in items)
+    return DenseSymTensor(t.rank, {idx: v for (idx, _), v in zip(items, nums)}), den
+
+
+def _orderings(key: Tuple[int, ...]) -> int:
+    """How many of the 4^n index tuples sort to ``key``: n! / (c0! c1! c2! c3!)."""
+    out = factorial(len(key))
+    for a in range(4):
+        out //= factorial(key.count(a))
+    return out
 
 
 def brute_symmetrize(raw, rank: int):
@@ -50,14 +89,15 @@ def brute_symmetrize(raw, rank: int):
     `raw` maps full index tuples to values; absent tuples count as 0.
     """
     _guard(rank)
-    fact = factorial(rank)
+    nums, den = _integers(raw.values())
+    num = dict(zip(raw, nums))
+    den *= factorial(rank)
     vals = {}
     for idx in canonical_indices(rank):
-        total = None
+        total = 0
         for perm in permutations(idx):
-            item = raw.get(perm, 0)
-            total = item if total is None else total + item
-        vals[idx] = _mean(total, fact) if rank else total
+            total += num.get(perm, 0)
+        vals[idx] = _quotient(total, den)
     return DenseSymTensor(rank, vals)
 
 
@@ -66,8 +106,10 @@ def brute_realize_basis(n: int, s: int, mu: Optional[FourVector] = None) -> Dens
 
     s metric blocks occupy the first 2s slots pairwise, the remaining n - 2s
     slots each carry a contravariant mu component.  The raw product is written
-    out at all 4^n index tuples; the n! slot permutations of a multi-index hit
-    each of its distinct orderings equally often, so they average alike.
+    out at every index tuple whose metric pairs are diagonal, 4^s 4^(n-2s) of
+    them: at the other tuples of the 4^n some g_ab is 0.  The n! slot
+    permutations of a multi-index hit each of its n!/c! distinct orderings
+    equally often, so they average alike.
     """
     _guard(n)
     if not 0 <= 2 * s <= n:
@@ -78,23 +120,18 @@ def brute_realize_basis(n: int, s: int, mu: Optional[FourVector] = None) -> Dens
     if mu is not None:
         c = mu.components
         mu_up = (-c[0], c[1], c[2], c[3]) if mu.variance == "lower" else c
+    mu_num, mu_den = _integers(mu_up)
 
-    totals = {}
-    orderings = {}
-    for idx in product(range(4), repeat=n):
-        key = tuple(sorted(idx))
-        orderings[key] = orderings.get(key, 0) + 1
-        term = 1
-        for j in range(s):
-            term = term * _G[idx[2 * j]][idx[2 * j + 1]]
-            if term == 0:
-                break
-        if term != 0:
-            for j in range(2 * s, n):
-                term = term * mu_up[idx[j]]
-        totals[key] = term if key not in totals else totals[key] + term
-    vals = {key: _mean(total, orderings[key]) if n else 1 for key, total in totals.items()}
-    return DenseSymTensor(n, vals)
+    totals: Dict[Tuple[int, ...], object] = {}
+    for pairs in product(range(4), repeat=s):
+        metric = prod(_G[a][a] for a in pairs)
+        head = tuple(a for a in pairs for _ in (0, 1))
+        for rest in product(range(4), repeat=n - 2 * s):
+            key = tuple(sorted(head + rest))
+            totals[key] = totals.get(key, 0) + metric * prod(mu_num[b] for b in rest)
+    den = mu_den ** (n - 2 * s)
+    return DenseSymTensor(n, {key: _quotient(total, den * _orderings(key))
+                              for key, total in totals.items()})
 
 
 def brute_trace(t: DenseSymTensor) -> DenseSymTensor:
@@ -102,17 +139,16 @@ def brute_trace(t: DenseSymTensor) -> DenseSymTensor:
     _guard(t.rank)
     if t.rank < 2:
         raise ValueError("trace needs rank >= 2")
+    num, den = _numerators(t)
     vals = {}
     for idx in canonical_indices(t.rank - 2):
-        total = None
+        total = 0
         for a in range(4):
             for b in range(4):
                 gab = _G[a][b]
-                if gab == 0:
-                    continue
-                term = gab * t.get(idx + (a, b))
-                total = term if total is None else total + term
-        vals[idx] = total
+                if gab != 0:
+                    total += gab * num.get(idx + (a, b))
+        vals[idx] = _quotient(total, den)
     return DenseSymTensor(t.rank - 2, vals)
 
 
@@ -123,13 +159,15 @@ def brute_mu_contract(t: DenseSymTensor, mu: FourVector) -> DenseSymTensor:
         raise ValueError("contraction needs rank >= 1")
     c = mu.components
     mu_low = (-c[0], c[1], c[2], c[3]) if mu.variance == "upper" else c
+    mu_num, mu_den = _integers(mu_low)
+    num, den = _numerators(t)
+    den *= mu_den
     vals = {}
     for idx in canonical_indices(t.rank - 1):
-        total = None
+        total = 0
         for a in range(4):
-            term = mu_low[a] * t.get(idx + (a,))
-            total = term if total is None else total + term
-        vals[idx] = total
+            total += mu_num[a] * num.get(idx + (a,))
+        vals[idx] = _quotient(total, den)
     return DenseSymTensor(t.rank - 1, vals)
 
 
@@ -181,29 +219,47 @@ def fd_mu_derivative(f: FFamilyElement, lam, mu: FourVector, m=1, registry=None)
     return DenseSymTensor(f.rank + 1, vals)
 
 
+def _combination(terms: Sequence[Tuple[object, DenseSymTensor]]) -> Tuple[Dict, int]:
+    """sum_k c_k T_k over integers: ({sorted index: numerator}, den), all T_k of one rank."""
+    if not terms:
+        return {}, 1
+    # every T_k lists its components in the one canonical order of its rank
+    idxs = [idx for idx, _ in terms[0][1].items()]
+    scalars, den = _integers(c for c, _ in terms)
+    comps, comp_den = _integers(v for _, t in terms for _, v in t.items())
+    row = [0] * len(idxs)
+    for k, c in enumerate(scalars):
+        row = [r + c * y for r, y in zip(row, comps[k * len(idxs):(k + 1) * len(idxs)])]
+    return dict(zip(idxs, row)), den * comp_den
+
+
 def chain_mu_derivative(f: FFamilyElement, lam, mu: FourVector, m=1, registry=None) -> DenseSymTensor:
     """d(realize(f))/d(mu_beta) by the chain rule, derivative slot first; exact at rational states.
 
     realize(f) = sum_s phi_s(gamma) Y^n_s(mu) with gamma^2 = -mu.mu, so component [beta, i] is
-    sum_s phi_s'(gamma) (-mu^beta/gamma) Y^n_s[i]
-          + phi_s (n-2s) g^{beta beta} (count_beta(i)/n) Y^{n-1}_s[i minus one beta].
+    mu^beta S[i] + g^{beta beta} count_beta(i) W[i minus one beta], with the two rows
+    S = sum_s (-phi_s'(gamma)/gamma) Y^n_s  and  W = sum_s ((n-2s)/n) phi_s Y^{n-1}_s.
     """
     n, gamma, mu_up = f.rank, timelike_gamma(mu), mu.raised().components
-    terms = [(phi.diff_gamma().evaluate(lam, gamma, m, registry), gmu_basis(n, s, mu),
-              (n - 2 * s) * phi.evaluate(lam, gamma, m, registry),
-              gmu_basis(n - 1, s, mu) if n > 2 * s else None)
-             for s, phi in enumerate(f.coeffs) if not phi.is_zero()]
+    live = [(s, phi) for s, phi in enumerate(f.coeffs) if not phi.is_zero()]
+    slope, slope_den = _combination([
+        (-phi.diff_gamma().evaluate(lam, gamma, m, registry) / gamma, gmu_basis(n, s, mu))
+        for s, phi in live])
+    weight, weight_den = _combination([
+        (Fraction(n - 2 * s, n) * phi.evaluate(lam, gamma, m, registry), gmu_basis(n - 1, s, mu))
+        for s, phi in live if n > 2 * s])
+    mu_num, mu_den = _integers(mu_up)
+    den = lcm(slope_den * mu_den, weight_den)
+    slope_factor, weight_factor = den // (slope_den * mu_den), den // weight_den
     vals = {}
     for idx in canonical_indices(n + 1):
         # idx is sorted, so when beta recurs in the rest it leads it
         beta, rest = idx[0], idx[1:]
+        total = slope_factor * mu_num[beta] * slope.get(rest, 0)
         count = rest.count(beta)
-        total = 0
-        for slope, basis, weight, lower in terms:
-            total = total + slope * (-mu_up[beta] / gamma) * basis.get(rest)
-            if count and lower is not None:
-                total = total + weight * _G[beta][beta] * Fraction(count, n) * lower.get(rest[1:])
-        vals[idx] = total
+        if count:
+            total += weight_factor * _G[beta][beta] * count * weight.get(rest[1:], 0)
+        vals[idx] = _quotient(total, den)
     return DenseSymTensor(n + 1, vals)
 
 

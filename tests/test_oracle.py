@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -24,6 +25,7 @@ from etclosure.scalar import FunctionRegistry, PolynomialFunction, ScalarExpr
 from etclosure.tensors import (
     DenseSymTensor,
     FourVector,
+    canonical_indices,
     contract_mu,
     gmu_basis,
     symmetrize,
@@ -78,6 +80,113 @@ def test_brute_realize_basis_agrees(rng):
         for s in range(0, n // 2 + 1):
             mu = random_rational_timelike(rng)
             assert brute_realize_basis(n, s, mu) == gmu_basis(n, s, mu)
+
+
+# literal Fraction references for the integer brute forces: every value is
+# converted to a Fraction first and every sum runs over Fractions
+
+G = ((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def fraction_symmetrize(raw, rank):
+    """Average over all rank! slot permutations."""
+    vals = {}
+    for idx in canonical_indices(rank):
+        total = Fraction(0)
+        for perm in itertools.permutations(idx):
+            total += Fraction(raw.get(perm, 0))
+        vals[idx] = total / math.factorial(rank)
+    return DenseSymTensor(rank, vals)
+
+
+def fraction_realize_basis(n, s, mu_up):
+    """The product g x ... x g x mu x ... x mu at all 4^n tuples, averaged over the orderings of each key."""
+    totals, orderings = {}, {}
+    for idx in itertools.product(range(4), repeat=n):
+        term = Fraction(1)
+        for j in range(s):
+            term *= G[idx[2 * j]][idx[2 * j + 1]]
+        for j in range(2 * s, n):
+            term *= Fraction(mu_up[idx[j]])
+        key = tuple(sorted(idx))
+        totals[key] = totals.get(key, Fraction(0)) + term
+        orderings[key] = orderings.get(key, 0) + 1
+    return DenseSymTensor(n, {key: totals[key] / orderings[key] for key in totals})
+
+
+def fraction_trace(t):
+    """The metric sum over all 16 pairs of the last two slots."""
+    vals = {}
+    for idx in canonical_indices(t.rank - 2):
+        total = Fraction(0)
+        for a in range(4):
+            for b in range(4):
+                total += G[a][b] * Fraction(t.get(idx + (a, b)))
+        vals[idx] = total
+    return DenseSymTensor(t.rank - 2, vals)
+
+
+def exact_components(t):
+    return all(type(v) in (int, Fraction) for _, v in t.items())
+
+
+def int_tensor(rank, rng):
+    return DenseSymTensor(rank, {idx: rng.randint(-9, 9) for idx in canonical_indices(rank)})
+
+
+def mixed_tensor(rank, rng):
+    return DenseSymTensor(rank, {idx: rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(2, 9))))
+                                 for idx in canonical_indices(rank)})
+
+
+def test_integer_brute_symmetrize_matches_the_fraction_permutation_average(rng):
+    draws = {
+        "int": lambda: rng.randint(-9, 9),
+        "fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        "mixed": lambda: rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(2, 9)))),
+    }
+    for kind, draw in draws.items():
+        for rank in range(0, 5):
+            raw = {idx: draw() for idx in itertools.product(range(4), repeat=rank) if rng.random() < 0.8}
+            got = brute_symmetrize(raw, rank)
+            assert got == fraction_symmetrize(raw, rank) and exact_components(got), (kind, rank)
+
+
+def test_integer_brute_realize_basis_matches_the_full_tuple_loop(rng):
+    mus = {
+        "int": FourVector((3, 1, 0, -2)),
+        "int lower": FourVector((-4, 0, 2, 1), "lower"),
+        "fraction": random_rational_timelike(rng),
+        "mixed": FourVector((Fraction(5, 2), 1, Fraction(-1, 3), 0)),
+    }
+    for kind, mu in mus.items():
+        mu_up = mu.raised().components
+        for n in range(0, 6):
+            for s in range(0, n // 2 + 1):
+                got = brute_realize_basis(n, s, mu)
+                assert got == fraction_realize_basis(n, s, mu_up) and exact_components(got), (kind, n, s)
+    for n in (0, 2, 4):
+        # pure metric, no mu
+        got = brute_realize_basis(n, n // 2)
+        assert got == fraction_realize_basis(n, n // 2, (0, 0, 0, 0)) and exact_components(got), n
+
+
+def test_integer_brute_trace_matches_the_sixteen_pair_sum(rng):
+    inputs = [("int", gmu_basis(2, 1))] + [("mixed", gmu_basis(n, n // 2)) for n in (4, 6)]
+    for rank in range(2, 7):
+        inputs += [("int", int_tensor(rank, rng)), ("fraction", random_sym_tensor(rank, rng)),
+                   ("mixed", mixed_tensor(rank, rng))]
+    for kind, t in inputs:
+        got = brute_trace(t)
+        assert got == fraction_trace(t) and exact_components(got), (kind, t.rank)
+
+
+def test_integer_brute_mu_contract_stays_exact(rng):
+    mu = FourVector((Fraction(5, 2), 1, Fraction(-1, 3), 0))
+    for rank in range(1, 6):
+        for t in (int_tensor(rank, rng), random_sym_tensor(rank, rng), mixed_tensor(rank, rng)):
+            got = brute_mu_contract(t, mu)
+            assert got == contract_mu(t, mu) and exact_components(got), rank
 
 
 def test_prop8_contraction_table(rng):

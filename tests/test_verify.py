@@ -186,17 +186,19 @@ def scaled_psi(s):
     return corrupted
 
 
-def scaled_component(*args):
-    """chain_mu_derivative with its first nonzero component scaled by 11/10."""
-    out = oracle.chain_mu_derivative(*args)
-    idx, value = next((idx, value) for idx, value in out.items() if value)
-    return out.with_entry(idx, value * Fraction(11, 10))
+def scaled_component(fn):
+    """fn with the first nonzero component of its result scaled by 11/10."""
+    def corrupted(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        idx, value = next((idx, value) for idx, value in out.items() if value)
+        return out.with_entry(idx, value * Fraction(11, 10))
+    return corrupted
 
 
 @pytest.mark.parametrize("target, corrupted", [
     ("mu_derivative", scaled_psi(0)),
     ("mu_derivative", scaled_psi(1)),
-    ("chain_mu_derivative", scaled_component),
+    ("chain_mu_derivative", scaled_component(oracle.chain_mu_derivative)),
 ], ids=["psi_0", "psi_1", "chain"])
 def test_derivative_negative_control_fails(monkeypatch, target, corrupted):
     monkeypatch.setattr(verify, target, corrupted)
@@ -208,6 +210,36 @@ def test_derivative_negative_control_fails(monkeypatch, target, corrupted):
     for seed in (0, 1):
         (res,) = run_suites(["derivative"], VerifyConfig(M=2, N=3, seed=seed))
         assert res.failures == res.cases == 11, seed
+
+
+# the cases of each op in the oracle suite, and the coefficient-space operation it checks
+ORACLE_OPS = {
+    "symmetrize": ("symmetrize", 6),
+    "basis": ("gmu_basis", 7),
+    "trace_pair": ("trace_pair", 4),
+    "contract_mu": ("contract_mu", 4),
+    "family_trace": ("realize", 3),
+    "mu_contraction_table": ("gmu_combination", 12),
+}
+
+
+def test_oracle_suite_runs_every_op_it_lists():
+    for seed in range(10):
+        (res,) = run_suites(["oracle"], VerifyConfig(M=2, N=3, seed=seed))
+        # the two single_contraction cases compare with gmu_basis alone
+        assert res.passed and res.cases == sum(count for _, count in ORACLE_OPS.values()) + 2, seed
+
+
+@pytest.mark.parametrize("op", ORACLE_OPS)
+def test_oracle_negative_control_fails(monkeypatch, op):
+    # one component 11/10 off in the coefficient-space result fails every case
+    # of the op that checks it, so brute forces that agreed with anything fail here
+    target, count = ORACLE_OPS[op]
+    monkeypatch.setattr(verify, target, scaled_component(getattr(verify, target)))
+    for seed in range(10):
+        (res,) = run_suites(["oracle"], VerifyConfig(M=2, N=3, seed=seed))
+        failed = [case for case in res.failed_cases if case["op"] == op]
+        assert len(failed) == count and res.max_residual == 1.0, (seed, res.failed_cases)
 
 
 def test_kinetic_cross_route_fails_when_one_grid_radial_is_off(monkeypatch):
