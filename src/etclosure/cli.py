@@ -16,7 +16,9 @@ DEFAULTS.  The parser, built once per process, holds no defaults: in process
 
 Output is deterministic: floats are rendered as 17-significant-digit strings,
 rationals as "p/q" strings, keys are sorted, and files are written atomically
-(temp file then rename).  CSV is a projection of the same rows as the JSON.
+(temp file then rename; an error names the path asked for, not the temp
+file).  JSON is rendered and written in one recursive pass; CSV is a
+projection of the same rows as the JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap
 (a requested order past the rank cap, for every command that sums over orders),
@@ -73,6 +75,9 @@ TRACE_FAILURE = 0.1
 # canonical rendering
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _render(obj):
     """Recursively convert values to their canonical JSON-ready forms."""
     if isinstance(obj, float):
@@ -93,7 +98,79 @@ def _render(obj):
 
 
 def _to_json(obj) -> str:
-    return json.dumps(_render(obj), sort_keys=True, indent=2) + "\n"
+    """``json.dumps(_render(obj), sort_keys=True, indent=2) + "\\n"``, rendered and written in one pass."""
+    chunks: List[str] = []
+    _write_json(obj, chunks.append, "\n")
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+# the JSON text of a value of each of these exact types, as _render then json write it
+_SCALARS: Dict[type, Callable[[object], str]] = {
+    str: _quote,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+    float: lambda v: _quote(_render(v)),
+    Fraction: lambda v: _quote(_render(v)),
+}
+
+
+def _write_json(obj, emit: Callable[[str], None], newline: str) -> None:
+    """Emit the JSON of ``_render(obj)`` in json's indent=2 layout, sorted keys.
+
+    ``newline`` is the line break and indentation of obj's own level.  Values
+    of the exact types in _SCALARS are written at once; any other value takes
+    the branch of :func:`_render`, then of json's encoder, that its kind
+    takes there (no value is of two kinds, so the order of the checks does
+    not matter), and a value json cannot write raises json's TypeError.
+    """
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        emit(scalar(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        # the keys as _render has them: str(k), the last value of equal ones
+        for key, value in sorted(dict(zip(map(str, obj), obj.values())).items()):
+            scalar = _SCALARS.get(type(value))
+            if scalar is None:
+                emit(sep + _quote(key) + ": ")
+                _write_json(value, emit, inner)
+            else:
+                emit(sep + _quote(key) + ": " + scalar(value))
+            sep = "," + inner
+        emit(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            scalar = _SCALARS.get(type(value))
+            if scalar is None:
+                emit(sep)
+                _write_json(value, emit, inner)
+            else:
+                emit(sep + scalar(value))
+            sep = "," + inner
+        emit(newline + "]")
+    elif isinstance(obj, DenseSymTensor):
+        _write_json(obj.to_json_obj(), emit, newline)
+    elif isinstance(obj, FourVector):
+        _write_json({"components": list(obj.components), "variance": obj.variance}, emit, newline)
+    elif isinstance(obj, (float, Fraction)):
+        emit(_quote(_render(obj)))
+    elif isinstance(obj, str):
+        emit(_quote(obj))
+    elif isinstance(obj, int):
+        emit(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def _to_csv(rows: List[dict]) -> str:
@@ -119,15 +196,18 @@ def _write_out(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".etclosure-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".etclosure-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        # name the path asked for, not the temporary file
+        raise OSError(exc.errno, exc.strerror, out) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------

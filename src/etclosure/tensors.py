@@ -54,8 +54,16 @@ same type: a sum that cancels is Fraction(0), and a slot no term reaches
 stays the int 0 (which slots the terms reach follows from the orders present
 and the nonzero components of mu, :func:`_reached`).  Where some terms would
 stay ints (int-only inputs, or ints and Fractions meeting so that some
-components come out as ints), and in every other operation, the loops run on
-the values as given.  Floats and batches never take the integer path.
+components come out as ints), these two run their loops on the values as
+given.
+
+Traces and mu-contractions (:func:`_exact_derivative`), symmetrization
+(:func:`_exact_symmetrize`) and scaling by a Fraction go through
+:func:`_integral` too, wherever every input is an int or a Fraction and one
+of them is a Fraction: they sum Python ints and build one Fraction per
+output component, and each component keeps the loop's type, an int where no
+Fraction enters it.  Symmetric products and Lorentz transforms run their
+loops on the values as given.  Floats and batches never take an integer path.
 
 Each operation is the polynomial operation it is (see its docstring).  On
 components a derivative is an index shift with no weight, so traces and
@@ -277,6 +285,14 @@ class DenseSymTensor:
         )
 
     def scale(self, factor) -> "DenseSymTensor":
+        """Every component times factor; by a Fraction, exact components run on integers."""
+        exact = _integral(self._values) if type(factor) is Fraction else None
+        if exact:
+            # each product has a Fraction operand, so every component is one
+            ((nums, den),) = exact
+            p, q = factor.numerator, factor.denominator * den
+            return DenseSymTensor._from_counts(
+                self.rank, {c: Fraction(n * p, q) for c, n in nums.items()})
         return self.map_values(lambda v: batch_safe(v, factor) * batch_safe(factor, v))
 
     def max_abs(self) -> float:
@@ -316,11 +332,42 @@ def symmetrize(raw: Mapping[Index, object], rank: int) -> DenseSymTensor:
     average over all of them, absent tuples counting as 0.  That equals the
     average over all n! slot permutations.
     """
+    exact = _exact_symmetrize(raw, rank)
+    if exact is not None:
+        return exact
     poly: Poly = {}
     for idx, v in raw.items():
         c = index_counts(idx)
         poly[c] = poly[c] + v if c in poly else v
     return _from_coefficients(rank, poly)
+
+
+def _exact_symmetrize(raw: Mapping[Index, object], rank: int) -> Optional[DenseSymTensor]:
+    """:func:`symmetrize` over integer numerators, or None where its loop must run.
+
+    It runs where every raw value is an int or a Fraction and some value is a
+    Fraction.  Each component has the loop's type: a Fraction where a Fraction
+    enters its sum, or where an int sum is nonzero and divided by a multinomial
+    above 1; else an int (the int 0 where no raw value reaches it).
+    """
+    if not any(type(v) is Fraction for v in raw.values()):
+        return None
+    exact = _integral(raw)
+    if exact is None:
+        return None
+    ((nums, den),) = exact
+    sums: Dict[Counts, int] = {}
+    typed = set()
+    for (idx, v), n in zip(raw.items(), nums.values()):
+        c = index_counts(idx)
+        sums[c] = sums.get(c, 0) + n
+        if type(v) is Fraction:
+            typed.add(c)
+    values = {}
+    for c, w in zip(*_layout(rank)):
+        total = sums.get(c, 0)
+        values[c] = Fraction(total, den * w) if c in typed or (total and w != 1) else total // den
+    return DenseSymTensor._from_counts(rank, values)
 
 
 # ---------------------------------------------------------------------------
@@ -638,14 +685,20 @@ def gmu_basis(n: int, s: int, mu: Union[FourVector, Sequence, None] = None) -> D
 
 
 @lru_cache(maxsize=None)
-def _derivative_plan(rank: int, order: int) -> Tuple[np.ndarray, ...]:
-    """For each unit e_a, the canonical position of c + order e_a for every c of rank - order."""
+def _derivative_positions(rank: int, order: int) -> Tuple[Tuple[int, int, int, int], ...]:
+    """For every c of rank - order, the canonical positions of c + order e_a, a = 0..3."""
     position = {c: i for i, c in enumerate(_layout(rank)[0])}
     return tuple(
-        np.array([position[(c[0] + order * u[0], c[1] + order * u[1], c[2] + order * u[2],
-                            c[3] + order * u[3])] for c in _layout(rank - order)[0]], dtype=np.intp)
-        for u in _UNITS
+        tuple(position[(c[0] + order * u[0], c[1] + order * u[1], c[2] + order * u[2],
+                        c[3] + order * u[3])] for u in _UNITS)
+        for c in _layout(rank - order)[0]
     )
+
+
+@lru_cache(maxsize=None)
+def _derivative_plan(rank: int, order: int) -> Tuple[np.ndarray, ...]:
+    """For each unit e_a, the canonical position of c + order e_a for every c of rank - order."""
+    return tuple(np.array(at, dtype=np.intp) for at in zip(*_derivative_positions(rank, order)))
 
 
 def _batch_derivative(t: DenseSymTensor, weights: Sequence, order: int) -> Optional[Dict]:
@@ -674,15 +727,45 @@ def _batch_derivative(t: DenseSymTensor, weights: Sequence, order: int) -> Optio
     return dict(zip(_layout(t.rank - order)[0], out))
 
 
+def _exact_derivative(t: DenseSymTensor, weights: Sequence, order: int) -> Optional[Dict]:
+    """:func:`_derivative` over integer numerators, or None where its loop must run.
+
+    It runs where every component and weight is an int or a Fraction and some
+    of them is a Fraction.  Each output is the loop's value and type: a
+    Fraction (Fraction(0) included) where one of its four terms has a Fraction
+    operand, an int where none has.
+    """
+    values = t._values
+    typed = [type(v) is Fraction for v in values.values()]
+    weighted = any(type(w) is Fraction for w in weights)
+    if not (weighted or any(typed)):
+        return None
+    exact = _integral(values, dict(enumerate(weights)))
+    if exact is None:
+        return None
+    (nums, den), (ws, wden) = exact
+    v = list(nums.values())
+    w0, w1, w2, w3 = ws.values()
+    den *= wden
+    out = []
+    for a, b, c, d in _derivative_positions(t.rank, order):
+        total = w0 * v[a] + w1 * v[b] + w2 * v[c] + w3 * v[d]
+        fraction = weighted or typed[a] or typed[b] or typed[c] or typed[d]
+        out.append(Fraction(total, den) if fraction else total // den)
+    return dict(zip(_layout(t.rank - order)[0], out))
+
+
 def _derivative(t: DenseSymTensor, weights: Sequence, order: int) -> DenseSymTensor:
     """sum_a weights[a] d_a^order p_T, rescaled to components: R_c = sum_a w_a T_{c + order e_a}.
 
     Float64 batches go through :func:`_batch_derivative`, which does the same
-    float operations in the same order.
+    float operations in the same order; exact tensors with a Fraction in them
+    through :func:`_exact_derivative`, which sums integer numerators.
     """
-    batch = _batch_derivative(t, weights, order)
-    if batch is not None:
-        return DenseSymTensor._from_counts(t.rank - order, batch)
+    # neither kernel returns an empty map: every rank has at least one component
+    kernel = _batch_derivative(t, weights, order) or _exact_derivative(t, weights, order)
+    if kernel is not None:
+        return DenseSymTensor._from_counts(t.rank - order, kernel)
     v = t._values
     out = {}
     for c in _layout(t.rank - order)[0]:

@@ -13,7 +13,9 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,7 @@ from etclosure.closure import ClosureSpec, ClosureTensorSet, iter_orders
 from etclosure.equilibrium import ThermoState
 from etclosure.moments import first_order_symmetry
 from etclosure.scalar import FunctionRegistry
-from etclosure.tensors import FourVector
+from etclosure.tensors import DenseSymTensor, FourVector
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
@@ -642,6 +644,35 @@ def test_output_file_atomic_write(tmp_path, capsys):
     assert leftovers == []
 
 
+def test_output_error_names_the_path_asked_for_and_leaves_nothing(tmp_path, capsys):
+    # a missing directory, and a directory where the file should go
+    missing = tmp_path / "missing" / "x.json"
+    taken = tmp_path / "taken.json"
+    taken.mkdir()
+    for out in (missing, taken):
+        messages = set()
+        for _ in range(2):
+            code = main(["closure", "--M", "2", "--N", "3", "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == 2
+            messages.add(err)
+        (err,) = messages  # the same message on every run
+        assert repr(str(out)) in err and ".etclosure-" not in err, err
+    assert [p.name for p in tmp_path.rglob("*")] == ["taken.json"]
+
+
+def test_artifact_error_names_the_artifact_path_and_leaves_nothing(tmp_path, capsys):
+    directory = tmp_path / "artifacts"
+    blocked = directory / "etclosure-characteristic-seed4.json"
+    blocked.mkdir(parents=True)
+    code = main(["verify", "--M", "2", "--N", "3", "--suite", "characteristic", "--seed", "4",
+                 "--mutate", "1", "--artifacts", str(directory)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert repr(str(blocked)) in err and ".etclosure-" not in err, err
+    assert [p.name for p in directory.rglob("*")] == [blocked.name]
+
+
 def test_deterministic_output(capsys):
     _, out1 = run(capsys, "verify", "--suite", "characteristic", "--seed", "5")
     _, out2 = run(capsys, "verify", "--suite", "characteristic", "--seed", "5")
@@ -707,3 +738,77 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(invocation):
     assert "Traceback" not in err.getvalue(), (argv, config)
     if code == 0:
         assert not NAN_OR_INF.search(out.getvalue()), (argv, config)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass JSON writer against json.dumps over _render, byte for byte
+
+
+def reference_json(obj):
+    return json.dumps(cli._render(obj), sort_keys=True, indent=2) + "\n"
+
+
+WRITER_CASES = {
+    "empty": [{}, [], (), {"a": {}, "b": [], "c": ()}],
+    "nested tuples": ((1, (2, (3, ()))), [(), [()], ({},)]),
+    "int keys": {3: "c", 1: {2: [1]}, -1: None, 10: "x"},
+    "colliding keys": {1: "int", "1": "str"},
+    "text": ["caf\u00e9", "\u2603 \U0001F600", "tab\t nl\n cr\r", "\x00\x1f\x7f", '"q" \\ /',
+             {"\u00e9\n": "key"}],
+    "constants": [True, False, None, {"t": True, "f": False, "n": None}],
+    "numbers": [Fraction(3, 4), Fraction(-6, 3), Fraction(0), 0.1, -0.0, 1e300, 5e-324,
+                float("nan"), float("inf"), -float("inf"), 2 ** 70, -5, np.float64(0.25)],
+    "tensors": [DenseSymTensor(2, {(0, 1): Fraction(1, 3), (2, 2): 0.5}),
+                FourVector([Fraction(3, 2), 0, 1.5, -1], "lower")],
+}
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_json_writer_matches_json_dumps_over_render(case):
+    obj = WRITER_CASES[case]
+    assert cli._to_json(obj) == reference_json(obj)
+
+
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+                    st.floats(), st.fractions(max_denominator=50))
+_KEYS = st.one_of(st.text(max_size=3), st.integers(-20, 20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(_KEYS, inner, max_size=4)), max_leaves=20))
+def test_json_writer_matches_json_dumps_on_nested_values(obj):
+    assert cli._to_json(obj) == reference_json(obj)
+
+
+@pytest.mark.parametrize("bad", [object(), np.int64(1)], ids=["object", "int64"])
+def test_json_writer_raises_the_type_error_json_raises(bad):
+    for obj in (bad, {"a": [1, bad]}):
+        with pytest.raises(TypeError) as want:
+            reference_json(obj)
+        with pytest.raises(TypeError) as got:
+            cli._to_json(obj)
+        assert str(got.value) == str(want.value)
+
+
+# sha256 of the default stdout of four commands, taken before the one-pass JSON
+# writer replaced json.dumps (Python 3.11.7, numpy 2.4.6, scipy 1.17.1: the float
+# residuals of verify and the quadrature values follow the platform's libm)
+STDOUT_SHA256 = {
+    ("verify", "--M", "2", "--N", "3"):
+        "12fefaad0064b7f57ec95447d3952cfeb6cee82978e46687ea32e30ee766ea67",
+    ("verify", "--M", "2", "--N", "3", "--mutate", "1"):
+        "1599484c83a09168b729ca4ba6aad3164e0d3676f2f1b076a61d9bada150181c",
+    ("moments", "--M", "2", "--N", "3"):
+        "9b9d64e98364f337bc202d35b235178ba94277c633906f3fbb285930aee67c94",
+    ("equilibrium",):
+        "c7a2770fb9332f3ba0ef51f2783e3662d5785883893399c8ebdbbca04d069587",
+}
+
+
+@pytest.mark.parametrize("argv", STDOUT_SHA256, ids=" ".join)
+def test_default_stdout_is_pinned(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == (1 if "--mutate" in argv else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]

@@ -726,3 +726,138 @@ def test_derivatives_the_kernel_cannot_reproduce_keep_the_loop():
     exact = random_sym_tensor(4, random.Random(2))
     assert trace_pair(exact) == tensors._derivative(exact, METRIC_DIAG, 2)
     assert all(type(v) is Fraction for _, v in contract_mu(exact, (2, Fraction(1, 2), -1, 3)).items())
+
+
+# ---------------------------------------------------------------------------
+# the integer branches of trace_pair, contract_mu, symmetrize and scale against
+# the Fraction loops they replace: the same values and the same component types
+
+
+def ref_derivative(t, weights, order):
+    out = {}
+    for idx in canonical_indices(t.rank - order):
+        total = None
+        for a, w in enumerate(weights):
+            term = w * t.get(idx + (a,) * order)
+            total = term if total is None else total + term
+        out[idx] = total
+    return DenseSymTensor(t.rank - order, out)
+
+
+def ref_symmetrize(raw, rank):
+    poly = {}
+    for idx, v in raw.items():
+        c = index_counts(idx)
+        poly[c] = poly[c] + v if c in poly else v
+    return _ref_from_coefficients(rank, poly)
+
+
+def ref_scale(t, factor):
+    return DenseSymTensor(t.rank, {idx: v * factor for idx, v in t.items()})
+
+
+@st.composite
+def exact_raw(draw, rank, kind):
+    # a sparse map: most multi-indices miss some of their orderings, some miss all
+    return {idx: draw(EXACT_KINDS[kind]) for idx in itertools.product(range(4), repeat=rank)
+            if draw(st.booleans())}
+
+
+@given(data=st.data(), rank=st.integers(1, 5), kinds=st.tuples(exact_kind, exact_kind))
+@settings(max_examples=150, deadline=None)
+def test_exact_trace_and_contraction_match_fraction_loop(data, rank, kinds):
+    t = data.draw(exact_tensor(rank, kinds[0]))
+    weights = data.draw(exact_vector(kinds[1]))
+    assert_same_components(contract_mu(t, weights), ref_derivative(t, weights, 1))
+    mu = FourVector(weights)
+    assert_same_components(contract_mu(t, mu), ref_derivative(t, mu.lowered().components, 1))
+    if rank >= 2:
+        assert_same_components(trace_pair(t), ref_derivative(t, METRIC_DIAG, 2))
+
+
+@given(data=st.data(), rank=st.integers(0, 4), kind=exact_kind)
+@settings(max_examples=150, deadline=None)
+def test_exact_symmetrize_matches_fraction_loop(data, rank, kind):
+    raw = data.draw(exact_raw(rank, kind))
+    assert_same_components(symmetrize(raw, rank), ref_symmetrize(raw, rank))
+
+
+@given(data=st.data(), rank=st.integers(0, 4), kind=exact_kind,
+       factor=st.one_of(_INTS, _INTS.map(Fraction), _FRACTIONS))
+@settings(max_examples=150, deadline=None)
+def test_exact_scale_matches_fraction_loop(data, rank, kind, factor):
+    t = data.draw(exact_tensor(rank, kind))
+    assert_same_components(t.scale(factor), ref_scale(t, factor))
+
+
+def test_exact_branches_keep_the_loop_types_at_their_edges():
+    half = Fraction(1, 2)
+    # a Fraction weight makes every output a Fraction, a cancelling one Fraction(0)
+    t = DenseSymTensor(2, {(0, 0): 1, (0, 1): 1, (2, 2): half})
+    got = contract_mu(t, (half, -half, 0, 0))
+    assert type(got.get((0,))) is Fraction and got.get((0,)) == 0
+    assert type(got.get((3,))) is Fraction and got.get((3,)) == 0
+    # int weights: only outputs with a Fraction among their four components are Fractions
+    got = contract_mu(t, (1, -1, 0, 0))
+    assert [type(v) for _, v in got.items()] == [int, int, Fraction, int]
+    # symmetrize: an int sum over a multinomial above 1 is a Fraction, a zero int sum
+    # and a slot no raw value reaches stay the int 0, a cancelling Fraction sum is Fraction(0)
+    raw = {(0, 1): 1, (1, 0): 2, (0, 2): 1, (2, 0): -1, (1, 1): 3, (2, 3): half, (3, 2): -half}
+    got = symmetrize(raw, 2)
+    assert type(got.get((0, 1))) is Fraction and got.get((0, 1)) == Fraction(3, 2)
+    assert type(got.get((0, 2))) is int and got.get((0, 2)) == 0
+    assert type(got.get((1, 1))) is int and got.get((1, 1)) == 3
+    assert type(got.get((2, 3))) is Fraction and got.get((2, 3)) == 0
+    assert type(got.get((3, 3))) is int and got.get((3, 3)) == 0
+
+
+def _bits(t):
+    """Every component as exact bits: float hex for floats, hex lists for batches."""
+    out = []
+    for idx, v in t.items():
+        if isinstance(v, np.ndarray):
+            assert v.dtype == np.float64
+            out.append((idx, [float(x).hex() for x in v]))
+        else:
+            out.append((idx, type(v), float(v).hex() if isinstance(v, float) else v))
+    return out
+
+
+def test_float_and_batch_inputs_keep_the_old_paths_bit_for_bit(monkeypatch):
+    integral = tensors._integral
+    taken = []
+
+    def spy(*polys):
+        out = integral(*polys)
+        if out is not None:
+            taken.append(polys)
+        return out
+
+    monkeypatch.setattr(tensors, "_integral", spy)
+    rng = random.Random(9)
+    batch = np.array([0.5, -1.25, 3.0, -0.0])
+    exact = random_sym_tensor(4, rng)
+    raw = {idx: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+           for idx in itertools.product(range(4), repeat=3)}
+    weights = [Fraction(3, 2), Fraction(-1, 3), 0, Fraction(1, 4)]
+    for lift in (float, lambda v: float(v) * batch):
+        t = exact.map_values(lift)
+        floats = [float(w) for w in weights]
+        lifted_raw = {idx: lift(v) for idx, v in raw.items()}
+        cases = [
+            (trace_pair(t), ref_derivative(t, METRIC_DIAG, 2)),
+            (contract_mu(t, floats), ref_derivative(t, floats, 1)),
+            (contract_mu(t, (1, -2, 0, 3)), ref_derivative(t, (1, -2, 0, 3), 1)),
+            (symmetrize(lifted_raw, 3), ref_symmetrize(lifted_raw, 3)),
+            (t.scale(0.75), DenseSymTensor(4, {idx: v * 0.75 for idx, v in t.items()})),
+        ]
+        if lift is float:
+            # an exact operand meets floats: the loop's mixed arithmetic
+            cases += [
+                (contract_mu(exact, floats), ref_derivative(exact, floats, 1)),
+                (contract_mu(t, weights), ref_derivative(t, weights, 1)),
+                (t.scale(Fraction(1, 3)), ref_scale(t, Fraction(1, 3))),
+            ]
+        for got, want in cases:
+            assert _bits(got) == _bits(want)
+    assert taken == []
