@@ -33,7 +33,10 @@ one acceptance rule (:func:`converged`) through one entry point
 ``scipy.special``.  scipy is imported on the first ``quad`` call and the
 first closed-form call, not with the module, so neither the exact closure
 path nor the ``equilibrium`` and ``moments`` commands at a state where the
-grid is accepted ever load it.
+grid is accepted ever load it.  numpy is likewise imported on the first grid
+(:func:`trapezoid_radials_many`, the array form ``F_and_f_eq`` of each
+family, and the first pass's nodes, :func:`_first_pass`) and by a boson
+state's check, not with the module, so the exact closure path never loads it.
 
 Units are natural: k_B = c = 1 and the occupancy's amplitude w/h^3 = 1, so
 T = 1/gamma and every occupancy depends on lambda + gamma m cosh r alone.
@@ -51,12 +54,10 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, List, Tuple
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, Callable, List, Tuple
 
-import numpy as np
-
-from .scalar import double_factorial
+from .scalar import double_factorial, numpy
 from .tensors import (
     DenseSymTensor,
     FourVector,
@@ -66,6 +67,9 @@ from .tensors import (
     metric_flip,
     trace_pair,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 STATISTICS = ("nondegenerate", "fermion", "boson")
 
@@ -166,7 +170,6 @@ def _occupancy(statistics: str):
     both from one numpy exponential.
     """
     exp, log1p = math.exp, math.log1p
-    np_exp, np_log1p = np.exp, np.log1p
     if statistics == "nondegenerate":
         def F(x: float, y: float) -> float:
             return -exp(-(x + y))
@@ -175,7 +178,7 @@ def _occupancy(statistics: str):
             return exp(-(x + y))
 
         def F_and_f_eq(x, y):
-            ez = np_exp(-(x + y))
+            ez = numpy().exp(-(x + y))
             return -ez, ez
 
     elif statistics == "fermion":
@@ -187,8 +190,9 @@ def _occupancy(statistics: str):
             return ez / (1.0 + ez)
 
         def F_and_f_eq(x, y):
-            ez = np_exp(-(x + y))
-            return -np_log1p(ez), ez / (1.0 + ez)
+            np = numpy()
+            ez = np.exp(-(x + y))
+            return -np.log1p(ez), ez / (1.0 + ez)
 
     else:
         def F(x: float, y: float) -> float:
@@ -205,11 +209,12 @@ def _occupancy(statistics: str):
             return ez / (1.0 - ez)
 
         def F_and_f_eq(x, y):
+            np = numpy()
             z = x + y
             if np.any(z <= 0):
                 raise ValueError("boson antiderivative needs X + Y > 0")
-            ez = np_exp(-z)
-            return np_log1p(-ez), ez / (1.0 - ez)
+            ez = np.exp(-z)
+            return np.log1p(-ez), ez / (1.0 - ez)
 
     return F, f_eq, F_and_f_eq
 
@@ -298,6 +303,7 @@ class ThermoState:
         # below lambda + gamma m = 0 a boson's occupancy is negative at small momenta;
         # a batched state (float64 components) must keep it at every entry
         if self.statistics == "boson":
+            np = numpy()
             gap = self.lam + np.sqrt(np.asarray(self.mu.gamma_sq(), dtype=float)) * self.m
             if np.any(gap < 0):
                 raise ValueError(f"a boson needs lambda + gamma m >= 0, got {np.min(gap):.6g}")
@@ -423,13 +429,19 @@ TRAPEZOID_STRIP_FRACTION = 0.25
 # so halving a row down to eight slots (:func:`_fold`) leaves in slot j the
 # sum over k = that offset mod 8: the first grid's nodes (slot 0), the next
 # grid's new ones (1), the third's (2, 3) and the fourth's (4 to 7).  The
-# running sum of the slots at _FIRST_PASS_PREFIXES is then the node sum of
-# each of _FIRST_PASS_GRIDS.
+# running sum of the slots at the pass's prefixes is then the node sum of
+# each of its grids.
 _FIRST_PASS_INTERVALS = 8 * TRAPEZOID_FIRST_INTERVALS
-_FIRST_PASS_NODES = np.array([8.0 * q + j for q in range(TRAPEZOID_FIRST_INTERVALS)
-                              for j in (0, 4, 2, 6, 1, 3, 5, 7)])
-_FIRST_PASS_GRIDS = TRAPEZOID_FIRST_INTERVALS * np.array([1.0, 2.0, 4.0, 8.0])
-_FIRST_PASS_PREFIXES = np.array([0, 1, 3, 7])
+
+
+@lru_cache(maxsize=None)
+def _first_pass():
+    """(nodes, grids, prefixes) of the first pass as arrays, built on the first grid."""
+    np = numpy()
+    nodes = np.array([8.0 * q + j for q in range(TRAPEZOID_FIRST_INTERVALS)
+                      for j in (0, 4, 2, 6, 1, 3, 5, 7)])
+    grids = TRAPEZOID_FIRST_INTERVALS * np.array([1.0, 2.0, 4.0, 8.0])
+    return nodes, grids, np.array([0, 1, 3, 7])
 
 
 def _fold(values: np.ndarray, width: int) -> np.ndarray:
@@ -450,6 +462,7 @@ def _sample(dist: JuttnerFamily, columns, powers, lams, gms, uppers, nodes, n) -
 
     ``columns[w]`` is 0 for F and 1 for f_eq, ``powers[w]`` is (a, b).
     """
+    np = numpy()
     x = uppers[:, None] * nodes / n
     c = np.cosh(x)
     s = np.sinh(x)
@@ -514,7 +527,7 @@ def trapezoid_radials_many(dist: JuttnerFamily, lams, gms, uppers, weights):
 
     The nodes are sampled as arrays over states x nodes.  One first pass
     takes every node of the 64-interval grid at every state, and the 8-, 16-,
-    32- and 64-interval sums follow from it (:data:`_FIRST_PASS_NODES`);
+    32- and 64-interval sums follow from it (:func:`_first_pass`);
     only the states that none of those grids settles sample the new nodes of
     128, then 256 and 512 intervals.  An overflow reads inf or NaN inside the
     kernel, so no floating-point warning leaves it.  A state's integrals do
@@ -536,15 +549,15 @@ def trapezoid_radials_many(dist: JuttnerFamily, lams, gms, uppers, weights):
                 widest.append(width)
     if not rows:
         return results
+    np = numpy()
+    nodes, grids, prefixes = _first_pass()
     lam, gm, upper = np.array([(lams[i], gms[i], uppers[i]) for i in rows], dtype=float).T
     last = [None] * len(rows)  # per sampled state, its last grid's integrals
     with np.errstate(all="ignore"):
-        first = _sample(dist, columns, powers, lam, gm, upper, _FIRST_PASS_NODES,
-                        _FIRST_PASS_INTERVALS)
+        first = _sample(dist, columns, powers, lam, gm, upper, nodes, _FIRST_PASS_INTERVALS)
         first[:, :, 0] = 0.0  # r = 0
         # node sums (states x weights x grids) of every grid of this pass
-        sums = np.add.accumulate(_fold(first, 8), axis=-1)[..., _FIRST_PASS_PREFIXES]
-        grids = _FIRST_PASS_GRIDS
+        sums = np.add.accumulate(_fold(first, 8), axis=-1)[..., prefixes]
         while True:
             integrals = sums * (upper[:, None] / grids)[:, None, :]
             kept, ns = [], grids.tolist()

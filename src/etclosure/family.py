@@ -25,14 +25,13 @@ from math import factorial, isqrt
 from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .scalar import (
     FunctionRegistry,
     ScalarExpr,
     double_factorial,
     double_factorial_ratio,
     eta,
+    is_batch,
     power,
 )
 from .tensors import (
@@ -318,7 +317,7 @@ def timelike_gamma(mu: FourVector):
     Batched (float64 array) components give the array of gamma at each point.
     """
     gsq = mu.gamma_sq()
-    if isinstance(gsq, np.ndarray):
+    if is_batch(gsq):
         if (gsq <= 0).any():
             raise ValueError("mu must be timelike at every point")
         return power(gsq, 0.5)

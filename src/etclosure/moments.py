@@ -41,8 +41,6 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from .closure import ClosureSpec, ClosureTensorSet, build_closure_tensor, iter_orders
 from .equilibrium import (
     QUAD_OPTIONS,
@@ -58,6 +56,7 @@ from .equilibrium import (
     trapezoid_radials,
 )
 from .family import realize, realize_tail
+from .scalar import is_batch, numpy
 from .tensors import (
     DenseSymTensor,
     FourVector,
@@ -210,7 +209,7 @@ def first_order_symmetry(
 
 
 def _as_float(v):
-    return v if isinstance(v, np.ndarray) else float(v)
+    return v if is_batch(v) else float(v)
 
 
 def series_at(
@@ -259,14 +258,16 @@ def symmetry_residual(
     they go through :func:`series_at` together: one tensor whose components
     are float64 arrays of length 2P, entry 2i holding component i moved by +h
     and entry 2i+1 by -h.  So a residual makes one :func:`delta_hprime` call
-    per non-scalar block, not one per point.  Every float operation is the one
-    the point would get on its own, in the same order: rational constants meet
-    the arrays as floats and powers of arrays use Python's ``pow`` per entry
-    (:func:`etclosure.tensors.batch_safe`, :func:`etclosure.scalar.power`), so
-    the residual is bit-identical to evaluating the points one by one.  With
-    float deviations, as :func:`make_deviation` returns for float input, every
-    array stays float64; exact deviations give the same residual through
-    ``object`` arrays, more slowly.
+    per non-scalar block, not one per point.  The stencil is where this
+    module makes arrays, so numpy is imported here, on first use.  Every
+    float operation is the one the point would get on its own, in the same
+    order: rational constants meet the arrays as floats and powers of arrays
+    use Python's ``pow`` per entry (:func:`etclosure.tensors.batch_safe`,
+    :func:`etclosure.scalar.power`), so the residual is bit-identical to
+    evaluating the points one by one.  With float deviations, as
+    :func:`make_deviation` returns for float input, every array stays
+    float64; exact deviations give the same residual through ``object``
+    arrays, more slowly.
 
     The trace and derivative descent between adjacent coefficient tensors
     makes every order below the truncation cancel exactly, so the residual
@@ -283,6 +284,7 @@ def symmetry_residual(
     full_lam = (eq_lam + state.lam_dev).map_values(float)
     full_mu = (eq_mu + state.mu_dev).map_values(float)
 
+    np = numpy()
     worst = 0.0
     for block, tensor in (("lam", full_lam), ("mu", full_mu)):
         if tensor.rank == 0:

@@ -14,21 +14,23 @@ every operation runs on these integers and reduces its result once, and the
 and kept.  Numeric evaluation is generic: feeding ``fractions.Fraction`` values
 (and a registry of exact polynomial functions) yields exact rational results,
 summed as one integer numerator over one denominator; feeding floats yields
-floats.
+floats; feeding float64 arrays yields the array of the values at each point.
 
 The module also provides the combinatorial helpers used throughout the
 coefficient formulas: double factorials (with the (-1)!! = 1 convention),
 telescoped double-factorial ratios valid at negative even arguments, and the
-even-product function eta.
+even-product function eta.  It is the lowest layer that meets batches, so it
+holds the package's one test of whether a value is a batch
+(:func:`array_type`, :func:`is_batch`) and its one numpy import
+(:func:`numpy`, on first use): the exact path never loads numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 RationalLike = Union[int, Fraction]
 SymKey = Optional[Tuple[int, int]]
@@ -102,6 +104,52 @@ def eta(a: int, b: int) -> int:
     return prod
 
 
+_numpy = None
+_ndarray = None
+
+
+def numpy():
+    """The numpy module, imported on the first call.
+
+    Only code that makes arrays calls it: the exact path never does, so
+    neither the package nor its Fraction arithmetic loads numpy.
+    """
+    global _numpy
+    if _numpy is None:
+        import numpy as _numpy
+    return _numpy
+
+
+class _NoArray:
+    """numpy's array type while numpy is not loaded: nothing is an instance of it."""
+
+
+def array_type() -> type:
+    """numpy's ``ndarray`` once numpy is loaded, else a type that nothing is an instance of.
+
+    The one place that decides whether a value is a batch.  No array can
+    exist before someone has loaded numpy, so it reads ``sys.modules`` and
+    never imports; "not loaded" is never kept, so numpy loaded later is seen.
+    Loops resolve it once per call and test ``type(v) is`` or ``isinstance``
+    against the result.
+    """
+    global _ndarray
+    if _ndarray is None:
+        module = sys.modules.get("numpy")
+        if module is None:
+            return _NoArray
+        _ndarray = module.ndarray
+    return _ndarray
+
+
+def is_batch(v) -> bool:
+    """Whether v is a batch (a numpy array); floats, ints and Fractions are answered first."""
+    t = type(v)
+    if t is float or t is Fraction or t is int:
+        return False
+    return isinstance(v, array_type())
+
+
 def power(x, e):
     """x ** e; for a float64 array, Python's float pow applied entry by entry.
 
@@ -109,8 +157,8 @@ def power(x, e):
     (at integer exponents from 3 up, and at some inputs for 0.5, 2 and -1), so
     a batch of points would not reproduce the same points evaluated one by one.
     """
-    if isinstance(x, np.ndarray):
-        return np.array([v**e for v in x.tolist()])
+    if is_batch(x):
+        return numpy().array([v**e for v in x.tolist()])
     return x**e
 
 
@@ -390,7 +438,7 @@ class ScalarExpr:
         every symbol value are ints or Fractions, the sum runs over integers
         and one Fraction is built at the end.
         """
-        if isinstance(gamma, np.ndarray):
+        if is_batch(gamma):
             if (gamma <= 0).any():
                 raise ValueError("gamma must be positive at every point")
         elif gamma <= 0:

@@ -22,7 +22,11 @@ order, so a batch reproduces its tensors bit for bit.  Two rules keep it so: a
 rational constant meets an array as its float (:func:`batch_safe`), as it does
 a float, and zero-skipping (:func:`is_zero`) skips an array only when every
 entry is zero, since skipping an exact 0.0 term changes a sum at most in the
-sign of a zero.
+sign of a zero.  Whether a value is a batch is read from
+:func:`etclosure.scalar.array_type`, which knows numpy's array type only once
+numpy is loaded, and numpy is imported only where arrays are made: by the
+batch kernels below, which run only on arrays.  Exact and float tensors never
+load it.
 
 Products of batches (:func:`_batch_product`) follow one rule: an ordered
 scatter-add.  A plan cached per key structure (:func:`_product_plan`) lists
@@ -83,9 +87,12 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-import numpy as np
+from .scalar import array_type, is_batch, numpy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 METRIC_DIAG: Tuple[int, int, int, int] = (-1, 1, 1, 1)
 DIM = 4
@@ -100,7 +107,7 @@ _UNITS: Tuple[Counts, ...] = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0
 
 def is_zero(v) -> bool:
     """v == 0 for a number; for a batch (a numpy array), whether every entry is 0."""
-    if isinstance(v, np.ndarray):
+    if is_batch(v):
         return not v.any()
     return v == 0
 
@@ -112,7 +119,7 @@ def batch_safe(c, other):
     array it would make an ``object`` array instead, slow and no longer
     float64.  Otherwise c is returned unchanged.
     """
-    if isinstance(other, np.ndarray) and isinstance(c, (int, Fraction)):
+    if isinstance(c, (int, Fraction)) and is_batch(other):
         return float(c)
     return c
 
@@ -167,7 +174,7 @@ class FourVector:
 
     def is_timelike_future(self) -> bool:
         """Timelike and future-directed; for batched components, at every entry."""
-        return bool(np.all(self.gamma_sq() > 0)) and bool(np.all(self.raised().components[0] > 0))
+        return _positive(self.gamma_sq()) and _positive(self.raised().components[0])
 
     def __getitem__(self, i: int):
         return self.components[i]
@@ -177,6 +184,11 @@ class FourVector:
 
     def __repr__(self) -> str:
         return f"FourVector({self.components}, {self.variance!r})"
+
+
+def _positive(v) -> bool:
+    """v > 0; for a batch, at every entry."""
+    return bool((v > 0).all()) if is_batch(v) else bool(v > 0)
 
 
 def canonical_indices(rank: int) -> Iterable[Index]:
@@ -382,12 +394,13 @@ def _coefficients(t: DenseSymTensor) -> Poly:
 def _from_coefficients(rank: int, poly: Poly) -> DenseSymTensor:
     """The tensor whose polynomial is ``poly`` (homogeneous of degree ``rank``)."""
     values = {}
+    ndarray = array_type()
     for c, w in zip(*_layout(rank)):
         v = poly.get(c, 0)
         # a batch is divided whole: its zero entries stay zero
-        if w != 1 and (isinstance(v, np.ndarray) or v != 0):
+        if w != 1 and (isinstance(v, ndarray) or v != 0):
             v = Fraction(v, w) if isinstance(v, int) else v / w
-        elif isinstance(v, np.ndarray) and v.base is not None:
+        elif isinstance(v, ndarray) and v.base is not None:
             v = v.copy()  # a row of a batch product would keep the whole product alive
         values[c] = v
     return DenseSymTensor._from_counts(rank, values)
@@ -426,7 +439,6 @@ def _linear(vector: Sequence) -> Poly:
     return {unit: a for unit, a in zip(_UNITS, vector) if not is_zero(a)}
 
 
-_F64 = np.dtype(np.float64)
 _CHUNK = 256  # most pairs in one scatter-add
 
 
@@ -438,11 +450,13 @@ def _batch_side(values: List) -> Optional[Tuple[int, bool]]:
     none).  Anything else (Fractions, object arrays, numpy scalars, huge ints)
     returns None.
     """
+    np = numpy()
+    ndarray, f64 = np.ndarray, np.dtype(np.float64)
     width, arrays = None, 0
     for v in values:
         t = type(v)
-        if t is np.ndarray:
-            if v.dtype is not _F64 or v.ndim != 1 or (width is not None and len(v) != width):
+        if t is ndarray:
+            if v.dtype is not f64 or v.ndim != 1 or (width is not None and len(v) != width):
                 return None
             width, arrays = len(v), arrays + 1
         elif not (t is float or (t is int and -(2**53) <= v <= 2**53)):
@@ -452,10 +466,11 @@ def _batch_side(values: List) -> Optional[Tuple[int, bool]]:
 
 def _rows(values: List, arrays: bool, width: int) -> np.ndarray:
     """values stacked as float64 rows; an all-scalar factor is one column that broadcasts."""
+    np = numpy()
     if arrays:
         return np.array(values)
     if not any(type(v) is np.ndarray for v in values):
-        return np.array(values, dtype=_F64)[:, None]
+        return np.array(values, dtype=np.float64)[:, None]
     rows = np.empty((len(values), width))
     for r, v in enumerate(values):
         rows[r] = v
@@ -470,6 +485,7 @@ def _product_plan(p_keys: Tuple[Counts, ...], q_keys: Tuple[Counts, ...]):
     first-encounter order, which is also the order of the result's rows; the
     n-th pair of the loop adds p term i[n] times q term j[n] to row o[n].
     """
+    np = numpy()
     index: Dict[Counts, int] = {}
     o = [index.setdefault((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]), len(index))
          for a in p_keys for b in q_keys]
@@ -485,7 +501,8 @@ def _batch_product(p: Poly, q_terms: List[Tuple[Counts, object]]) -> Optional[Po
     every output is an array, as in the loop.  Each output adds its terms in
     the loop's order, starting from 0, so it is the loop's array bit for bit.
     """
-    if type(next(iter(p.values()))) is not np.ndarray and type(q_terms[0][1]) is not np.ndarray:
+    ndarray = array_type()
+    if type(next(iter(p.values()))) is not ndarray and type(q_terms[0][1]) is not ndarray:
         return None  # neither factor is all arrays
     xs, ys = list(p.values()), [y for _, y in q_terms]
     sides = _batch_side(xs), _batch_side(ys)
@@ -497,6 +514,7 @@ def _batch_product(p: Poly, q_terms: List[Tuple[Counts, object]]) -> Optional[Po
     width = wx or wy
     keys, o, i, j = _product_plan(tuple(p), tuple(b for b, _ in q_terms))
     x, y = _rows(xs, x_arrays, width), _rows(ys, y_arrays, width)
+    np = numpy()
     out = np.zeros((len(keys), width))
     flat, col = out.reshape(-1), np.arange(width)
     for s in range(0, len(o), _CHUNK):  # in order; np.add.at adds repeated indices in order
@@ -698,6 +716,7 @@ def _derivative_positions(rank: int, order: int) -> Tuple[Tuple[int, int, int, i
 @lru_cache(maxsize=None)
 def _derivative_plan(rank: int, order: int) -> Tuple[np.ndarray, ...]:
     """For each unit e_a, the canonical position of c + order e_a for every c of rank - order."""
+    np = numpy()
     return tuple(np.array(at, dtype=np.intp) for at in zip(*_derivative_positions(rank, order)))
 
 
@@ -710,11 +729,12 @@ def _batch_derivative(t: DenseSymTensor, weights: Sequence, order: int) -> Optio
     order, in place, so each output entry is the loop's bit for bit.
     """
     values = list(t._values.values())
-    if type(values[0]) is not np.ndarray:
+    if type(values[0]) is not array_type():
         return None  # the cheap test first: exact and scalar tensors keep the loop
     side, weight_side = _batch_side(values), _batch_side(list(weights))
     if side is None or not side[1] or weight_side is None or weight_side[0] not in (0, side[0]):
         return None
+    np = numpy()
     rows = np.array(values)
     plan = _derivative_plan(t.rank, order)
     out = rows[plan[0]]

@@ -1,12 +1,15 @@
-"""scipy loads on the first ``quad`` call, not with the package.
+"""scipy and numpy load on first use, not with the package.
 
 The exact closure path (``closure`` and every verify suite but ``equilibrium``
-and ``kinetic``) is Fraction arithmetic and never integrates, and
-``equilibrium`` and ``moments`` at an ordinary state integrate on the shared
-trapezoid grid, so none of them may pay scipy's import; the ``equilibrium``
-suite checks that grid against the half-line ``quad`` and must load it.  Each
-check of sys.modules runs in a fresh interpreter, because the test process
-itself has long since imported scipy.
+and ``kinetic``) is Fraction arithmetic: it never integrates and makes no
+array, so it may pay neither import.  ``equilibrium`` and ``moments`` at an
+ordinary state integrate on the shared trapezoid grid, whose nodes are numpy
+arrays, so they load numpy but not scipy; the ``equilibrium`` suite checks
+that grid against the half-line ``quad`` and must load scipy.  Each check of
+sys.modules runs in a fresh interpreter, because the test process itself has
+long since imported both.  So does the check that numpy loaded after the
+package is still seen: a float64 batch then takes the batch kernels, bit for
+bit what its points give one by one.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
 from scipy.integrate import quad
 
 from etclosure import equilibrium, moments
 from etclosure.equilibrium import QUAD_OPTIONS, mj_closed_form_H
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+TESTS = pathlib.Path(__file__).resolve().parent
 
 EXACT_SUITES = "characteristic,cross_route,compatibility,roundtrip,oracle,symmetry,derivative"
 
@@ -31,33 +36,92 @@ PROBE = """
 import contextlib, io, json, sys
 from etclosure import cli
 
-def scipy_loaded():
-    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
+def loaded():
+    return {package: any(name == package or name.startswith(package + ".") for name in sys.modules)
+            for package in ("numpy", "scipy")}
 
+exact = ["verify", "--M", "2", "--N", "3", "--suite", sys.argv[1]]
 report = {}
 with contextlib.redirect_stdout(io.StringIO()):
-    report["import"] = scipy_loaded()
-    report["codes"] = [cli.main(["closure", "--M", "2", "--N", "3"]),
-                       cli.main(["verify", "--M", "2", "--N", "3", "--suite", sys.argv[1]])]
-    report["exact"] = scipy_loaded()
+    report["import"] = loaded()
+    report["codes"] = [cli.main(["closure", "--M", "2", "--N", "3"])]
+    report["closure"] = loaded()
+    report["codes"] += [cli.main(exact), cli.main(exact + ["--mutate", "1"])]
+    report["exact"] = loaded()
     report["codes"].append(cli.main(["equilibrium"]))
-    report["equilibrium"] = scipy_loaded()
+    report["equilibrium"] = loaded()
     report["codes"].append(cli.main(["moments"]))
     report["codes"].append(cli.main(["moments", "--M", "2", "--N", "3"]))
-    report["moments"] = scipy_loaded()
+    report["moments"] = loaded()
     report["codes"].append(cli.main(["verify", "--suite", "equilibrium"]))
-    report["quad"] = scipy_loaded()
+    report["quad"] = loaded()
 print(json.dumps(report))
 """
 
+LATE_NUMPY = """
+import json, random, sys
+from etclosure import cli, closure, equilibrium, family, moments, oracle, scalar, tensors, verify
+from etclosure.closure import ClosureTensorSet
+from etclosure.equilibrium import ThermoState
+from etclosure.moments import MultiplierState, make_deviation, symmetry_residual
+from etclosure.oracle import random_float_timelike, random_sym_tensor
+from etclosure.verify import VerifyConfig
 
-def test_exact_commands_never_load_scipy_and_a_quadrature_does():
+before = "numpy" in sys.modules
+# the exact path asks whether its values are batches while numpy is absent
+exact = [r.passed for r in verify.run_suites(["symmetry", "oracle"], VerifyConfig(M=2, N=3))]
+import numpy
+sys.path.insert(0, sys.argv[1])
+from test_moments import _per_point_residual
+
+spec = VerifyConfig(M=2, N=3).spec
+sets = ClosureTensorSet.build(spec)
+rng = random.Random(11)
+base = ThermoState(rng.uniform(0.2, 1.0), random_float_timelike(rng), 1.0)
+lam_dev = make_deviation(random_sym_tensor(2, rng, rational=False), 2).scale(1e-6)
+mu_dev = make_deviation(random_sym_tensor(3, rng, rational=False), 3).scale(1e-6)
+state = MultiplierState(base, lam_dev, mu_dev, spec)
+plans = [tensors._derivative_plan.cache_info().misses, tensors._product_plan.cache_info().misses]
+batched = symmetry_residual(state, step=1e-6, tensors=sets)
+plans += [tensors._derivative_plan.cache_info().misses, tensors._product_plan.cache_info().misses]
+print(json.dumps({"numpy_before": before, "exact": exact, "plans": plans, "batched": batched.hex(),
+                  "per_point": _per_point_residual(state, 1e-6, sets).hex()}))
+"""
+
+
+def _fresh(script: str, *args: str) -> dict:
+    """The last line of ``script``'s stdout, as JSON, run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", PROBE, EXACT_SUITES], env=env,
-                          capture_output=True, text=True, timeout=300, check=True)
-    report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == {"import": False, "codes": [0, 0, 0, 0, 0, 0], "exact": False,
-                      "equilibrium": False, "moments": False, "quad": True}
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def probe() -> dict:
+    return _fresh(PROBE, EXACT_SUITES)
+
+
+def test_exact_commands_never_load_scipy_and_a_quadrature_does(probe):
+    assert probe["codes"] == [0, 0, 1, 0, 0, 0, 0]
+    assert {step: seen["scipy"] for step, seen in probe.items() if step != "codes"} == {
+        "import": False, "closure": False, "exact": False, "equilibrium": False,
+        "moments": False, "quad": True}
+
+
+def test_exact_commands_never_load_numpy_and_a_radial_grid_does(probe):
+    assert {step: seen["numpy"] for step, seen in probe.items() if step != "codes"} == {
+        "import": False, "closure": False, "exact": False, "equilibrium": True,
+        "moments": True, "quad": True}
+
+
+def test_numpy_loaded_after_the_package_still_runs_the_batch_kernels():
+    report = _fresh(LATE_NUMPY, str(TESTS))
+    assert report["numpy_before"] is False and report["exact"] == [True, True]
+    derivative_before, product_before, derivative_after, product_after = report["plans"]
+    assert derivative_after > derivative_before and product_after > product_before
+    assert report["batched"] == report["per_point"]
 
 
 def test_quad_forwards_to_scipy_exactly():
