@@ -38,6 +38,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -252,10 +253,24 @@ def _output(p: argparse.ArgumentParser) -> None:
     _add(p, "--out")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, reading a negative number with an exponent as a value.
+
+    argparse's own pattern takes -1 and -0.5 for values but -1e-3 for a flag,
+    which makes ``--mu1 -1e-3`` a usage error.  The pattern is an instance
+    attribute of every parser (Python 3.10-3.13), and argparse makes the
+    subparsers of the parser's own class, so they read such values too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser; a parsed namespace holds only the flags given on the command line."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="etclosure",
         description="Moment-closure coefficient tables, verification suites, "
         "and equilibrium thermodynamics.",

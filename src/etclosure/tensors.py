@@ -42,32 +42,21 @@ Traces and mu-contractions of batches (:func:`_derivative`) likewise stack the
 components once (:func:`_batch_derivative`) and add the four gathered terms of
 every output in the loop's a = 0..3 order, in place, under the same rules.
 
-Basis realization (:func:`gmu_combination`) and the tail contraction
-(:func:`contract_tail`), which exact realization and the exact symmetry check
-repeat, compute exact values over integers (the representation of FLINT's
-``fmpq_poly``): where every term of an exact result is a Fraction, they write
-each exact input as integer numerators over one common denominator
-(:func:`_integral`), compute over Python ints, and divide once per output
-component.  The tail contraction runs its loop on the integers.  Basis
-realization runs its Horner steps on dense integer rows in canonical order
-(:func:`_dense_gmu`): a product with mu.x gathers, for each output component,
-the four components one index lower (:func:`_times_x_plan`), and the metric
-powers are cached as (position, coefficient) pairs (:func:`_metric_row`).
-The component is then the Fraction a loop over Fractions gives, and of the
-same type: a sum that cancels is Fraction(0), and a slot no term reaches
-stays the int 0 (which slots the terms reach follows from the orders present
-and the nonzero components of mu, :func:`_reached`).  Where some terms would
-stay ints (int-only inputs, or ints and Fractions meeting so that some
-components come out as ints), these two run their loops on the values as
-given.
-
-Traces and mu-contractions (:func:`_exact_derivative`), symmetrization
-(:func:`_exact_symmetrize`) and scaling by a Fraction go through
-:func:`_integral` too, wherever every input is an int or a Fraction and one
-of them is a Fraction: they sum Python ints and build one Fraction per
-output component, and each component keeps the loop's type, an int where no
-Fraction enters it.  Symmetric products and Lorentz transforms run their
-loops on the values as given.  Floats and batches never take an integer path.
+Exact inputs follow one rule, decided in one place (:func:`_integral`): where
+every input of an operation is an int or a ``Fraction`` and at least one is a
+``Fraction``, the operation writes each input as integer numerators over one
+common denominator, computes on Python ints, divides once per output
+component, and gives a ``Fraction`` for every component.  Basis realization,
+traces and mu-contractions, symmetrization, symmetric products, the tail
+contraction and scaling take this route.  Basis realization
+(:func:`gmu_combination`) runs its Horner steps on dense integer rows in
+canonical order (:func:`_dense_gmu`), the representation of FLINT's
+``fmpq_poly``: a product with mu.x gathers, for each output component, the
+four components one index lower (:func:`_times_x_plan`), and the metric powers
+are cached as (position, coefficient) pairs (:func:`_metric_row`).  Int-only
+inputs, floats and batches run the plain loops on the values as given (an
+int-only input gives ints except where a multinomial above 1 divides), and
+Lorentz transforms always run their loop.
 
 Each operation is the polynomial operation it is (see its docstring).  On
 components a derivative is an index shift with no weight, so traces and
@@ -297,12 +286,11 @@ class DenseSymTensor:
         )
 
     def scale(self, factor) -> "DenseSymTensor":
-        """Every component times factor; by a Fraction, exact components run on integers."""
-        exact = _integral(self._values) if type(factor) is Fraction else None
+        """Every component times factor, on integer numerators where :func:`_integral` gives them."""
+        exact = _integral({_ONE: factor}, self._values)
         if exact:
-            # each product has a Fraction operand, so every component is one
-            ((nums, den),) = exact
-            p, q = factor.numerator, factor.denominator * den
+            ((f, fden), (nums, den)) = exact
+            p, q = f[_ONE], fden * den
             return DenseSymTensor._from_counts(
                 self.rank, {c: Fraction(n * p, q) for c, n in nums.items()})
         return self.map_values(lambda v: batch_safe(v, factor) * batch_safe(factor, v))
@@ -324,9 +312,10 @@ class DenseSymTensor:
         return f"DenseSymTensor(rank={self.rank}, nonzero={nonzero})"
 
     def to_json_obj(self) -> dict:
+        """Rank and components; an exact component by its value: an int if integral, else "n/d"."""
         def enc(v):
             if isinstance(v, Fraction):
-                return f"{v.numerator}/{v.denominator}"
+                return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
             return v
 
         return {
@@ -344,42 +333,15 @@ def symmetrize(raw: Mapping[Index, object], rank: int) -> DenseSymTensor:
     average over all of them, absent tuples counting as 0.  That equals the
     average over all n! slot permutations.
     """
-    exact = _exact_symmetrize(raw, rank)
-    if exact is not None:
-        return exact
+    den = None
+    exact = _integral(raw)
+    if exact:
+        ((raw, den),) = exact
     poly: Poly = {}
     for idx, v in raw.items():
         c = index_counts(idx)
         poly[c] = poly[c] + v if c in poly else v
-    return _from_coefficients(rank, poly)
-
-
-def _exact_symmetrize(raw: Mapping[Index, object], rank: int) -> Optional[DenseSymTensor]:
-    """:func:`symmetrize` over integer numerators, or None where its loop must run.
-
-    It runs where every raw value is an int or a Fraction and some value is a
-    Fraction.  Each component has the loop's type: a Fraction where a Fraction
-    enters its sum, or where an int sum is nonzero and divided by a multinomial
-    above 1; else an int (the int 0 where no raw value reaches it).
-    """
-    if not any(type(v) is Fraction for v in raw.values()):
-        return None
-    exact = _integral(raw)
-    if exact is None:
-        return None
-    ((nums, den),) = exact
-    sums: Dict[Counts, int] = {}
-    typed = set()
-    for (idx, v), n in zip(raw.items(), nums.values()):
-        c = index_counts(idx)
-        sums[c] = sums.get(c, 0) + n
-        if type(v) is Fraction:
-            typed.add(c)
-    values = {}
-    for c, w in zip(*_layout(rank)):
-        total = sums.get(c, 0)
-        values[c] = Fraction(total, den * w) if c in typed or (total and w != 1) else total // den
-    return DenseSymTensor._from_counts(rank, values)
+    return _from_coefficients(rank, poly, den)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +353,15 @@ def _coefficients(t: DenseSymTensor) -> Poly:
     return {c: t._values[c] * w for c, w in zip(*_layout(t.rank))}
 
 
-def _from_coefficients(rank: int, poly: Poly) -> DenseSymTensor:
-    """The tensor whose polynomial is ``poly`` (homogeneous of degree ``rank``)."""
+def _from_coefficients(rank: int, poly: Poly, den: Optional[int] = None) -> DenseSymTensor:
+    """The tensor whose polynomial is ``poly`` (homogeneous of degree ``rank``).
+
+    With ``den``, poly holds integer numerators over den (:func:`_integral`),
+    and every component is the Fraction poly[c] / (multinomial * den).
+    """
+    if den is not None:
+        return DenseSymTensor._from_counts(
+            rank, {c: Fraction(poly.get(c, 0), w * den) for c, w in zip(*_layout(rank))})
     values = {}
     ndarray = array_type()
     for c, w in zip(*_layout(rank)):
@@ -406,27 +375,26 @@ def _from_coefficients(rank: int, poly: Poly) -> DenseSymTensor:
     return DenseSymTensor._from_counts(rank, values)
 
 
-def _fractions(values: Iterable) -> bool:
-    """Whether every value is a Fraction, so that every term it enters is one."""
-    return all(type(v) is Fraction for v in values)
-
-
 def _integral(*polys: Mapping) -> Optional[List[Tuple[dict, int]]]:
-    """Each poly over integers: (numerators, den) with poly = numerators / den.
+    """Each poly over integers, (numerators, den) with poly = numerators / den, or None.
 
-    den is the lcm of that poly's denominators.  None unless every value is an
-    int or a Fraction: floats, float64 batches and object arrays keep their
-    own path.
+    The one test of the exact route: it answers only where every value of
+    every poly is an int or a Fraction and some value is a Fraction, and the
+    caller then makes every output component a Fraction.  Int-only inputs,
+    floats, float64 batches and object arrays get None and keep their loops.
+    den is the lcm of that poly's denominators.
     """
-    dens = []
+    dens, fraction = [], False
     for poly in polys:
         den = 1
         for v in poly.values():
             if type(v) is Fraction:
-                den = lcm(den, v.denominator)
+                den, fraction = lcm(den, v.denominator), True
             elif type(v) is not int:
                 return None
         dens.append(den)
+    if not fraction:
+        return None
     return [
         ({k: v * den if type(v) is int else v.numerator * (den // v.denominator)
           for k, v in poly.items()}, den)
@@ -601,31 +569,11 @@ def _times_linear(row: List[int], rank: int, weights: Sequence[int]) -> List[int
             for a, b, c, d in zip(*_times_x_plan(rank))]
 
 
-@lru_cache(maxsize=256)
-def _reached(n: int, orders: Tuple[int, ...], support: Tuple[bool, ...]) -> Tuple[bool, ...]:
-    """Which rank-n components some term of sum_{s in orders} (x.x)^s (ell.x)^(n-2s) reaches.
-
-    ell's nonzero components are those where ``support`` is True.  Every
-    coefficient of (x.x)^s and of a power of ell.x is nonzero, so x^c is
-    reached when c = e + f with e all even of degree 2s and f on the support:
-    c is even off the support, and 2s lies between the degree off the
-    support and that plus the even parts of c on it.
-    """
-    out = []
-    for c in _layout(n)[0]:
-        off = sum(ct for ct, on in zip(c, support) if not on)
-        even = sum(ct - ct % 2 for ct, on in zip(c, support) if on)
-        out.append(all(ct % 2 == 0 for ct, on in zip(c, support) if not on)
-                   and any(off <= 2 * s <= off + even for s in orders))
-    return tuple(out)
-
-
 def _dense_gmu(n: int, coeffs: Mapping[int, int], ell: Mapping[Counts, int], den: int) -> DenseSymTensor:
     """The exact :func:`gmu_combination` on integer rows: phi_s and ell over integers, / den.
 
     The same Horner steps run on dense rows in canonical order; ell^2 is two
-    steps of ell.  A reached component is the Fraction it stands for, divided
-    once, and an unreached one the int 0 (:func:`_reached`).
+    steps of ell.
     """
     low, top = min(coeffs), max(coeffs)
     weights = [ell.get(u, 0) for u in _UNITS]
@@ -639,11 +587,7 @@ def _dense_gmu(n: int, coeffs: Mapping[int, int], ell: Mapping[Counts, int], den
                 row[pos] += phi * v
     for rank in range(2 * top, n):
         row = _times_linear(row, rank, weights)
-    reached = _reached(n, tuple(sorted(coeffs)), tuple(w != 0 for w in weights))
-    return DenseSymTensor._from_counts(n, {
-        c: Fraction(v, w * den) if hit else 0
-        for c, w, v, hit in zip(*_layout(n), row, reached)
-    })
+    return _from_coefficients(n, dict(zip(_layout(n)[0], row)), den)
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +614,7 @@ def gmu_combination(
         raise ValueError("mu required when n > 2s")
     mu_up = mu.raised().components if isinstance(mu, FourVector) else mu
     ell = _linear(mu_up) if n > 2 * low else {}
-    # every term has a phi factor, and n - 2 top >= 1 factors from ell
-    typed = _fractions(coeffs.values()) or (n > 2 * top and _fractions(ell.values()))
-    exact = _integral(coeffs, ell) if typed else None
+    exact = _integral(coeffs, ell)
     if exact:
         # mu over l: the acc of step s carries l^(2(s-low)), so phi_s does too
         (coeffs, d), (ell, l) = exact
@@ -747,54 +689,29 @@ def _batch_derivative(t: DenseSymTensor, weights: Sequence, order: int) -> Optio
     return dict(zip(_layout(t.rank - order)[0], out))
 
 
-def _exact_derivative(t: DenseSymTensor, weights: Sequence, order: int) -> Optional[Dict]:
-    """:func:`_derivative` over integer numerators, or None where its loop must run.
-
-    It runs where every component and weight is an int or a Fraction and some
-    of them is a Fraction.  Each output is the loop's value and type: a
-    Fraction (Fraction(0) included) where one of its four terms has a Fraction
-    operand, an int where none has.
-    """
-    values = t._values
-    typed = [type(v) is Fraction for v in values.values()]
-    weighted = any(type(w) is Fraction for w in weights)
-    if not (weighted or any(typed)):
-        return None
-    exact = _integral(values, dict(enumerate(weights)))
-    if exact is None:
-        return None
-    (nums, den), (ws, wden) = exact
-    v = list(nums.values())
-    w0, w1, w2, w3 = ws.values()
-    den *= wden
-    out = []
-    for a, b, c, d in _derivative_positions(t.rank, order):
-        total = w0 * v[a] + w1 * v[b] + w2 * v[c] + w3 * v[d]
-        fraction = weighted or typed[a] or typed[b] or typed[c] or typed[d]
-        out.append(Fraction(total, den) if fraction else total // den)
-    return dict(zip(_layout(t.rank - order)[0], out))
-
-
 def _derivative(t: DenseSymTensor, weights: Sequence, order: int) -> DenseSymTensor:
     """sum_a weights[a] d_a^order p_T, rescaled to components: R_c = sum_a w_a T_{c + order e_a}.
 
     Float64 batches go through :func:`_batch_derivative`, which does the same
-    float operations in the same order; exact tensors with a Fraction in them
-    through :func:`_exact_derivative`, which sums integer numerators.
+    float operations in the same order.  Anything else runs one positional
+    loop, w0 T_a + w1 T_b + w2 T_c + w3 T_d, on integer numerators divided
+    once where :func:`_integral` gives them.
     """
-    # neither kernel returns an empty map: every rank has at least one component
-    kernel = _batch_derivative(t, weights, order) or _exact_derivative(t, weights, order)
-    if kernel is not None:
-        return DenseSymTensor._from_counts(t.rank - order, kernel)
-    v = t._values
-    out = {}
-    for c in _layout(t.rank - order)[0]:
-        total = None
-        for (u0, u1, u2, u3), w in zip(_UNITS, weights):
-            term = w * v[(c[0] + order * u0, c[1] + order * u1, c[2] + order * u2, c[3] + order * u3)]
-            total = term if total is None else total + term
-        out[c] = total
-    return DenseSymTensor._from_counts(t.rank - order, out)
+    batch = _batch_derivative(t, weights, order)
+    if batch is not None:
+        return DenseSymTensor._from_counts(t.rank - order, batch)
+    values, den = t._values, None
+    exact = _integral(values, dict(enumerate(weights)))
+    if exact:
+        (values, vden), (ws, wden) = exact
+        weights, den = list(ws.values()), vden * wden
+    v = list(values.values())
+    w0, w1, w2, w3 = weights
+    out = [w0 * v[a] + w1 * v[b] + w2 * v[c] + w3 * v[d]
+           for a, b, c, d in _derivative_positions(t.rank, order)]
+    if den is not None:
+        out = [Fraction(x, den) for x in out]
+    return DenseSymTensor._from_counts(t.rank - order, dict(zip(_layout(t.rank - order)[0], out)))
 
 
 def trace_pair(t: DenseSymTensor) -> DenseSymTensor:
@@ -839,23 +756,24 @@ def transform(t: DenseSymTensor, matrix: Sequence[Sequence]) -> DenseSymTensor:
 
 def sym_product(a: DenseSymTensor, b: DenseSymTensor) -> DenseSymTensor:
     """Symmetrized tensor product sym(a x b), the product of the two polynomials."""
-    return _from_coefficients(a.rank + b.rank, _product(_coefficients(a), _coefficients(b)))
+    p, q, den = _coefficients(a), _coefficients(b), None
+    exact = _integral(p, q)
+    if exact:
+        (p, dp), (q, dq) = exact
+        den = dp * dq
+    return _from_coefficients(a.rank + b.rank, _product(p, q), den)
 
 
 def contract_tail(c: DenseSymTensor, p: DenseSymTensor) -> DenseSymTensor:
     """The vector C^{a i2..in} P_{i2..in}: every slot of C but the first paired with P."""
     if c.rank != p.rank + 1:
         raise ValueError(f"contract_tail needs rank {p.rank + 1}, got {c.rank}")
-    weighted = [(k, v) for k, v in _coefficients(p).items() if not is_zero(v)]
-    v = c._values
-    den = None
-    # each term pairs a nonzero weight with a component of c; no weights leave int 0s
-    typed = weighted and (_fractions(w for _, w in weighted) or _fractions(v.values()))
-    exact = _integral(dict(weighted), v) if typed else None
+    weights, v, den = _coefficients(p), c._values, None
+    exact = _integral(weights, v)
     if exact:
-        (ws, dp), (v, dc) = exact
-        weighted = list(ws.items())
+        (weights, dp), (v, dc) = exact
         den = dp * dc
+    weighted = [(k, w) for k, w in weights.items() if not is_zero(w)]
     out = {}
     for unit in _UNITS:
         total = 0

@@ -300,6 +300,23 @@ def test_non_finite_state_flags_are_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("moments", "--mu0", "1", "--mu1", "-1e-3"),
+    ("equilibrium", "--lambda", "-1e-1"),
+    ("equilibrium", "--lambda", "-.5E+0", "--gamma", "2"),
+])
+def test_negative_values_with_an_exponent_are_values_not_flags(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    # the same output as the --flag=value form, which never looked like a flag
+    flag, value = argv[-2:]
+    assert run(capsys, *argv[:-2], f"{flag}={value}") == (0, out)
+    # an int flag reads such a value too, and refuses it as argparse refuses any non-int
+    with pytest.raises(SystemExit) as exc:
+        main(["closure", "--M", "-2e0"])
+    assert exc.value.code == 2 and "invalid int value: '-2e0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
     # the kinetic moments' mass-shell trace residuals read 1: the trace is all cancellation
     ("moments", "--mu0", "1e-30"),
     ("moments", "--gamma", "1e-30"),
