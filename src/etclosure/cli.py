@@ -24,8 +24,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap
 (a requested order past the rank cap, for every command that sums over orders),
 4 numerical failure at this state (a quadrature that does not converge, a float
 that overflows, kinetic moments off their mass-shell trace chain, an entropy
-undefined because dH/dlambda underflows to 0, or an H integral below the normal
-float range).  Every state flag (--lambda, --gamma, --mu0..3, --m) must be finite.
+undefined because dH/dlambda underflows to 0, an H integral below the normal
+float range, or mu.mu underflowing to 0 for a timelike mu).  Every failing
+command writes one line to stderr.  Every state flag (--lambda, --gamma,
+--mu0..3, --m) must be finite.
 """
 
 from __future__ import annotations
@@ -259,12 +261,17 @@ class _Parser(argparse.ArgumentParser):
     argparse's own pattern takes -1 and -0.5 for values but -1e-3 for a flag,
     which makes ``--mu1 -1e-3`` a usage error.  The pattern is an instance
     attribute of every parser (Python 3.10-3.13), and argparse makes the
-    subparsers of the parser's own class, so they read such values too.
+    subparsers of the parser's own class, so they read such values too, and
+    write a usage error as one line, without the usage text.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+    def error(self, message):
+        """Exit 2 with argparse's error line alone, as every failing command writes one line."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 @functools.cache
@@ -401,6 +408,7 @@ def cmd_verify(args) -> int:
         seed=args.seed, mutate=args.mutate, tol=args.tol,
     )
     results = run_suites(names, cfg)
+    failed = [r.name for r in results if not r.passed]
     if args.artifacts:
         os.makedirs(args.artifacts, exist_ok=True)
         for r in results:
@@ -411,7 +419,7 @@ def cmd_verify(args) -> int:
                                      "failed_cases": r.failed_cases}), path)
                 print(f"wrote {path}", file=sys.stderr)
     doc = {
-        "passed": all(r.passed for r in results),
+        "passed": not failed,
         "seed": args.seed,
         "mutate": args.mutate,
         "results": [r.to_json_obj() for r in results],
@@ -425,7 +433,11 @@ def cmd_verify(args) -> int:
         _write_out(_to_csv(rows), args.out)
     else:
         _write_out(_to_json(doc), args.out)
-    return 0 if doc["passed"] else 1
+    if failed:
+        print(f"error: {len(failed)} of {len(results)} suites failed: {', '.join(failed)}",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_equilibrium(args) -> int:

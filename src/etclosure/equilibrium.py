@@ -77,7 +77,8 @@ FOUR_PI = 4.0 * math.pi
 
 
 class ConvergenceError(RuntimeError):
-    """A quadrature or finite-difference stencil cannot reach its accuracy target."""
+    """A quadrature or finite-difference stencil cannot reach its accuracy target, or a
+    float of the state leaves the range it must hold (mu.mu of a timelike mu reads 0)."""
 
 
 class EntropyUndefinedError(ZeroDivisionError):
@@ -299,6 +300,10 @@ class ThermoState:
             raise ValueError("mass must be positive")
         self.dist  # the family checks statistics
         if not self.mu.is_timelike_future():
+            up, gamma_sq = self.mu.raised().components, self.mu.gamma_sq()
+            if isinstance(gamma_sq, float) and up[0] > math.hypot(*up[1:]):
+                raise ConvergenceError(f"mu.mu = {-gamma_sq:.3g} underflows or cancels at this state, "
+                                       f"though mu^0 = {up[0]:.6g} exceeds |mu^i| = {math.hypot(*up[1:]):.6g}")
             raise ValueError("mu must be timelike and future-directed")
         # below lambda + gamma m = 0 a boson's occupancy is negative at small momenta;
         # a batched state (float64 components) must keep it at every entry

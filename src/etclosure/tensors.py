@@ -28,19 +28,17 @@ numpy is loaded, and numpy is imported only where arrays are made: by the
 batch kernels below, which run only on arrays.  Exact and float tensors never
 load it.
 
-Products of batches (:func:`_batch_product`) follow one rule: an ordered
-scatter-add.  A plan cached per key structure (:func:`_product_plan`) lists
-the dict loop's (a, b) pairs in loop order with each pair's output row; the
-outputs start from 0 and ``np.add.at``, unbuffered, adds the pairs' products
-in that order, so every entry and the key order are the dict loop's bit for
-bit.  The kernel runs where every term has an array factor and every value is
-a 1-D float64 array, a float, or an int a float holds exactly
+Products of batches (:func:`_batch_product`) do the dict loop's arithmetic
+on stacked rows: the outputs start from 0, and each term of p in turn adds
+its products with every term of q to its output rows in one update.  One
+term's output rows are distinct, so every output adds its terms in the
+loop's order and is the loop's array bit for bit, in the loop's key order.
+The kernel runs where every term has an array factor and every value is a
+1-D float64 array, a float, or an int a float holds exactly
 (:func:`_batch_side`); exact values, object arrays, numpy scalars and
-anything else keep the loop.
-
-Traces and mu-contractions of batches (:func:`_derivative`) likewise stack the
-components once (:func:`_batch_derivative`) and add the four gathered terms of
-every output in the loop's a = 0..3 order, in place, under the same rules.
+anything else keep the loop.  Traces and mu-contractions of batches
+(:func:`_batch_derivative`) evaluate the loop's expression on stacked rows
+under the same rules.
 
 Exact inputs follow one rule, decided in one place (:func:`_integral`): where
 every input of an operation is an int or a ``Fraction`` and at least one is a
@@ -407,9 +405,6 @@ def _linear(vector: Sequence) -> Poly:
     return {unit: a for unit, a in zip(_UNITS, vector) if not is_zero(a)}
 
 
-_CHUNK = 256  # most pairs in one scatter-add
-
-
 def _batch_side(values: List) -> Optional[Tuple[int, bool]]:
     """(width, every value an array) for one factor of a batch kernel, else None.
 
@@ -447,18 +442,13 @@ def _rows(values: List, arrays: bool, width: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _product_plan(p_keys: Tuple[Counts, ...], q_keys: Tuple[Counts, ...]):
-    """The product loop over p_keys x q_keys as int32 index arrays, pairs in loop order.
-
-    Returns (keys, o, i, j).  ``keys`` are the output keys in the loop's
-    first-encounter order, which is also the order of the result's rows; the
-    n-th pair of the loop adds p term i[n] times q term j[n] to row o[n].
-    """
+    """(keys, rows): the product loop's output keys in first-encounter order, and
+    rows[i, j], the output row of p term i times q term j."""
     np = numpy()
     index: Dict[Counts, int] = {}
-    o = [index.setdefault((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]), len(index))
-         for a in p_keys for b in q_keys]
-    i, j = np.divmod(np.arange(len(o), dtype=np.int32), np.int32(len(q_keys)))
-    return tuple(index), np.array(o, dtype=np.int32), i, j
+    rows = [[index.setdefault((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]), len(index))
+             for b in q_keys] for a in p_keys]
+    return tuple(index), np.array(rows, dtype=np.intp)
 
 
 def _batch_product(p: Poly, q_terms: List[Tuple[Counts, object]]) -> Optional[Poly]:
@@ -466,28 +456,25 @@ def _batch_product(p: Poly, q_terms: List[Tuple[Counts, object]]) -> Optional[Po
 
     It runs when every value is a batch-ready number (:func:`_batch_side`) and
     one factor is all arrays, so that every term has an array factor and
-    every output is an array, as in the loop.  Each output adds its terms in
-    the loop's order, starting from 0, so it is the loop's array bit for bit.
+    every output is an array, as in the loop.  Term i of p adds x_i times
+    every q row to its output rows, which are distinct, so each output adds
+    its terms in the loop's order, starting from 0: the loop's array bit for bit.
     """
     ndarray = array_type()
     if type(next(iter(p.values()))) is not ndarray and type(q_terms[0][1]) is not ndarray:
         return None  # neither factor is all arrays
-    xs, ys = list(p.values()), [y for _, y in q_terms]
-    sides = _batch_side(xs), _batch_side(ys)
+    ys = [y for _, y in q_terms]
+    sides = _batch_side(list(p.values())), _batch_side(ys)
     if None in sides or not (sides[0][1] or sides[1][1]):
         return None
-    (wx, x_arrays), (wy, y_arrays) = sides
+    (wx, _), (wy, y_arrays) = sides
     if wx and wy and wx != wy:
         return None
-    width = wx or wy
-    keys, o, i, j = _product_plan(tuple(p), tuple(b for b, _ in q_terms))
-    x, y = _rows(xs, x_arrays, width), _rows(ys, y_arrays, width)
-    np = numpy()
-    out = np.zeros((len(keys), width))
-    flat, col = out.reshape(-1), np.arange(width)
-    for s in range(0, len(o), _CHUNK):  # in order; np.add.at adds repeated indices in order
-        t = slice(s, s + _CHUNK)
-        np.add.at(flat, (o[t, None] * width + col).reshape(-1), (x[i[t]] * y[j[t]]).reshape(-1))
+    keys, rows = _product_plan(tuple(p), tuple(b for b, _ in q_terms))
+    y = _rows(ys, y_arrays, wx or wy)
+    out = numpy().zeros((len(keys), wx or wy))
+    for at, x in zip(rows, p.values()):
+        out[at] += x * y
     return dict(zip(keys, out))
 
 
@@ -667,8 +654,8 @@ def _batch_derivative(t: DenseSymTensor, weights: Sequence, order: int) -> Optio
 
     It runs when every component is an array and the components and the
     weights are batch-ready numbers of one width (:func:`_batch_side`, as for
-    products).  The four gathered multiply-adds go in the loop's a = 0..3
-    order, in place, so each output entry is the loop's bit for bit.
+    products).  The loop's expression on the gathered rows is the loop's
+    arithmetic, so each output entry is the loop's bit for bit.
     """
     values = list(t._values.values())
     if type(values[0]) is not array_type():
@@ -676,16 +663,10 @@ def _batch_derivative(t: DenseSymTensor, weights: Sequence, order: int) -> Optio
     side, weight_side = _batch_side(values), _batch_side(list(weights))
     if side is None or not side[1] or weight_side is None or weight_side[0] not in (0, side[0]):
         return None
-    np = numpy()
-    rows = np.array(values)
-    plan = _derivative_plan(t.rank, order)
-    out = rows[plan[0]]
-    out *= weights[0]
-    term = np.empty_like(out)
-    for at, w in zip(plan[1:], weights[1:]):
-        np.take(rows, at, axis=0, out=term)
-        term *= w
-        out += term
+    rows = numpy().array(values)
+    a, b, c, d = _derivative_plan(t.rank, order)
+    w0, w1, w2, w3 = weights
+    out = w0 * rows[a] + w1 * rows[b] + w2 * rows[c] + w3 * rows[d]
     return dict(zip(_layout(t.rank - order)[0], out))
 
 

@@ -221,6 +221,23 @@ def test_equilibrium_spacelike_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("equilibrium", "--gamma", "1e-162"),
+    ("moments", "--gamma", "1e-200"),
+    ("equilibrium", "--mu0", "1e-170", "--mu1", "1e-171"),
+])
+def test_timelike_mu_whose_square_underflows_is_a_numerical_failure(capsys, argv):
+    # below about 1e-161 mu.mu underflows to 0 though mu^0 exceeds |mu^i|
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("error: mu.mu = 0 underflows") and captured.err.count("\n") == 1
+    # a null mu is no underflow: still a usage error
+    code = main(["equilibrium", "--mu0", "1", "--mu1", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and "timelike" in captured.err
+
+
 @pytest.mark.parametrize("lam,gamma,want,message", [
     # the Gibbs stencil's steps shrink to stay above condensation
     ("-0.995", "1", 0, None),
@@ -699,62 +716,85 @@ def test_deterministic_output(capsys):
     assert eq1 == eq2
 
 
-# a seeded fuzz of main() over the four commands: edge values on every flag
-# (except --out and --artifacts, which write files) and on --config file keys
-EDGES = ("0", "-1", "5e-324", "1e308", "nan", "inf", "-inf")
-SUITES_DRAWN = ("kinetic", "equilibrium", "roundtrip,kinetic", "characteristic,cross_route")
-# per flag: (ordinary values, edge values); a value is drawn from either with equal chance
-FUZZ_VALUES = {
-    **{flag: (("1", "2", "3", "4"), EDGES) for flag in ORDERS + ("--seed", "--mutate")},
-    **{flag: (("0.5", "1", "1.3", "2"), EDGES + ("1e-8",)) for flag in STATE[:-1] + ("--tol",)},
-    "--stats": (("mb", "fd", "be"), ("xx",)),
-    "--format": (("json", "csv"), ("xml",)),
-    "--suite": (SUITES_DRAWN, (",", "bogus")),
+# a seeded harness over main(): argv drawn per command from the flags it
+# documents, and --config files of the same keys, with finite, zero, negative,
+# huge, non-finite and non-numeric values.  verify runs only the cheap suites,
+# or any suite past the rank cap, which is refused before a suite runs
+REALS = ("0.5", "1", "1.3", "2", "1e-8", "0", "-1", "-0.5", "1e300", "-1e300", "5e-324",
+         "nan", "inf", "-inf", "x", "")
+INTS = tuple(map(str, range(-1, 10))) + ("1e300", "nan", "2.5", "x")
+CHEAP_SUITES = tuple(s for s in verify.SUITES if s not in ("derivative", "symmetry"))
+HARNESS_VALUES = {
+    **{flag: INTS for flag in ORDERS + ("--seed", "--mutate")},
+    **{flag: REALS for flag in STATE[:-1] + ("--tol",)},
+    "--stats": ("mb", "fd", "be", "xx"),
+    "--format": ("json", "csv", "xml"),
+    # paths under the run's directory; "blocker" is a file there, "missing" no directory
+    "--out": ("{tmp}/out.txt", "{tmp}/missing/out.txt"),
+    "--artifacts": ("{tmp}/artifacts", "{tmp}/blocker/artifacts"),
 }
-FUZZ_FLAGS = {command: [f for f in flags if f in FUZZ_VALUES] for command, flags in FLAGS.items()}
 # a config key is a flag's dest (``lambda`` names ``lam``), or one no subcommand takes
-CONFIG_KEYS = {"lambda": "--lambda", "suite": "--suite", "bogus": "--M",
-               **{flag[2:]: flag for flag in FUZZ_VALUES if flag not in ("--lambda", "--suite")}}
+CONFIG_KEYS = {"lambda": "--lambda", "bogus": "--M",
+               **{flag[2:]: flag for flag in FLAGS["moments"] + FLAGS["verify"] if flag != "--lambda"}}
 NAN_OR_INF = re.compile(r"\b-?(nan|inf)\b", re.IGNORECASE)
+# warnings Python shows by default, each a stderr line of the command
+SHOWN = (UserWarning, RuntimeWarning, SyntaxWarning, FutureWarning, BytesWarning, UnicodeWarning)
 
 
-def fuzz_value(flag):
-    return st.one_of(*map(st.sampled_from, FUZZ_VALUES[flag]))
+def suites(names=CHEAP_SUITES):
+    return st.one_of(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True).map(",".join),
+                     st.sampled_from((",", "bogus")))
+
+
+def harness_value(flag):
+    return suites() if flag == "--suite" else st.sampled_from(HARNESS_VALUES[flag])
 
 
 @st.composite
 def invocations(draw):
-    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
-    flags = draw(st.lists(st.sampled_from(FUZZ_FLAGS[command]), unique=True, max_size=4))
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    over_cap = command == "verify" and draw(st.integers(0, 4)) == 0
     argv = [command]
-    for flag in flags:
-        argv += [flag, draw(fuzz_value(flag))]
-    if command == "verify" and "--suite" not in flags:  # derivative alone would take seconds
-        argv += ["--suite", draw(st.sampled_from(SUITES_DRAWN))]
-    keys = draw(st.lists(st.sampled_from(sorted(CONFIG_KEYS)), unique=True, max_size=2))
-    return argv, [(key, draw(fuzz_value(CONFIG_KEYS[key]))) for key in keys]
+    for flag in draw(st.lists(st.sampled_from([f for f in FLAGS[command] if not (over_cap and f in ORDERS)]),
+                              unique=True, max_size=4)):
+        argv += [flag, draw(harness_value(flag))]
+    if over_cap:  # rank 19 or more at h = 9
+        argv += ["--M", "2", "--N", "3", "--hmax", "9", "--suite", draw(suites(tuple(verify.SUITES)))]
+    elif command == "verify" and "--suite" not in argv:
+        argv += ["--suite", draw(suites())]
+    keys = draw(st.lists(st.sampled_from(sorted(CONFIG_KEYS)), unique=True, max_size=3))
+    return argv, [(key, draw(harness_value(CONFIG_KEYS[key]))) for key in keys]
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
 @given(invocations())
 def test_cli_fuzz_ends_in_a_documented_exit_code(invocation):
     argv, config = invocation
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
+        open(os.path.join(tmp, "blocker"), "w").close()
+        argv = [a.replace("{tmp}", tmp) for a in argv]
         if config:
             path = os.path.join(tmp, "fuzz.cfg")
             with open(path, "w") as fh:
-                fh.write("".join(f"{key} = {value}\n" for key, value in config))
+                fh.write("".join(f"{key} = {value.replace('{tmp}', tmp)}\n" for key, value in config))
             argv = ["--config", path] + argv
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse's usage errors
                 code = exc.code
+        written = pathlib.Path(tmp, "out.txt")
+        text = out.getvalue() + (written.read_text() if written.exists() else "")
+    # "wrote" lines name --artifacts files; a shown warning would be one more line
+    lines = [line for line in err.getvalue().splitlines() if not line.startswith("wrote ")]
+    lines += [str(w.message) for w in caught if issubclass(w.category, SHOWN)]
     assert code in (0, 1, 2, 3, 4), (argv, config, code)
-    assert "Traceback" not in err.getvalue(), (argv, config)
+    assert len(lines) == (code != 0), (argv, config, code, lines)
     if code == 0:
-        assert not NAN_OR_INF.search(out.getvalue()), (argv, config)
+        assert not NAN_OR_INF.search(text), (argv, config)
 
 
 # ---------------------------------------------------------------------------

@@ -623,9 +623,9 @@ def test_batch_product_sums_start_from_zero():
     assert not any(np.signbit(v[0]) for v in got.values())
 
 
-def test_batch_product_keeps_the_loop_order_across_chunks():
-    # a rank-6 layout times a rank-4 layout: 84 x 35 = 2940 pairs, a dozen
-    # scatter-add chunks; entries of mixed magnitude make every sum's rounding
+def test_batch_product_keeps_the_loop_order_on_a_large_product():
+    # a rank-6 layout times a rank-4 layout: 84 x 35 = 2940 pairs, up to 35
+    # terms per output; entries of mixed magnitude make every sum's rounding
     # depend on the order of its terms
     rng = np.random.default_rng(14)
     width = 3
@@ -635,7 +635,7 @@ def test_batch_product_keeps_the_loop_order_across_chunks():
                 for c in tensors._layout(rank)[0]}
 
     p, q = factor(6), factor(4)
-    assert len(p) * len(q) == 2940 > 10 * tensors._CHUNK
+    assert len(p) * len(q) == 2940
     assert tensors._batch_product(p, list(q.items())) is not None
     got, want = tensors._product(p, q), _ref_product(p, q)
     assert list(got) == list(want)
