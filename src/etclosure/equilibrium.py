@@ -25,18 +25,21 @@ numpy's vectorised exp and cosh may differ from libm in the last bit, so
 printed values can differ between machines in their last digits; a state
 reads the same bits alone as in a batch.  Where no grid is accepted
 (degenerate fermions, bosons near condensation) each integral falls back to
-``quad``.  Every ``quad`` integral (those fallbacks, the half-line
-:func:`H_from_distribution` that checks the H grid, and the ``kinetic``
-suite's second route) runs over one kernel (:func:`radial_integrand`) under
-one acceptance rule (:func:`converged`) through one entry point
-(:func:`quad`); the nondegenerate closed form takes K_1 from
-``scipy.special``.  scipy is imported on the first ``quad`` call and the
-first closed-form call, not with the module, so neither the exact closure
-path nor the ``equilibrium`` and ``moments`` commands at a state where the
-grid is accepted ever load it.  numpy is likewise imported on the first grid
-(:func:`trapezoid_radials_many`, the array form ``F_and_f_eq`` of each
-family, and the first pass's nodes, :func:`_first_pass`) and by a boson
-state's check, not with the module, so the exact closure path never loads it.
+``quad``.  Every ``quad`` integral (those fallbacks and the half-line
+:func:`H_from_distribution`) runs over one kernel (:func:`radial_integrand`)
+under one acceptance rule (:func:`converged`) through one entry point
+(:func:`quad`).  The ``verify`` suites check the grid against the Bessel-K
+series (:func:`bessel_series`, every statistics, lambda + gamma m >= 0.5),
+which reads no occupancy code, and the nondegenerate H against its closed
+form (:func:`mj_closed_form_H`).  ``scipy.integrate`` is imported on the
+first ``quad`` call and ``scipy.special`` on the first series or closed-form
+call, not with the module: the exact closure path and the ``equilibrium``
+and ``moments`` commands at a state where the grid is accepted load neither,
+and ``verify`` loads ``scipy.special`` alone.  numpy is likewise imported
+on the first grid (:func:`trapezoid_radials_many`, the array form
+``F_and_f_eq`` of each family, and the first pass's nodes,
+:func:`_first_pass`), by the series and by a boson state's check, not with
+the module, so the exact closure path never loads it.
 
 Units are natural: k_B = c = 1 and the occupancy's amplitude w/h^3 = 1, so
 T = 1/gamma and every occupancy depends on lambda + gamma m cosh r alone.
@@ -604,6 +607,13 @@ def H_derivatives_many(dist: JuttnerFamily, points, m) -> List[Tuple[float, floa
     uppers = [dist.window(lam, gm) for lam, gm in zip(lams, gms)]
     weights = ((dist.F, 0, 0), (dist.f_eq, 0, 0), (dist.f_eq, 1, 0))
     grids = trapezoid_radials_many(dist, lams, gms, uppers, weights)
+    m3 = None
+    try:
+        m3 = m**3
+        m4 = m**4
+    except OverflowError:
+        quantity = "m^3 of H and dH/dlambda" if m3 is None else "m^4 of dH/dgamma"
+        raise ConvergenceError(f"the {quantity} overflows the float range at m = {m:.6g}") from None
     out = []
     for (lam, gamma), gm, upper, integrals in zip(points, gms, uppers, grids):
         if integrals is None:
@@ -611,9 +621,9 @@ def H_derivatives_many(dist: JuttnerFamily, points, m) -> List[Tuple[float, floa
                                              **QUAD_OPTIONS)) for lo, hi in quad_ranges(upper))
                          for fn, a, b in weights]
         i_val, i_lam, i_gam = integrals
-        h_val = -(FOUR_PI / gamma) * m**3 * i_val
-        h_lam = -(FOUR_PI / gamma) * m**3 * i_lam
-        h_gam = -h_val / gamma - (FOUR_PI / gamma) * m**4 * i_gam
+        h_val = -(FOUR_PI / gamma) * m3 * i_val
+        h_lam = -(FOUR_PI / gamma) * m3 * i_lam
+        h_gam = -h_val / gamma - (FOUR_PI / gamma) * m4 * i_gam
         subnormal = [v for v in (*integrals, h_val, h_lam, h_gam)
                      if 0.0 < abs(v) < sys.float_info.min]
         if subnormal:
@@ -633,8 +643,9 @@ def H_derivatives(dist: JuttnerFamily, lam, gamma, m) -> Tuple[float, float, flo
     trapezoid grid (:func:`trapezoid_radials_many`).  Where R is infinite or
     no grid is accepted, each runs through ``quad`` over :func:`quad_ranges`
     instead.  A nonzero integral or result below the normal float range
-    keeps only a few digits, so it raises :class:`ConvergenceError`.  This is
-    :func:`H_derivatives_many` at one point.
+    keeps only a few digits, so it raises :class:`ConvergenceError`, as does
+    an m whose m^3 or m^4 overflows.  This is :func:`H_derivatives_many` at
+    one point.
     """
     return H_derivatives_many(dist, [(lam, gamma)], m)[0]
 
@@ -812,7 +823,65 @@ def equilibrium_hprime(state: ThermoState):
 
 
 # ---------------------------------------------------------------------------
-# nondegenerate closed form and its independent oracle
+# Bessel-K closed forms: the series for every statistics, the nondegenerate H
+
+
+# the Bessel series stops at j = ceil(_SERIES_EXPONENT / (lambda + gamma m)), where
+# e^{-j (lambda + gamma m)}, and so each further term, is below 1e-17 of the first
+_SERIES_EXPONENT = 39.2
+
+
+def bessel_series(statistics: str, lam, gamma, m, weights=()):
+    """((H, dH/dlambda, dH/dgamma), [radial(a, b) for (a, b) in weights]) by the Bessel-K series.
+
+    With x = lambda + gamma m cosh r, every occupancy expands as f_eq =
+    sum_j s_j e^{-j x} and F = -sum_j s_j e^{-j x}/j, s_j = 1 (nondegenerate:
+    j = 1 alone; boson) or (-1)^(j+1) (fermion).  Term by term the radial
+    integrals are Bessel-K closed forms (de Groot, van Leeuwen & van Weert,
+    *Relativistic Kinetic Theory*, 1980): with
+    I(a, k; w) = e^w integral_0^inf e^{-w cosh r} cosh^a r sinh^2k r dr,
+    I(0, k) = (2k-1)!! kve(k, w)/w^k, I(1, k) = (2k-1)!! kve(k+1, w)/w^k and
+    I(a+2, k) = I(a, k) + I(a, k+1), all positive.  With z = gamma m and
+    c_j = s_j e^{-j (lambda + z)},
+
+        radial(a, b) = m^(2+a+b) sum_j c_j I(a, b/2 + 1; j z)    (b even)
+        H            = (4 pi/gamma) m^3 sum_j (c_j/j) I(0, 1; j z)
+        dH/dlambda   = -(4 pi/gamma) m^3 sum_j c_j I(0, 1; j z)
+        dH/dgamma    = -H/gamma - (4 pi/gamma) m^4 sum_j c_j I(1, 1; j z),
+
+    the convention of :func:`H_derivatives` and of the radials of
+    :func:`etclosure.moments.kinetic_moment`.  No term overflows, and no
+    occupancy code is read, so the series checks the trapezoid grid
+    independently.  It runs where lambda + z >= 0.5, else ``ValueError``
+    (degenerate fermions stay with ``quad``); kve is imported from
+    ``scipy.special`` on the first call.
+    """
+    from scipy.special import kve
+
+    if statistics not in STATISTICS:
+        raise ValueError(f"unknown statistics {statistics!r}")
+    z = gamma * m
+    if not lam + z >= 0.5:
+        raise ValueError(f"the Bessel series needs lambda + gamma m >= 0.5, got {lam + z:.6g}")
+    np = numpy()
+    terms = 1 if statistics == "nondegenerate" else math.ceil(_SERIES_EXPONENT / (lam + z))
+    j = np.arange(1.0, terms + 1.0)
+    c = np.exp(-j * (lam + z))
+    if statistics == "fermion":
+        c[1::2] = -c[1::2]
+    w, table = j * z, {}
+
+    def integral(a: int, k: int):  # I(a, k; w) at every j
+        if (a, k) not in table:
+            table[a, k] = (double_factorial(2 * k - 1) * kve(k + a, w) / w**k if a < 2
+                           else integral(a - 2, k) + integral(a - 2, k + 1))
+        return table[a, k]
+
+    h_val = FOUR_PI / gamma * m**3 * float(c / j @ integral(0, 1))
+    h_lam = -(FOUR_PI / gamma) * m**3 * float(c @ integral(0, 1))
+    h_gam = -h_val / gamma - (FOUR_PI / gamma) * m**4 * float(c @ integral(1, 1))
+    return (h_val, h_lam, h_gam), [m ** (2 + a + b) * float(c @ integral(a, b // 2 + 1))
+                                   for a, b in weights]
 
 
 def mj_closed_form_H(lam, gamma, m) -> float:

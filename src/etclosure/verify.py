@@ -33,9 +33,9 @@ from .closure import (
 from .equilibrium import (
     STATISTICS,
     H_derivatives,
-    H_from_distribution,
     JuttnerFamily,
     ThermoState,
+    bessel_series,
     equilibrium_multipliers,
     mj_closed_form_H,
     project_equilibrium,
@@ -58,7 +58,6 @@ from .moments import (
     first_order_symmetry,
     grid_radials,
     moment_ranks,
-    quad_radials,
     radial_weights,
 )
 from .oracle import (
@@ -455,42 +454,40 @@ def suite_symmetry(cfg: VerifyConfig) -> SuiteResult:
     return res
 
 
+# the bound on the trapezoid grid against the Bessel series, in both quadrature suites
+KINETIC_CROSS_ROUTE_TOL = 1e-10
+
+
 def suite_equilibrium(cfg: VerifyConfig) -> SuiteResult:
-    """Quadrature H vs the Bessel oracle; Gibbs and integrability residuals.
+    """Trapezoid H vs the Bessel series and the closed form; Gibbs and integrability residuals.
 
     The trapezoid route the commands print (:func:`H_derivatives`) is checked
-    against the half-line ``quad`` of :func:`H_from_distribution`, for every
-    statistics.
+    against :func:`bessel_series`, which reads no occupancy code, for every
+    statistics, to KINETIC_CROSS_ROUTE_TOL (or a tighter ``--tol``); the
+    nondegenerate triple is the centre of the Gibbs stencil, whose H the
+    ``bessel`` case also checks against :func:`mj_closed_form_H`.
     """
     tol = cfg.tolerance(1e-8)
+    series_tol = min(tol, KINETIC_CROSS_ROUTE_TOL)
     res = SuiteResult("equilibrium", seed=cfg.seed, tolerance=tol, route="quadrature",
                       max_residual_by_op={})
     lam = 1.0
     for z in (0.1, 1.0, 10.0):
+        centre, gibbs, integrability = thermo_with_residuals(ThermoState.rest(lam, z, 1.0))
         for stats in STATISTICS:
-            dist = JuttnerFamily(stats)
-            h_val = H_from_distribution(dist.F, lam, z, 1.0)
-            if stats == "nondegenerate":
-                h_quad = h_val  # the Bessel case below compares it
-            # dF/dY = f_eq and Y = gamma m cosh r: the cosh weight of dH/dgamma is f_eq Y / gamma
-            want = (h_val, H_from_distribution(dist.f_eq, lam, z, 1.0),
-                    -h_val / z + H_from_distribution(
-                        lambda x, y: dist.f_eq(x, y) * y / z, lam, z, 1.0))
-            rel = max(abs(g - w) / abs(w) for g, w in zip(H_derivatives(dist, lam, z, 1.0), want))
-            res.record(rel <= tol, rel, {"op": "H_derivatives", "statistics": stats, "z": z})
+            got = ((centre.H, centre.H_lambda, centre.H_gamma) if stats == "nondegenerate"
+                   else H_derivatives(JuttnerFamily(stats), lam, z, 1.0))
+            want, _ = bessel_series(stats, lam, z, 1.0)
+            rel = max(abs(g - w) / abs(w) for g, w in zip(got, want))
+            res.record(rel <= series_tol, rel, {"op": "H_derivatives", "statistics": stats, "z": z,
+                                                "tolerance": series_tol})
 
         h_closed = mj_closed_form_H(lam, z, 1.0)
-        rel = abs(h_quad - h_closed) / abs(h_closed)
+        rel = abs(centre.H - h_closed) / abs(h_closed)
         res.record(rel <= tol, rel, {"op": "bessel", "z": z})
-
-        _, gibbs, integrability = thermo_with_residuals(ThermoState.rest(lam, z, 1.0))
         res.record(gibbs <= tol, gibbs, {"op": "gibbs", "z": z})
         res.record(integrability <= tol, integrability, {"op": "integrability", "z": z})
     return res
-
-
-# the kinetic suite's bound on the trapezoid radials against ``quad``
-KINETIC_CROSS_ROUTE_TOL = 1e-10
 
 
 def suite_kinetic(cfg: VerifyConfig) -> SuiteResult:
@@ -499,16 +496,16 @@ def suite_kinetic(cfg: VerifyConfig) -> SuiteResult:
     The moments the commands print take their radial integrals from one
     trapezoid grid per state (:func:`~etclosure.moments.kinetic_radials`).
     The ``cross_route`` case checks every radial weight of the suite's pairs
-    on that grid against ``quad`` (:func:`~etclosure.moments.quad_radials`),
-    for each statistics at the suite's rest state, to KINETIC_CROSS_ROUTE_TOL
-    (or a tighter ``--tol``); a grid that is not accepted there fails it.  The
-    trace chain (metric trace of a rank r+2 moment equals -m^2 times the rank
-    r moment) runs on the grid's radials: cosh^2 - sinh^2 = 1 holds node by
-    node, so the chain checks the assembly of the moments from the radials
-    and the rounding of its own cancellation, not the quadrature error.  It
-    runs for the nondegenerate family at rest and at a seeded boosted state,
-    at (0, 1) and the suite's pair, and for fermions and bosons at rest at
-    the suite's pair.
+    on that grid against the Bessel series (:func:`bessel_series`), which
+    reads no occupancy code, for each statistics at the suite's rest state,
+    to KINETIC_CROSS_ROUTE_TOL (or a tighter ``--tol``); a grid that is not
+    accepted there fails it.  The trace chain (metric trace of a rank r+2
+    moment equals -m^2 times the rank r moment) runs on the grid's radials:
+    cosh^2 - sinh^2 = 1 holds node by node, so the chain checks the assembly
+    of the moments from the radials and the rounding of its own
+    cancellation, not the quadrature error.  It runs for the nondegenerate
+    family at rest and at a seeded boosted state, at (0, 1) and the suite's
+    pair, and for fermions and bosons at rest at the suite's pair.
     """
     tol = cfg.tolerance(1e-8)
     cross_tol = min(tol, KINETIC_CROSS_ROUTE_TOL)
@@ -525,8 +522,8 @@ def suite_kinetic(cfg: VerifyConfig) -> SuiteResult:
         if grid is None:
             rel = math.inf
         else:
-            want = quad_radials(state, weights)
-            rel = max(abs(grid[w] - want[w]) / abs(want[w]) for w in weights)
+            _, want = bessel_series(stats, state.lam, state.gamma, state.m, weights)
+            rel = max(abs(grid[w] - v) / abs(v) for w, v in zip(weights, want))
         res.record(rel <= cross_tol, rel, {"op": "cross_route", "statistics": stats,
                                            "tolerance": cross_tol})
     chains = [(pair, "nondegenerate", boosted) for pair in pairs for boosted in (False, True)]

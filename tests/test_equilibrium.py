@@ -20,6 +20,7 @@ from etclosure.equilibrium import (
     H_derivatives,
     H_derivatives_many,
     H_from_distribution,
+    bessel_series,
     integrability_residual,
     mj_closed_form_H,
     project_equilibrium,
@@ -27,6 +28,7 @@ from etclosure.equilibrium import (
     thermo_functions,
     thermo_with_residuals,
 )
+from etclosure.moments import quad_radials, radial_weights
 from etclosure.oracle import random_rational_timelike
 from etclosure.tensors import DenseSymTensor, FourVector, canonical_indices, gmu_basis, transform
 
@@ -187,11 +189,11 @@ def test_residuals_evaluate_each_stencil_point_once(residual, states, monkeypatc
 
     monkeypatch.setattr(equilibrium, "H_derivatives_many", counted)
     residual(ThermoState(0.3, BOOSTED, 1.0))
-    # the equilibrium suite also checks H_derivatives against quad one point at a time
+    # the equilibrium suite also checks the fermion and boson H_derivatives against
+    # the Bessel series one point at a time; the nondegenerate one is the stencil's centre
     stencils = [points for points in batches if len(points) > 1]
     assert len(stencils) == states
-    if residual is not equilibrium_suite:
-        assert len(batches) == states
+    assert len(batches) == states * (3 if residual is equilibrium_suite else 1)
     assert all(len(points) == 9 for points in stencils)
     assert len({point for points in stencils for point in points}) == 9 * states
 
@@ -805,3 +807,47 @@ def test_F_and_f_eq_is_one_exponential_within_ulps_of_F_and_f_eq(stats, monkeypa
     if stats == "boson":
         with pytest.raises(ValueError, match="X \\+ Y > 0"):
             dist.F_and_f_eq(np.array([-2.0, 1.0]), np.array([1.0, 1.0]))
+
+
+# (lambda, gamma, m) from lambda + gamma m = 0.5, where the series starts, to 30
+SERIES_QUAD_STATES = [(-0.5, 1.0, 1.0), (0.4, 0.1, 1.0), (0.2, 0.4, 2.0), (1.0, 1.3, 1.0),
+                      (-2.0, 5.0, 1.0), (2.0, 8.0, 1.0), (0.0, 30.0, 1.0), (20.0, 10.0, 1.0)]
+
+
+@pytest.mark.parametrize("stats", STATISTICS)
+@pytest.mark.parametrize("lam,gamma,m", SERIES_QUAD_STATES)
+def test_bessel_series_matches_quad(stats, lam, gamma, m):
+    # H, dH/dlambda and dH/dgamma against the half-line quad, every radial up to rank 7 against
+    # quad over the window
+    dist = JuttnerFamily(stats)
+    weights = radial_weights(range(8))
+    triple, radials = bessel_series(stats, lam, gamma, m, weights)
+    h_val = H_from_distribution(dist.F, lam, gamma, m)
+    want = (h_val, H_from_distribution(dist.f_eq, lam, gamma, m),
+            -h_val / gamma + H_from_distribution(lambda x, y: dist.f_eq(x, y) * y / gamma,
+                                                 lam, gamma, m))
+    assert max(rel(g, w) for g, w in zip(triple, want)) <= 1e-12
+    quad = quad_radials(ThermoState.rest(lam, gamma, m, statistics=stats), weights)
+    assert max(rel(got, quad[w]) for w, got in zip(weights, radials)) <= 1e-12
+
+
+def test_nondegenerate_bessel_series_is_the_closed_form():
+    # one term: 2 ulp of rounding, beyond the disagreement of scipy's two K_1 routines
+    # (kve and k1e read up to 8 ulp apart near z = 1.9)
+    for z in (0.1, 0.3, 1.0, 1.9, 3.0, 10.0, 30.0):
+        k1_apart = abs(scipy.special.kve(1, z) / scipy.special.k1e(z) - 1.0)
+        for lam in (-0.05, 0.0, 0.5, 1.0, 2.0, 5.0, 20.0):
+            if lam + z >= 0.5:
+                (h_val, _, _), _ = bessel_series("nondegenerate", lam, z, 1.0)
+                closed = mj_closed_form_H(lam, z, 1.0)
+                assert abs(h_val - closed) <= 2 * math.ulp(closed) + k1_apart * closed, (lam, z)
+
+
+@pytest.mark.parametrize("stats", STATISTICS)
+def test_bessel_series_needs_lambda_plus_gamma_m_of_one_half(stats):
+    bessel_series(stats, 0.0, 0.5, 1.0)
+    for lam, gamma, m in ((0.0, 0.499, 1.0), (-1.0, 0.7, 2.0), (math.nan, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="lambda \\+ gamma m >= 0.5"):
+            bessel_series(stats, lam, gamma, m)
+    with pytest.raises(ValueError, match="unknown statistics"):
+        bessel_series("photon", 1.0, 1.0, 1.0)

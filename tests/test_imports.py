@@ -4,8 +4,10 @@ The exact closure path (``closure`` and every verify suite but ``equilibrium``
 and ``kinetic``) is Fraction arithmetic: it never integrates and makes no
 array, so it may pay neither import.  ``equilibrium`` and ``moments`` at an
 ordinary state integrate on the shared trapezoid grid, whose nodes are numpy
-arrays, so they load numpy but not scipy; the ``equilibrium`` suite checks
-that grid against the half-line ``quad`` and must load scipy.  Each check of
+arrays, so they load numpy but not scipy.  The ``kinetic`` and ``equilibrium``
+suites check that grid against the Bessel-K series, so they load
+``scipy.special`` but not ``scipy.integrate``, which only a state whose grid
+is rejected loads, for its ``quad`` fallback.  Each check of
 sys.modules runs in a fresh interpreter, because the test process itself has
 long since imported both.  So does the check that numpy loaded after the
 package is still seen: a float64 batch then takes the batch kernels, bit for
@@ -38,7 +40,7 @@ from etclosure import cli
 
 def loaded():
     return {package: any(name == package or name.startswith(package + ".") for name in sys.modules)
-            for package in ("numpy", "scipy")}
+            for package in ("numpy", "scipy", "scipy.special", "scipy.integrate")}
 
 exact = ["verify", "--M", "2", "--N", "3", "--suite", sys.argv[1]]
 report = {}
@@ -53,7 +55,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     report["codes"].append(cli.main(["moments"]))
     report["codes"].append(cli.main(["moments", "--M", "2", "--N", "3"]))
     report["moments"] = loaded()
+    report["codes"].append(cli.main(["verify", "--suite", "kinetic"]))
+    report["kinetic suite"] = loaded()
     report["codes"].append(cli.main(["verify", "--suite", "equilibrium"]))
+    report["equilibrium suite"] = loaded()
+    # a degenerate Fermi edge is narrower than any grid: quad
+    report["codes"].append(cli.main(["equilibrium", "--stats", "fd", "--lambda", "-30", "--gamma", "1"]))
     report["quad"] = loaded()
 print(json.dumps(report))
 """
@@ -104,16 +111,22 @@ def probe() -> dict:
 
 
 def test_exact_commands_never_load_scipy_and_a_quadrature_does(probe):
-    assert probe["codes"] == [0, 0, 1, 0, 0, 0, 0]
+    assert probe["codes"] == [0, 0, 1, 0, 0, 0, 0, 0, 0]
     assert {step: seen["scipy"] for step, seen in probe.items() if step != "codes"} == {
         "import": False, "closure": False, "exact": False, "equilibrium": False,
-        "moments": False, "quad": True}
+        "moments": False, "kinetic suite": True, "equilibrium suite": True, "quad": True}
 
 
 def test_exact_commands_never_load_numpy_and_a_radial_grid_does(probe):
     assert {step: seen["numpy"] for step, seen in probe.items() if step != "codes"} == {
         "import": False, "closure": False, "exact": False, "equilibrium": True,
-        "moments": True, "quad": True}
+        "moments": True, "kinetic suite": True, "equilibrium suite": True, "quad": True}
+
+
+def test_the_quadrature_suites_load_scipy_special_and_only_quad_loads_scipy_integrate(probe):
+    assert {step: (seen["scipy.special"], seen["scipy.integrate"])
+            for step, seen in probe.items() if step.endswith("suite") or step == "quad"} == {
+        "kinetic suite": (True, False), "equilibrium suite": (True, False), "quad": (True, True)}
 
 
 def test_numpy_loaded_after_the_package_still_runs_the_batch_kernels():

@@ -5,11 +5,23 @@ from fractions import Fraction
 
 import pytest
 
-from etclosure import family, moments, oracle, verify
+from etclosure import equilibrium, family, moments, oracle, verify
 from etclosure.closure import ClosureSpec, ClosureTensorSet
-from etclosure.equilibrium import ThermoState
+from etclosure.equilibrium import (
+    H_derivatives,
+    H_from_distribution,
+    JuttnerFamily,
+    ThermoState,
+)
 from etclosure.family import FFamilyElement
-from etclosure.moments import equilibrium_moments_with_traces, grid_radials, kinetic_radials
+from etclosure.moments import (
+    equilibrium_moments_with_traces,
+    grid_radials,
+    kinetic_radials,
+    moment_ranks,
+    quad_radials,
+    radial_weights,
+)
 from etclosure.oracle import random_float_timelike
 from etclosure.scalar import FunctionRegistry
 from etclosure.verify import SUITES, SuiteResult, VerifyConfig, mutate_tensor_set, run_suites
@@ -286,6 +298,71 @@ def test_kinetic_cross_route_and_trace_chain_pass_at_seeds_0_to_39(M, N):
             _, _, report = equilibrium_moments_with_traces(
                 ThermoState(0.5, mu, 1.0, statistics=stats), spec)
             assert max(report["traces"].values()) <= 1e-8, (seed, stats)
+
+
+def _scaled_occupancy(faulty: str):
+    """``equilibrium._occupancy`` with F, f_eq and F_and_f_eq of ``faulty`` scaled by 1 + 1e-6."""
+    occupancy, factor = equilibrium._occupancy, 1.0 + 1e-6
+
+    def scaled(statistics):
+        F, f_eq, F_and_f_eq = occupancy(statistics)
+        if statistics != faulty:
+            return F, f_eq, F_and_f_eq
+        return (lambda x, y: factor * F(x, y), lambda x, y: factor * f_eq(x, y),
+                lambda x, y: tuple(factor * v for v in F_and_f_eq(x, y)))
+
+    return scaled
+
+
+@pytest.mark.parametrize("faulty", ["fermion", "boson"])
+def test_a_wrong_occupancy_fails_the_series_checks_though_quad_agrees(monkeypatch, faulty):
+    # negative control: the Bessel series reads no occupancy code, so a wrong
+    # Fermi or Bose occupancy fails H_derivatives and cross_route for that statistics alone
+    monkeypatch.setattr(equilibrium, "_occupancy", _scaled_occupancy(faulty))
+    eq, kin = run_suites(["equilibrium", "kinetic"], VerifyConfig(M=2, N=3))
+    assert [(case["op"], case["statistics"], case["z"]) for case in eq.failed_cases] == [
+        ("H_derivatives", faulty, z) for z in (0.1, 1.0, 10.0)]
+    assert [(case["op"], case["statistics"]) for case in kin.failed_cases] == [("cross_route", faulty)]
+    assert 0.9e-6 < eq.max_residual_by_op["H_derivatives"] < 1.1e-6
+    # grid against quad, the check that shares the occupancy, still agrees under the fault
+    dist = JuttnerFamily(faulty)
+    for z in (0.1, 1.0, 10.0):
+        h_val, h_lam, _ = H_derivatives(dist, 1.0, z, 1.0)
+        assert abs(h_val / H_from_distribution(dist.F, 1.0, z, 1.0) - 1.0) <= 1e-12
+        assert abs(h_lam / H_from_distribution(dist.f_eq, 1.0, z, 1.0) - 1.0) <= 1e-12
+    state = ThermoState.rest(0.5, 1.3, 1.0, statistics=faulty)
+    weights = radial_weights(moment_ranks(0, 1) + moment_ranks(2, 3))
+    grid, want = grid_radials(state, weights), quad_radials(state, weights)
+    assert max(abs(grid[w] / want[w] - 1.0) for w in weights) <= 1e-12
+
+
+def test_a_wrong_dH_dgamma_weight_fails_H_derivatives(monkeypatch):
+    # negative control: the cosh weight (f_eq, 1, 0) of dH/dgamma taken as (f_eq, 0, 0)
+    radials_many = equilibrium.trapezoid_radials_many
+
+    def wrong(dist, lams, gms, uppers, weights):
+        assert weights == ((dist.F, 0, 0), (dist.f_eq, 0, 0), (dist.f_eq, 1, 0))
+        return radials_many(dist, lams, gms, uppers, weights[:2] + ((dist.f_eq, 0, 0),))
+
+    monkeypatch.setattr(equilibrium, "trapezoid_radials_many", wrong)
+    (res,) = run_suites(["equilibrium"], VerifyConfig())
+    failed = {(case["statistics"], case["z"]) for case in res.failed_cases
+              if case["op"] == "H_derivatives"}
+    assert failed == {(stats, z) for stats in equilibrium.STATISTICS for z in (0.1, 1.0, 10.0)}
+
+
+@pytest.mark.parametrize("tol, bound", [(None, 1e-10), (1e-12, 1e-12), (1e-6, 1e-10)])
+def test_H_derivatives_takes_the_cross_route_bound(monkeypatch, tol, bound):
+    # a grid 1e-9 off passes the suite's 1e-8 but not H_derivatives' 1e-10; --tol only tightens it
+    def off(*args):
+        return tuple(v * (1.0 + 1e-9) for v in H_derivatives(*args))
+
+    monkeypatch.setattr(verify, "H_derivatives", off)
+    (res,) = run_suites(["equilibrium"], VerifyConfig(tol=tol))
+    # the fermion and boson triples come from H_derivatives, the nondegenerate one from the stencil
+    failed = [case for case in res.failed_cases if case["op"] == "H_derivatives"]
+    assert [(case["statistics"], case["tolerance"]) for case in failed] == [
+        (stats, bound) for _ in range(3) for stats in ("fermion", "boson")]
 
 
 def test_quadrature_suites_report_the_largest_residual_of_each_case_kind(capsys):
