@@ -395,6 +395,15 @@ def converged(val: float, err: float) -> float:
     return val
 
 
+def mass_power(m, k: int, quantity: str) -> float:
+    """m**k, or :class:`ConvergenceError` naming `quantity` and m where it overflows."""
+    try:
+        return m**k
+    except OverflowError:
+        raise ConvergenceError(f"the m^{k} of {quantity} overflows the float range "
+                               f"at m = {m:.6g}") from None
+
+
 def quad_ranges(upper: float) -> Tuple[Tuple[float, float], ...]:
     """The ranges a ``quad`` radial integral over [0, upper] runs as, split at r = min(1, upper).
 
@@ -607,13 +616,7 @@ def H_derivatives_many(dist: JuttnerFamily, points, m) -> List[Tuple[float, floa
     uppers = [dist.window(lam, gm) for lam, gm in zip(lams, gms)]
     weights = ((dist.F, 0, 0), (dist.f_eq, 0, 0), (dist.f_eq, 1, 0))
     grids = trapezoid_radials_many(dist, lams, gms, uppers, weights)
-    m3 = None
-    try:
-        m3 = m**3
-        m4 = m**4
-    except OverflowError:
-        quantity = "m^3 of H and dH/dlambda" if m3 is None else "m^4 of dH/dgamma"
-        raise ConvergenceError(f"the {quantity} overflows the float range at m = {m:.6g}") from None
+    m3, m4 = mass_power(m, 3, "H and dH/dlambda"), mass_power(m, 4, "dH/dgamma")
     out = []
     for (lam, gamma), gm, upper, integrals in zip(points, gms, uppers, grids):
         if integrals is None:

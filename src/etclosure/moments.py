@@ -48,6 +48,7 @@ from .equilibrium import (
     converged,
     equilibrium_multipliers,
     lambda_multiplier,
+    mass_power,
     mu_multiplier,
     project_equilibrium,
     quad,
@@ -324,6 +325,11 @@ def radial_weights(ranks) -> Tuple[Tuple[int, int], ...]:
     return tuple(sorted({(rank - j, j) for rank in ranks for j in range(0, rank + 1, 2)}))
 
 
+def _radial_scale(m, a: int, b: int) -> float:
+    """m^(2 + a + b), the mass factor of radial(a, b), by :func:`mass_power`."""
+    return mass_power(m, 2 + a + b, f"kinetic radial({a}, {b})")
+
+
 def grid_radials(state: ThermoState, weights) -> Optional[Dict[Tuple[int, int], float]]:
     """{(a, b): radial(a, b)} on one trapezoid grid, or None where it is not accepted.
 
@@ -336,7 +342,7 @@ def grid_radials(state: ThermoState, weights) -> Optional[Dict[Tuple[int, int], 
     integrals = trapezoid_radials(dist, lam, gm, upper, [(dist.f_eq, a, b) for a, b in weights])
     if integrals is None:
         return None
-    return {(a, b): m ** (2 + a + b) * val for (a, b), val in zip(weights, integrals)}
+    return {(a, b): _radial_scale(m, a, b) * val for (a, b), val in zip(weights, integrals)}
 
 
 def quad_radials(state: ThermoState, weights) -> Dict[Tuple[int, int], float]:
@@ -345,7 +351,7 @@ def quad_radials(state: ThermoState, weights) -> Dict[Tuple[int, int], float]:
     dist, m = state.dist, state.m
     lam, gm = state.lam, state.gamma * m
     ranges = quad_ranges(dist.window(lam, gm))
-    return {(a, b): m ** (2 + a + b) * sum(converged(*quad(
+    return {(a, b): _radial_scale(m, a, b) * sum(converged(*quad(
         radial_integrand(dist.f_eq, lam, gm, a, b), lo, hi, **QUAD_OPTIONS)) for lo, hi in ranges)
         for a, b in weights}
 

@@ -349,10 +349,16 @@ def test_overflow_at_a_state_is_a_numerical_failure(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("m,quantity", [("1e200", "m^3 of H"), ("1e90", "m^4 of dH/dgamma")])
-def test_equilibrium_overflowing_mass_names_the_quantity_and_m(capsys, m, quantity):
-    # m^4 leaves the float range past about 1.3e77, m^3 past 5.6e102: the message says which, and m
-    code = main(["equilibrium", "--m", m])
+@pytest.mark.parametrize("command,m,quantity", [
+    ("equilibrium", "1e200", "m^3 of H"),
+    ("equilibrium", "1e90", "m^4 of dH/dgamma"),
+    ("moments", "1e200", "m^2 of kinetic radial(0, 0)"),
+    ("moments", "1e80", "m^4 of kinetic radial(0, 2)"),
+])
+def test_overflowing_mass_names_the_quantity_and_m(capsys, command, m, quantity):
+    # m^4 leaves the float range past about 1.3e77, m^3 past 5.6e102 and m^2 past
+    # 1.3e154: the message says which power of which quantity, and m
+    code = main([command, "--m", m])
     captured = capsys.readouterr()
     assert code == 4 and captured.out == ""
     assert captured.err.count("\n") == 1 and quantity in captured.err
