@@ -30,13 +30,12 @@ reads the same bits alone as in a batch.  Where no grid is accepted
 under one acceptance rule (:func:`converged`) through one entry point
 (:func:`quad`).  The ``verify`` suites check the grid against the Bessel-K
 series (:func:`bessel_series`, every statistics, lambda + gamma m >= 0.5),
-which reads no occupancy code, and the nondegenerate H against its closed
-form (:func:`mj_closed_form_H`).  ``scipy.integrate`` is imported on the
-first ``quad`` call and ``scipy.special`` on the first series or closed-form
-call, not with the module: the exact closure path and the ``equilibrium``
-and ``moments`` commands at a state where the grid is accepted load neither,
-and ``verify`` loads ``scipy.special`` alone.  numpy is likewise imported
-on the first grid (:func:`trapezoid_radials_many`, the array form
+which reads no occupancy code and takes its e^w K_nu(w) from its own
+trapezoid rows (:func:`_scaled_bessel_k`).  ``scipy.integrate`` is imported
+on the first ``quad`` call, not with the module, and ``scipy.special`` only
+by the tests' closed form (:func:`mj_closed_form_H`): no command loads any
+scipy module unless a grid is rejected and ``quad`` runs.  numpy is
+imported on the first grid (:func:`trapezoid_radials_many`, the array form
 ``F_and_f_eq`` of each family, and the first pass's nodes,
 :func:`_first_pass`), by the series and by a boson state's check, not with
 the module, so the exact closure path never loads it.
@@ -833,6 +832,48 @@ def equilibrium_hprime(state: ThermoState):
 # e^{-j (lambda + gamma m)}, and so each further term, is below 1e-17 of the first
 _SERIES_EXPONENT = 39.2
 
+# the trapezoid rule of :func:`_scaled_bessel_k`: each w's grid reaches where
+# w (cosh t - 1) = _K_REACH + t, in _K_NODES steps or more, none longer than _K_STEP
+_K_REACH = 45.0
+_K_NODES = 48
+_K_STEP = 0.25
+
+
+def _scaled_bessel_k(nu_max: int, w: np.ndarray) -> np.ndarray:
+    """Rows e^w K_nu(w), nu = 0..nu_max (at least 1), at every w > 0 of the array ``w``.
+
+    e^w K_nu(w) = integral_0^inf e^{-2 w sinh^2(t/2)} cosh(nu t) dt, an even
+    integrand analytic in a strip around the real axis, so the trapezoid
+    rule converges geometrically (Trefethen & Weideman, SIAM Review 56
+    (2014) 385): a step h of 0.25 leaves e^{-pi^2/h} ~ 1e-17 where w is
+    small, and 0.7/sqrt(w) leaves e^{-2 pi^2/(h^2 w)} as small where w is
+    large.  Each w runs on its own grid, out to the reach T of
+    w (cosh T - 1) = 45 + T (two fixed-point steps from below), in one
+    common node count: 48 nodes keep both steps from w = 1e-3 to beyond
+    4e4, and smaller w take more.  cosh t - 1 is written 2 sinh^2(t/2),
+    since cosh t - 1 cancels at large w (9.3e-13 off near w = 3.6e4), and
+    K_1's cosh t as 1 + 2 sinh^2(t/2).  The higher orders follow from
+    K_{nu+1} = K_{nu-1} + (2 nu/w) K_nu, stable upward since every term is
+    positive.  Over nu <= 12 the rows read within 9e-16 of 40-digit
+    mpmath, and each w the bits it reads alone while w >= 1e-3.
+    """
+    np = numpy()
+    reach = np.arccosh(1.0 + _K_REACH / w)
+    for _ in range(2):
+        reach = np.arccosh(1.0 + (_K_REACH + reach) / w)
+    nodes = max(_K_NODES, math.ceil(float(reach.max()) / _K_STEP))
+    step = reach / nodes
+    squares = np.sinh((0.5 * step)[:, None] * np.arange(nodes + 1.0))  # sinh^2(t/2)
+    squares *= squares
+    at = np.exp(-2.0 * w[:, None] * squares)
+    at[:, 0] *= 0.5  # t = 0 is the rule's end point
+    rows = np.empty((nu_max + 1, w.size))
+    rows[0] = step * at.sum(axis=1)
+    rows[1] = rows[0] + 2.0 * step * (at * squares).sum(axis=1)
+    for nu in range(1, nu_max):
+        rows[nu + 1] = rows[nu - 1] + (2.0 * nu / w) * rows[nu]
+    return rows
+
 
 def bessel_series(statistics: str, lam, gamma, m, weights=()):
     """((H, dH/dlambda, dH/dgamma), [radial(a, b) for (a, b) in weights]) by the Bessel-K series.
@@ -841,7 +882,7 @@ def bessel_series(statistics: str, lam, gamma, m, weights=()):
     sum_j s_j e^{-j x} and F = -sum_j s_j e^{-j x}/j, s_j = 1 (nondegenerate:
     j = 1 alone; boson) or (-1)^(j+1) (fermion).  Term by term the radial
     integrals are Bessel-K closed forms (de Groot, van Leeuwen & van Weert,
-    *Relativistic Kinetic Theory*, 1980): with
+    *Relativistic Kinetic Theory*, 1980): with kve(nu, w) = e^w K_nu(w) and
     I(a, k; w) = e^w integral_0^inf e^{-w cosh r} cosh^a r sinh^2k r dr,
     I(0, k) = (2k-1)!! kve(k, w)/w^k, I(1, k) = (2k-1)!! kve(k+1, w)/w^k and
     I(a+2, k) = I(a, k) + I(a, k+1), all positive.  With z = gamma m and
@@ -855,17 +896,18 @@ def bessel_series(statistics: str, lam, gamma, m, weights=()):
     the convention of :func:`H_derivatives` and of the radials of
     :func:`etclosure.moments.kinetic_moment`.  No term overflows, and no
     occupancy code is read, so the series checks the trapezoid grid
-    independently.  It runs where lambda + z >= 0.5, else ``ValueError``
-    (degenerate fermions stay with ``quad``); kve is imported from
-    ``scipy.special`` on the first call.
+    independently.  It runs where lambda + z >= 0.5 and z > 0, else
+    ``ValueError`` (degenerate fermions stay with ``quad``).  The kve rows
+    come from :func:`_scaled_bessel_k`, so the series needs numpy but no
+    scipy; being scaled by e^w, they stay finite however large w grows.
     """
-    from scipy.special import kve
-
     if statistics not in STATISTICS:
         raise ValueError(f"unknown statistics {statistics!r}")
     z = gamma * m
     if not lam + z >= 0.5:
         raise ValueError(f"the Bessel series needs lambda + gamma m >= 0.5, got {lam + z:.6g}")
+    if not z > 0:
+        raise ValueError(f"the Bessel series needs gamma m > 0, got {z:.6g}")
     np = numpy()
     terms = 1 if statistics == "nondegenerate" else math.ceil(_SERIES_EXPONENT / (lam + z))
     j = np.arange(1.0, terms + 1.0)
@@ -873,10 +915,12 @@ def bessel_series(statistics: str, lam, gamma, m, weights=()):
     if statistics == "fermion":
         c[1::2] = -c[1::2]
     w, table = j * z, {}
+    # I(a, k) reaches kve(k + ceil(a/2)); H and dH/dgamma need kve(2)
+    kve = _scaled_bessel_k(max([2] + [b // 2 + 1 + (a + 1) // 2 for a, b in weights]), w)
 
     def integral(a: int, k: int):  # I(a, k; w) at every j
         if (a, k) not in table:
-            table[a, k] = (double_factorial(2 * k - 1) * kve(k + a, w) / w**k if a < 2
+            table[a, k] = (double_factorial(2 * k - 1) * kve[k + a] / w**k if a < 2
                            else integral(a - 2, k) + integral(a - 2, k + 1))
         return table[a, k]
 
@@ -894,7 +938,7 @@ def mj_closed_form_H(lam, gamma, m) -> float:
     quadrature of (the nondegenerate) F into
     H = (4 pi / gamma) m^3 exp(-lambda) K_1(z)/z.  K_1 comes from scipy's
     exponentially scaled k1e(z) = exp(z) K_1(z), an independent route from
-    the quadrature it checks.
+    the quadrature and the series it checks in the tests; no command calls it.
     """
     from scipy.special import k1e
 

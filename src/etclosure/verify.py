@@ -37,7 +37,6 @@ from .equilibrium import (
     ThermoState,
     bessel_series,
     equilibrium_multipliers,
-    mj_closed_form_H,
     project_equilibrium,
     thermo_with_residuals,
 )
@@ -454,18 +453,20 @@ def suite_symmetry(cfg: VerifyConfig) -> SuiteResult:
     return res
 
 
-# the bound on the trapezoid grid against the Bessel series, in both quadrature suites
-KINETIC_CROSS_ROUTE_TOL = 1e-10
+# the bound on the trapezoid grid against the Bessel series, in both quadrature suites:
+# at seeds 0-39 and (M,N) = (2,1), (2,3), (4,1), (4,3), (2,5) the worst residuals read
+# 3.9e-16 (H_derivatives) and 3.7e-16 (cross_route)
+KINETIC_CROSS_ROUTE_TOL = 1e-12
 
 
 def suite_equilibrium(cfg: VerifyConfig) -> SuiteResult:
-    """Trapezoid H vs the Bessel series and the closed form; Gibbs and integrability residuals.
+    """Trapezoid H vs the Bessel series; Gibbs and integrability residuals.
 
     The trapezoid route the commands print (:func:`H_derivatives`) is checked
     against :func:`bessel_series`, which reads no occupancy code, for every
     statistics, to KINETIC_CROSS_ROUTE_TOL (or a tighter ``--tol``); the
-    nondegenerate triple is the centre of the Gibbs stencil, whose H the
-    ``bessel`` case also checks against :func:`mj_closed_form_H`.
+    nondegenerate triple is the centre of the Gibbs stencil, and its series
+    is the closed form 4 pi/gamma m^3 e^{-lambda} K_1(z)/z.
     """
     tol = cfg.tolerance(1e-8)
     series_tol = min(tol, KINETIC_CROSS_ROUTE_TOL)
@@ -481,10 +482,6 @@ def suite_equilibrium(cfg: VerifyConfig) -> SuiteResult:
             rel = max(abs(g - w) / abs(w) for g, w in zip(got, want))
             res.record(rel <= series_tol, rel, {"op": "H_derivatives", "statistics": stats, "z": z,
                                                 "tolerance": series_tol})
-
-        h_closed = mj_closed_form_H(lam, z, 1.0)
-        rel = abs(centre.H - h_closed) / abs(h_closed)
-        res.record(rel <= tol, rel, {"op": "bessel", "z": z})
         res.record(gibbs <= tol, gibbs, {"op": "gibbs", "z": z})
         res.record(integrability <= tol, integrability, {"op": "integrability", "z": z})
     return res

@@ -869,12 +869,14 @@ def test_json_writer_raises_the_type_error_json_raises(bad):
 # writer replaced json.dumps (Python 3.11.7, numpy 2.4.6, scipy 1.17.1: the float
 # residuals of verify and the quadrature values follow the platform's libm); the
 # two verify pins were re-taken when the quadrature suites' second route became
-# the Bessel series, which moved the H_derivatives, bessel and cross_route residuals
+# the Bessel series, which moved the H_derivatives, bessel and cross_route residuals,
+# and again when the series took its K_nu from its own trapezoid rows and the
+# redundant bessel case was dropped
 STDOUT_SHA256 = {
     ("verify", "--M", "2", "--N", "3"):
-        "aa53ad557e8e56b1a3fd6a1adf250612570d42f13aac7f2d6cc06e97ec07cc8c",
+        "08876f60869df4cba2e17334395803fc526c84a7f8667f045d518271bb66b3d9",
     ("verify", "--M", "2", "--N", "3", "--mutate", "1"):
-        "9cfb220c1f95e9c0ab4059e84426f37b1c482e65c41633ea7aeb44f7a997a55c",
+        "151bfe9303bef80e6c9cc0479a7c5c4b0338fb2e2b71bd8364d0c9893b0e1d96",
     ("moments", "--M", "2", "--N", "3"):
         "9b9d64e98364f337bc202d35b235178ba94277c633906f3fbb285930aee67c94",
     ("equilibrium",):

@@ -832,15 +832,83 @@ def test_bessel_series_matches_quad(stats, lam, gamma, m):
 
 
 def test_nondegenerate_bessel_series_is_the_closed_form():
-    # one term: 2 ulp of rounding, beyond the disagreement of scipy's two K_1 routines
-    # (kve and k1e read up to 8 ulp apart near z = 1.9)
+    # one term: the rounding of the two routes, 2 ulp each, beyond the disagreement of
+    # their K_1 (the series' own rows against scipy's k1e, 3 ulp apart at z = 1.9)
     for z in (0.1, 0.3, 1.0, 1.9, 3.0, 10.0, 30.0):
-        k1_apart = abs(scipy.special.kve(1, z) / scipy.special.k1e(z) - 1.0)
+        series_k1 = equilibrium._scaled_bessel_k(1, np.array([z]))[1, 0]
+        k1_apart = abs(series_k1 / scipy.special.k1e(z) - 1.0)
         for lam in (-0.05, 0.0, 0.5, 1.0, 2.0, 5.0, 20.0):
             if lam + z >= 0.5:
                 (h_val, _, _), _ = bessel_series("nondegenerate", lam, z, 1.0)
                 closed = mj_closed_form_H(lam, z, 1.0)
-                assert abs(h_val - closed) <= 2 * math.ulp(closed) + k1_apart * closed, (lam, z)
+                assert abs(h_val - closed) <= 4 * math.ulp(closed) + k1_apart * closed, (lam, z)
+
+
+# e^w K_nu(w) from the series' own trapezoid rows, against 40-digit mpmath: from w = 1e-3
+# to 4e4, single terms and whole series arrays, and above w = 1e4, where the form
+# cosh t - 1 reads up to 9.3e-13 off; measured worst 9.0e-16 over nu 0..12 (scipy's kve:
+# 2.2e-15)
+K_ROWS_RTOL = 4e-15
+K_ORDERS = 12
+K_SINGLE_W = [1e-3, 3e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 1.0, 1.9, 3.0, 7.0, 10.0, 30.0, 100.0,
+              300.0, 1e3, 3e3, 1e4, 2e4, 3.8e4, 4e4]
+
+
+def _mpmath_scaled_k(w: float, orders: int, direct: bool = True):
+    """e^w K_nu(w), nu = 0..orders, at 40 digits: every order from mpmath.besselk, or (not
+    ``direct``) K_0 and K_1 from it and the rest by the upward recurrence at 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        x = mpmath.mpf(w)
+        if direct:
+            return [mpmath.besselk(nu, x) * mpmath.exp(x) for nu in range(orders + 1)]
+        rows = [mpmath.besselk(0, x) * mpmath.exp(x), mpmath.besselk(1, x) * mpmath.exp(x)]
+        for nu in range(1, orders):
+            rows.append(rows[nu - 1] + 2 * nu / x * rows[nu])
+        return rows
+
+
+def _worst_rel(rows, w, want_at):
+    worst = 0.0
+    for i, wi in enumerate(w):
+        for nu, want in enumerate(want_at(float(wi))):
+            worst = max(worst, abs(float((rows[nu, i] - want) / want)))
+    return worst
+
+
+@pytest.mark.parametrize("w", K_SINGLE_W)
+def test_bessel_k_rows_match_mpmath_at_one_term(w):
+    rows = equilibrium._scaled_bessel_k(K_ORDERS, np.array([w]))
+    assert rows.shape == (K_ORDERS + 1, 1)
+    assert _worst_rel(rows, [w], lambda x: _mpmath_scaled_k(x, K_ORDERS)) <= K_ROWS_RTOL
+
+
+@pytest.mark.parametrize("lam,z", [(0.4, 0.1), (-1.0, 3.0), (-300.0, 500.0)])
+def test_bessel_k_rows_match_mpmath_over_a_series_array(lam, z):
+    # w = j z over every term the series takes at this state: 79 at lambda + z = 0.5
+    terms = math.ceil(equilibrium._SERIES_EXPONENT / (lam + z))
+    w = z * np.arange(1.0, terms + 1.0)
+    rows = equilibrium._scaled_bessel_k(K_ORDERS, w)
+    assert rows.shape == (K_ORDERS + 1, terms)
+    assert _worst_rel(rows, w, lambda x: _mpmath_scaled_k(x, K_ORDERS, direct=False)) <= K_ROWS_RTOL
+    # each term reads the bits it reads alone
+    for i in (0, terms // 2, terms - 1):
+        assert np.array_equal(rows[:, i], equilibrium._scaled_bessel_k(K_ORDERS, w[i:i + 1])[:, 0])
+
+
+def test_bessel_k_rows_match_scipy_kve():
+    w = np.array(K_SINGLE_W + list(0.1 * np.arange(1.0, 80.0)))
+    rows = equilibrium._scaled_bessel_k(K_ORDERS, w)
+    for nu in range(K_ORDERS + 1):
+        assert np.max(np.abs(rows[nu] / scipy.special.kve(nu, w) - 1.0)) <= K_ROWS_RTOL, nu
+
+
+def test_bessel_k_rows_reach_small_w_with_more_nodes():
+    # below w = 1e-3 the reach passes 12 and the grid takes more than 48 nodes, each step 0.25
+    w = np.array([1e-8, 1e-5])
+    rows = equilibrium._scaled_bessel_k(4, w)
+    assert _worst_rel(rows, w, lambda x: _mpmath_scaled_k(x, 4)) <= K_ROWS_RTOL
 
 
 @pytest.mark.parametrize("stats", STATISTICS)
@@ -849,5 +917,8 @@ def test_bessel_series_needs_lambda_plus_gamma_m_of_one_half(stats):
     for lam, gamma, m in ((0.0, 0.499, 1.0), (-1.0, 0.7, 2.0), (math.nan, 1.0, 1.0)):
         with pytest.raises(ValueError, match="lambda \\+ gamma m >= 0.5"):
             bessel_series(stats, lam, gamma, m)
+    for gamma, m in ((0.0, 1.0), (-1.0, 1.0), (1.0, -0.5)):
+        with pytest.raises(ValueError, match="gamma m > 0"):
+            bessel_series(stats, 2.0, gamma, m)
     with pytest.raises(ValueError, match="unknown statistics"):
         bessel_series("photon", 1.0, 1.0, 1.0)

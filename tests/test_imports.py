@@ -5,9 +5,10 @@ and ``kinetic``) is Fraction arithmetic: it never integrates and makes no
 array, so it may pay neither import.  ``equilibrium`` and ``moments`` at an
 ordinary state integrate on the shared trapezoid grid, whose nodes are numpy
 arrays, so they load numpy but not scipy.  The ``kinetic`` and ``equilibrium``
-suites check that grid against the Bessel-K series, so they load
-``scipy.special`` but not ``scipy.integrate``, which only a state whose grid
-is rejected loads, for its ``quad`` fallback.  Each check of
+suites check that grid against the Bessel-K series, whose K_nu come from its
+own numpy trapezoid rows, so they and a default ``verify`` load no scipy
+module either: only a state whose grid is rejected loads ``scipy.integrate``,
+for its ``quad`` fallback.  Each check of
 sys.modules runs in a fresh interpreter, because the test process itself has
 long since imported both.  So does the check that numpy loaded after the
 package is still seen: a float64 batch then takes the batch kernels, bit for
@@ -59,6 +60,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     report["kinetic suite"] = loaded()
     report["codes"].append(cli.main(["verify", "--suite", "equilibrium"]))
     report["equilibrium suite"] = loaded()
+    report["codes"].append(cli.main(["verify", "--M", "2", "--N", "3"]))
+    report["verify"] = loaded()
     # a degenerate Fermi edge is narrower than any grid: quad
     report["codes"].append(cli.main(["equilibrium", "--stats", "fd", "--lambda", "-30", "--gamma", "1"]))
     report["quad"] = loaded()
@@ -111,22 +114,26 @@ def probe() -> dict:
 
 
 def test_exact_commands_never_load_scipy_and_a_quadrature_does(probe):
-    assert probe["codes"] == [0, 0, 1, 0, 0, 0, 0, 0, 0]
+    assert probe["codes"] == [0, 0, 1, 0, 0, 0, 0, 0, 0, 0]
     assert {step: seen["scipy"] for step, seen in probe.items() if step != "codes"} == {
         "import": False, "closure": False, "exact": False, "equilibrium": False,
-        "moments": False, "kinetic suite": True, "equilibrium suite": True, "quad": True}
+        "moments": False, "kinetic suite": False, "equilibrium suite": False, "verify": False,
+        "quad": True}
 
 
 def test_exact_commands_never_load_numpy_and_a_radial_grid_does(probe):
     assert {step: seen["numpy"] for step, seen in probe.items() if step != "codes"} == {
         "import": False, "closure": False, "exact": False, "equilibrium": True,
-        "moments": True, "kinetic suite": True, "equilibrium suite": True, "quad": True}
+        "moments": True, "kinetic suite": True, "equilibrium suite": True, "verify": True,
+        "quad": True}
 
 
-def test_the_quadrature_suites_load_scipy_special_and_only_quad_loads_scipy_integrate(probe):
-    assert {step: (seen["scipy.special"], seen["scipy.integrate"])
-            for step, seen in probe.items() if step.endswith("suite") or step == "quad"} == {
-        "kinetic suite": (True, False), "equilibrium suite": (True, False), "quad": (True, True)}
+def test_the_quadrature_suites_load_no_scipy_and_only_quad_loads_scipy_integrate(probe):
+    assert {step: (seen["scipy"], seen["scipy.special"], seen["scipy.integrate"])
+            for step, seen in probe.items() if step.endswith("suite") or step == "verify"} == {
+        "kinetic suite": (False, False, False), "equilibrium suite": (False, False, False),
+        "verify": (False, False, False)}
+    assert probe["quad"]["scipy.integrate"]
 
 
 def test_numpy_loaded_after_the_package_still_runs_the_batch_kernels():

@@ -351,9 +351,10 @@ def test_a_wrong_dH_dgamma_weight_fails_H_derivatives(monkeypatch):
     assert failed == {(stats, z) for stats in equilibrium.STATISTICS for z in (0.1, 1.0, 10.0)}
 
 
-@pytest.mark.parametrize("tol, bound", [(None, 1e-10), (1e-12, 1e-12), (1e-6, 1e-10)])
+@pytest.mark.parametrize("tol, bound", [(None, 1e-12), (1e-12, 1e-12), (1e-13, 1e-13),
+                                        (1e-6, 1e-12)])
 def test_H_derivatives_takes_the_cross_route_bound(monkeypatch, tol, bound):
-    # a grid 1e-9 off passes the suite's 1e-8 but not H_derivatives' 1e-10; --tol only tightens it
+    # a grid 1e-9 off passes the suite's 1e-8 but not H_derivatives' 1e-12; --tol only tightens it
     def off(*args):
         return tuple(v * (1.0 + 1e-9) for v in H_derivatives(*args))
 
@@ -365,14 +366,33 @@ def test_H_derivatives_takes_the_cross_route_bound(monkeypatch, tol, bound):
         (stats, bound) for _ in range(3) for stats in ("fermion", "boson")]
 
 
+@pytest.mark.parametrize("M,N", [(2, 1), (2, 3)])
+def test_a_grid_1e_11_off_fails_exactly_the_series_cases(monkeypatch, M, N):
+    # negative control for the 1e-12 bound: every grid integral scaled by 1 + 1e-11 (a fault
+    # the former 1e-10 bound let pass) fails every H_derivatives and cross_route case, and
+    # nothing else, since the Gibbs, integrability and trace-chain residuals do not see a scale
+    radials_many = equilibrium.trapezoid_radials_many
+
+    def off(*args):
+        return [None if row is None else [v * (1.0 + 1e-11) for v in row]
+                for row in radials_many(*args)]
+
+    monkeypatch.setattr(equilibrium, "trapezoid_radials_many", off)
+    failed = sorted((case["op"], case["statistics"], case.get("z", 0.0))
+                    for res in run_suites(["equilibrium", "kinetic"], VerifyConfig(M=M, N=N))
+                    for case in res.failed_cases)
+    assert failed == sorted([("H_derivatives", stats, z) for stats in equilibrium.STATISTICS
+                             for z in (0.1, 1.0, 10.0)]
+                            + [("cross_route", stats, 0.0) for stats in equilibrium.STATISTICS])
+
+
 def test_quadrature_suites_report_the_largest_residual_of_each_case_kind(capsys):
     # max_residual folds every case together, so in the kinetic suite the trace
     # chain hides the cross_route residuals, which alone follow the quadrature
     results = run_suites(["kinetic", "equilibrium", "roundtrip"], VerifyConfig(M=2, N=3))
     kinetic, equilibrium, roundtrip = (r.to_json_obj() for r in results)
     assert set(kinetic["max_residual_by_op"]) == {"cross_route", "trace_chain"}
-    assert set(equilibrium["max_residual_by_op"]) == {"H_derivatives", "bessel", "gibbs",
-                                                      "integrability"}
+    assert set(equilibrium["max_residual_by_op"]) == {"H_derivatives", "gibbs", "integrability"}
     for doc, res in zip((kinetic, equilibrium), results):
         assert max(doc["max_residual_by_op"].values()) == res.max_residual
     assert kinetic["max_residual_by_op"]["cross_route"] < results[0].max_residual
