@@ -68,9 +68,10 @@ from .verify import SUITES, VerifyConfig, run_suites
 STATS_ALIASES = {"mb": "nondegenerate", "fd": "fermion", "be": "boson"}
 # relative trace residual past which no digit of the moments holds on the mass
 # shell.  The radials share one grid, on which cosh^2 - sinh^2 = 1 node by node,
-# so the residual is the rounding of the trace's cancellation: 1e-15 at gamma 1,
-# noise about 0.1 at gamma 1e-7, and 1 or more from gamma 1e-8 on, where the
-# trace is all cancellation
+# so the residual of the coefficient chain is the rounding of the trace's
+# cancellation: 1e-15 at gamma 1, noise from 0.05 to 1.7 at gamma 1e-7 (by
+# (M, N) and statistics; 0.087 at the default orders), and about 1 from gamma
+# 1e-8 on, where the trace is all cancellation
 TRACE_FAILURE = 0.1
 
 
@@ -442,7 +443,7 @@ def cmd_verify(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     state = _state_from_args(args)
-    funcs, gibbs, _ = thermo_with_residuals(state)
+    funcs, gibbs = thermo_with_residuals(state)
     doc = {
         "lambda": state.lam,
         "gamma": state.gamma,

@@ -10,7 +10,9 @@ distribution-family antiderivative F through a one-dimensional quadrature
 (:func:`H_derivatives`); state functions follow algebraically
 (:func:`state_functions`) and the Gibbs relation and the change-of-variables
 integrability condition hold identically, so their finite-difference
-residuals measure only numerical error.
+residuals measure only numerical error (the ``equilibrium`` command prints
+the Gibbs one; ``verify`` checks H and both derivatives against the Bessel
+series instead, which implies both identities).
 
 Every radial integral, H with dH/dlambda and dH/dgamma (:func:`H_derivatives`)
 and the weights of the kinetic moments
@@ -778,31 +780,27 @@ def integrability_residual(state: ThermoState) -> float:
     (gamma, p) with p = H: n_p = n_lambda / H_lambda and
     n_gamma|_p = n_gamma|_lambda - n_lambda H_gamma / H_lambda.
     """
-    return _integrability(state.gamma, *_stencil_functions(state))
-
-
-def _integrability(gamma: float, c: EquilibriumFunctions, lam_direction, gam_direction) -> float:
-    (along_lam, h_lam), (along_gam, h_gam) = lam_direction, gam_direction
+    c, (along_lam, h_lam), (along_gam, h_gam) = _stencil_functions(state)
     n_lam = _fd([f.n for f in along_lam], h_lam)
     e_lam = _fd([f.e for f in along_lam], h_lam)
     n_gam = _fd([f.n for f in along_gam], h_gam)
     n_p = n_lam / c.H_lambda
     e_p = e_lam / c.H_lambda
     n_gamma_at_p = n_gam - n_lam * c.H_gamma / c.H_lambda
-    terms = ((c.e + c.p) * n_p, gamma * n_gamma_at_p, c.n * e_p)
+    terms = ((c.e + c.p) * n_p, state.gamma * n_gamma_at_p, c.n * e_p)
     res = terms[0] - terms[1] - terms[2]
     scale = max(max(abs(t) for t in terms), 1e-300)
     return abs(res) / scale
 
 
-def thermo_with_residuals(state: ThermoState) -> Tuple[EquilibriumFunctions, float, float]:
-    """(thermo_functions, gibbs_residual, integrability_residual) from one stencil pass.
+def thermo_with_residuals(state: ThermoState) -> Tuple[EquilibriumFunctions, float]:
+    """(thermo_functions, gibbs_residual) from one stencil pass.
 
     The state functions are those of the stencil's centre point, so each of
     the nine points is evaluated once.
     """
     stencil = _stencil_functions(state)
-    return stencil[0], _gibbs(*stencil), _integrability(state.gamma, *stencil)
+    return stencil[0], _gibbs(*stencil)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,12 @@ Three checks live here:
   equilibrium distribution, each a combination of the metric and the
   four-velocity whose coefficients are radial integrals, all of them on one
   trapezoid grid per state (:func:`kinetic_radials`, with ``quad`` as the
-  fallback), and reports the mass-shell trace residuals.  The kinetic
-  integrals use the positive occupancy f_eq(lambda, gamma E), so the
-  densities extracted here are positive; they are not the multiplier-side
-  n = gamma dH/dlambda of the equilibrium module, which carries the opposite
-  sign convention.
+  fallback), and reports the mass-shell trace residuals and the densities
+  n, p, e, both read from those coefficients (:func:`kinetic_alphas`), so
+  they hold at any boost.  The kinetic integrals use the positive occupancy
+  f_eq(lambda, gamma E), so the densities are positive; they are not the
+  multiplier-side n = gamma dH/dlambda of the equilibrium module, which
+  carries the opposite sign convention.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .closure import ClosureSpec, ClosureTensorSet, build_closure_tensor, iter_orders
 from .equilibrium import (
@@ -64,11 +65,9 @@ from .tensors import (
     arrangements,
     batch_safe,
     canonical_indices,
-    contract_mu,
     contract_tail,
     gmu_combination,
     sym_product,
-    trace_pair,
 )
 
 
@@ -367,9 +366,9 @@ def kinetic_radials(state: ThermoState, ranks) -> Dict[Tuple[int, int], float]:
     return radials if radials is not None else quad_radials(state, weights)
 
 
-def kinetic_moment(state: ThermoState, rank: int,
-                   radials: Optional[Dict[Tuple[int, int], float]] = None) -> DenseSymTensor:
-    """Equilibrium moment with `rank` momentum factors, as one combination of g and u.
+def kinetic_alphas(state: ThermoState, rank: int,
+                   radials: Optional[Dict[Tuple[int, int], float]] = None) -> List[float]:
+    """The invariant coefficients alpha_s of the equilibrium moment with `rank` momentum factors.
 
     On the mass shell p = m cosh x u + m sinh x w, with w a unit vector
     orthogonal to u, and the invariant measure is m^2 sinh^2 x dx dOmega(w).
@@ -396,44 +395,53 @@ def kinetic_moment(state: ThermoState, rank: int,
         weight = 4.0 * math.pi * comb(rank, j) / (j + 1) * radials[rank - j, j]
         for s in range(j // 2 + 1):
             alpha[s] += comb(j // 2, s) * weight
+    return alpha
+
+
+def kinetic_moment(state: ThermoState, rank: int,
+                   radials: Optional[Dict[Tuple[int, int], float]] = None) -> DenseSymTensor:
+    """Equilibrium moment with `rank` momentum factors: its :func:`kinetic_alphas` on g and u."""
+    alpha = kinetic_alphas(state, rank, radials)
     # float components throughout: a slot no term reaches comes back as the int 0
     return gmu_combination(rank, dict(enumerate(alpha)), state.u).map_values(float)
+
+
+def trace_alphas(alpha: List[float], rank: int) -> List[float]:
+    """The alpha_s of the metric trace of a rank-`rank` moment: :func:`~etclosure.family.trace`'s
+    recombination at gamma = 1, since the moments combine g and the unit u."""
+    n = rank - 2
+    return [(4 * (s + 1) * (n - s + 2) * alpha[s + 1] - (n + 2 - 2 * s) * (n + 1 - 2 * s) * alpha[s])
+            / ((n + 2) * (n + 1)) for s in range(n // 2 + 1)]
 
 
 def equilibrium_moments_with_traces(state: ThermoState, spec: ClosureSpec):
     """Kinetic moment tensors of one equilibrium state plus trace residuals.
 
-    Returns (A, B, report): the moments of rank M+1 and N+1, and a report
-    that carries the relative residuals of the mass-shell trace chain (metric
-    trace of a rank r+2 moment equals -m^2 times the rank r moment) for both
-    moment tensors, and the kinetic densities n, p, e extracted from the
-    low-rank moments.  Every radial of their ranks (:func:`moment_ranks`)
-    comes from one :func:`kinetic_radials` call.  On its one grid
-    cosh^2 - sinh^2 = 1 holds node by node, so the trace chain checks the
-    assembly of the moments from the radials and measures the rounding of its
-    own cancellation; it does not measure the quadrature error, which the
-    ``kinetic`` suite's cross-route case checks against ``quad``.
+    Returns (A, B, report): the moments of rank M+1 and N+1, and a report with
+    the relative residuals of the mass-shell trace chain of both (the metric
+    trace of a rank r+2 moment equals -m^2 times the rank r moment) and the
+    kinetic densities n, p, e.  All the radials of their ranks
+    (:func:`moment_ranks`) come from one :func:`kinetic_radials` call.  Only A
+    and B are realized: the chain (:func:`trace_alphas` against -m^2 alpha_s)
+    and n = alpha_0 of rank 1, p = alpha_1, e = alpha_0 - alpha_1 of rank 2
+    are read from the invariant coefficients, so no contraction with u cancels
+    at a large boost.  On the radials' one grid cosh^2 - sinh^2 = 1 holds node
+    by node, so the chain checks the assembly of the coefficients and the
+    rounding of its own cancellation, not the quadrature error.
     """
     spec.check_top_order()
     radials = kinetic_radials(state, moment_ranks(spec.M, spec.N))
+    msq = float(state.m) ** 2
+    traces = {}
+    for name, rank in (("A", spec.M + 1), ("B", spec.N + 1)):
+        if rank >= 2:
+            traced = trace_alphas(kinetic_alphas(state, rank, radials), rank)
+            target = [-msq * a for a in kinetic_alphas(state, rank - 2, radials)]
+            scale = max(*map(abs, traced), *map(abs, target), 1e-300)
+            traces[name] = max(abs(t - w) for t, w in zip(traced, target)) / scale
+    (n_kin,) = kinetic_alphas(state, 1, radials)
+    a0, p_kin = kinetic_alphas(state, 2, radials)
+    report = {"traces": traces, "kinetic": {"n": n_kin, "p": p_kin, "e": a0 - p_kin}}
     a_mom = kinetic_moment(state, spec.M + 1, radials)
     b_mom = kinetic_moment(state, spec.N + 1, radials)
-
-    msq = float(state.m) ** 2
-    report = {"traces": {}, "kinetic": {}}
-    for name, mom in (("A", a_mom), ("B", b_mom)):
-        if mom.rank < 2:
-            continue
-        lower = kinetic_moment(state, mom.rank - 2, radials)
-        traced = trace_pair(mom)
-        target = lower.scale(-msq)
-        scale = max(traced.max_abs(), target.max_abs(), 1e-300)
-        report["traces"][name] = (traced - target).max_abs() / scale
-
-    t1 = kinetic_moment(state, 1, radials)
-    t2 = kinetic_moment(state, 2, radials)
-    n_kin = -contract_mu(t1, state.u).get(())
-    e_kin = contract_mu(contract_mu(t2, state.u), state.u).get(())
-    p_kin = (trace_pair(t2).get(()) + e_kin) / 3.0
-    report["kinetic"] = {"n": n_kin, "p": p_kin, "e": e_kin}
     return a_mom, b_mom, report

@@ -123,15 +123,15 @@ def test_verify_artifacts_hold_each_failing_suite_for_replay(tmp_path, capsys):
 
 
 def test_verify_artifacts_keep_the_tolerance(tmp_path, capsys):
-    # at 1e-12 the equilibrium suite fails where the default 1e-8 passes, so an
+    # at 1e-16 the equilibrium suite fails where its default 1e-12 passes, so an
     # artifact without its tolerance would replay as a pass
-    argv = ["verify", "--suite", "equilibrium", "--tol", "1e-12"]
+    argv = ["verify", "--suite", "equilibrium", "--tol", "1e-16"]
     assert run(capsys, *argv[:3])[0] == 0
     code, _ = run(capsys, *argv, "--artifacts", str(tmp_path))
     assert code == 1
     with open(tmp_path / "etclosure-equilibrium-seed0.json") as fh:
         payload = json.load(fh)
-    assert float(payload["tol"]) == 1e-12
+    assert float(payload["tol"]) == 1e-16
     assert {k: payload[k] for k in ("suite", "seed", "M", "N", "h_max", "k_max", "mutate")} == {
         "suite": "equilibrium", "seed": 0, "M": 2, "N": 1, "h_max": 2, "k_max": 2, "mutate": 0}
 
@@ -392,6 +392,23 @@ def test_moments_equilibrium_delta_is_zero(capsys):
         assert abs(float(value)) <= 1e-8
 
 
+@pytest.mark.parametrize("G,bound", [(1e3, 1e-9), (1e4, 1e-7)])
+def test_boosted_beam_moments_print_the_rest_frame_densities(capsys, G, bound):
+    # n, p and e are the invariant coefficients, so no contraction with u cancels as G^4;
+    # what is left is gamma = sqrt(-mu.mu) read from the components (7.5e-9 at G = 1e4)
+    head = ("moments", "--M", "2", "--N", "1", "--lambda", "0.5")
+    code, out = run(capsys, *head, "--gamma", "1")
+    assert code == 0
+    rest = json.loads(out)["kinetic"]
+    code, out = run(capsys, *head, "--mu0", repr(G), "--mu1", repr(-G * (1.0 - 1.0 / G**2) ** 0.5))
+    assert code == 0
+    doc = json.loads(out)
+    for key in "npe":
+        assert abs(float(doc["kinetic"][key]) / float(rest[key]) - 1.0) <= bound, key
+    # the chain runs on the coefficients too, so it does not grow with the boost
+    assert all(float(res) <= 1e-13 for res in doc["residuals"]["traces"].values())
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_moments_series_runs_at_the_state_mass(capsys, monkeypatch, m):
     # the relative spread reads the same at every mass, so the spy says which one ran
@@ -562,7 +579,7 @@ def test_suite_flags_replace_the_config_list(tmp_path, capsys):
 def test_verify_json_states_each_suites_tolerance_and_route(capsys):
     suites = "roundtrip,symmetry,derivative,equilibrium,kinetic"
     want = {"roundtrip": (0.0, "exact"), "symmetry": (0.0, "exact"), "derivative": (0.0, "exact"),
-            "equilibrium": (1e-8, "quadrature"), "kinetic": (1e-8, "quadrature")}
+            "equilibrium": (1e-12, "quadrature"), "kinetic": (1e-8, "quadrature")}
     code, out = run(capsys, "verify", "--suite", suites)
     assert code == 0
     got = {r["suite"]: (float(r["tolerance"]), r["route"]) for r in json.loads(out)["results"]}
@@ -570,8 +587,9 @@ def test_verify_json_states_each_suites_tolerance_and_route(capsys):
     code, out = run(capsys, "verify", "--suite", suites, "--tol", "1e-5")
     assert code == 0
     got = {r["suite"]: float(r["tolerance"]) for r in json.loads(out)["results"]}
+    # the equilibrium suite holds only the series bound, which --tol can tighten, not loosen
     assert got == {"roundtrip": 0.0, "symmetry": 0.0, "derivative": 0.0,
-                   "equilibrium": 1e-5, "kinetic": 1e-5}
+                   "equilibrium": 1e-12, "kinetic": 1e-5}
     # CSV rows keep their columns
     code, out = run(capsys, "verify", "--suite", "roundtrip", "--format", "csv")
     assert code == 0
@@ -870,15 +888,17 @@ def test_json_writer_raises_the_type_error_json_raises(bad):
 # residuals of verify and the quadrature values follow the platform's libm); the
 # two verify pins were re-taken when the quadrature suites' second route became
 # the Bessel series, which moved the H_derivatives, bessel and cross_route residuals,
-# and again when the series took its K_nu from its own trapezoid rows and the
-# redundant bessel case was dropped
+# again when the series took its K_nu from its own trapezoid rows and the
+# redundant bessel case was dropped, and all three but equilibrium when the
+# equilibrium suite dropped its gibbs and integrability cases for the series bound
+# and the kinetic trace chain and p moved to the moments' invariant coefficients
 STDOUT_SHA256 = {
     ("verify", "--M", "2", "--N", "3"):
-        "08876f60869df4cba2e17334395803fc526c84a7f8667f045d518271bb66b3d9",
+        "3401bd5d69ea4886a4501aa4e35c383c72c574895ae52ef1e6c190fe7de7bdfe",
     ("verify", "--M", "2", "--N", "3", "--mutate", "1"):
-        "151bfe9303bef80e6c9cc0479a7c5c4b0338fb2e2b71bd8364d0c9893b0e1d96",
+        "e6ed7abd8b564e66d9985b85a8152ea3e6bbfec9f91fbaf9739908b1e3f09949",
     ("moments", "--M", "2", "--N", "3"):
-        "9b9d64e98364f337bc202d35b235178ba94277c633906f3fbb285930aee67c94",
+        "3d32e01bfeb8ebab41a19aa7fafca0de2ad4727df073f235d9e38edfb6c50934",
     ("equilibrium",):
         "c7a2770fb9332f3ba0ef51f2783e3662d5785883893399c8ebdbbca04d069587",
 }

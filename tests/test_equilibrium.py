@@ -176,7 +176,7 @@ def equilibrium_suite(state: ThermoState) -> None:
 @pytest.mark.parametrize("residual,states", [
     pytest.param(call, states, id=call.__name__)
     for call, states in ((gibbs_residual, 1), (integrability_residual, 1),
-                         (equilibrium_command, 1), (equilibrium_suite, 3))
+                         (equilibrium_command, 1), (equilibrium_suite, 0))
 ])
 def test_residuals_evaluate_each_stencil_point_once(residual, states, monkeypatch):
     # per state: one batched call with the centre plus four offsets along
@@ -189,11 +189,11 @@ def test_residuals_evaluate_each_stencil_point_once(residual, states, monkeypatc
 
     monkeypatch.setattr(equilibrium, "H_derivatives_many", counted)
     residual(ThermoState(0.3, BOOSTED, 1.0))
-    # the equilibrium suite also checks the fermion and boson H_derivatives against
-    # the Bessel series one point at a time; the nondegenerate one is the stencil's centre
+    # the equilibrium suite runs no stencil: it checks H_derivatives against the
+    # Bessel series one point at a time, once per statistics at each of its three states
     stencils = [points for points in batches if len(points) > 1]
     assert len(stencils) == states
-    assert len(batches) == states * (3 if residual is equilibrium_suite else 1)
+    assert len(batches) == (9 if residual is equilibrium_suite else states)
     assert all(len(points) == 9 for points in stencils)
     assert len({point for points in stencils for point in points}) == 9 * states
 
@@ -202,8 +202,7 @@ def test_thermo_with_residuals_matches_the_single_calls():
     # bit-identical at the equilibrium suite's three states
     for z in (0.1, 1.0, 10.0):
         state = ThermoState.rest(1.0, z, 1.0)
-        assert thermo_with_residuals(state) == (
-            thermo_functions(state), gibbs_residual(state), integrability_residual(state))
+        assert thermo_with_residuals(state) == (thermo_functions(state), gibbs_residual(state))
 
 
 @pytest.mark.parametrize("stats", STATISTICS)
