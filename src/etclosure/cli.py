@@ -42,7 +42,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -199,6 +198,8 @@ def _write_out(text: str, out: Optional[str]) -> None:
     if not out:
         sys.stdout.write(text)
         return
+    import tempfile  # only --out and --artifacts write files
+
     directory = os.path.dirname(os.path.abspath(out))
     tmp = None
     try:

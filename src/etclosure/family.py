@@ -19,7 +19,6 @@ All coefficient lists are ordered s = 0..floor(n/2).
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from math import factorial, isqrt
 from types import SimpleNamespace
@@ -332,16 +331,35 @@ def timelike_gamma(mu: FourVector):
     return gsq**0.5
 
 
+def symbol_values(registry: Optional[FunctionRegistry], lam):
+    """A view of ``registry`` that computes each D^h c_q(lam) once, on first use.
+
+    :func:`realize` and :func:`realize_tail` read their registry through one
+    for their call; :func:`etclosure.moments.delta_hprime` passes one to
+    every order of its series, which then share its values.  A view at lam
+    is returned as it is; a view asked at another lambda asks the registry.
+    """
+    if registry is None or getattr(registry, "lam", None) is lam:
+        return registry
+    values = {}
+
+    def derivative_value(q: int, order: int, at):
+        if at is not lam:
+            return registry.derivative_value(q, order, at)
+        if (q, order) not in values:
+            values[q, order] = registry.derivative_value(q, order, lam)
+        return values[q, order]
+
+    return SimpleNamespace(has=registry.has, derivative_value=derivative_value, lam=lam)
+
+
 def _coefficient_values(f: FFamilyElement, lam, mu: FourVector, m, registry) -> dict:
     """{s: phi^n_s(lam, gamma, m)} for every s whose value is not zero.
 
-    At an exact lambda each D^h c_q(lambda) is computed once for all phi_s,
-    through a registry view that remembers its values for this call only.
+    Each D^h c_q(lambda) is computed once for all phi_s (:func:`symbol_values`).
     """
     gamma = timelike_gamma(mu)
-    if registry is not None and isinstance(lam, (int, Fraction)):
-        registry = SimpleNamespace(has=registry.has,
-                                   derivative_value=functools.cache(registry.derivative_value))
+    registry = symbol_values(registry, lam)
     values = {}
     for s, phi in enumerate(f.coeffs):
         if phi.is_zero():

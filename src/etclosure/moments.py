@@ -57,7 +57,7 @@ from .equilibrium import (
     radial_integrand,
     trapezoid_radials,
 )
-from .family import realize, realize_tail
+from .family import realize, realize_tail, symbol_values
 from .scalar import is_batch, numpy
 from .tensors import (
     DenseSymTensor,
@@ -132,12 +132,16 @@ def delta_hprime(
     its trailing slots; the free slot is the output index.  The contraction
     is taken in closed form from the tensor's coefficients at the base state
     (:func:`~etclosure.family.realize_tail`), so no C_{h,k} is realized.
-    Orders whose deviation product vanishes are skipped.  Exact when the
-    state and deviations are rational and gamma is rational.  Float64 arrays as the base lam, the
-    components of the base mu or the deviation components evaluate a batch of
-    states at once, returning arrays (see :mod:`etclosure.tensors`).
+    Orders whose deviation product vanishes are skipped; all orders read the
+    registry through one :func:`~etclosure.family.symbol_values` view, so
+    each D^h c_q(lambda) is computed once.  Exact when the state and
+    deviations are rational and gamma is rational.  Float64 arrays as the
+    base lam, the components of the base mu or the deviation components
+    evaluate a batch of states at once, returning arrays (see
+    :mod:`etclosure.tensors`).
     """
     spec = state.spec
+    registry = symbol_values(spec.registry, state.base.lam)
     lam_pows = [DenseSymTensor.scalar(1)]
     mu_pows = [DenseSymTensor.scalar(1)]
     comps = [0, 0, 0, 0]
@@ -152,7 +156,7 @@ def delta_hprime(
         if dev.is_zero():
             continue
         elem = tensors.get(h, k) if tensors is not None else build_closure_tensor(spec, h, k)
-        tail = realize_tail(elem, state.base.lam, state.base.mu, spec.m, spec.registry, dev)
+        tail = realize_tail(elem, state.base.lam, state.base.mu, spec.m, registry, dev)
         w = Fraction(1, factorial(h) * factorial(k))
         for a in range(4):
             v = tail.get((a,))
@@ -257,12 +261,17 @@ def symmetry_residual(
     The stencil of a block with P canonical components has 2P points, and
     they go through :func:`series_at` together: one tensor whose components
     are float64 arrays of length 2P, entry 2i holding component i moved by +h
-    and entry 2i+1 by -h.  So a residual makes one :func:`delta_hprime` call
-    per non-scalar block, not one per point.  The stencil is where this
-    module makes arrays, so numpy is imported here, on first use.  Every
-    float operation is the one the point would get on its own, in the same
-    order: rational constants meet the arrays as floats and powers of arrays
-    use Python's ``pow`` per entry (:func:`etclosure.tensors.batch_safe`,
+    and entry 2i+1 by -h.  The tensor stacks them once into its (P x 2P)
+    block, and the series runs on blocks from there: traces,
+    mu-contractions and symmetric products read one block and write the next
+    (see :mod:`etclosure.tensors`), and the symbol values D^h c_q(lambda) are
+    computed once for all orders (:func:`~etclosure.family.symbol_values`).
+    So a residual makes one :func:`delta_hprime` call per non-scalar block,
+    not one per point.  The stencil is where this module makes arrays, so
+    numpy is imported here, on first use.  Every float operation is the one
+    the point would get on its own, in the same order: rational constants
+    meet the arrays as floats and powers of arrays use Python's ``pow`` per
+    entry (:func:`etclosure.tensors.batch_safe`,
     :func:`etclosure.scalar.power`), so the residual is bit-identical to
     evaluating the points one by one.  With float deviations, as
     :func:`make_deviation` returns for float input, every array stays

@@ -28,17 +28,18 @@ numpy is loaded, and numpy is imported only where arrays are made: by the
 batch kernels below, which run only on arrays.  Exact and float tensors never
 load it.
 
-Products of batches (:func:`_batch_product`) do the dict loop's arithmetic
-on stacked rows: the outputs start from 0, and each term of p in turn adds
-its products with every term of q to its output rows in one update.  One
-term's output rows are distinct, so every output adds its terms in the
-loop's order and is the loop's array bit for bit, in the loop's key order.
-The kernel runs where every term has an array factor and every value is a
-1-D float64 array, a float, or an int a float holds exactly
-(:func:`_batch_side`); exact values, object arrays, numpy scalars and
-anything else keep the loop.  Traces and mu-contractions of batches
-(:func:`_batch_derivative`) evaluate the loop's expression on stacked rows
-under the same rules.
+A tensor whose components are all 1-D float64 arrays of one width holds them
+as one block, a (components x width) float64 array in canonical order, its
+components being row views of it.  The block is stacked once, where a tensor
+is built from outside values (the constructor, ``+``, ``-``, ``map_values``,
+``scale``, ``with_entry``); the kernels read and write blocks.  Traces and
+mu-contractions (:func:`_derivative`) gather four shifted rows, and symmetric
+products (:func:`_block_product`) start every output row at 0 and let each
+term of the first factor add its products with every nonzero term of the
+second to its own, distinct output rows, so each output adds its terms in
+the dict loop's order.  A scalar factor or weight joins a block when it is a
+float or an int a float holds exactly (:func:`_batch_ready`); anything else,
+and a tensor with no block, keeps the loop.
 
 Exact inputs follow one rule, decided in one place (:func:`_integral`): where
 every input of an operation is an int or a ``Fraction`` and at least one is a
@@ -210,10 +211,17 @@ def _layout(rank: int) -> Tuple[Tuple[Counts, ...], Tuple[int, ...]]:
     return counts, tuple(_multinomial(c) for c in counts)
 
 
+@lru_cache(maxsize=None)
+def _sorted_counts(rank: int) -> Dict[Index, Counts]:
+    """The counts of every sorted rank-`rank` multi-index: get, with_entry and the
+    constructor read a sorted index's counts from it."""
+    return dict(zip(canonical_indices(rank), _layout(rank)[0]))
+
+
 class DenseSymTensor:
     """Totally symmetric rank-n tensor: one component per monomial x^c of degree n."""
 
-    __slots__ = ("rank", "_values")
+    __slots__ = ("rank", "_values", "_block")
 
     def __init__(self, rank: int, values: Optional[Mapping[Index, object]] = None):
         if rank < 0:
@@ -221,20 +229,42 @@ class DenseSymTensor:
         self.rank = rank
         vals: Dict[Counts, object] = dict.fromkeys(_layout(rank)[0], 0)
         if values:
+            sorted_counts = _sorted_counts(rank)
             for idx, v in values.items():
-                key = index_counts(idx)
+                key = sorted_counts.get(idx) or index_counts(idx)
                 if len(idx) != rank or key not in vals:
                     raise ValueError(f"index {idx} is not a rank-{rank} multi-index over 0..3")
                 vals[key] = v
-        self._values = vals
+        self._hold(vals)
+
+    def _hold(self, vals: Dict[Counts, object]) -> None:
+        """Keep vals (in canonical order); stacked as a block when every value is a batch."""
+        block = _stacked(vals)
+        self._block = block
+        self._values = vals if block is None else dict(zip(vals, block))
 
     @classmethod
     def _from_counts(cls, rank: int, values: Mapping[Counts, object]) -> "DenseSymTensor":
         """Tensor whose component at counts c is values[c], 0 where absent."""
         out = cls.__new__(cls)
         out.rank = rank
-        out._values = {c: values.get(c, 0) for c in _layout(rank)[0]}
+        out._hold({c: values.get(c, 0) for c in _layout(rank)[0]})
         return out
+
+    @classmethod
+    def _from_block(cls, rank: int, block: np.ndarray) -> "DenseSymTensor":
+        """Tensor whose components are the rows of a (components x width) float64 block."""
+        out = cls.__new__(cls)
+        out.rank, out._block = rank, block
+        return out
+
+    def __getattr__(self, name: str):
+        # a block's row views are made on first read: a kernel's block often feeds
+        # only the next kernel
+        if name != "_values" or self._block is None:
+            raise AttributeError(name)
+        self._values = dict(zip(_layout(self.rank)[0], self._block))
+        return self._values
 
     @classmethod
     def zeros(cls, rank: int) -> "DenseSymTensor":
@@ -248,7 +278,7 @@ class DenseSymTensor:
         """Component at any index order; permuted lookups hit the canonical entry."""
         if len(idx) != self.rank:
             raise KeyError(tuple(idx))
-        return self._values[index_counts(idx)]
+        return self._values[_sorted_counts(self.rank).get(tuple(idx)) or index_counts(idx)]
 
     def items(self):
         """(sorted multi-index, component) for every canonical entry, zeros included."""
@@ -256,12 +286,10 @@ class DenseSymTensor:
 
     def with_entry(self, idx: Sequence[int], value) -> "DenseSymTensor":
         """Copy with one canonical entry replaced."""
-        key = index_counts(idx)
+        key = _sorted_counts(self.rank).get(tuple(idx)) or index_counts(idx)
         if len(idx) != self.rank or key not in self._values:
             raise ValueError(f"index {tuple(idx)} is not a rank-{self.rank} multi-index over 0..3")
-        out = DenseSymTensor._from_counts(self.rank, self._values)
-        out._values[key] = value
-        return out
+        return DenseSymTensor._from_counts(self.rank, {**self._values, key: value})
 
     def map_values(self, fn) -> "DenseSymTensor":
         return DenseSymTensor._from_counts(
@@ -367,8 +395,6 @@ def _from_coefficients(rank: int, poly: Poly, den: Optional[int] = None) -> Dens
         # a batch is divided whole: its zero entries stay zero
         if w != 1 and (isinstance(v, ndarray) or v != 0):
             v = Fraction(v, w) if isinstance(v, int) else v / w
-        elif isinstance(v, ndarray) and v.base is not None:
-            v = v.copy()  # a row of a batch product would keep the whole product alive
         values[c] = v
     return DenseSymTensor._from_counts(rank, values)
 
@@ -405,90 +431,86 @@ def _linear(vector: Sequence) -> Poly:
     return {unit: a for unit, a in zip(_UNITS, vector) if not is_zero(a)}
 
 
-def _batch_side(values: List) -> Optional[Tuple[int, bool]]:
-    """(width, every value an array) for one factor of a batch kernel, else None.
+def _stacked(vals: Dict[Counts, object]) -> Optional[np.ndarray]:
+    """The values as one (len x width) block if every one is a 1-D float64 array of one width."""
+    first = next(iter(vals.values()))
+    ndarray = array_type() if type(first) not in (int, Fraction, float) else None
+    if type(first) is not ndarray or first.ndim != 1 or not all(
+            type(v) is ndarray and v.dtype == numpy().float64 and v.shape == first.shape
+            for v in vals.values()):
+        return None
+    return numpy().array(list(vals.values()))
 
-    Every value must be a 1-D float64 array, a float, or an int that a float
-    holds exactly; the arrays must share one length (width 0 when there are
-    none).  Anything else (Fractions, object arrays, numpy scalars, huge ints)
-    returns None.
-    """
-    np = numpy()
-    ndarray, f64 = np.ndarray, np.dtype(np.float64)
-    width, arrays = None, 0
+
+def _batch_ready(values: Iterable, width: Optional[int]) -> bool:
+    """Whether every value meets a block of ``width`` entries as it meets one float: a float,
+    an int a float holds exactly, or (unless width is None) a 1-D float64 array of that width."""
+    ndarray = array_type()
     for v in values:
         t = type(v)
         if t is ndarray:
-            if v.dtype is not f64 or v.ndim != 1 or (width is not None and len(v) != width):
-                return None
-            width, arrays = len(v), arrays + 1
+            if width is None or v.dtype != numpy().float64 or v.shape != (width,):
+                return False
         elif not (t is float or (t is int and -(2**53) <= v <= 2**53)):
-            return None
-    return (width or 0), arrays == len(values)
+            return False
+    return True
 
 
-def _rows(values: List, arrays: bool, width: int) -> np.ndarray:
-    """values stacked as float64 rows; an all-scalar factor is one column that broadcasts."""
-    np = numpy()
-    if arrays:
-        return np.array(values)
-    if not any(type(v) is np.ndarray for v in values):
-        return np.array(values, dtype=np.float64)[:, None]
-    rows = np.empty((len(values), width))
-    for r, v in enumerate(values):
-        rows[r] = v
-    return rows
+@lru_cache(maxsize=None)
+def _multinomial_column(rank: int) -> np.ndarray:
+    """The multinomials of the rank layout as a float64 column."""
+    return numpy().array(_layout(rank)[1], dtype=numpy().float64)[:, None]
 
 
 @lru_cache(maxsize=64)
-def _product_plan(p_keys: Tuple[Counts, ...], q_keys: Tuple[Counts, ...]):
-    """(keys, rows): the product loop's output keys in first-encounter order, and
-    rows[i, j], the output row of p term i times q term j."""
-    np = numpy()
-    index: Dict[Counts, int] = {}
-    rows = [[index.setdefault((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]), len(index))
-             for b in q_keys] for a in p_keys]
-    return tuple(index), np.array(rows, dtype=np.intp)
+def _product_positions(p_rank: int, q_rank: int) -> np.ndarray:
+    """rows[i, j]: the canonical position of c_i + c_j in the rank p_rank + q_rank layout,
+    for c_i of the p_rank layout and c_j of the q_rank layout."""
+    position = {c: k for k, c in enumerate(_layout(p_rank + q_rank)[0])}
+    return numpy().array(
+        [[position[(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])] for b in _layout(q_rank)[0]]
+         for a in _layout(p_rank)[0]], dtype=numpy().intp)
 
 
-def _batch_product(p: Poly, q_terms: List[Tuple[Counts, object]]) -> Optional[Poly]:
-    """p * q over stacked float64 rows, or None where the product loop must run.
+def _coefficient_rows(t: DenseSymTensor, width: int) -> Optional[np.ndarray]:
+    """The coefficients of p_T as float64 rows: t's block times the multinomials, or for
+    batch-ready scalar components one column; None where t is neither."""
+    if t._block is not None:
+        return t._block * _multinomial_column(t.rank) if t._block.shape[1] == width else None
+    coeffs = [v * w for v, w in zip(t._values.values(), _layout(t.rank)[1])]
+    return numpy().array(coeffs, dtype=numpy().float64)[:, None] if _batch_ready(coeffs, None) else None
 
-    It runs when every value is a batch-ready number (:func:`_batch_side`) and
-    one factor is all arrays, so that every term has an array factor and
-    every output is an array, as in the loop.  Term i of p adds x_i times
-    every q row to its output rows, which are distinct, so each output adds
-    its terms in the loop's order, starting from 0: the loop's array bit for bit.
+
+def _block_product(a: DenseSymTensor, b: DenseSymTensor) -> Optional[np.ndarray]:
+    """The components of sym(a x b) as a block, or None where the product loop must run.
+
+    It runs when one factor holds a block and the other holds a block of its
+    width or batch-ready scalars (:func:`_coefficient_rows`).  Rows of b's
+    coefficients that are zero at every entry are skipped, as :func:`_product`
+    skips zero terms.  Every output row starts from 0, and term i of a adds
+    x_i times every kept row of b to its output rows, which are distinct, so
+    each output adds its terms in the loop's order; the division by the
+    multinomials is one column operation.  Each entry is the loop's bit for bit.
     """
-    ndarray = array_type()
-    if type(next(iter(p.values()))) is not ndarray and type(q_terms[0][1]) is not ndarray:
-        return None  # neither factor is all arrays
-    ys = [y for _, y in q_terms]
-    sides = _batch_side(list(p.values())), _batch_side(ys)
-    if None in sides or not (sides[0][1] or sides[1][1]):
+    block = a._block if a._block is not None else b._block
+    if block is None:
         return None
-    (wx, _), (wy, y_arrays) = sides
-    if wx and wy and wx != wy:
+    width = block.shape[1]
+    p, q = _coefficient_rows(a, width), _coefficient_rows(b, width)
+    if p is None or q is None:
         return None
-    keys, rows = _product_plan(tuple(p), tuple(b for b, _ in q_terms))
-    y = _rows(ys, y_arrays, wx or wy)
-    out = numpy().zeros((len(keys), wx or wy))
-    for at, x in zip(rows, p.values()):
+    keep = q.any(axis=1)
+    rows, y = _product_positions(a.rank, b.rank)[:, keep], q[keep]
+    rank = a.rank + b.rank
+    out = numpy().zeros((len(_layout(rank)[0]), width))
+    for at, x in zip(rows, p):
         out[at] += x * y
-    return dict(zip(keys, out))
+    return out / _multinomial_column(rank)
 
 
 def _product(p: Poly, q: Poly) -> Poly:
-    """p * q; zero coefficients of q are skipped, so a zero q gives {}.
-
-    Float64 batches go through :func:`_batch_product`, which sums the same
-    terms in the same order.
-    """
+    """p * q; zero coefficients of q are skipped, so a zero q gives {}."""
     q_terms = [(b, y) for b, y in q.items() if not is_zero(y)]
-    if p and q_terms:
-        batch = _batch_product(p, q_terms)
-        if batch is not None:
-            return batch
     out: Poly = {}
     for a, x in p.items():
         for b, y in q_terms:
@@ -649,38 +671,21 @@ def _derivative_plan(rank: int, order: int) -> Tuple[np.ndarray, ...]:
     return tuple(np.array(at, dtype=np.intp) for at in zip(*_derivative_positions(rank, order)))
 
 
-def _batch_derivative(t: DenseSymTensor, weights: Sequence, order: int) -> Optional[Dict]:
-    """:func:`_derivative` over stacked float64 rows, or None where its loop must run.
-
-    It runs when every component is an array and the components and the
-    weights are batch-ready numbers of one width (:func:`_batch_side`, as for
-    products).  The loop's expression on the gathered rows is the loop's
-    arithmetic, so each output entry is the loop's bit for bit.
-    """
-    values = list(t._values.values())
-    if type(values[0]) is not array_type():
-        return None  # the cheap test first: exact and scalar tensors keep the loop
-    side, weight_side = _batch_side(values), _batch_side(list(weights))
-    if side is None or not side[1] or weight_side is None or weight_side[0] not in (0, side[0]):
-        return None
-    rows = numpy().array(values)
-    a, b, c, d = _derivative_plan(t.rank, order)
-    w0, w1, w2, w3 = weights
-    out = w0 * rows[a] + w1 * rows[b] + w2 * rows[c] + w3 * rows[d]
-    return dict(zip(_layout(t.rank - order)[0], out))
-
-
 def _derivative(t: DenseSymTensor, weights: Sequence, order: int) -> DenseSymTensor:
     """sum_a weights[a] d_a^order p_T, rescaled to components: R_c = sum_a w_a T_{c + order e_a}.
 
-    Float64 batches go through :func:`_batch_derivative`, which does the same
-    float operations in the same order.  Anything else runs one positional
-    loop, w0 T_a + w1 T_b + w2 T_c + w3 T_d, on integer numerators divided
-    once where :func:`_integral` gives them.
+    A block with batch-ready weights (:func:`_batch_ready`) gives a block:
+    the loop's expression on the four gathered rows, the same float
+    operations in the same order.  Anything else runs one positional loop,
+    w0 T_a + w1 T_b + w2 T_c + w3 T_d, on integer numerators divided once
+    where :func:`_integral` gives them.
     """
-    batch = _batch_derivative(t, weights, order)
-    if batch is not None:
-        return DenseSymTensor._from_counts(t.rank - order, batch)
+    block = t._block
+    if block is not None and _batch_ready(weights, block.shape[1]):
+        a, b, c, d = _derivative_plan(t.rank, order)
+        w0, w1, w2, w3 = weights
+        return DenseSymTensor._from_block(
+            t.rank - order, w0 * block[a] + w1 * block[b] + w2 * block[c] + w3 * block[d])
     values, den = t._values, None
     exact = _integral(values, dict(enumerate(weights)))
     if exact:
@@ -736,7 +741,14 @@ def transform(t: DenseSymTensor, matrix: Sequence[Sequence]) -> DenseSymTensor:
 
 
 def sym_product(a: DenseSymTensor, b: DenseSymTensor) -> DenseSymTensor:
-    """Symmetrized tensor product sym(a x b), the product of the two polynomials."""
+    """Symmetrized tensor product sym(a x b), the product of the two polynomials.
+
+    Blocks go through :func:`_block_product`, which sums the loop's terms in
+    the loop's order.
+    """
+    block = _block_product(a, b)
+    if block is not None:
+        return DenseSymTensor._from_block(a.rank + b.rank, block)
     p, q, den = _coefficients(a), _coefficients(b), None
     exact = _integral(p, q)
     if exact:

@@ -91,9 +91,9 @@ base = ThermoState(rng.uniform(0.2, 1.0), random_float_timelike(rng), 1.0)
 lam_dev = make_deviation(random_sym_tensor(2, rng, rational=False), 2).scale(1e-6)
 mu_dev = make_deviation(random_sym_tensor(3, rng, rational=False), 3).scale(1e-6)
 state = MultiplierState(base, lam_dev, mu_dev, spec)
-plans = [tensors._derivative_plan.cache_info().misses, tensors._product_plan.cache_info().misses]
+plans = [tensors._derivative_plan.cache_info().misses, tensors._product_positions.cache_info().misses]
 batched = symmetry_residual(state, step=1e-6, tensors=sets)
-plans += [tensors._derivative_plan.cache_info().misses, tensors._product_plan.cache_info().misses]
+plans += [tensors._derivative_plan.cache_info().misses, tensors._product_positions.cache_info().misses]
 print(json.dumps({"numpy_before": before, "exact": exact, "plans": plans, "batched": batched.hex(),
                   "per_point": _per_point_residual(state, 1e-6, sets).hex()}))
 """
@@ -142,6 +142,26 @@ def test_numpy_loaded_after_the_package_still_runs_the_batch_kernels():
     derivative_before, product_before, derivative_after, product_after = report["plans"]
     assert derivative_after > derivative_before and product_after > product_before
     assert report["batched"] == report["per_point"]
+
+
+NO_TEMPFILE = """
+import contextlib, io, json, sys
+from etclosure import cli
+report = {"import": "tempfile" in sys.modules}
+with contextlib.redirect_stdout(io.StringIO()):
+    report["code"] = cli.main(["closure", "--M", "2", "--N", "3"])
+report["closure"] = "tempfile" in sys.modules
+print(json.dumps(report))
+"""
+
+
+def test_the_cli_and_a_default_closure_load_no_tempfile():
+    # -S: no site hook may load tempfile first; only --out and --artifacts write a file
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", NO_TEMPFILE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"import": False, "code": 0, "closure": False}
 
 
 def test_quad_forwards_to_scipy_exactly():

@@ -257,23 +257,28 @@ def _per_point_residual(state: MultiplierState, step: float, tensors) -> float:
     return worst
 
 
-@pytest.mark.parametrize("M, N", [(2, 1), (2, 3), (4, 3)])
+@pytest.mark.parametrize("M, N", [(2, 1), (2, 3), (4, 3), (0, 3), (2, 5)])
 def test_batched_symmetry_residual_is_bit_identical_to_per_point(M, N):
     spec = VerifyConfig(M=M, N=N).spec
     tensors = ClosureTensorSet.build(spec)
-    rng = random.Random(11)
-    base = ThermoState(rng.uniform(0.2, 1.0), random_float_timelike(rng), 1.0)
-    lam_dev = make_deviation(random_sym_tensor(M, rng, rational=False), M).scale(1e-6)
-    mu_dev = make_deviation(random_sym_tensor(N, rng, rational=False), N).scale(1e-6)
-    for st in (
-        MultiplierState.at_equilibrium(base, spec),
-        MultiplierState(base, lam_dev, mu_dev, spec),
-    ):
-        batched = symmetry_residual(st, step=1e-6, tensors=tensors)
-        assert batched == _per_point_residual(st, 1e-6, tensors)
-        assert batched <= 1e-6
-    bad = mutate_tensor_set(tensors, random.Random(3), count=1, orders=[(1, 0)])
-    assert symmetry_residual(st, step=1e-6, tensors=bad) > 1e-6
+    # seed 11's states hold the symmetry tolerance, and the mutation below runs at
+    # its last; seeds 0-4 pin the bits alone, since some intact states exceed it
+    # (see SYMMETRY_GAMMA in perfbench/workloads.py)
+    for seed in (0, 1, 2, 3, 4, 11):
+        rng = random.Random(seed)
+        base = ThermoState(rng.uniform(0.2, 1.0), random_float_timelike(rng), 1.0)
+        lam_dev = make_deviation(random_sym_tensor(M, rng, rational=False), M).scale(1e-6)
+        mu_dev = make_deviation(random_sym_tensor(N, rng, rational=False), N).scale(1e-6)
+        for st in (
+            MultiplierState.at_equilibrium(base, spec),
+            MultiplierState(base, lam_dev, mu_dev, spec),
+        ):
+            batched = symmetry_residual(st, step=1e-6, tensors=tensors)
+            assert batched.hex() == _per_point_residual(st, 1e-6, tensors).hex(), seed
+            assert batched <= 1e-6 or seed != 11
+    if M:
+        bad = mutate_tensor_set(tensors, random.Random(3), count=1, orders=[(1, 0)])
+        assert symmetry_residual(st, step=1e-6, tensors=bad) > 1e-6
 
 
 def test_library_refuses_orders_past_the_rank_cap():

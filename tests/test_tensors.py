@@ -540,12 +540,13 @@ def test_non_exact_inputs_never_take_the_integer_path(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the float64 batch kernel of the polynomial product against the dict loop
+# the float64 block kernels against the scalar loop at every entry
 #
-# _product multiplies float64 batches through index plans (_batch_product).
-# Each output must be the dict loop's array bit for bit, sign of zero
-# included, in the loop's key order; inputs the kernel cannot reproduce keep
-# the loop itself.
+# A tensor whose components are all float64 arrays of one width holds them as
+# one block; sym_product (_block_product), trace_pair and contract_mu
+# (_derivative) then read and write blocks.  Each entry of every output must
+# be what the same call gives on that entry's scalar tensor, bit for bit, sign
+# of zero included; inputs a block cannot reproduce keep the loop itself.
 
 _ENTRIES = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, -2.0)),
                      st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False))
@@ -553,74 +554,70 @@ _SCALARS = st.one_of(_ENTRIES, st.sampled_from((0, 1, -2, 3)))
 
 
 @st.composite
-def sparse_keys(draw):
-    """Keys as the callers make them: metric powers, linear forms, or a subset of a layout."""
-    kind = draw(st.sampled_from(("metric", "linear", "layout", "mixed degrees")))
-    if kind == "metric":
-        return [c for c, _ in tensors._gmu_structure(draw(st.integers(0, 3)))]
-    if kind == "linear":
-        units = [tuple(int(i == t) for i in range(4)) for t in range(4)]
-        return draw(st.lists(st.sampled_from(units), min_size=1, max_size=4, unique=True))
-    degrees = [draw(st.integers(0, 5))]
-    if kind == "mixed degrees":
-        degrees.append(draw(st.integers(0, 5)))
-    pool = sorted({c for d in degrees for c in tensors._layout(d)[0]})
-    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
-
-
-@st.composite
-def batch_values(draw, keys, width, arrays):
-    """A value per key: float64 arrays (some all zero) if ``arrays``, else arrays and scalars."""
-    def array():
-        if draw(st.integers(0, 5)) == 0:
+def block_tensor(draw, rank, width):
+    """A tensor of float64 rows: some rows all zero (of either sign), the others drawn entries."""
+    def row():
+        if draw(st.integers(0, 4)) == 0:
             return np.full(width, draw(st.sampled_from((0.0, -0.0))))
         return np.array([draw(_ENTRIES) for _ in range(width)])
 
-    return {k: array() if arrays or draw(st.booleans()) else draw(_SCALARS) for k in keys}
+    return DenseSymTensor._from_counts(rank, {c: row() for c in tensors._layout(rank)[0]})
+
+
+@st.composite
+def scalar_tensor(draw, rank):
+    return DenseSymTensor._from_counts(rank, {c: draw(_SCALARS) for c in tensors._layout(rank)[0]})
 
 
 def _entry(v, k):
     return float(v[k]) if isinstance(v, np.ndarray) else v
 
 
-def per_entry_product(p, q, k):
-    """Entry k of every output: the dict loop over the batch's terms, one float at a time."""
-    q_terms = [(b, y) for b, y in q.items() if not is_zero(y)]
-    out = {}
-    for a, x in p.items():
-        for b, y in q_terms:
-            key = tuple(i + j for i, j in zip(a, b))
-            out[key] = out.get(key, 0) + _entry(x, k) * _entry(y, k)
-    return out
+def at_entry(t, k):
+    """Entry k of a batch tensor as a scalar tensor; scalar components stay as they are."""
+    return t.map_values(lambda v: _entry(v, k))
 
 
-@given(data=st.data(), width=st.integers(1, 4), all_arrays=st.sampled_from(("p", "q", "both")))
-@settings(max_examples=300, deadline=None)
-def test_batch_product_matches_the_loop_bit_for_bit(data, width, all_arrays):
-    p = data.draw(batch_values(data.draw(sparse_keys()), width, all_arrays in ("p", "both")))
-    q = data.draw(batch_values(data.draw(sparse_keys()), width, all_arrays in ("q", "both")))
-    q_terms = [(b, y) for b, y in q.items() if not is_zero(y)]
-    if q_terms:
-        assert tensors._batch_product(p, q_terms) is not None
-    got, want = tensors._product(p, q), _ref_product(p, q)
-    assert list(got) == list(want)
-    for key, v in got.items():
-        assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (width,)
-        assert v.tobytes() == want[key].tobytes(), key
+def assert_block_result(got, width):
+    """A block of the layout's rows, every component one of those rows."""
+    block = got._block
+    assert block is not None and block.dtype == np.float64
+    assert block.shape == (len(tensors._layout(got.rank)[0]), width)
+    for (_, v), row in zip(got.items(), block):
+        assert v.base is block and v.tobytes() == row.tobytes()
+
+
+def assert_entries(got, want_at, width):
+    """Entry k of every component of got is want_at(k)'s component, as exact bits."""
     for k in range(width):
-        entry = per_entry_product(p, q, k)
-        assert list(entry) == list(got)
-        assert [float(v[k]).hex() for v in got.values()] == [float(v).hex() for v in entry.values()]
+        want = want_at(k)
+        assert [float(v[k]).hex() for _, v in got.items()] == [float(v).hex() for _, v in want.items()]
+
+
+@given(data=st.data(), ranks=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+       width=st.integers(1, 4), all_arrays=st.sampled_from(("p", "q", "both")))
+@settings(max_examples=300, deadline=None)
+def test_batch_product_matches_the_loop_bit_for_bit(data, ranks, width, all_arrays):
+    a, b = (data.draw(block_tensor(rank, width) if all_arrays in (side, "both") else scalar_tensor(rank))
+            for rank, side in zip(ranks, ("p", "q")))
+    assert tensors._block_product(a, b) is not None
+    got = sym_product(a, b)
+    assert_block_result(got, width)
+    assert_entries(got, lambda k: sym_product(at_entry(a, k), at_entry(b, k)), width)
 
 
 def test_batch_product_sums_start_from_zero():
-    # the loop starts every sum at 0, so a lone -0.0 term reads 0.0, as for one float
-    p = {(1, 0, 0, 0): np.array([-0.0, 2.0]), (0, 1, 0, 0): np.array([-0.0, 3.0])}
-    q = {(0, 1, 0, 0): 1.0, (1, 0, 0, 0): -1.0}
-    got = tensors._product(p, q)
-    assert list(got) == [(1, 1, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0)]
-    assert [v.tolist() for v in got.values()] == [[0.0, -1.0], [0.0, -2.0], [0.0, 3.0]]
-    assert not any(np.signbit(v[0]) for v in got.values())
+    # the loop starts every sum at 0, so a lone -0.0 term reads 0.0, as for one
+    # float; b's zero rows (-0.0 at both entries, and 0.0) are skipped
+    a = DenseSymTensor(1, {(0,): np.array([-0.0, 2.0]), (1,): np.array([-0.0, 3.0]),
+                           (2,): np.array([0.0, -0.0]), (3,): np.array([-0.0, -0.0])})
+    b = DenseSymTensor(1, {(0,): np.array([-1.0, -1.0]), (1,): np.array([1.0, 1.0]),
+                           (2,): np.array([-0.0, -0.0]), (3,): np.zeros(2)})
+    got = sym_product(a, b)
+    assert_block_result(got, 2)
+    assert_entries(got, lambda k: sym_product(at_entry(a, k), at_entry(b, k)), 2)
+    assert not np.signbit(got._block[:, 0]).any()
+    assert got.get((0, 1)).tolist() == [0.0, -0.5]
 
 
 def test_batch_product_keeps_the_loop_order_on_a_large_product():
@@ -631,88 +628,97 @@ def test_batch_product_keeps_the_loop_order_on_a_large_product():
     width = 3
 
     def factor(rank):
-        return {c: rng.standard_normal(width) * 10.0 ** rng.integers(-6, 7, width)
-                for c in tensors._layout(rank)[0]}
+        return DenseSymTensor._from_counts(rank, {
+            c: rng.standard_normal(width) * 10.0 ** rng.integers(-6, 7, width)
+            for c in tensors._layout(rank)[0]})
 
-    p, q = factor(6), factor(4)
-    assert len(p) * len(q) == 2940
-    assert tensors._batch_product(p, list(q.items())) is not None
-    got, want = tensors._product(p, q), _ref_product(p, q)
-    assert list(got) == list(want)
-    for key, v in got.items():
-        assert v.tobytes() == want[key].tobytes(), key
-    for k in range(width):
-        entry = per_entry_product(p, q, k)
-        assert [float(v[k]).hex() for v in got.values()] == [float(v).hex() for v in entry.values()]
+    a, b = factor(6), factor(4)
+    got = sym_product(a, b)
+    assert_block_result(got, width)
+    assert_entries(got, lambda k: sym_product(at_entry(a, k), at_entry(b, k)), width)
+    assert_same_components(got, ref_sym_product(a, b))
 
 
 def test_inputs_the_kernel_cannot_reproduce_keep_the_loop():
     batch = np.array([0.5, -1.25, 3.0])
     objects = np.array([Fraction(1, 2), Fraction(-3, 4), Fraction(2)], dtype=object)
-    keys = [c for c, _ in tensors._gmu_structure(1)]
+    block = gmu_basis(2, 1).map_values(lambda v: v * batch)
+
+    def filled(rank, value):
+        return DenseSymTensor._from_counts(rank, {c: value(i) for i, c in enumerate(tensors._layout(rank)[0])})
+
     cases = [
-        ({k: Fraction(i + 1, 3) for i, k in enumerate(keys)}, {(0, 1, 0, 0): batch}),  # exact x batch
-        ({k: i + 1 for i, k in enumerate(keys)}, {(0, 1, 0, 0): 2, (1, 0, 0, 0): -1}),  # ints
-        ({k: batch for k in keys}, {(0, 1, 0, 0): objects}),  # an object array
-        ({k: np.float64(i - 1.5) for i, k in enumerate(keys)}, {(0, 0, 1, 0): batch}),  # numpy scalars
-        ({k: batch for k in keys}, {(0, 0, 1, 0): 2**60 + 1}),  # an int a float rounds
-        ({keys[0]: batch, keys[1]: 0.5}, {(0, 0, 1, 0): batch, (0, 1, 0, 0): -1.0}),  # scalar x scalar
+        (filled(2, lambda i: Fraction(i + 1, 3)), filled(1, lambda i: batch)),  # exact x batch
+        (filled(2, lambda i: i + 1), filled(1, lambda i: 2 - i)),  # ints
+        (block, filled(1, lambda i: objects)),  # an object array
+        (filled(2, lambda i: np.float64(i - 1.5)), filled(1, lambda i: batch)),  # numpy scalars
+        (block, filled(1, lambda i: 2**60 + 1)),  # an int a float rounds
+        (block.with_entry((0, 0), 0.5), filled(1, lambda i: batch)),  # a tensor with no block
     ]
-    for p, q in cases:
-        q_terms = [(b, y) for b, y in q.items() if not is_zero(y)]
-        assert tensors._batch_product(p, q_terms) is None
-        got, want = tensors._product(p, q), _ref_product(p, q)
-        assert list(got) == list(want)
-        for key, v in got.items():
-            assert type(v) is type(want[key])
-            if isinstance(v, np.ndarray):
-                assert v.dtype == want[key].dtype and v.tolist() == want[key].tolist()
-            else:
-                assert v == want[key]
+    for a, b in cases:
+        assert tensors._block_product(a, b) is None
+        assert_same_components(sym_product(a, b), ref_sym_product(a, b))
     # arrays of two widths do not broadcast, in the loop either
-    p, q_terms = {keys[0]: batch}, [((0, 0, 1, 0), batch[:2])]
-    assert tensors._batch_product(p, q_terms) is None
+    two = filled(1, lambda i: batch[:2])
+    assert tensors._block_product(block, two) is None
     with pytest.raises(ValueError):
-        tensors._product(p, dict(q_terms))
+        sym_product(block, two)
 
 
 def test_batch_tensors_hold_their_own_components():
-    # components are copied out of the product's rows, so no tensor keeps a whole block alive
-    mu = FourVector((np.array([2.0, 1.5]), np.array([0.5, 0.2]), 0.0, -0.25))
+    # every component is a row of the tensor's own block, which holds the layout's rows only
+    mu = FourVector((np.array([2.0, 1.5]), np.array([0.5, 0.2]), np.array([0.125, 0.0]), np.full(2, -0.25)))
     for t in (gmu_combination(5, {0: 1.5, 2: np.array([0.25, -1.0])}, mu),
-              sym_product(gmu_basis(2, 0, mu), gmu_basis(3, 1, mu))):
-        arrays = [v for _, v in t.items() if isinstance(v, np.ndarray)]
-        assert arrays and all(v.base is None for v in arrays)
-    assert tensors._product_plan.cache_info().maxsize is not None
+              sym_product(gmu_basis(2, 0, mu), gmu_basis(3, 1, mu)),
+              trace_pair(gmu_basis(4, 1, mu))):
+        assert_block_result(t, 2)
+    assert tensors._product_positions.cache_info().maxsize is not None
 
 
-# ---------------------------------------------------------------------------
-# the float64 batch kernel of traces and mu-contractions against each entry
-#
-# _derivative stacks a batch's components once (_batch_derivative) and adds
-# the four gathered terms in the loop's a = 0..3 order, so each entry of a
-# batched trace_pair or contract_mu is the same call on that entry alone.
+def assert_block_agrees(t):
+    """t's block, if any, is its components in canonical order; with none, they are no block."""
+    values = list(t._values.values())
+    if t._block is None:
+        assert tensors._stacked(t._values) is None
+        return
+    assert list(t._values) == list(tensors._layout(t.rank)[0])
+    for v, row in zip(values, t._block):
+        assert np.shares_memory(v, t._block) and v.tobytes() == row.tobytes()
+
+
+def test_block_tensors_keep_their_block_and_rows_in_step():
+    batch = np.array([0.5, -1.25, -0.0])
+    t = gmu_basis(3, 1, (1.5, 0.25, 0.0, -0.5)).map_values(lambda v: v * batch)
+    u = t.with_entry((0, 1, 2), np.array([7.0, -0.0, 2.5]))
+    derived = [
+        t, u, t + u, t - u, u.scale(0.5), u.scale(Fraction(1, 3)), u.scale(batch),
+        u.map_values(lambda v: v * 2.0), metric_flip(u), contract_mu(u, (1.0, 0.0, -1, 2.0)),
+        u.with_entry((3, 3, 3), 1.0), u.with_entry((3, 3, 3), np.zeros(2)),
+    ]
+    for out in derived:
+        assert_block_agrees(out)
+    assert all(out._block is not None for out in derived[:-2])
+    assert u.get((2, 1, 0)).tolist() == [7.0, -0.0, 2.5]
+    assert u._block[tensors._layout(3)[0].index((1, 1, 1, 0))].tolist() == [7.0, -0.0, 2.5]
+    assert t.get((0, 1, 2)).tolist() != [7.0, -0.0, 2.5]  # the copy left t as it was
+    assert_entries(u - t, lambda k: at_entry(u, k) - at_entry(t, k), 3)
+    assert_entries(u.scale(batch), lambda k: at_entry(u, k).scale(float(batch[k])), 3)
 
 
 @given(data=st.data(), rank=st.integers(1, 6), width=st.integers(1, 4),
        weights=st.sampled_from(("scalar", "array", "mixed")))
 @settings(max_examples=100, deadline=None)
 def test_batch_trace_and_contraction_match_each_entry_bit_for_bit(data, rank, width, weights):
-    t = DenseSymTensor._from_counts(
-        rank, {c: np.array([data.draw(_ENTRIES) for _ in range(width)]) for c in tensors._layout(rank)[0]})
+    t = data.draw(block_tensor(rank, width))
     mu = [data.draw(_SCALARS) if weights == "scalar" or (weights == "mixed" and a % 2)
           else np.array([data.draw(_ENTRIES) for _ in range(width)]) for a in range(4)]
-    assert tensors._batch_derivative(t, mu, 1) is not None
     calls = [lambda u, k=None: contract_mu(u, [_entry(w, k) if k is not None else w for w in mu])]
     if rank >= 2:
         calls.append(lambda u, k=None: trace_pair(u))
     for call in calls:
         got = call(t)
-        for _, v in got.items():
-            assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (width,)
-        for k in range(width):
-            entry = call(t.map_values(lambda v: float(v[k])), k)
-            assert [float(v[k]).hex() for _, v in got.items()] == [float(v).hex() for _, v in entry.items()]
+        assert_block_result(got, width)
+        assert_entries(got, lambda k: call(at_entry(t, k), k), width)
 
 
 def test_derivatives_the_kernel_cannot_reproduce_keep_the_loop():
@@ -728,11 +734,13 @@ def test_derivatives_the_kernel_cannot_reproduce_keep_the_loop():
         (gmu_basis(3, 1, mu).map_values(lambda v: v * batch).with_entry((3, 3, 3), 1.0), mu),  # mixed
     ]
     for t, weights in cases:
-        assert tensors._batch_derivative(t, weights, 1) is None
+        assert t._block is None or not tensors._batch_ready(weights, t._block.shape[1])
+    exact_weight = tensors._derivative(cases[2][0], cases[2][1], 1)
+    assert exact_weight._block is None and exact_weight.get((0, 0)).dtype == object
+    assert_same_components(tensors._derivative(cases[5][0], mu, 1), ref_derivative(cases[5][0], mu, 1))
     exact = random_sym_tensor(4, random.Random(2))
     assert trace_pair(exact) == tensors._derivative(exact, METRIC_DIAG, 2)
     assert all(type(v) is Fraction for _, v in contract_mu(exact, (2, Fraction(1, 2), -1, 3)).items())
-
 
 # ---------------------------------------------------------------------------
 # the integer branches of trace_pair, contract_mu, symmetrize and scale against
